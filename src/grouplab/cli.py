@@ -289,7 +289,7 @@ def cmd_dump_presentation(args: argparse.Namespace) -> int:
     variant = WedgeVariant.CURLY if args.variant == "curly" else WedgeVariant.EXTERIOR
     cap = args.max_group_order if variant is WedgeVariant.CURLY else args.max_exterior_order
     wp = build_wedge_presentation(G, variant, group_cap=cap)
-    doc = presentation_to_json(wp.presentation)
+    doc = presentation_to_json(wp.raw_presentation())
     doc["pair_generator_layout"] = "generator index = m * |G| + n for the pair (m, n)"
     doc["raw_relator_counts"] = {"crossed_left": wp.r1_count, "crossed_right": wp.r2_count, "collapsing": wp.r3_count}
     text = dump_json(doc)
@@ -354,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=cmd_oracle)
 
-    p = sub.add_parser("dump-presentation", help="emit the pairing presentation as JSON")
+    p = sub.add_parser("dump-presentation", help="emit the raw pairing presentation (one generator per pair) as JSON")
     p.add_argument("group")
     p.add_argument("--variant", choices=("curly", "exterior"), default="curly")
     _add_common(p)

@@ -1,14 +1,12 @@
 """Finitely presented groups and coset enumeration.
 
 Words are tuples of nonzero signed integers: +g is generator g (1-based),
--g its inverse. Enumeration follows the relator-scanning strategy with
-immediate coincidence processing; a definition-order variant is available
-behind ``strategy="felsch"``. Identical inputs always produce identical
-standardized tables.
-
-Tables can be very wide: pairing presentations carry one generator per
-ordered pair of group elements, so rows are allocated only when a coset is
-defined and are released as soon as it dies.
+-g its inverse. Enumeration follows the relator-scanning (HLT) strategy
+with immediate coincidence processing. It scans the relators as given, so
+callers normalize them once, with ``preprocess_relators``, when they build
+a presentation. Identical inputs always produce identical standardized
+tables. Rows are allocated only when a coset is defined and are released
+as soon as it dies.
 """
 
 from __future__ import annotations
@@ -235,40 +233,6 @@ class CosetTable:
             if self.p[a] != a:
                 return  # a died during a cascade; caller re-checks liveness
 
-    def scan_once(self, a: int, word_cols: tuple[int, ...]) -> bool:
-        """Scan without defining; returns True if a deduction or merge happened."""
-        table = self.table
-        f = a
-        i = 0
-        r = len(word_cols)
-        b = a
-        j = r - 1
-        while i <= j:
-            nxt = table[f][word_cols[i]]
-            if nxt < 0:
-                break
-            f = nxt
-            i += 1
-        if i > j:
-            if f != b:
-                self.coincidence(f, b)
-                return True
-            return False
-        while j >= i:
-            prv = table[b][word_cols[j] ^ 1]
-            if prv < 0:
-                break
-            b = prv
-            j -= 1
-        if j < i:
-            self.coincidence(f, b)
-            return True
-        if j == i:
-            table[f][word_cols[i]] = b
-            table[b][word_cols[i] ^ 1] = f
-            return True
-        return False
-
     # -- finishing ------------------------------------------------------
 
     def is_closed(self) -> bool:
@@ -330,7 +294,6 @@ def todd_coxeter(
     pres: Presentation,
     subgroup_words: Sequence[Sequence[int]] = (),
     max_cosets: int = DEFAULT_MAX_COSETS,
-    strategy: str = "hlt",
 ) -> CosetTable:
     """Enumerate cosets of the subgroup generated by subgroup_words.
 
@@ -339,57 +302,26 @@ def todd_coxeter(
     """
     if max_cosets <= 0:
         raise ValidationError("max_cosets must be positive")
-    if strategy not in ("hlt", "felsch"):
-        raise ValidationError(f"unknown enumeration strategy {strategy!r}")
-    relators = preprocess_relators(pres.relators)
-    relator_cols = sorted((word_columns(w) for w in relators), key=lambda t: (len(t), t))
+    relator_cols = sorted((word_columns(w) for w in pres.relators), key=lambda t: (len(t), t))
     sub_words = tuple(free_reduce(w) for w in subgroup_words)
     tbl = CosetTable(pres.num_generators, max_cosets, sub_words)
     for w in sub_words:
         tbl.scan_and_fill(0, word_columns(w))
-    if strategy == "hlt":
-        alpha = 0
-        while alpha < len(tbl.table):
-            if tbl.p[alpha] != alpha:
-                alpha += 1
-                continue
-            for w in relator_cols:
-                tbl.scan_and_fill(alpha, w)
-                if tbl.p[alpha] != alpha:
-                    break
-            if tbl.p[alpha] == alpha:
-                row = tbl.table[alpha]
-                for c in range(tbl.width):
-                    if row[c] < 0:
-                        tbl.define(alpha, c)
+    alpha = 0
+    while alpha < len(tbl.table):
+        if tbl.p[alpha] != alpha:
             alpha += 1
-    else:
-        while True:
-            changed = True
-            while changed:
-                changed = False
-                for a in range(len(tbl.table)):
-                    if tbl.p[a] != a:
-                        continue
-                    for w in relator_cols:
-                        if tbl.scan_once(a, w):
-                            changed = True
-                        if tbl.p[a] != a:
-                            break
-            hole = None
-            for a in range(len(tbl.table)):
-                if tbl.p[a] != a:
-                    continue
-                row = tbl.table[a]
-                for c in range(tbl.width):
-                    if row[c] < 0:
-                        hole = (a, c)
-                        break
-                if hole:
-                    break
-            if hole is None:
+            continue
+        for w in relator_cols:
+            tbl.scan_and_fill(alpha, w)
+            if tbl.p[alpha] != alpha:
                 break
-            tbl.define(*hole)
+        if tbl.p[alpha] == alpha:
+            row = tbl.table[alpha]
+            for c in range(tbl.width):
+                if row[c] < 0:
+                    tbl.define(alpha, c)
+        alpha += 1
     if not tbl.is_closed():
         raise TableNotClosed("enumeration finished with an open table")
     tbl.compress()

@@ -16,6 +16,15 @@ surjection kappa onto the derived subgroup; its kernel is the Bogomolov
 kernel in the CURLY case and measures the Schur multiplier in the
 EXTERIOR case. Both constructions are realized concretely by coset
 enumeration, and kappa is rebuilt and verified rather than assumed.
+
+The raw presentation has |G|^2 generators and about 2|G|^3 relators, most
+of them redundant: each collapsed pair is dead, and a crossed relator with
+one dead letter identifies the other two up to inversion. The relators are
+therefore built as numpy index arrays and reduced by Tietze elimination (a
+signed union-find run to a fixpoint) before enumeration. Only the surviving
+classes are enumerated; the realization is then lifted back to one image
+per pair, and every raw relator is evaluated in the realized group, which
+certifies the reduction.
 """
 
 from __future__ import annotations
@@ -23,6 +32,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from typing import Sequence
+
+import numpy as np
 
 from .errors import (
     GroupTooLarge,
@@ -61,23 +72,131 @@ class WedgeVariant(enum.Enum):
         return DEFAULT_CURLY_CAP if self is WedgeVariant.CURLY else DEFAULT_EXTERIOR_CAP
 
 
+def _raw_relator_rows(G: FiniteGroup, variant: WedgeVariant) -> np.ndarray:
+    """Every raw relator as a row of three signed 1-based pair letters.
+
+    The pair (m, n) is letter m * |G| + n + 1; a 0 pads the one-letter
+    collapsing relators. Rows come in the order crossed-left (m, m', n),
+    then crossed-right (m, n, n'), |G|^3 rows each, then collapsing (x, y).
+    """
+    n = G.order
+    mul = np.array(G.mul, dtype=np.int32)
+    inv = np.array(G.inv, dtype=np.int32)
+    conj = mul[mul, inv[:, None]]  # conj[x, y] = x y x^-1
+    a = np.arange(n, dtype=np.int32)
+    i, j, k = a[:, None, None], a[None, :, None], a[None, None, :]
+    # (mm', n)^-1 (m^m', m^n) (m, n) with (m, m', n) = (i, j, k)
+    left = np.stack(np.broadcast_arrays(
+        -(mul[i, j] * n + k + 1), conj[i, j] * n + conj[i, k] + 1, i * n + k + 1
+    ), axis=-1).reshape(-1, 3)
+    # (m, nn')^-1 (m, n) (n^m, n^n') with (m, n, n') = (i, j, k)
+    right = np.stack(np.broadcast_arrays(
+        -(i * n + mul[j, k] + 1), i * n + j + 1, conj[j, i] * n + conj[j, k] + 1
+    ), axis=-1).reshape(-1, 3)
+    if variant is WedgeVariant.CURLY:
+        comm = mul[conj, inv[None, :]]  # comm[x, y] = x y x^-1 y^-1
+        collapsed = np.flatnonzero(comm.ravel() == 0) + 1
+    else:
+        collapsed = a * (n + 1) + 1
+    collapsing = np.zeros((len(collapsed), 3), dtype=np.int32)
+    collapsing[:, 0] = collapsed
+    return np.concatenate([left, right, collapsing])
+
+
+def _reduce_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Freely and cyclically reduce words of at most three signed letters.
+
+    Returns the reduced rows, letters first and 0 padding after, and the
+    reduced length of each row.
+    """
+    a, b, c = rows.T
+    b, c = np.where(b == 0, c, b), np.where(b == 0, 0, c)
+    a, b, c = np.where(a == 0, b, a), np.where(a == 0, c, b), np.where(a == 0, 0, c)
+    b, c = np.where(b == 0, c, b), np.where(b == 0, 0, c)
+    length = (a != 0).astype(np.int8) + (b != 0) + (c != 0)
+    # a three-letter word keeps one letter if two neighbours (cyclically) cancel
+    left = np.where(a == -b, c, np.where(b == -c, a, np.where(c == -a, b, 0)))
+    shrink = (length == 3) & (left != 0)
+    a = np.where(shrink, left, a)
+    b, c = np.where(shrink, 0, b), np.where(shrink, 0, c)
+    length[shrink] = 1
+    length[(length == 2) & (a == -b)] = 0
+    return np.stack([a, b, c], axis=1), length
+
+
+def _eliminate(rows: np.ndarray, num_letters: int) -> tuple[np.ndarray, np.ndarray]:
+    """Tietze elimination to a fixpoint on rows of at most three letters.
+
+    A row that reduces to one letter kills it; a row that reduces to two
+    letters x y identifies x with y^-1. The classes form a signed
+    union-find over the nodes 0..num_letters, node 0 being the identity:
+    each round every root with an equation to a smaller root is hooked
+    under the smallest such root, so a class's root is its smallest node
+    (0 for the dead classes) whatever the order of the rows.
+
+    Returns the signed root letter of every node (0 for dead nodes) and the
+    distinct reduced rows that still carry information, all of them written
+    in root letters. Those are words of length 3, and squares r r left by a
+    class identified with its own inverse.
+    """
+    letters = np.arange(num_letters + 1, dtype=np.int64)
+    base = 2 * num_letters + 1
+    while True:
+        rows, length = _reduce_rows(np.sign(rows) * letters[np.abs(rows)])
+        key = ((rows[:, 0] + num_letters) * base + rows[:, 1] + num_letters) * base + rows[:, 2]
+        _, first = np.unique(key[length > 0], return_index=True)
+        rows, length = rows[length > 0][first], length[length > 0][first]
+        # Each such row gives an equation x = y: a row x z gives y = z^-1, a
+        # row x gives y = 1 (node 0). With x = u^a and y = v^b, u = v^(ab).
+        ident = (length == 2) & (rows[:, 0] != rows[:, 1])
+        x = np.concatenate([rows[length == 1, 0], rows[ident, 0]])
+        y = np.concatenate([np.zeros(np.count_nonzero(length == 1), dtype=np.int64), -rows[ident, 1]])
+        if not len(x):
+            return letters, rows
+        hi, lo = np.maximum(np.abs(x), np.abs(y)), np.minimum(np.abs(x), np.abs(y))
+        s = np.sign(x) * np.where(y < 0, -1, 1)
+        order = np.lexsort((lo, hi))
+        hi, lo, s = hi[order], lo[order], s[order]
+        first = np.flatnonzero(np.diff(hi, prepend=-1))
+        root = np.arange(num_letters + 1, dtype=np.int64)
+        sign = np.ones(num_letters + 1, dtype=np.int64)
+        root[hi[first]], sign[hi[first]] = lo[first], s[first]
+        while np.any(root[root] != root):
+            sign, root = sign * sign[root], root[root]
+        letters = np.sign(letters) * sign[np.abs(letters)] * root[np.abs(letters)]
+
+
 @dataclass(frozen=True)
 class WedgePresentation:
-    """The full pair-generator presentation plus its bookkeeping.
+    """The Tietze-reduced presentation of a pairing group, with its pair map.
 
-    Counts are raw relator counts before reduction and deduplication.
+    ``presentation`` is on the surviving letter classes 1..k. Pair p =
+    m * |G| + n stands for the signed letter ``pair_letters[p]`` (0 when the
+    pair is trivial). The counts are the raw relator counts before any
+    reduction; ``raw_presentation()`` rebuilds the raw pair-letter
+    presentation itself.
     """
 
     variant: WedgeVariant
     base: FiniteGroup
     presentation: Presentation
+    pair_letters: tuple[int, ...]
     r1_count: int
     r2_count: int
     r3_count: int
 
     def pair_generator(self, m: int, n: int) -> int:
-        """0-based presentation generator index of the pair (m, n)."""
+        """0-based index of the pair (m, n) among the |G|^2 pair symbols."""
         return m * self.base.order + n
+
+    def raw_presentation(self) -> Presentation:
+        """The presentation on all |G|^2 pair letters, relators normalized."""
+        rows = _raw_relator_rows(self.base, self.variant)
+        return Presentation(
+            num_generators=self.base.order**2,
+            relators=preprocess_relators([tuple(x for x in w if x) for w in rows.tolist()]),
+            label=self.presentation.label,
+        )
 
 
 def build_wedge_presentation(
@@ -85,51 +204,61 @@ def build_wedge_presentation(
     variant: WedgeVariant,
     group_cap: int | None = None,
 ) -> WedgePresentation:
-    """Presentation on |G|^2 pair symbols with the crossed relations."""
+    """Tietze-reduced presentation of the pairing group on |G|^2 pair symbols."""
     cap = group_cap if group_cap is not None else variant.default_cap
     if G.order > cap:
         raise GroupTooLarge(
             f"|{G.label}| = {G.order} exceeds the {variant.value} cap {cap}"
         )
-    n = G.order
-    mul = G.mul
-
-    def gen(m: int, nn: int) -> int:
-        return m * n + nn + 1  # 1-based presentation letter
-
-    relators: list[tuple[int, ...]] = []
-    for m in range(n):
-        conj_m = [G.conj(m, t) for t in range(n)]
-        for mp in range(n):
-            mmp = mul[m][mp]
-            cmp_ = conj_m[mp]
-            for nn in range(n):
-                relators.append((-gen(mmp, nn), gen(cmp_, conj_m[nn]), gen(m, nn)))
-    r1 = len(relators)
-    for m in range(n):
-        for nn in range(n):
-            conj_nn_m = G.conj(nn, m)
-            row = mul[nn]
-            for np_ in range(n):
-                relators.append((-gen(m, row[np_]), gen(m, nn), gen(conj_nn_m, G.conj(nn, np_))))
-    r2 = len(relators) - r1
-    if variant is WedgeVariant.CURLY:
-        for x in range(n):
-            for y in range(n):
-                if G.comm(x, y) == 0:
-                    relators.append((gen(x, y),))
-    else:
-        for x in range(n):
-            relators.append((gen(x, x),))
-    r3 = len(relators) - r1 - r2
+    rows = _raw_relator_rows(G, variant)
+    letters, kept = _eliminate(rows, G.order**2)
+    roots = np.flatnonzero(letters == np.arange(len(letters)))[1:]  # live nodes that are their own root
+    renumber = np.zeros(len(letters), dtype=np.int32)
+    renumber[roots] = np.arange(1, len(roots) + 1)
+    letters = np.sign(letters) * renumber[np.abs(letters)]
+    kept = np.sign(kept) * renumber[np.abs(kept)]
     pres = Presentation(
-        num_generators=n * n,
-        relators=preprocess_relators(relators),
+        num_generators=len(roots),
+        relators=preprocess_relators([tuple(x for x in w if x) for w in kept.tolist()]),
         label=f"{G.label}-{variant.value}",
     )
     return WedgePresentation(
-        variant=variant, base=G, presentation=pres, r1_count=r1, r2_count=r2, r3_count=r3
+        variant=variant,
+        base=G,
+        presentation=pres,
+        pair_letters=tuple(letters[1:].tolist()),
+        r1_count=G.order**3,
+        r2_count=G.order**3,
+        r3_count=len(rows) - 2 * G.order**3,
     )
+
+
+def raw_relators_die(
+    wp: WedgePresentation, target: FiniteGroup, pair_images: Sequence[int]
+) -> bool:
+    """Whether every raw relator is the identity of target with pair p read as pair_images[p]."""
+    rows = _raw_relator_rows(wp.base, wp.variant)
+    mul = np.array(target.mul, dtype=np.int32)
+    inv = np.array(target.inv, dtype=np.int32)
+    images = np.concatenate([[0], np.asarray(pair_images, dtype=np.int32)])  # letter 0 pads
+    vals = images[np.abs(rows)]
+    vals = np.where(rows < 0, inv[vals], vals)
+    return bool(np.all(mul[mul[vals[:, 0], vals[:, 1]], vals[:, 2]] == 0))
+
+
+def _lift_to_pairs(wp: WedgePresentation, real: Realization) -> Realization:
+    """Rewrite a realization of the reduced presentation over the pair letters.
+
+    Every pair gets its image, and each element's word is spelled with one
+    representative pair per reduced letter.
+    """
+    letters = np.array(wp.pair_letters, dtype=np.int64)
+    images = np.array((0,) + real.gen_images, dtype=np.int64)[np.abs(letters)]
+    images = np.where(letters < 0, np.array(real.group.inv)[images], images)
+    values, first = np.unique(letters, return_index=True)
+    rep = dict(zip(values.tolist(), (first + 1).tolist()))  # letter j -> pair letter of its root
+    words = tuple(tuple(rep[x] if x > 0 else -rep[-x] for x in w) for w in real.words)
+    return Realization(group=real.group, gen_images=tuple(images.tolist()), words=words)
 
 
 def hom_from_generator_images(
@@ -193,12 +322,19 @@ def compute_wedge(
     variant: WedgeVariant,
     max_cosets: int = DEFAULT_MAX_COSETS,
     group_cap: int | None = None,
-    strategy: str = "hlt",
 ) -> WedgeRealization:
-    """Realize the pairing group and extract kappa and its kernel."""
+    """Realize the pairing group and extract kappa and its kernel.
+
+    Only the reduced presentation is enumerated. Evaluating every raw
+    relator on the lifted pair images certifies the reduction.
+    """
     wp = build_wedge_presentation(G, variant, group_cap)
-    table = todd_coxeter(wp.presentation, (), max_cosets=max_cosets, strategy=strategy)
-    real = realize(wp.presentation, table)
+    table = todd_coxeter(wp.presentation, (), max_cosets=max_cosets)
+    real = _lift_to_pairs(wp, realize(wp.presentation, table))
+    if not raw_relators_die(wp, real.group, real.gen_images):
+        raise RelatorNotKilled(
+            f"a raw {variant.value} relator of {G.label} survives in the realized group"
+        )
     n = G.order
     kappa_gen_images = [G.comm(m, nn) for m in range(n) for nn in range(n)]
     try:
@@ -304,23 +440,13 @@ def commutator_pairing_table(G: FiniteGroup) -> list[list[int]]:
 
 
 def trace_relators_through_commutators(G: FiniteGroup, wp: WedgePresentation) -> bool:
-    """Evaluate every relator with (m, n) read as [m, n] in G.
+    """Evaluate every raw relator with (m, n) read as [m, n] in G.
 
     All products must come out at the identity; this is the well-definedness
     of kappa checked directly in the base group.
     """
     n = G.order
-    values = [G.comm(m, nn) for m in range(n) for nn in range(n)]
-    for w in wp.presentation.relators:
-        acc = 0
-        for ltr in w:
-            x = values[abs(ltr) - 1]
-            if ltr < 0:
-                x = G.inv[x]
-            acc = G.mul[acc][x]
-        if acc != 0:
-            return False
-    return True
+    return raw_relators_die(wp, G, [G.comm(m, nn) for m in range(n) for nn in range(n)])
 
 
 def exterior_to_curly_surjection(

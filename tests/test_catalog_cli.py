@@ -166,7 +166,7 @@ class TestCli:
         assert doc["curly_order"] == 1 and doc["kernel_invariants"] == []
 
     def test_forced_cap_exit_code(self, tmp_path):
-        rc = main(["compute", "builtin:symmetric:3", "--max-cosets", "10", "--out", str(tmp_path)])
+        rc = main(["compute", "builtin:symmetric:3", "--max-cosets", "2", "--out", str(tmp_path)])
         assert rc == 2
 
     def test_input_error_exit_code(self, tmp_path):
@@ -174,7 +174,7 @@ class TestCli:
         assert rc == 1
 
     def test_env_var_cap(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("GROUPLAB_MAX_COSETS", "10")
+        monkeypatch.setenv("GROUPLAB_MAX_COSETS", "2")
         rc = main(["compute", "builtin:symmetric:3", "--out", str(tmp_path)])
         assert rc == 2
 

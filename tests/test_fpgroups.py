@@ -18,6 +18,7 @@ from grouplab.fpgroups import (
     word_columns,
 )
 from grouplab.groups import find_isomorphism
+from grouplab.wedge import WedgeVariant, build_wedge_presentation
 
 Z3 = Presentation(1, ((1, 1, 1),), label="z3")
 S3P = Presentation(2, ((1, 1), (2, 2), (1, 2, 1, 2, 1, 2)), label="s3")
@@ -75,11 +76,20 @@ class TestToddCoxeter:
         t2 = todd_coxeter(S3P)
         assert t1.table == t2.table
 
-    def test_strategies_agree_after_standardization(self):
-        for pres in (Z3, S3P, D4P, Q8P):
-            hlt = todd_coxeter(pres, strategy="hlt")
-            fel = todd_coxeter(pres, strategy="felsch")
-            assert hlt.table == fel.table
+    def test_raw_and_reduced_pairing_presentations_agree(self, corpus):
+        checked = 0
+        for G in corpus:
+            if G.order > 16:
+                continue
+            for variant in WedgeVariant:
+                wp = build_wedge_presentation(G, variant)
+                raw = wp.raw_presentation()
+                reduced = realize(wp.presentation, todd_coxeter(wp.presentation))
+                full = realize(raw, todd_coxeter(raw))
+                assert full.group.order == reduced.group.order, (G.label, variant)
+                assert find_isomorphism(full.group, reduced.group) is not None, (G.label, variant)
+                checked += 1
+        assert checked == 2 * 32
 
     def test_coset_limit(self):
         with pytest.raises(CosetLimitExceeded):

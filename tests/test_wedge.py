@@ -1,11 +1,14 @@
 """Pairing presentations, kappa, kernels, and pairing axioms."""
 
+import dataclasses
 import random
 
 import pytest
 
+from grouplab import wedge
 from grouplab.catalog import builtin
-from grouplab.errors import GroupTooLarge, NotAPairing
+from grouplab.errors import GroupTooLarge, NotAPairing, RelatorNotKilled
+from grouplab.fpgroups import preprocess_relators
 from grouplab.groups import derived_subgroup, direct_product, from_mul_table, relabeled
 from grouplab.wedge import (
     WedgeVariant,
@@ -17,6 +20,7 @@ from grouplab.wedge import (
     exterior_to_curly_surjection,
     multiplier_order,
     pairing_to_hom,
+    raw_relators_die,
     trace_relators_through_commutators,
 )
 
@@ -33,11 +37,38 @@ D4 = builtin("dihedral", (4,))
 Q8 = builtin("quaternion8")
 
 
+S4 = builtin("symmetric", (4,))
+
+
+def loop_raw_relators(G, variant):
+    """The raw pairing relators built pair by pair: the reference for the numpy builder."""
+    n = G.order
+
+    def gen(m, k):
+        return m * n + k + 1
+
+    rels = []
+    for m in range(n):
+        for mp in range(n):
+            for k in range(n):
+                rels.append((-gen(G.mul[m][mp], k), gen(G.conj(m, mp), G.conj(m, k)), gen(m, k)))
+    for m in range(n):
+        for k in range(n):
+            for kp in range(n):
+                rels.append((-gen(m, G.mul[k][kp]), gen(m, k), gen(G.conj(k, m), G.conj(k, kp))))
+    if variant is WedgeVariant.CURLY:
+        rels += [(gen(x, y),) for x in range(n) for y in range(n) if G.comm(x, y) == 0]
+    else:
+        rels += [(gen(x, x),) for x in range(n)]
+    return rels
+
+
 class TestPresentation:
     def test_generator_count_is_order_squared(self):
         for G in (Z2, S3):
             wp = build_wedge_presentation(G, WedgeVariant.CURLY)
-            assert wp.presentation.num_generators == G.order**2
+            assert wp.raw_presentation().num_generators == G.order**2
+            assert len(wp.pair_letters) == G.order**2
 
     def test_z2_curly_collapses_every_generator(self):
         wp = build_wedge_presentation(Z2, WedgeVariant.CURLY)
@@ -50,13 +81,21 @@ class TestPresentation:
         assert wp.r1_count == 216
         assert wp.r2_count == 216
 
+    def test_raw_presentation_matches_loop_reference(self):
+        for G in (S3, D4, Q8):
+            for variant in WedgeVariant:
+                wp = build_wedge_presentation(G, variant)
+                rels = loop_raw_relators(G, variant)
+                assert wp.r1_count + wp.r2_count + wp.r3_count == len(rels)
+                assert wp.raw_presentation().relators == preprocess_relators(rels)
+
     def test_curly_relators_contain_exterior(self):
         cur = build_wedge_presentation(S3, WedgeVariant.CURLY)
         ext = build_wedge_presentation(S3, WedgeVariant.EXTERIOR)
         # diagonal pairs commute, so every exterior collapsing relator
         # appears among the curly ones
-        cur_set = set(cur.presentation.relators)
-        for w in ext.presentation.relators:
+        cur_set = set(cur.raw_presentation().relators)
+        for w in ext.raw_presentation().relators:
             if len(w) == 1:
                 assert w in cur_set
 
@@ -69,6 +108,42 @@ class TestPresentation:
             for variant in WedgeVariant:
                 wp = build_wedge_presentation(G, variant)
                 assert trace_relators_through_commutators(G, wp)
+
+    def test_relator_trace_rejects_corrupted_commutator(self):
+        for variant in WedgeVariant:
+            wp = build_wedge_presentation(S3, variant)
+            values = [S3.comm(m, n) for m in range(6) for n in range(6)]
+            assert raw_relators_die(wp, S3, values)
+            values[wp.pair_generator(1, 2)] = S3.mul[values[wp.pair_generator(1, 2)]][1]
+            assert not raw_relators_die(wp, S3, values)
+
+    def test_relator_trace_reads_raw_relators(self):
+        # relators built for relabeled copies speak of other elements
+        for G in (S3, D4):
+            perm = [0] + list(range(2, G.order)) + [1]
+            for variant in WedgeVariant:
+                wp = build_wedge_presentation(relabeled(G, perm), variant)
+                assert not trace_relators_through_commutators(G, wp)
+
+    def test_reduction_eliminates_pairs(self):
+        wp = build_wedge_presentation(S4, WedgeVariant.CURLY)
+        assert wp.presentation.num_generators == 7
+        assert len(wp.presentation.relators) < 100
+        assert wp.r1_count == wp.r2_count == 24**3
+        for x in range(24):
+            for y in range(24):
+                if S4.comm(x, y) == 0:
+                    assert wp.pair_letters[wp.pair_generator(x, y)] == 0
+        used = {abs(ltr) for ltr in wp.pair_letters}
+        assert used == set(range(8))
+
+    def test_identity_pairs_die_in_both_variants(self):
+        for G in (S3, D4, Q8):
+            for variant in WedgeVariant:
+                wp = build_wedge_presentation(G, variant)
+                for x in range(G.order):
+                    assert wp.pair_letters[wp.pair_generator(0, x)] == 0
+                    assert wp.pair_letters[wp.pair_generator(x, 0)] == 0
 
 
 class TestComputeWedge:
@@ -117,6 +192,37 @@ class TestComputeWedge:
             assert ext.order % cur.order == 0
             hom = exterior_to_curly_surjection(ext, cur)
             assert set(hom.images) == set(range(cur.order))
+
+
+class TestReductionCertificate:
+    """compute_wedge rejects a pair map that the reduction did not derive."""
+
+    @staticmethod
+    def _tampered(G, variant, change):
+        wp = build_wedge_presentation(G, variant)
+        letters = list(wp.pair_letters)
+        change(letters)
+        return dataclasses.replace(wp, pair_letters=tuple(letters))
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            lambda ls: ls.__setitem__(ls.index(1), -1),  # one pair image inverted
+            lambda ls: ls.__setitem__(ls.index(1), 0),  # one pair wrongly killed
+            lambda ls: ls.__setitem__(ls.index(2), 1),  # one pair wrongly merged
+        ],
+        ids=["inverted", "killed", "merged"],
+    )
+    def test_tampered_pair_map_rejected(self, monkeypatch, change):
+        bad = self._tampered(S4, WedgeVariant.CURLY, change)
+        monkeypatch.setattr(wedge, "build_wedge_presentation", lambda *args, **kwargs: bad)
+        with pytest.raises(RelatorNotKilled, match="raw curly relator"):
+            compute_wedge(S4, WedgeVariant.CURLY)
+
+    def test_untampered_pair_map_accepted(self, monkeypatch):
+        good = self._tampered(S4, WedgeVariant.CURLY, lambda ls: None)
+        monkeypatch.setattr(wedge, "build_wedge_presentation", lambda *args, **kwargs: good)
+        assert compute_wedge(S4, WedgeVariant.CURLY).order == 12
 
 
 class TestCorpusWide:

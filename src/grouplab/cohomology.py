@@ -38,11 +38,11 @@ from .groups import (
     Subgroup,
     abelian_subgroups,
     derived_subgroup,
+    invariant_factors_from_orders,
 )
 from .lattices import (
     LatticeSolver,
     hnf_from_rows,
-    invariant_factors_from_orders,
     lattice_index,
     member_residual,
     orth_complement,

@@ -484,25 +484,48 @@ def abelian_subgroups(G: FiniteGroup, maximal_only: bool = False) -> list[Subgro
     return [Subgroup(G, t) for t in keep]
 
 
-def _prime_factors(n: int) -> list[int]:
-    out = []
+def _factorise(n: int) -> dict[int, int]:
+    """Prime factorisation {p: e} of n >= 1, primes ascending."""
+    out: dict[int, int] = {}
     d = 2
     while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
         d += 1
     if n > 1:
-        out.append(n)
+        out[n] = out.get(n, 0) + 1
     return out
+
+
+def invariant_factors_from_orders(orders: Sequence[int]) -> tuple[int, ...]:
+    """Canonical divisibility chain of a direct sum of cyclic groups."""
+    per_prime: dict[int, list[int]] = {}
+    for v in orders:
+        if v <= 1:
+            continue
+        for p, e in _factorise(v).items():
+            per_prime.setdefault(p, []).append(e)
+    if not per_prime:
+        return ()
+    for exps in per_prime.values():
+        exps.sort(reverse=True)
+    width = max(len(v) for v in per_prime.values())
+    desc = []
+    for i in range(width):
+        d = 1
+        for p, exps in per_prime.items():
+            if i < len(exps):
+                d *= p ** exps[i]
+        desc.append(d)
+    return tuple(reversed(desc))
 
 
 def abelian_invariants(H: Subgroup | FiniteGroup, assert_abelian: bool = True) -> AbelianInvariants:
     """Invariant factors of a finite abelian group, by element-order census.
 
     For each prime p, counting solutions of x^(p^k) = 1 determines the
-    p-primary type; the factors then interleave across primes.
+    p-primary type; invariant_factors_from_orders interleaves the primes.
     """
     if isinstance(H, Subgroup):
         grp, _ = H.as_group()
@@ -514,8 +537,8 @@ def abelian_invariants(H: Subgroup | FiniteGroup, assert_abelian: bool = True) -
     if n == 1:
         return AbelianInvariants(())
     orders = [grp.element_order(x) for x in range(n)]
-    exponents_by_prime: dict[int, list[int]] = {}
-    for p in _prime_factors(n):
+    prime_powers: list[int] = []
+    for p in _factorise(n):
         # s_k = log_p #{x : x^(p^k) = 1}; r_k = s_k - s_(k-1) counts cyclic
         # factors of exponent >= k, so the type is the conjugate partition.
         s = [0]
@@ -534,20 +557,10 @@ def abelian_invariants(H: Subgroup | FiniteGroup, assert_abelian: bool = True) -
             s.append(sk)
             k += 1
         r = [s[i] - s[i - 1] for i in range(1, len(s))]
-        exps = []
         for k0 in range(1, len(r) + 1):
             mult = r[k0 - 1] - (r[k0] if k0 < len(r) else 0)
-            exps.extend([k0] * mult)
-        exponents_by_prime[p] = sorted(exps, reverse=True)
-    width = max(len(v) for v in exponents_by_prime.values())
-    factors_desc = []
-    for i in range(width):
-        d = 1
-        for p, exps in exponents_by_prime.items():
-            if i < len(exps):
-                d *= p ** exps[i]
-        factors_desc.append(d)
-    factors = tuple(reversed(factors_desc))
+            prime_powers.extend([p**k0] * mult)
+    factors = invariant_factors_from_orders(prime_powers)
     result = AbelianInvariants(factors)
     if result.group_order != n:
         raise InternalCheckFailed(f"invariant factors {factors} do not multiply to {n}")

@@ -4,7 +4,14 @@ Every lattice handled here sits between m*Z^k and Z^k, which makes all row
 reductions valid modulo m: adding or removing multiples of m*e_j never
 changes the lattice. Lattices are stored as k x k upper-triangular bases
 (row Hermite form) whose diagonal entries divide m; entries stay in
-[0, m), except diagonals which stay in (0, m].
+[0, m), except diagonals which stay in (0, m]. A basis may carry trailing
+columns after its k pivot columns; they ride along through every row
+operation, which is how LatticeSolver keeps its coefficients.
+
+All row work goes through three steps:
+  * _combine         - clear one row's leading entry against a pivot row
+  * hnf_insert       - fold one row into a triangular basis
+  * _reduce          - triangular reduction of rows against a basis
 
 Provided primitives:
   * hnf_from_rows    - canonical triangular basis from a generating set
@@ -23,6 +30,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .errors import ValidationError
+
 
 def _egcd(a: int, b: int) -> tuple[int, int, int]:
     """(g, u, v) with u*a + v*b = g = gcd(a, b)."""
@@ -39,90 +48,107 @@ def _egcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
-def hnf_baseline(k: int, m: int) -> np.ndarray:
-    return m * np.eye(k, dtype=np.int64)
+def _combine(p: np.ndarray, r: np.ndarray, m: int) -> None:
+    """Clear r[0] against the pivot row p, in place; <p, r> is unchanged.
+
+    Both rows start at the pivot column. When p[0] divides r[0], a multiple
+    of p is subtracted from r. Otherwise p becomes the egcd combination with
+    leading entry gcd(p[0], r[0]) and r the complementary one, leading zero.
+    """
+    piv, a = int(p[0]), int(r[0])
+    if a % piv == 0:
+        np.subtract(r, (a // piv) * p, out=r)
+        np.remainder(r, m, out=r)
+        return
+    g, u, v = _egcd(piv, a)
+    new_p = (u * p + v * r) % m
+    np.multiply(r, piv // g, out=r)
+    np.subtract(r, (a // g) * p, out=r)
+    np.remainder(r, m, out=r)
+    new_p[0] = g  # g in (0, m); avoids a zero diagonal representative
+    p[:] = new_p
 
 
 def hnf_insert(H: np.ndarray, row: np.ndarray, m: int) -> None:
-    """Fold one generator row into the triangular basis, in place.
+    """Fold one row into the basis H, in place.
 
-    The reduction walks left to right; columns once cleared stay cleared
-    because pivot rows are triangular, so the scan pointer never backs up.
+    H has k = H.shape[0] pivot rows; columns past the k-th are trailing.
+    The scan walks the pivot columns left to right; columns once cleared
+    stay cleared because pivot rows are triangular, so the scan pointer
+    never backs up.
     """
+    k = H.shape[0]
     r = row.astype(np.int64) % m
     j = 0
     while True:
-        nz = np.nonzero(r[j:])[0]
+        nz = np.nonzero(r[j:k])[0]
         if nz.size == 0:
             return
         j += int(nz[0])
-        piv = int(H[j, j])
-        a = int(r[j])
-        tail = r[j:]
-        if a % piv == 0:
-            np.subtract(tail, (a // piv) * H[j, j:], out=tail)
-            np.remainder(tail, m, out=tail)
-        else:
-            g, u, v = _egcd(piv, a)
-            new_piv = (u * H[j, j:] + v * tail) % m
-            np.multiply(tail, piv // g, out=tail)
-            np.subtract(tail, (a // g) * H[j, j:], out=tail)
-            np.remainder(tail, m, out=tail)
-            new_piv[0] = g  # g in (0, m); avoids a zero diagonal representative
-            H[j, j:] = new_piv
+        _combine(H[j, j:], r[j:], m)
         j += 1
 
 
+def _reduce(H: np.ndarray, R: np.ndarray, m: int) -> None:
+    """Triangular reduction of the rows of R against the basis H, in place.
+
+    R is a 2-D int64 array with entries in [0, m) and as many columns as H.
+    Each row subtracts q_j * H[j] (mod m) pivot column by pivot column and
+    stops at the first pivot that does not divide its entry; a row that
+    ends all-zero lies in the lattice. Trailing columns ride along, so a
+    row [v | 0] reduced against [H | I] ends as [r | -q], with
+    v = q @ H + r (mod m).
+    """
+    live = np.arange(R.shape[0])
+    for j in range(H.shape[0]):
+        col = R[live, j]
+        hit = np.nonzero(col)[0]
+        if hit.size == 0:
+            continue
+        q, rem = np.divmod(col[hit], H[j, j])
+        ok = rem == 0
+        rows = live[hit[ok]]
+        if rows.size:
+            R[rows, j:] = (R[rows, j:] - q[ok, None] * H[j, j:]) % m
+        if rows.size < hit.size:
+            live = np.delete(live, hit[~ok])
+
+
 def hnf_canonical(H: np.ndarray, m: int) -> np.ndarray:
-    """Reduce above-diagonal entries modulo the pivot below them."""
-    k = H.shape[0]
+    """Reduce above-diagonal entries modulo the pivot below them.
+
+    Column j reduces the rows above it against row j. Only later columns
+    change row j, so every row meets the same pivot rows in the same order
+    as in a row-by-row pass.
+    """
     out = H.copy()
-    for i in range(k):
-        for j in range(i + 1, k):
-            d = int(out[j, j])
-            q = int(out[i, j]) // d
-            if q:
-                out[i] = (out[i] - q * out[j]) % m
-    for i in range(k):
-        if out[i, i] == 0:
-            out[i, i] = m
+    for j in range(1, out.shape[0]):
+        q = out[:j, j] // out[j, j]
+        rows = np.nonzero(q)[0]
+        if rows.size:
+            out[rows, j:] = (out[rows, j:] - q[rows, None] * out[j, j:]) % m
     return out
 
 
 def hnf_from_rows(rows: Sequence[np.ndarray] | np.ndarray, k: int, m: int) -> np.ndarray:
     """Triangular basis of <rows> + m*Z^k.
 
-    Rows are first swept in bulk with the exact-division reduction, which
-    disposes of redundant generators cheaply; rows that need a pivot update
-    fall back to the sequential insert. The resulting lattice does not
-    depend on processing order, and the returned form is canonical.
+    Rows are first swept in bulk by the triangular reduction, which disposes
+    of redundant generators cheaply; rows that stop on a pivot need a pivot
+    update and go through hnf_insert, at most 256 between two sweeps. The
+    resulting lattice does not depend on processing order, and the returned
+    form is canonical.
     """
-    H = hnf_baseline(k, m)
+    H = m * np.eye(k, dtype=np.int64)
     if k == 0:
         return H
     R = np.array(list(rows), dtype=np.int64).reshape(-1, k) % m
     while R.shape[0]:
-        active = np.ones(R.shape[0], dtype=bool)
-        for j in range(k):
-            col = R[:, j]
-            colmask = active & (col != 0)
-            if not colmask.any():
-                continue
-            d = int(H[j, j])
-            idx = np.nonzero(colmask)[0]
-            q, rem = np.divmod(col[idx], d)
-            ok = rem == 0
-            ok_idx = idx[ok]
-            if ok_idx.size:
-                R[ok_idx, j:] = (R[ok_idx, j:] - q[ok, None] * H[j, j:]) % m
-            active[idx[~ok]] = False  # stuck: needs a gcd pivot update
+        _reduce(H, R, m)
         R = R[R.any(axis=1)]
-        if not R.shape[0]:
-            break
-        chunk = min(256, R.shape[0])
-        for i in range(chunk):
-            hnf_insert(H, R[i], m)
-        R = R[chunk:]
+        for row in R[:256]:
+            hnf_insert(H, row, m)
+        R = R[256:]
     return hnf_canonical(H, m)
 
 
@@ -136,16 +162,9 @@ def lattice_index(H: np.ndarray) -> int:
 
 def member_residual(H: np.ndarray, v: np.ndarray, m: int) -> np.ndarray:
     """Reduce v against the basis; an all-zero result means membership."""
-    r = np.asarray(v, dtype=np.int64) % m
-    k = H.shape[0]
-    for j in range(k):
-        if r[j] == 0:
-            continue
-        d = int(H[j, j])
-        if r[j] % d != 0:
-            return r
-        r = (r - (int(r[j]) // d) * H[j]) % m
-    return r
+    r = np.asarray(v, dtype=np.int64).reshape(1, -1) % m
+    _reduce(H, r, m)
+    return r[0]
 
 
 def snf_mod(
@@ -161,7 +180,7 @@ def snf_mod(
     quotient in coordinate i (a divisor of m, with the implicit m*Z^k folded
     in, so a zero physical pivot reads as m). V accumulates the column
     operations; Winv accumulates their inverses, so Winv = V^-1 modulo m.
-    No divisibility chain is enforced; see invariant_factors_from_orders.
+    No divisibility chain is enforced; see groups.invariant_factors_from_orders.
     """
     A = np.asarray(rows, dtype=np.int64).reshape(-1, k) % m
     R = A.shape[0]
@@ -214,21 +233,11 @@ def snf_mod(
         if j0 != t:
             col_swap(t, j0)
         while True:
-            # clear column t with row operations
-            colmask = np.nonzero(A[:, t])[0]
-            for i in colmask:
-                i = int(i)
-                if i == t:
-                    continue
-                a, b = int(A[t, t]), int(A[i, t])
-                if b % a == 0:
-                    A[i] = (A[i] - (b // a) * A[t]) % m
-                else:
-                    g, u, v = _egcd(a, b)
-                    rt = (u * A[t] + v * A[i]) % m
-                    ri = ((a // g) * A[i] - (b // g) * A[t]) % m
-                    rt[t] = g
-                    A[t], A[i] = rt, ri
+            # clear column t with row operations; every row with a nonzero
+            # entry there is zero left of column t
+            for i in np.nonzero(A[:, t])[0]:
+                if i != t:
+                    _combine(A[t, t:], A[i, t:], m)
             # clear row t with column operations
             rowmask = [int(j) for j in np.nonzero(A[t])[0] if j != t]
             if not rowmask:
@@ -252,71 +261,14 @@ def snf_mod(
     return diag, V, W
 
 
-def _factorise(n: int) -> dict[int, int]:
-    out: dict[int, int] = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 1
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
-
-
-def invariant_factors_from_orders(orders: Sequence[int]) -> tuple[int, ...]:
-    """Canonical divisibility chain of a direct sum of cyclic groups."""
-    per_prime: dict[int, list[int]] = {}
-    for v in orders:
-        if v <= 1:
-            continue
-        for p, e in _factorise(v).items():
-            per_prime.setdefault(p, []).append(e)
-    if not per_prime:
-        return ()
-    for exps in per_prime.values():
-        exps.sort(reverse=True)
-    width = max(len(v) for v in per_prime.values())
-    desc = []
-    for i in range(width):
-        d = 1
-        for p, exps in per_prime.items():
-            if i < len(exps):
-                d *= p ** exps[i]
-        desc.append(d)
-    return tuple(reversed(desc))
-
-
 def orth_complement(rows: np.ndarray | Sequence[np.ndarray], k: int, m: int) -> np.ndarray:
     """Basis of {u : <l, u> = 0 mod m for every generator l}."""
     if k == 0:
-        return hnf_baseline(0, m)
+        return np.zeros((0, 0), dtype=np.int64)
     mat = np.asarray(rows, dtype=np.int64).reshape(-1, k)
     diag, V, _ = snf_mod(mat, k, m, want_v=True)
     comp = [(m // diag[i]) * V[:, i] for i in range(k)]
     return hnf_from_rows(comp, k, m)
-
-
-def coords_against(H: np.ndarray, v: np.ndarray, m: int) -> np.ndarray:
-    """One coordinate row c with c @ H = v modulo m*Z^k.
-
-    H must be a triangular basis from hnf_from_rows. Raises ValueError when
-    v is not in the lattice (mod m).
-    """
-    k = H.shape[0]
-    r = np.asarray(v, dtype=np.int64) % m
-    c = np.zeros(k, dtype=np.int64)
-    for j in range(k):
-        if r[j] == 0:
-            continue
-        d = int(H[j, j])
-        if int(r[j]) % d != 0:
-            raise ValueError("vector not in lattice modulo m")
-        q = int(r[j]) // d
-        c[j] = q
-        r = (r - q * H[j]) % m
-    return c % m
 
 
 def quotient_structure(
@@ -330,16 +282,21 @@ def quotient_structure(
     Returns (orders, gens): orders[i] is the order of the i-th cyclic
     summand (1 allowed, divides m); gens, when requested, holds one vector
     of Z^k per summand whose class generates it. Orders are not chained;
-    canonicalise with invariant_factors_from_orders.
+    canonicalise with groups.invariant_factors_from_orders. Raises
+    ValidationError when the sub lattice does not lie inside the sup lattice.
     """
     k = sup_H.shape[0]
     if k == 0:
         return [], (np.zeros((0, 0), dtype=np.int64) if want_generators else None)
     # relation lattice: coordinates (against sup) of sub generators, plus the
     # coordinates of anything that lands in m*Z^k.
-    rel_rows = [coords_against(sup_H, row, m) for row in sub_H]
+    R = np.zeros((sub_H.shape[0], 2 * k), dtype=np.int64)
+    R[:, :k] = sub_H % m
+    _reduce(np.hstack([sup_H, np.eye(k, dtype=np.int64)]), R, m)
+    if R[:, :k].any():
+        raise ValidationError("sub lattice is not contained in the sup lattice")
     slack = orth_complement(sup_H.T, k, m)  # {c : c @ sup_H = 0 mod m}
-    rel = np.vstack([np.asarray(rel_rows, dtype=np.int64).reshape(-1, k), slack])
+    rel = np.vstack([-R[:, k:] % m, slack])
     diag, _, W = snf_mod(rel, k, m, want_winv=want_generators)
     if not want_generators:
         return diag, None
@@ -350,56 +307,27 @@ def quotient_structure(
 class LatticeSolver:
     """Express vectors as combinations of a fixed generating set, mod m.
 
-    Rows are inserted with coefficient bookkeeping, so solve(v) returns one
-    coefficient vector c with v = sum c_i * gen_i modulo m*Z^k, or None.
+    The basis of [gens | I] is built by hnf_insert, so its trailing columns
+    record each pivot row as a combination of the generators; solve(v)
+    returns one coefficient vector c with v = sum c_i * gen_i modulo
+    m*Z^k, or None.
     """
 
     def __init__(self, gens: np.ndarray, k: int, m: int):
         self.k = k
         self.m = m
         self.t = gens.shape[0] if gens.size else 0
-        width = k + self.t
-        self.H = np.zeros((k, width), dtype=np.int64)
-        for j in range(k):
-            self.H[j, j] = m
-        for i in range(self.t):
-            row = np.zeros(width, dtype=np.int64)
-            row[:k] = np.asarray(gens[i], dtype=np.int64) % m
-            row[k + i] = 1
-            self._insert(row)
-
-    def _insert(self, row: np.ndarray) -> None:
-        m, k = self.m, self.k
-        r = row % m
-        j = 0
-        while True:
-            nz = np.nonzero(r[j:k])[0]
-            if nz.size == 0:
-                return
-            j += int(nz[0])
-            piv = int(self.H[j, j])
-            a = int(r[j])
-            if a % piv == 0:
-                r = (r - (a // piv) * self.H[j]) % m
-            else:
-                g, u, v = _egcd(piv, a)
-                new_piv = (u * self.H[j] + v * r) % m
-                r = ((piv // g) * r - (a // g) * self.H[j]) % m
-                new_piv[j] = g
-                self.H[j] = new_piv
-            j += 1
+        self.H = np.zeros((k, k + self.t), dtype=np.int64)
+        self.H[:, :k] = m * np.eye(k, dtype=np.int64)
+        gens = np.asarray(gens, dtype=np.int64).reshape(self.t, k)
+        for row in np.hstack([gens, np.eye(self.t, dtype=np.int64)]):
+            hnf_insert(self.H, row, m)
 
     def solve(self, v: np.ndarray) -> np.ndarray | None:
         m, k = self.m, self.k
-        r = np.zeros(k + self.t, dtype=np.int64)
-        r[:k] = np.asarray(v, dtype=np.int64) % m
-        for j in range(k):
-            if r[j] == 0:
-                continue
-            d = int(self.H[j, j])
-            if int(r[j]) % d != 0:
-                return None
-            r = (r - (int(r[j]) // d) * self.H[j]) % m
-        if np.any(r[:k]):
+        r = np.zeros((1, k + self.t), dtype=np.int64)
+        r[0, :k] = np.asarray(v, dtype=np.int64) % m
+        _reduce(self.H, r, m)
+        if r[0, :k].any():
             return None
-        return (-r[k:]) % m
+        return -r[0, k:] % m

@@ -6,10 +6,14 @@ import random
 import numpy as np
 import pytest
 
+from grouplab.errors import ValidationError
+from grouplab.groups import invariant_factors_from_orders
 from grouplab.lattices import (
     LatticeSolver,
+    _reduce,
+    hnf_canonical,
     hnf_from_rows,
-    invariant_factors_from_orders,
+    hnf_insert,
     lattice_index,
     member_residual,
     orth_complement,
@@ -105,6 +109,101 @@ def test_quotient_structure(case):
         g = gens[i]
         assert not member_residual(sup_H, g, m).any()
         assert not member_residual(sub_H, (d * g) % m, m).any()
+
+
+def test_quotient_structure_rejects_non_nested_pair():
+    sup_H = hnf_from_rows(np.array([[2, 0]]), 2, 4)  # 2Z x 4Z does not contain Z x 4Z
+    sub_H = hnf_from_rows(np.array([[1, 0]]), 2, 4)
+    with pytest.raises(ValidationError, match="not contained"):
+        quotient_structure(sub_H, sup_H, 4)
+
+
+def loop_hnf_canonical(H, m):
+    """Reference: reduce each row, left to right, against the rows below it."""
+    k = H.shape[0]
+    out = H.copy()
+    for i in range(k):
+        for j in range(i + 1, k):
+            q = int(out[i, j]) // int(out[j, j])
+            if q:
+                out[i] = (out[i] - q * out[j]) % m
+    return out
+
+
+def loop_reduce(H, v, m):
+    """Reference: clear v pivot by pivot, stopping where a pivot does not divide."""
+    r = v % m
+    q = np.zeros_like(r)
+    for j in range(H.shape[0]):
+        if r[j] == 0:
+            continue
+        if r[j] % H[j, j]:
+            break
+        q[j] = r[j] // H[j, j]
+        r = (r - q[j] * H[j]) % m
+    return q, r
+
+
+def wider_cases(count, seed):
+    rng = random.Random(seed)
+    for _ in range(count):
+        k = rng.randint(1, 8)
+        m = rng.choice([2, 4, 6, 8, 12, 24, 36])
+        density = rng.random()
+        rows = [
+            [rng.randrange(m) if rng.random() < density else 0 for _ in range(k)]
+            for _ in range(rng.randint(0, 10))
+        ]
+        yield k, m, np.array(rows, dtype=np.int64).reshape(len(rows), k)
+
+
+@pytest.mark.parametrize("case", list(wider_cases(40, seed=91)))
+def test_hnf_is_canonical(case):
+    k, m, rows = case
+    H = hnf_from_rows(rows, k, m)
+    rng = random.Random(k * 1000 + m)
+    perm = list(range(rows.shape[0]))
+    rng.shuffle(perm)
+    assert np.array_equal(hnf_from_rows(rows[perm], k, m), H)
+    assert np.array_equal(hnf_from_rows(np.vstack([rows, rows[::-1]]), k, m), H)
+    assert np.array_equal(H, np.triu(H))
+    for j in range(k):
+        assert 0 < H[j, j] <= m and m % H[j, j] == 0
+        assert all(0 <= H[i, j] < H[j, j] for i in range(j))
+    raw = m * np.eye(k, dtype=np.int64)
+    for row in rows:
+        hnf_insert(raw, row, m)
+    assert np.array_equal(hnf_canonical(raw, m), loop_hnf_canonical(raw, m))
+    assert np.array_equal(hnf_canonical(raw, m), H)
+
+
+@pytest.mark.parametrize("case", list(wider_cases(40, seed=92)))
+def test_reduction_splits_vectors(case):
+    k, m, rows = case
+    H = hnf_from_rows(rows, k, m)
+    rng = random.Random(k * 1000 + m)
+    members = [[rng.randrange(m) for _ in rows] for _ in range(10)]
+    vs = np.vstack([
+        (np.array(members, dtype=np.int64).reshape(10, len(rows)) @ rows) % m,
+        np.array([[rng.randrange(m) for _ in range(k)] for _ in range(10)], dtype=np.int64),
+    ])
+    R = np.hstack([vs, np.zeros_like(vs)])
+    _reduce(np.hstack([H, np.eye(k, dtype=np.int64)]), R, m)
+    r, q = R[:, :k], -R[:, k:] % m
+    assert not ((q @ H + r - vs) % m).any()
+    for v, quot, res in zip(vs, q, r):
+        ref_q, ref_r = loop_reduce(H, v, m)
+        assert np.array_equal(quot, ref_q) and np.array_equal(res, ref_r)
+        assert np.array_equal(member_residual(H, v, m), res)
+
+
+@pytest.mark.parametrize("case", list(wider_cases(40, seed=93)))
+def test_snf_transforms(case):
+    k, m, rows = case
+    diag, V, Winv = snf_mod(rows, k, m, want_v=True, want_winv=True)
+    assert np.array_equal((V @ Winv) % m, np.eye(k, dtype=np.int64))
+    moved = (rows @ V) % m
+    assert np.array_equal(hnf_from_rows(moved, k, m), hnf_from_rows(np.diag(diag), k, m))
 
 
 def test_snf_diagonal_divides_modulus():

@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -258,14 +258,7 @@ def group_from_spec_dict(doc: dict, origin: str = "<spec>") -> FiniteGroup:
         fam = data.get("family")
         if not isinstance(fam, str):
             raise ParseError("builtin data needs a 'family' name", path=origin)
-        G = builtin(fam, data.get("params", ()))
-        return FiniteGroup(
-            order=G.order,
-            mul=G.mul,
-            inv=G.inv,
-            label=name,
-            element_names=G.element_names,
-        )
+        return replace(builtin(fam, data.get("params", ())), label=name)
     raise ParseError(f"unknown group kind {kind!r}", path=origin)
 
 
@@ -350,12 +343,7 @@ CORPUS_SPECS: tuple[tuple[str, str, tuple], ...] = (
 
 def shipped_corpus() -> list[FiniteGroup]:
     """The groups the acceptance suite runs over, in name order."""
-    out = []
-    for name, family, params in CORPUS_SPECS:
-        G = builtin(family, params)
-        out.append(
-            FiniteGroup(order=G.order, mul=G.mul, inv=G.inv, label=name, element_names=G.element_names)
-        )
+    out = [replace(builtin(family, params), label=name) for name, family, params in CORPUS_SPECS]
     return sorted(out, key=lambda g: g.label)
 
 
@@ -387,10 +375,7 @@ class PipelineConfig:
     exterior_cap: int = DEFAULT_EXTERIOR_CAP
     oracle_cap: int = DEFAULT_ORACLE_CAP
     oracle: bool = False
-    jobs: int = 1
     timings: bool = False
-    fuzz_trials: int = 100
-    seed: int = 0
 
     def config_hash(self) -> str:
         payload = json.dumps(

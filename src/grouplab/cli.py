@@ -10,6 +10,7 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 from itertools import combinations
 from pathlib import Path
 
@@ -24,7 +25,7 @@ from .catalog import (
     load_catalog,
     report_to_text,
 )
-from .cohomology import b0_lower_bound, cocycle_dump, multiplier_order_oracle
+from .cohomology import cocycle_dump
 from .errors import CapExceeded, GroupLabError, ParseError, ValidationError
 from .fpgroups import DEFAULT_MAX_COSETS, presentation_to_json
 from .groups import FiniteGroup
@@ -36,12 +37,7 @@ from .isoclinism import (
     well_definedness_fuzz,
     witness_to_json,
 )
-from .wedge import (
-    WedgeVariant,
-    build_wedge_presentation,
-    compute_wedge,
-    multiplier_order,
-)
+from .wedge import WedgeVariant, build_wedge_presentation, compute_wedge
 
 
 def _env_max_cosets() -> int:
@@ -62,11 +58,8 @@ def resolve_group(spec: str) -> FiniteGroup:
             raise ValidationError("empty builtin spec")
         family, raw_params = parts[0], parts[1:]
         params = [int(p) if p.lstrip("-").isdigit() else p for p in raw_params]
-        G = builtin(family, params)
         label = spec.removeprefix("builtin:").replace(":", "_")
-        return FiniteGroup(
-            order=G.order, mul=G.mul, inv=G.inv, label=label, element_names=G.element_names
-        )
+        return replace(builtin(family, params), label=label)
     path = Path(spec)
     if path.is_file():
         try:
@@ -84,10 +77,7 @@ def _config_from_args(args: argparse.Namespace) -> PipelineConfig:
         exterior_cap=args.max_exterior_order,
         oracle_cap=args.oracle_cap,
         oracle=getattr(args, "oracle", False),
-        jobs=getattr(args, "jobs", 1),
         timings=getattr(args, "timings", False),
-        fuzz_trials=getattr(args, "fuzz_trials", 100),
-        seed=getattr(args, "seed", 0),
     )
 
 
@@ -96,12 +86,13 @@ def _report_job(payload: tuple[FiniteGroup, PipelineConfig]) -> InvariantReport:
     return compute_report(G, config)
 
 
-def _compute_reports(groups: list[FiniteGroup], config: PipelineConfig) -> list[InvariantReport]:
-    if config.jobs <= 1 or len(groups) <= 1:
+def _compute_reports(
+    groups: list[FiniteGroup], config: PipelineConfig, jobs: int
+) -> list[InvariantReport]:
+    if jobs <= 1 or len(groups) <= 1:
         return [compute_report(G, config) for G in groups]
-    with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-        reports = list(pool.map(_report_job, [(G, config) for G in groups]))
-    return sorted(reports, key=lambda r: r.group)
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        return list(pool.map(_report_job, [(G, config) for G in groups]))
 
 
 def _write(out_dir: Path, name: str, doc: dict) -> Path:
@@ -118,7 +109,7 @@ def cmd_compute(args: argparse.Namespace) -> int:
         groups = load_catalog(target)
     else:
         groups = [resolve_group(args.group)]
-    reports = _compute_reports(groups, config)
+    reports = _compute_reports(groups, config, args.jobs)
     out_dir = Path(args.out)
     for rep in reports:
         doc = rep.to_json_dict()
@@ -187,7 +178,7 @@ def cmd_verify_theorem(args: argparse.Namespace) -> int:
                 row["diagram_commutes"] = False
                 row["error"] = str(exc)
             row["fuzz_stable"] = well_definedness_fuzz(
-                witness, w1, w2, trials=config.fuzz_trials, seed=config.seed
+                witness, w1, w2, trials=args.fuzz_trials, seed=args.seed
             )
             wdoc = witness_to_json(witness)
             wpath = _write(out_dir / "witnesses", f"{G1.label}__{G2.label}.json", wdoc)
@@ -226,6 +217,7 @@ def cmd_verify_theorem(args: argparse.Namespace) -> int:
 
 def cmd_oracle(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
+    oracle_config = replace(config, oracle=True)
     groups = load_catalog(args.catalog)
     entries = []
     failures = 0
@@ -235,31 +227,22 @@ def cmd_oracle(args: argparse.Namespace) -> int:
                 {"group": G.label, "skipped": f"order {G.order} exceeds oracle cap {config.oracle_cap}"}
             )
             continue
-        wr = compute_wedge(
-            G, WedgeVariant.CURLY, max_cosets=config.max_cosets, group_cap=config.curly_cap
-        )
-        kernel_order = len(wr.kernel)
-        mult_oracle = multiplier_order_oracle(G, cap=config.oracle_cap)
+        rep = compute_report(G, oracle_config)
+        oracle = rep.oracle
         entry = {
             "group": G.label,
             "order": G.order,
-            "kernel_order": kernel_order,
-            "multiplier_order_oracle": mult_oracle,
+            "kernel_order": rep.kernel_order,
+            "multiplier_order_oracle": oracle["multiplier_order"],
+            "multiplier_order_wedge": rep.exterior["multiplier_order"] if rep.exterior else None,
+            "multiplier_agrees": oracle["multiplier_agrees"],
+            "b0_lower_bound": oracle["b0_lower_bound"],
+            "b0_invariants": oracle["b0_invariants"],
+            "b0_le_kernel": oracle["b0_le_kernel"],
+            "b0_equals_kernel": oracle["b0_equals_kernel"],
         }
-        if G.order <= config.exterior_cap:
-            mult_wedge = multiplier_order(G, max_cosets=config.max_cosets, group_cap=config.exterior_cap)
-            entry["multiplier_order_wedge"] = mult_wedge
-            entry["multiplier_agrees"] = mult_wedge == mult_oracle
-            if not entry["multiplier_agrees"]:
-                failures += 1
-        else:
-            entry["multiplier_order_wedge"] = None
-            entry["multiplier_agrees"] = None
-        b0, b0_inv = b0_lower_bound(G, G.order, cap=config.oracle_cap)
-        entry["b0_lower_bound"] = b0
-        entry["b0_invariants"] = list(b0_inv.factors)
-        entry["b0_le_kernel"] = b0 <= kernel_order
-        entry["b0_equals_kernel"] = b0 == kernel_order
+        if entry["multiplier_agrees"] is False:
+            failures += 1
         if not entry["b0_le_kernel"]:
             failures += 1
         entries.append(entry)
@@ -372,9 +355,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "max_cosets", None) is None:
-        args.max_cosets = _env_max_cosets()
     try:
+        if getattr(args, "max_cosets", None) is None:
+            args.max_cosets = _env_max_cosets()
         return args.func(args)
     except CapExceeded as exc:
         print(f"error (cap): {exc}", file=sys.stderr)

@@ -51,8 +51,6 @@ from .lattices import (
 
 DEFAULT_ORACLE_CAP = 24
 
-_SPACE_CACHE: dict[tuple, "CocycleSpace"] = {}
-
 
 @dataclass(frozen=True)
 class CocycleSpace:
@@ -117,7 +115,8 @@ class H2Class:
     coords: tuple[int, ...]
 
     def __add__(self, other: "H2Class") -> "H2Class":
-        if other.space is not self.space:
+        mine, theirs = self.space, other.space
+        if mine.modulus != theirs.modulus or mine.group.mul != theirs.group.mul:
             raise ModulusMismatch("classes from different cocycle spaces")
         return self.space.class_from_coords(
             tuple(a + b for a, b in zip(self.coords, other.coords))
@@ -213,17 +212,20 @@ def _check_cocycle(G: FiniteGroup, m: int, table: Sequence[Sequence[int]]) -> bo
 
 
 def cocycle_space(G: FiniteGroup, m: int, cap: int = DEFAULT_ORACLE_CAP) -> CocycleSpace:
-    """Compute (and cache) the H^2(G, Z/m) basis data."""
+    """Compute the H^2(G, Z/m) basis data, kept on ``G`` and keyed by ``m``.
+
+    Later calls with the same group object reuse the space, which is freed
+    together with the group. Equality, hashing and repr of ``G`` ignore it.
+    """
     if m < 1:
         raise ValidationError("modulus must be at least 1")
     if G.order > cap:
         raise GroupTooLargeForOracle(
             f"|{G.label}| = {G.order} exceeds the oracle cap {cap}"
         )
-    key = (G.mul, m)
-    hit = _SPACE_CACHE.get(key)
-    if hit is not None:
-        return hit
+    spaces = vars(G).setdefault("_cocycle_spaces", {})
+    if m in spaces:
+        return spaces[m]
     n = G.order
     if n == 1 or m == 1:
         space = CocycleSpace(
@@ -236,7 +238,7 @@ def cocycle_space(G: FiniteGroup, m: int, cap: int = DEFAULT_ORACLE_CAP) -> Cocy
             h2_invariants=AbelianInvariants(()),
             _solver=None,
         )
-        _SPACE_CACHE[key] = space
+        spaces[m] = space
         return space
     k = (n - 1) * (n - 1)
     constraints = _cocycle_constraint_rows(G, m)
@@ -288,7 +290,7 @@ def cocycle_space(G: FiniteGroup, m: int, cap: int = DEFAULT_ORACLE_CAP) -> Cocy
         h2_invariants=AbelianInvariants(invariant_factors_from_orders(diag)),
         _solver=solver,
     )
-    _SPACE_CACHE[key] = space
+    spaces[m] = space
     return space
 
 
@@ -346,7 +348,11 @@ def restriction_matrix(
 ) -> tuple[CocycleSpace, np.ndarray]:
     """Matrix of the restriction map on basis classes, rows indexed by basis."""
     sub, members = A.as_group()
-    space_A = cocycle_space(sub, space.modulus, cap)
+    # sub is a new group object with no stored spaces; for A = G reuse G's
+    if sub.mul == space.group.mul:
+        space_A = space
+    else:
+        space_A = cocycle_space(sub, space.modulus, cap)
     rows = []
     for i in range(space.rank):
         cls = space.class_from_coords(

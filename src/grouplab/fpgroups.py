@@ -133,15 +133,8 @@ class CosetTable:
         self.p.append(idx)
         return idx
 
-    def is_live(self, a: int) -> bool:
-        return self.p[a] == a
-
     def live_cosets(self) -> list[int]:
         return [a for a in range(len(self.p)) if self.p[a] == a]
-
-    @property
-    def n_live(self) -> int:
-        return sum(1 for a in range(len(self.p)) if self.p[a] == a)
 
     def rep(self, k: int) -> int:
         p = self.p

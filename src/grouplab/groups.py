@@ -39,12 +39,6 @@ class FiniteGroup:
     element_names: tuple[str, ...] | None = None
     identity: int = 0
 
-    def op(self, x: int, y: int) -> int:
-        return self.mul[x][y]
-
-    def inverse(self, x: int) -> int:
-        return self.inv[x]
-
     def conj(self, x: int, y: int) -> int:
         """x ^ y = x y x^-1."""
         m = self.mul
@@ -54,14 +48,6 @@ class FiniteGroup:
         """[x, y] = x y x^-1 y^-1."""
         m = self.mul
         return m[m[m[x][y]][self.inv[x]]][self.inv[y]]
-
-    def power(self, x: int, k: int) -> int:
-        if k < 0:
-            return self.power(self.inv[x], -k)
-        acc = 0
-        for _ in range(k):
-            acc = self.mul[acc][x]
-        return acc
 
     def element_order(self, x: int) -> int:
         n = 1
@@ -77,9 +63,6 @@ class FiniteGroup:
     def is_abelian(self) -> bool:
         m = self.mul
         return all(m[x][y] == m[y][x] for x in range(self.order) for y in range(x))
-
-    def elements(self) -> range:
-        return range(self.order)
 
     def name_of(self, x: int) -> str:
         if self.element_names is not None:
@@ -169,9 +152,6 @@ class GroupHom:
 
     def kernel(self) -> Subgroup:
         return Subgroup(self.source, tuple(x for x in range(self.source.order) if self.images[x] == 0))
-
-    def image(self) -> Subgroup:
-        return Subgroup(self.target, tuple(sorted(set(self.images))))
 
     def inverse(self) -> "GroupHom":
         if not self.is_bijective():

@@ -60,10 +60,6 @@ class IsoclinismWitness:
     def beta_dict(self) -> dict[int, int]:
         return dict(self.beta)
 
-    def lift(self, x: int) -> int:
-        """Section representative in the target over the image coset of x."""
-        return self.section2[self.alpha.images[self.proj1.images[x]]]
-
     def beta_hom(self) -> GroupHom:
         """beta as a homomorphism between the derived subgroups as groups."""
         d1 = Subgroup(self.source, tuple(sorted(x for x, _ in self.beta)))

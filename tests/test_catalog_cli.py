@@ -178,6 +178,12 @@ class TestCli:
         rc = main(["compute", "builtin:symmetric:3", "--out", str(tmp_path)])
         assert rc == 2
 
+    def test_env_var_cap_not_an_integer(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("GROUPLAB_MAX_COSETS", "abc")
+        rc = main(["compute", "builtin:symmetric:3", "--out", str(tmp_path)])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: GROUPLAB_MAX_COSETS is not an integer: 'abc'\n"
+
     def test_catalog_compute_with_jobs(self, tmp_path):
         cat = tmp_path / "cat"
         cat.mkdir()
@@ -253,6 +259,15 @@ class TestCli:
         assert by_name["s3"]["multiplier_agrees"] is True
         assert by_name["v4"]["multiplier_order_wedge"] == 2
         assert "skipped" in by_name["big"]
+        assert doc["config_hash"] == PipelineConfig().config_hash()
+        for name in ("s3", "v4"):
+            rep = compute_report(resolve_group(str(cat / f"{name}.json")), PipelineConfig(oracle=True))
+            entry = by_name[name]
+            assert entry["kernel_order"] == rep.kernel_order
+            assert entry["multiplier_order_wedge"] == rep.exterior["multiplier_order"]
+            assert entry["multiplier_order_oracle"] == rep.oracle["multiplier_order"]
+            for key in ("multiplier_agrees", "b0_lower_bound", "b0_invariants", "b0_le_kernel", "b0_equals_kernel"):
+                assert entry[key] == rep.oracle[key]
 
     def test_dump_presentation(self, capsys):
         rc = main(["dump-presentation", "builtin:cyclic:2", "--variant", "curly"])

@@ -1,12 +1,15 @@
 """Cocycle spaces, restriction maps, and the kernel-intersection bound."""
 
+import gc
 import itertools
+import weakref
 from math import gcd
 
 import numpy as np
 import pytest
 
-from grouplab.catalog import builtin
+from grouplab import cohomology
+from grouplab.catalog import PipelineConfig, builtin, compute_report
 from grouplab.cohomology import (
     b0_lower_bound,
     cocycle_dump,
@@ -171,6 +174,39 @@ class TestRestriction:
         c = space4.zero()
         with pytest.raises(ModulusMismatch):
             restrict(c, Subgroup(V4, (0, 1)), target_space=space2)
+
+    def test_addition_across_separately_computed_spaces(self):
+        first = cocycle_space(from_mul_table(V4.mul), 2)
+        second = cocycle_space(from_mul_table(V4.mul), 2)
+        assert first is not second
+        total = first.class_from_coords((1, 0, 0)) + second.class_from_coords((0, 1, 0))
+        assert total.coords == (1, 1, 0)
+        other_modulus = cocycle_space(from_mul_table(V4.mul), 4)
+        with pytest.raises(ModulusMismatch):
+            first.zero() + other_modulus.zero()
+
+
+class TestSpaceLifetime:
+    def test_space_is_freed_with_its_group(self):
+        G = cyclic(4)
+        space = weakref.ref(cocycle_space(G, 4))
+        assert cocycle_space(G, 4) is space()
+        del G
+        gc.collect()
+        assert space() is None
+
+    def test_report_builds_one_full_table_space(self, monkeypatch):
+        G = from_mul_table(V4.mul, label="V4")
+        tables = []
+        original = cohomology._cocycle_constraint_rows
+
+        def counting(H, m):
+            tables.append(H.mul)
+            return original(H, m)
+
+        monkeypatch.setattr(cohomology, "_cocycle_constraint_rows", counting)
+        compute_report(G, PipelineConfig(oracle=True))
+        assert tables.count(G.mul) == 1
 
 
 class TestLowerBound:

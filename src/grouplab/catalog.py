@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import operator
 import time
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
@@ -166,24 +167,33 @@ def _extraspecial(p: int, exponent_type: str) -> FiniteGroup:
     raise ParamOutOfRange(f"extraspecial exponent type must be 'p' or 'p2', got {exponent_type!r}")
 
 
+def _int_params(family: str, params: Sequence, count: int) -> list[int]:
+    """The family's parameters as integers; ParamOutOfRange on a wrong count or type."""
+    if len(params) != count:
+        raise ParamOutOfRange(f"{family} takes {count} parameter(s), got {len(params)}")
+    try:
+        return [int(p) if isinstance(p, str) else operator.index(p) for p in params]
+    except (TypeError, ValueError):
+        raise ParamOutOfRange(f"{family} parameters must be integers, got {list(params)!r}") from None
+
+
 def builtin(family: str, params: Sequence = ()) -> FiniteGroup:
     """Construct a named builtin group family member."""
-    fam = family.lower()
+    fam = str(family).lower()
+    if not isinstance(params, (list, tuple)):
+        raise ParamOutOfRange(f"{family} parameters must be a list, got {params!r}")
     if fam == "cyclic":
-        (n,) = params
-        n = int(n)
+        (n,) = _int_params(fam, params, 1)
         if n < 1 or n > 512:
             raise ParamOutOfRange(f"cyclic order out of range: {n}")
         return _cyclic(n)
     if fam == "dihedral":
-        (n,) = params
-        n = int(n)
+        (n,) = _int_params(fam, params, 1)
         if n < 1 or 2 * n > 512:
             raise ParamOutOfRange(f"dihedral parameter out of range: {n}")
         return _dihedral(n)
     if fam == "dicyclic":
-        (n,) = params
-        n = int(n)
+        (n,) = _int_params(fam, params, 1)
         if n < 1 or 4 * n > 512:
             raise ParamOutOfRange(f"dicyclic parameter out of range: {n}")
         return _dicyclic(n)
@@ -192,31 +202,30 @@ def builtin(family: str, params: Sequence = ()) -> FiniteGroup:
             raise ParamOutOfRange("quaternion8 takes no parameters")
         return _dicyclic(2)
     if fam == "symmetric":
-        (n,) = params
-        n = int(n)
+        (n,) = _int_params(fam, params, 1)
         if n < 1 or n > 5:
             raise ParamOutOfRange(f"symmetric degree must be 1..5, got {n}")
         return _symmetric(n)
     if fam == "alternating":
-        (n,) = params
-        n = int(n)
+        (n,) = _int_params(fam, params, 1)
         if n < 1 or n > 5:
             raise ParamOutOfRange(f"alternating degree must be 1..5, got {n}")
         return _alternating(n)
     if fam == "elementary":
-        p, k = params
-        return _elementary(int(p), int(k))
+        return _elementary(*_int_params(fam, params, 2))
     if fam == "extraspecial":
-        p, exponent_type = params
-        return _extraspecial(int(p), str(exponent_type))
+        if len(params) != 2:
+            raise ParamOutOfRange(f"extraspecial takes 2 parameter(s), got {len(params)}")
+        (p,) = _int_params(fam, params[:1], 1)
+        return _extraspecial(p, str(params[1]))
     if fam == "direct_product":
         if len(params) < 2:
             raise ParamOutOfRange("direct_product needs at least two factor descriptors")
         factors = []
         for desc in params:
             if isinstance(desc, dict):
-                factors.append(builtin(desc["family"], desc.get("params", ())))
-            elif isinstance(desc, (list, tuple)):
+                factors.append(builtin(desc.get("family"), desc.get("params", ())))
+            elif isinstance(desc, (list, tuple)) and desc:
                 factors.append(builtin(desc[0], desc[1:]))
             else:
                 raise ParamOutOfRange(f"bad direct_product factor descriptor: {desc!r}")
@@ -242,18 +251,22 @@ def group_from_spec_dict(doc: dict, origin: str = "<spec>") -> FiniteGroup:
         data = doc["data"]
     except (KeyError, TypeError) as exc:
         raise ParseError(f"missing field {exc}", path=origin) from exc
+    if not isinstance(data, dict):
+        raise ParseError("'data' must be an object", path=origin)
     if kind == "cayley":
-        table = data.get("table")
+        table, names = data.get("table"), data.get("element_names")
         if not isinstance(table, list):
             raise ParseError("cayley data needs a 'table' array", path=origin)
-        G = from_mul_table(table, label=name, element_names=data.get("element_names"))
-        return G
+        if names is not None and not isinstance(names, list):
+            raise ParseError("cayley 'element_names' must be an array", path=origin)
+        return from_mul_table(table, label=name, element_names=names)
     if kind == "perm":
-        gens = data.get("generators")
+        gens, degree = data.get("generators"), data.get("degree")
         if not isinstance(gens, list):
             raise ParseError("perm data needs a 'generators' array", path=origin)
-        G = build_from_permutations(gens, cap=512, degree=data.get("degree"), label=name)
-        return G
+        if degree is not None and not isinstance(degree, int):
+            raise ParseError("perm 'degree' must be an integer", path=origin)
+        return build_from_permutations(gens, cap=512, degree=degree, label=name)
     if kind == "builtin":
         fam = data.get("family")
         if not isinstance(fam, str):

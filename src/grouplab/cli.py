@@ -285,7 +285,7 @@ def cmd_dump_presentation(args: argparse.Namespace) -> int:
 
 def cmd_dump_cocycles(args: argparse.Namespace) -> int:
     G = resolve_group(args.group)
-    m = args.modulus if args.modulus else G.order
+    m = args.modulus if args.modulus is not None else G.order
     doc = cocycle_dump(G, m, cap=args.oracle_cap)
     text = dump_json(doc)
     if args.out:

@@ -60,7 +60,6 @@ class CocycleSpace:
     modulus: int
     basis: tuple[tuple[tuple[int, ...], ...], ...]
     basis_orders: tuple[int, ...]
-    coboundary_basis: tuple[tuple[tuple[int, ...], ...], ...]
     h2_order: int
     h2_invariants: AbelianInvariants
     _solver: LatticeSolver | None = field(repr=False, default=None)
@@ -233,7 +232,6 @@ def cocycle_space(G: FiniteGroup, m: int, cap: int = DEFAULT_ORACLE_CAP) -> Cocy
             modulus=m,
             basis=(),
             basis_orders=(),
-            coboundary_basis=(),
             h2_order=1,
             h2_invariants=AbelianInvariants(()),
             _solver=None,
@@ -274,7 +272,6 @@ def cocycle_space(G: FiniteGroup, m: int, cap: int = DEFAULT_ORACLE_CAP) -> Cocy
     for tbl in basis_tables:
         if not _check_cocycle(G, m, tbl):
             raise InternalCheckFailed("computed basis table is not a normalized cocycle")
-    cob_tables = tuple(_vector_to_table(r, n) for r in cob_rows)
     if basis_vecs:
         solver_gens = np.vstack([np.array(basis_vecs, dtype=np.int64), Hb])
     else:
@@ -285,7 +282,6 @@ def cocycle_space(G: FiniteGroup, m: int, cap: int = DEFAULT_ORACLE_CAP) -> Cocy
         modulus=m,
         basis=basis_tables,
         basis_orders=basis_orders,
-        coboundary_basis=cob_tables,
         h2_order=order,
         h2_invariants=AbelianInvariants(invariant_factors_from_orders(diag)),
         _solver=solver,

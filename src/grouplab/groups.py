@@ -9,6 +9,7 @@ Conventions, fixed globally:
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -228,6 +229,13 @@ def validate_table(mul: Sequence[Sequence[int]], inv: Sequence[int], identity: i
                     raise ValidationError(f"associativity fails at ({x}, {y}, {z})")
 
 
+def _int_entries(row: Sequence[int], what: str) -> tuple[int, ...]:
+    try:
+        return tuple(operator.index(v) for v in row)
+    except TypeError:
+        raise ValidationError(f"{what} has a non-integer entry: {row!r}") from None
+
+
 def from_mul_table(
     mul: Sequence[Sequence[int]],
     label: str = "G",
@@ -235,13 +243,8 @@ def from_mul_table(
     validate: bool = True,
 ) -> FiniteGroup:
     n = len(mul)
-    table = tuple(tuple(int(v) for v in row) for row in mul)
-    inv = [0] * n
-    for x in range(n):
-        for y in range(n):
-            if table[x][y] == 0:
-                inv[x] = y
-                break
+    table = tuple(_int_entries(row, "table row") for row in mul)
+    inv = [row.index(0) if 0 in row else 0 for row in table]
     if validate:
         validate_table(table, inv)
     names = tuple(element_names) if element_names is not None else None
@@ -267,7 +270,7 @@ def build_from_permutations(
     of the result is the identity; the closure is breadth-first in
     generator order, which fixes the element numbering deterministically.
     """
-    gens = [tuple(int(v) for v in g) for g in generators]
+    gens = [_int_entries(g, "permutation") for g in generators]
     if not gens and degree is None:
         raise EmptyGeneratorList("no generators given and no point count to act on")
     deg = degree if degree is not None else len(gens[0])

@@ -19,6 +19,8 @@ import random
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .errors import (
     InternalCheckFailed,
     PairingAxiomFailed,
@@ -29,6 +31,7 @@ from .groups import (
     FiniteGroup,
     GroupHom,
     Subgroup,
+    _extend_partial,
     center,
     derived_subgroup,
     isomorphisms_iter,
@@ -111,24 +114,8 @@ def _derive_beta(
                 beta[c1] = c2
             elif prev != c2:
                 return None
-    generators = sorted(beta)
-    known = dict(beta)
-    queue = sorted(known)
-    while queue:
-        a = queue.pop(0)
-        ka = known[a]
-        for b in generators:
-            ab = G1.mul[a][b]
-            img = G2.mul[ka][known[b]]
-            prev = known.get(ab)
-            if prev is None:
-                known[ab] = img
-                queue.append(ab)
-            elif prev != img:
-                return None
-    if len(set(known.values())) != len(known):
-        return None
-    if set(known.values()) != set(derived2.members):
+    known = _extend_partial(G1, G2, beta, sorted(beta))
+    if known is None or set(known.values()) != set(derived2.members):
         return None
     members = sorted(known)
     for a in members:
@@ -274,12 +261,15 @@ class GammaMap:
 
 
 def _pair_table(
-    w: IsoclinismWitness, wedge2: WedgeRealization, section2: Sequence[int]
-) -> list[list[int]]:
-    G1 = w.source
-    n1 = G1.order
-    lift = [section2[w.alpha.images[w.proj1.images[x]]] for x in range(n1)]
-    return [[wedge2.pair_image(lift[a], lift[b]) for b in range(n1)] for a in range(n1)]
+    pairs2: np.ndarray, coset: np.ndarray, section2: np.ndarray | Sequence[int]
+) -> np.ndarray:
+    """Entry (a, b) is the pair image in pairs2 of the section2 lifts of a and b.
+
+    ``coset[x]`` is alpha of the central coset of x, so a lifts to
+    section2[coset[a]]. A stack of sections, one per row, gives a stack of tables.
+    """
+    lift = np.take(section2, coset, axis=-1)
+    return pairs2[lift[..., :, None], lift[..., None, :]]
 
 
 def build_gamma(
@@ -294,14 +284,12 @@ def build_gamma(
         raise ValidationError("wedge realizations do not match the witness groups")
     if not verify_witness(w):
         raise WitnessInvalid("witness failed re-verification")
-    G1 = w.source
-    phi = _pair_table(w, wedge2, w.section2)
-    if not check_pairing(G1, wedge2.realization.group, phi):
+    coset = np.take(w.alpha.images, w.proj1.images)
+    phi = _pair_table(wedge2.pair_table(), coset, w.section2)
+    if not check_pairing(w.source, wedge2.realization.group, phi):
         raise PairingAxiomFailed("induced pair table violates a pairing axiom")
-    n1 = G1.order
-    gen_images = [phi[a][b] for a in range(n1) for b in range(n1)]
     gamma = hom_from_generator_images(
-        wedge1.realization, wedge2.realization.group, gen_images
+        wedge1.realization, wedge2.realization.group, phi.ravel().tolist()
     )
     if not gamma.is_bijective():
         raise InternalCheckFailed("induced map between realizations is not bijective")
@@ -341,16 +329,15 @@ def well_definedness_fuzz(
     seed: int = 0,
 ) -> bool:
     """Perturb coset representatives by central elements; gamma must not move."""
-    G2 = w.target
-    Z2 = sorted(center(G2).members)
-    baseline = _pair_table(w, wedge2, w.section2)
+    mul2 = np.array(w.target.mul)
+    Z2 = sorted(center(w.target).members)
+    pairs2, coset = wedge2.pair_table(), np.take(w.alpha.images, w.proj1.images)
+    baseline = _pair_table(pairs2, coset, w.section2)
     rng = random.Random(seed)
-    for _ in range(trials):
-        perturbed = tuple(
-            G2.mul[rep][rng.choice(Z2)] for rep in w.section2
-        )
-        table = _pair_table(w, wedge2, perturbed)
-        if table != baseline:
+    for start in range(0, trials, 100):  # 100 trials at a time bound the memory
+        draws = [rng.choice(Z2) for _ in range(min(100, trials - start) * len(w.section2))]
+        perturbed = mul2[w.section2, np.reshape(draws, (-1, len(w.section2)))]
+        if not np.all(_pair_table(pairs2, coset, perturbed) == baseline):
             return False
     return True
 

@@ -25,6 +25,13 @@ signed union-find run to a fixpoint) before enumeration. Only the surviving
 classes are enumerated; the realization is then lifted back to one image
 per pair, and every raw relator is evaluated in the realized group, which
 certifies the reduction.
+
+``_raw_relator_rows`` is the only spelling of the relations. The same
+evaluator runs its rows against the lifted pair images, against the
+commutator table of G, and, in ``check_pairing``, against any pair table
+phi : G x G -> L, where the raw CURLY rows are the pairing axioms.
+``WedgeRealization.pair_table()`` gives a realization's pair images as one
+|G| x |G| array.
 """
 
 from __future__ import annotations
@@ -233,17 +240,21 @@ def build_wedge_presentation(
     )
 
 
-def raw_relators_die(
-    wp: WedgePresentation, target: FiniteGroup, pair_images: Sequence[int]
-) -> bool:
-    """Whether every raw relator is the identity of target with pair p read as pair_images[p]."""
-    rows = _raw_relator_rows(wp.base, wp.variant)
+def _relators_die(rows: np.ndarray, target: FiniteGroup, pair_images: Sequence[int]) -> bool:
+    """Whether every relator row is the identity of target with pair p read as pair_images[p]."""
     mul = np.array(target.mul, dtype=np.int32)
     inv = np.array(target.inv, dtype=np.int32)
     images = np.concatenate([[0], np.asarray(pair_images, dtype=np.int32)])  # letter 0 pads
     vals = images[np.abs(rows)]
     vals = np.where(rows < 0, inv[vals], vals)
     return bool(np.all(mul[mul[vals[:, 0], vals[:, 1]], vals[:, 2]] == 0))
+
+
+def raw_relators_die(
+    wp: WedgePresentation, target: FiniteGroup, pair_images: Sequence[int]
+) -> bool:
+    """Whether every raw relator is the identity of target with pair p read as pair_images[p]."""
+    return _relators_die(_raw_relator_rows(wp.base, wp.variant), target, pair_images)
 
 
 def _lift_to_pairs(wp: WedgePresentation, real: Realization) -> Realization:
@@ -309,6 +320,10 @@ class WedgeRealization:
         """Element of the realized group representing the pair (m, n)."""
         return self.realization.gen_images[self.presentation.pair_generator(m, n)]
 
+    def pair_table(self) -> np.ndarray:
+        """The |G| x |G| array whose (m, n) entry is the image of the pair (m, n)."""
+        return np.reshape(self.realization.gen_images, (self.base.order, self.base.order))
+
     @property
     def order(self) -> int:
         return self.realization.group.order
@@ -335,10 +350,8 @@ def compute_wedge(
         raise RelatorNotKilled(
             f"a raw {variant.value} relator of {G.label} survives in the realized group"
         )
-    n = G.order
-    kappa_gen_images = [G.comm(m, nn) for m in range(n) for nn in range(n)]
     try:
-        kappa = hom_from_generator_images(real, G, kappa_gen_images)
+        kappa = hom_from_generator_images(real, G, np.ravel(commutator_pairing_table(G)).tolist())
     except RelatorNotKilled as exc:
         raise KappaRelatorViolation(
             f"commutator images of {G.label} violate a pairing relator: {exc}"
@@ -388,32 +401,20 @@ def multiplier_order(
 
 
 def check_pairing(G: FiniteGroup, L: FiniteGroup, phi: Sequence[Sequence[int]]) -> bool:
-    """Exhaustively test the three pairing axioms for phi : G x G -> L."""
-    n = G.order
-    lmul = L.mul
-    for x in range(n):
-        for y in range(n):
-            if G.comm(x, y) == 0 and phi[x][y] != 0:
-                return False
-    for m in range(n):
-        conj_m = [G.conj(m, t) for t in range(n)]
-        phim = phi[m]
-        for mp in range(n):
-            lhs_row = phi[G.mul[m][mp]]
-            mid_row = phi[conj_m[mp]]
-            for nn in range(n):
-                if lhs_row[nn] != lmul[mid_row[conj_m[nn]]][phim[nn]]:
-                    return False
-    for m in range(n):
-        phim = phi[m]
-        for nn in range(n):
-            conj_nn = [G.conj(nn, t) for t in range(n)]
-            row = G.mul[nn]
-            mid_row = phi[conj_nn[m]]
-            for np_ in range(n):
-                if phim[row[np_]] != lmul[phim[nn]][mid_row[conj_nn[np_]]]:
-                    return False
-    return True
+    """Whether phi : G x G -> L satisfies the pairing axioms.
+
+    The axioms are the raw CURLY relators of G, the rows the presentation
+    is built from, evaluated with the pair (m, n) read as phi[m][n]. A phi
+    that is not a |G| x |G| table of elements of L is not a pairing.
+    """
+    try:
+        table = np.asarray(phi)
+    except ValueError:  # ragged rows
+        return False
+    if table.shape != (G.order, G.order) or table.dtype.kind not in "iu":
+        return False
+    in_range = bool(np.all((table >= 0) & (table < L.order)))
+    return in_range and _relators_die(_raw_relator_rows(G, WedgeVariant.CURLY), L, table.ravel())
 
 
 def pairing_to_hom(
@@ -429,9 +430,7 @@ def pairing_to_hom(
         raise NotAPairing("wedge realization does not belong to this group")
     if not check_pairing(G, L, phi):
         raise NotAPairing(f"table violates a pairing axiom for {G.label}")
-    n = G.order
-    gen_images = [phi[m][nn] for m in range(n) for nn in range(n)]
-    return hom_from_generator_images(wedge.realization, L, gen_images)
+    return hom_from_generator_images(wedge.realization, L, np.ravel(phi).tolist())
 
 
 def commutator_pairing_table(G: FiniteGroup) -> list[list[int]]:
@@ -445,8 +444,7 @@ def trace_relators_through_commutators(G: FiniteGroup, wp: WedgePresentation) ->
     All products must come out at the identity; this is the well-definedness
     of kappa checked directly in the base group.
     """
-    n = G.order
-    return raw_relators_die(wp, G, [G.comm(m, nn) for m in range(n) for nn in range(n)])
+    return raw_relators_die(wp, G, np.ravel(commutator_pairing_table(G)))
 
 
 def exterior_to_curly_surjection(

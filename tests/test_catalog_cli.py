@@ -173,6 +173,43 @@ class TestCli:
         rc = main(["compute", "builtin:sporadic:1", "--out", str(tmp_path)])
         assert rc == 1
 
+    @pytest.mark.parametrize(
+        "spec,error",
+        [
+            ("builtin:cyclic", ParamOutOfRange),
+            ("builtin:cyclic:abc", ParamOutOfRange),
+            ("builtin:cyclic:2:3", ParamOutOfRange),
+            ("builtin:elementary:2", ParamOutOfRange),
+            ({"kind": "builtin", "data": {"family": "cyclic", "params": []}}, ParamOutOfRange),
+            ({"kind": "builtin", "data": {"family": "cyclic", "params": 5}}, ParamOutOfRange),
+            ({"kind": "builtin", "data": {"family": "direct_product", "params": [[], ["cyclic", 2]]}}, ParamOutOfRange),
+            ({"kind": "builtin", "data": {"family": "direct_product", "params": [{"params": [2]}, ["cyclic", 2]]}}, UnknownFamily),
+            ({"kind": "cayley", "data": {"table": [[0, 1], [1]]}}, ValidationError),
+            ({"kind": "cayley", "data": {"table": [[0, 1], [1, "a"]]}}, ValidationError),
+            ({"kind": "cayley", "data": {"table": [[0, 1], [1, 0.5]]}}, ValidationError),
+            ({"kind": "perm", "data": {"generators": [[1, 0, "x"]]}}, ValidationError),
+            ({"kind": "perm", "data": {"generators": [[1.0, 0, 2]]}}, ValidationError),
+            ({"kind": "perm", "data": {"generators": [], "degree": "x"}}, ParseError),
+            ({"kind": "cayley", "data": {"table": [[0]], "element_names": 5}}, ParseError),
+            ({"kind": "cayley", "data": 5}, ParseError),
+        ],
+        ids=[
+            "no-param", "non-integer-param", "extra-param", "missing-param", "spec-no-param",
+            "spec-params-not-a-list", "empty-factor", "factor-without-family",
+            "short-row", "string-entry", "float-entry", "string-point", "float-point",
+            "string-degree", "names-not-a-list", "data-not-an-object",
+        ],
+    )
+    def test_malformed_group_is_an_input_error(self, tmp_path, capsys, spec, error):
+        if isinstance(spec, dict):
+            path = tmp_path / "g.json"
+            path.write_text(json.dumps({"name": "g", **spec}))
+            spec = str(path)
+        with pytest.raises(error):
+            resolve_group(spec)
+        assert main(["compute", spec, "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_env_var_cap(self, tmp_path, monkeypatch):
         monkeypatch.setenv("GROUPLAB_MAX_COSETS", "2")
         rc = main(["compute", "builtin:symmetric:3", "--out", str(tmp_path)])
@@ -281,6 +318,11 @@ class TestCli:
         assert rc == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["h2_order"] == 8
+
+    def test_dump_cocycles_rejects_modulus_zero(self, capsys):
+        rc = main(["dump-cocycles", "builtin:elementary:2:2", "--modulus", "0"])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: modulus must be at least 1\n"
 
     def test_resolve_group_rejects_garbage(self):
         with pytest.raises(ValidationError):

@@ -1,10 +1,12 @@
 """Witness search, verification, the induced realization map, and families."""
 
+import dataclasses
+
 import pytest
 
 from grouplab.catalog import builtin
-from grouplab.errors import WitnessInvalid
-from grouplab.groups import derived_subgroup, direct_product, from_mul_table
+from grouplab.errors import PairingAxiomFailed, WitnessInvalid
+from grouplab.groups import center, derived_subgroup, direct_product, from_mul_table
 from grouplab.isoclinism import (
     IsoclinismWitness,
     are_isoclinic,
@@ -166,6 +168,38 @@ class TestFuzz:
         w1 = compute_wedge(Z4, WedgeVariant.CURLY)
         w2 = compute_wedge(V4, WedgeVariant.CURLY)
         assert well_definedness_fuzz(w, w1, w2, trials=100)
+
+
+class TestCorruptedPairImages:
+    """A wrong pair image of the second realization must be caught (D4 ~ Q8)."""
+
+    @staticmethod
+    def _changed(wr, m, n):
+        images = list(wr.realization.gen_images)
+        p = m * wr.base.order + n
+        images[p] = (images[p] + 1) % wr.order
+        return dataclasses.replace(
+            wr, realization=dataclasses.replace(wr.realization, gen_images=tuple(images))
+        )
+
+    def test_off_section_change_fails_the_fuzz(self):
+        w = are_isoclinic(D4, Q8)
+        w1 = compute_wedge(D4, WedgeVariant.CURLY)
+        w2 = compute_wedge(Q8, WedgeVariant.CURLY)
+        z = next(x for x in center(Q8).members if x != 0)
+        m, n = Q8.mul[w.section2[1]][z], w.section2[2]
+        assert m not in w.section2
+        bad = self._changed(w2, m, n)
+        build_gamma(w, w1, bad)  # gamma reads section pairs only
+        assert not well_definedness_fuzz(w, w1, bad, seed=0)
+
+    def test_section_change_fails_the_pairing_check(self):
+        w = are_isoclinic(D4, Q8)
+        w1 = compute_wedge(D4, WedgeVariant.CURLY)
+        w2 = compute_wedge(Q8, WedgeVariant.CURLY)
+        bad = self._changed(w2, w.section2[1], w.section2[2])
+        with pytest.raises(PairingAxiomFailed):
+            build_gamma(w, w1, bad)
 
 
 class TestFamilies:

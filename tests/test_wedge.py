@@ -38,6 +38,8 @@ Q8 = builtin("quaternion8")
 
 
 S4 = builtin("symmetric", (4,))
+S3xZ2 = builtin("direct_product", (("symmetric", 3), ("cyclic", 2)))
+D4xZ2 = builtin("direct_product", (("dihedral", 4), ("cyclic", 2)))
 
 
 def loop_raw_relators(G, variant):
@@ -61,6 +63,35 @@ def loop_raw_relators(G, variant):
     else:
         rels += [(gen(x, x),) for x in range(n)]
     return rels
+
+
+def loop_check_pairing(G, L, phi):
+    """The pairing axioms checked entry by entry: the reference for check_pairing."""
+    n = G.order
+    lmul = L.mul
+    for x in range(n):
+        for y in range(n):
+            if G.comm(x, y) == 0 and phi[x][y] != 0:
+                return False
+    for m in range(n):
+        conj_m = [G.conj(m, t) for t in range(n)]
+        phim = phi[m]
+        for mp in range(n):
+            lhs_row = phi[G.mul[m][mp]]
+            mid_row = phi[conj_m[mp]]
+            for nn in range(n):
+                if lhs_row[nn] != lmul[mid_row[conj_m[nn]]][phim[nn]]:
+                    return False
+    for m in range(n):
+        phim = phi[m]
+        for nn in range(n):
+            conj_nn = [G.conj(nn, t) for t in range(n)]
+            row = G.mul[nn]
+            mid_row = phi[conj_nn[m]]
+            for np_ in range(n):
+                if phim[row[np_]] != lmul[phim[nn]][mid_row[conj_nn[np_]]]:
+                    return False
+    return True
 
 
 class TestPresentation:
@@ -234,6 +265,15 @@ class TestCorpusWide:
             hom = exterior_to_curly_surjection(ext, cur)
             assert set(hom.images) == set(range(cur.order)), G.label
 
+    def test_pair_table_reads_pair_images(self, corpus, curly_wedges):
+        for G in corpus:
+            wr = curly_wedges[G.label]
+            table = wr.pair_table()
+            assert table.shape == (G.order, G.order)
+            for m in range(G.order):
+                for n in range(G.order):
+                    assert table[m, n] == wr.pair_image(m, n)
+
     def test_identity_pair_images_trivial_everywhere(self, corpus, curly_wedges):
         for G in corpus:
             wr = curly_wedges[G.label]
@@ -323,6 +363,46 @@ class TestPairings:
         phi = [[0] * 6 for _ in range(6)]
         hom = pairing_to_hom(S3, L, phi, wr)
         assert set(hom.images) == {0}
+
+    def test_matches_loop_reference(self):
+        """check_pairing agrees with the entry-by-entry axioms, on pairings and corruptions."""
+        outcomes = set()
+        for G in (S3, D4, Q8, S3xZ2, D4xZ2):
+            candidates = [(G, commutator_pairing_table(G))]
+            # an EXTERIOR pair table breaks only collapsing relators when the multiplier is nontrivial
+            for variant in WedgeVariant:
+                wr = compute_wedge(G, variant)
+                candidates.append((wr.realization.group, wr.pair_table().tolist()))
+            for L, table in candidates:
+                tables = [table]
+                for m in range(G.order):
+                    for n in range(G.order):
+                        bad = [list(row) for row in table]
+                        bad[m][n] = (bad[m][n] + 1) % L.order
+                        tables.append(bad)
+                for phi in tables:
+                    expected = loop_check_pairing(G, L, phi)
+                    assert check_pairing(G, L, phi) == expected, G.label
+                    outcomes.add(expected)
+        assert outcomes == {True, False}
+
+    @pytest.mark.parametrize(
+        "phi",
+        [
+            [[0] * 6 for _ in range(5)],  # five rows
+            [[0] * 5 for _ in range(6)],  # five columns
+            [[0] * 6 for _ in range(5)] + [[0] * 5],  # ragged
+            [[0] * 6 for _ in range(5)] + [[0] * 5 + [3]],  # entry outside L
+            [[0] * 6 for _ in range(5)] + [[0] * 5 + [-3]],  # negative entry; indexing would wrap it to 0
+            [[0.0] * 6 for _ in range(6)],  # not integers
+        ],
+        ids=["rows", "columns", "ragged", "out-of-range", "negative", "float"],
+    )
+    def test_malformed_table_is_not_a_pairing(self, phi):
+        L = cyclic(3)
+        assert not check_pairing(S3, L, phi)
+        with pytest.raises(NotAPairing):
+            pairing_to_hom(S3, L, phi, compute_wedge(S3, WedgeVariant.CURLY))
 
     def test_non_pairing_rejected(self):
         wr = compute_wedge(Z4, WedgeVariant.CURLY)

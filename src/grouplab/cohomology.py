@@ -3,12 +3,22 @@
 Normalized 2-cocycles f : G x G -> Z/m (f(1, y) = f(x, 1) = 0) form the
 kernel of the linear system
 
-    f(x, y) + f(xy, z) - f(y, z) - f(x, yz) = 0  (mod m),
+    df(x, y, z) = f(x, y) + f(xy, z) - f(y, z) - f(x, yz) = 0  (mod m),
 
 and coboundaries are spanned by df_g(x, y) = [x=g] + [y=g] - [xy=g]. The
-quotient is computed through the mod-m lattice calculus: both sides become
-lattices between m*Z^k and Z^k on k = (|G|-1)^2 coordinates, and the
-quotient structure comes from one diagonalisation.
+system is written only for z in a generating sequence of G. That loses
+nothing: d(df) = 0 gives
+
+    df(x, y, zg) = df(y, z, g) - df(xy, z, g) + df(x, yz, g) + df(x, y, z),
+
+and df(x, y, 1) = 0, so by induction on the word length of z the rows with
+z a generator imply every other row. Equal solution sets mean equal row
+lattices (a submodule of (Z/m)^k is the annihilator of its annihilator),
+so the canonical basis of the row lattice is the same as for all triples.
+
+The quotient is computed through the mod-m lattice calculus: both sides
+become lattices between m*Z^k and Z^k on k = (|G|-1)^2 coordinates, and
+the quotient structure comes from one diagonalisation.
 
 Since the rationals-mod-integers coefficients of the classical restriction
 intersection are not finitely representable, this oracle fixes coefficients
@@ -39,6 +49,7 @@ from .groups import (
     abelian_subgroups,
     derived_subgroup,
     invariant_factors_from_orders,
+    minimal_generating_sequence,
 )
 from .lattices import (
     LatticeSolver,
@@ -128,10 +139,6 @@ class H2Class:
         return self.space.representative_table(self.coords)
 
 
-def _varindex(x: int, y: int, n: int) -> int:
-    return (x - 1) * (n - 1) + (y - 1)
-
-
 def _table_to_vector(table: Sequence[Sequence[int]], n: int, m: int) -> np.ndarray:
     for t in range(n):
         if table[0][t] % m or table[t][0] % m:
@@ -154,60 +161,33 @@ def _vector_to_table(vec: Sequence[int], n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(row) for row in table)
 
 
-def _cocycle_constraint_rows(G: FiniteGroup, m: int) -> list[np.ndarray]:
-    """Deduplicated sparse rows of the cocycle identity, one per triple."""
+def _cocycle_constraint_rows(G: FiniteGroup, m: int) -> np.ndarray:
+    """Nonzero rows of the cocycle identity, one per (x, y, z) with z a generator.
+
+    Each triple scatters its four terms into a full n x n table; terms with
+    an argument equal to the identity land in row or column 0, which the
+    normalized coordinates drop.
+    """
     n = G.order
-    k = (n - 1) * (n - 1)
-    mul = G.mul
-    seen: set[tuple] = set()
-    rows: list[np.ndarray] = []
-    for x in range(1, n):
-        mul_x = mul[x]
-        for y in range(1, n):
-            xy = mul_x[y]
-            mul_y = mul[y]
-            v_xy = _varindex(x, y, n)
-            for z in range(1, n):
-                coeffs: dict[int, int] = {}
-
-                def bump(idx: int, c: int) -> None:
-                    coeffs[idx] = coeffs.get(idx, 0) + c
-
-                bump(v_xy, 1)
-                if xy != 0:
-                    bump(_varindex(xy, z, n), 1)
-                bump(_varindex(y, z, n), -1)
-                yz = mul_y[z]
-                if yz != 0:
-                    bump(_varindex(x, yz, n), -1)
-                items = tuple(sorted((i, c % m) for i, c in coeffs.items() if c % m))
-                if not items:
-                    continue
-                neg = tuple(sorted((i, (-c) % m) for i, c in items))
-                key = min(items, neg)
-                if key in seen:
-                    continue
-                seen.add(key)
-                row = np.zeros(k, dtype=np.int64)
-                for i, c in items:
-                    row[i] = c
-                rows.append(row)
-    return rows
+    mul = np.array(G.mul, dtype=np.int64)
+    gens = minimal_generating_sequence(G)
+    grid = np.meshgrid(np.arange(1, n), np.arange(1, n), gens, indexing="ij")
+    x, y, z = (a.ravel() for a in grid)
+    cols = np.stack([x * n + y, mul[x, y] * n + z, y * n + z, x * n + mul[y, z]], axis=1)
+    full = np.zeros((x.size, n * n), dtype=np.int64)
+    np.add.at(full, (np.arange(x.size)[:, None], cols), [1, 1, -1, -1])
+    rows = full.reshape(-1, n, n)[:, 1:, 1:].reshape(x.size, -1) % m
+    return rows[rows.any(axis=1)]
 
 
 def _check_cocycle(G: FiniteGroup, m: int, table: Sequence[Sequence[int]]) -> bool:
-    n = G.order
-    mul = G.mul
-    for t in range(n):
-        if table[0][t] % m or table[t][0] % m:
-            return False
-    for x in range(n):
-        for y in range(n):
-            xy = mul[x][y]
-            for z in range(n):
-                if (table[x][y] + table[xy][z] - table[y][z] - table[x][mul[y][z]]) % m:
-                    return False
-    return True
+    t = np.array(table, dtype=np.int64)
+    mul = np.array(G.mul, dtype=np.int64)
+    if (t[0] % m).any() or (t[:, 0] % m).any():
+        return False
+    # entry [x, y, z] is f(x, y) + f(xy, z) - f(y, z) - f(x, yz)
+    defect = t[:, :, None] + t[mul] - t[None, :, :] - t[:, mul]
+    return not (defect % m).any()
 
 
 def cocycle_space(G: FiniteGroup, m: int, cap: int = DEFAULT_ORACLE_CAP) -> CocycleSpace:
@@ -243,15 +223,10 @@ def cocycle_space(G: FiniteGroup, m: int, cap: int = DEFAULT_ORACLE_CAP) -> Cocy
     constraint_H = hnf_from_rows(constraints, k, m)
     Hz = orth_complement(constraint_H, k, m)
 
-    cob_rows = []
-    for g in range(1, n):
-        row = np.zeros(k, dtype=np.int64)
-        for x in range(1, n):
-            for y in range(1, n):
-                c = (1 if x == g else 0) + (1 if y == g else 0) - (1 if G.mul[x][y] == g else 0)
-                if c % m:
-                    row[_varindex(x, y, n)] = c % m
-        cob_rows.append(row)
+    # row g - 1 is the coboundary of the indicator of g: [x=g] + [y=g] - [xy=g]
+    e = np.eye(n, dtype=np.int64)
+    full = e[:, :, None] + e[:, None, :] - e[:, np.array(G.mul)]
+    cob_rows = full[1:, 1:, 1:].reshape(n - 1, k) % m
     Hb = hnf_from_rows(cob_rows, k, m)
     for row in cob_rows:
         if member_residual(Hz, row, m).any():
@@ -319,7 +294,12 @@ def restrict(
     cap: int = DEFAULT_ORACLE_CAP,
     target_space: CocycleSpace | None = None,
 ) -> H2Class:
-    """Restriction of a class along an inclusion of a subgroup."""
+    """Restriction of a class along an inclusion of a subgroup.
+
+    Without ``target_space`` the subgroup's space is computed on the group
+    that ``A.as_group()`` keeps on ``A``, so later calls with the same
+    ``A`` reuse it.
+    """
     G = c.space.group
     if A.parent.mul != G.mul:
         raise ValidationError("subgroup does not belong to the class's group")
@@ -344,7 +324,8 @@ def restriction_matrix(
 ) -> tuple[CocycleSpace, np.ndarray]:
     """Matrix of the restriction map on basis classes, rows indexed by basis."""
     sub, members = A.as_group()
-    # sub is a new group object with no stored spaces; for A = G reuse G's
+    # sub is A's own group object, which never holds G's spaces; for A = G
+    # reuse G's
     if sub.mul == space.group.mul:
         space_A = space
     else:

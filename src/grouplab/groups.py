@@ -108,7 +108,11 @@ class Subgroup:
 
         Members are sorted ascending, so the identity (element 0 of the
         parent) lands at index 0 and the global convention is preserved.
+        Without a label the result is kept on this Subgroup, so repeated
+        calls return the same group object and share its cocycle spaces.
         """
+        if label is None and "_standalone" in vars(self):
+            return self._standalone
         members = tuple(sorted(self.members))
         pos = {x: i for i, x in enumerate(members)}
         pm = self.parent.mul
@@ -121,6 +125,8 @@ class Subgroup:
             label=label or f"{self.parent.label}-sub{len(members)}",
             element_names=tuple(self.parent.name_of(x) for x in members),
         )
+        if label is None:
+            object.__setattr__(self, "_standalone", (grp, members))
         return grp, members
 
 

@@ -142,7 +142,7 @@ def hnf_from_rows(rows: Sequence[np.ndarray] | np.ndarray, k: int, m: int) -> np
     H = m * np.eye(k, dtype=np.int64)
     if k == 0:
         return H
-    R = np.array(list(rows), dtype=np.int64).reshape(-1, k) % m
+    R = np.asarray(rows, dtype=np.int64).reshape(-1, k) % m
     while R.shape[0]:
         _reduce(H, R, m)
         R = R[R.any(axis=1)]
@@ -165,6 +165,18 @@ def member_residual(H: np.ndarray, v: np.ndarray, m: int) -> np.ndarray:
     r = np.asarray(v, dtype=np.int64).reshape(1, -1) % m
     _reduce(H, r, m)
     return r[0]
+
+
+def _smallest_entry(sub: np.ndarray, m: int) -> tuple[int, int] | None:
+    """(row, column) of the row-major first smallest nonzero entry, or None.
+
+    Entries lie in [0, m), so m can stand in for zero in a single argmin.
+    """
+    masked = np.where(sub == 0, m, sub)
+    pick = int(np.argmin(masked))
+    if masked.flat[pick] == m:
+        return None
+    return divmod(pick, sub.shape[1])
 
 
 def snf_mod(
@@ -219,15 +231,10 @@ def snf_mod(
     t = 0
     size = min(R, k)
     while t < size:
-        sub = A[t:, t:]
-        nzr, nzc = np.nonzero(sub)
-        if nzr.size == 0:
+        found = _smallest_entry(A[t:, t:], m)
+        if found is None:
             break
-        vals = sub[nzr, nzc]
-        best = int(vals.min())
-        # among equal minimal values keep the row-major first
-        pick = int(np.nonzero(vals == best)[0][0])
-        i0, j0 = int(nzr[pick]) + t, int(nzc[pick]) + t
+        i0, j0 = found[0] + t, found[1] + t
         if i0 != t:
             A[[t, i0]] = A[[i0, t]]
         if j0 != t:

@@ -2,6 +2,7 @@
 
 import gc
 import itertools
+import random
 import weakref
 from math import gcd
 
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 from grouplab import cohomology
-from grouplab.catalog import PipelineConfig, builtin, compute_report
+from grouplab.catalog import PipelineConfig, builtin, compute_report, shipped_corpus
 from grouplab.cohomology import (
     b0_lower_bound,
     cocycle_dump,
@@ -19,7 +20,15 @@ from grouplab.cohomology import (
     restrict,
 )
 from grouplab.errors import GroupTooLargeForOracle, ModulusMismatch
-from grouplab.groups import Subgroup, abelian_subgroups, direct_product, from_mul_table
+from grouplab.groups import (
+    Subgroup,
+    abelian_subgroups,
+    direct_product,
+    from_mul_table,
+    relabeled,
+    subgroup_closure,
+)
+from grouplab.lattices import _reduce, hnf_from_rows, lattice_index, orth_complement
 
 
 def cyclic(n):
@@ -67,6 +76,120 @@ def brute_h2(G, m):
             )
         )
     return num_z // len(cob)
+
+
+def triple_rows(G, m, zs):
+    """Rows of the cocycle identity for every (x, y, z) with z in zs.
+
+    The all-triples builder that the generator rows replaced, one dense row
+    per triple; with zs = range(1, |G|) it writes every row.
+    """
+    n = G.order
+    k = (n - 1) * (n - 1)
+    mul = G.mul
+
+    def var(a, b):
+        return (a - 1) * (n - 1) + (b - 1)
+
+    rows = []
+    for x in range(1, n):
+        for y in range(1, n):
+            for z in zs:
+                row = np.zeros(k, dtype=np.int64)
+                row[var(x, y)] += 1
+                if mul[x][y]:
+                    row[var(mul[x][y], z)] += 1
+                row[var(y, z)] -= 1
+                if mul[y][z]:
+                    row[var(x, mul[y][z])] -= 1
+                rows.append(row % m)
+    return np.array(rows, dtype=np.int64).reshape(-1, k)
+
+
+def h2_order_from_rows(G, rows, m):
+    """|Z| / |B| for the cocycles cut out by rows and the true coboundaries."""
+    n = G.order
+    k = (n - 1) * (n - 1)
+    Hz = orth_complement(hnf_from_rows(rows, k, m), k, m)
+    cob = np.zeros((n - 1, k), dtype=np.int64)
+    for g in range(1, n):
+        for x in range(1, n):
+            for y in range(1, n):
+                c = (x == g) + (y == g) - (G.mul[x][y] == g)
+                cob[g - 1, (x - 1) * (n - 1) + (y - 1)] = c % m
+    return lattice_index(hnf_from_rows(cob, k, m)) // lattice_index(Hz)
+
+
+def _row_groups():
+    small = [G for G in shipped_corpus() if 1 < G.order <= 16]
+    big = [
+        builtin("symmetric", (4,)),
+        builtin("dihedral", (12,)),
+        direct_product(builtin("alternating", (4,)), cyclic(2), label="A4xZ2"),
+    ]
+    out = []
+    for G in small + big:
+        sigma = list(range(1, G.order))
+        random.Random(G.label).shuffle(sigma)
+        out.append(G)
+        out.append(relabeled(G, [0] + sigma, label=G.label + "~"))
+    return out
+
+
+class TestGeneratorRows:
+    @pytest.mark.parametrize("G", _row_groups(), ids=lambda G: G.label)
+    @pytest.mark.parametrize("which_m", ["order", "two"])
+    def test_generator_rows_span_every_row(self, G, which_m):
+        m = G.order if which_m == "order" else 2
+        n = G.order
+        k = (n - 1) * (n - 1)
+        ref = triple_rows(G, m, range(1, n))
+        rows = cohomology._cocycle_constraint_rows(G, m)
+        H = hnf_from_rows(rows, k, m)
+        if n <= 16:
+            assert np.array_equal(hnf_from_rows(ref, k, m), H)
+        else:
+            # reducing all 12,167 rows at order 24 takes seconds; instead: the
+            # generator rows are among them, and every one of them lies in the
+            # generator lattice, so the lattices and their canonical bases agree
+            assert {r.tobytes() for r in rows} <= {r.tobytes() for r in ref}
+            _reduce(H, ref, m)
+            assert not ref.any()
+
+    @pytest.mark.parametrize("m", [8, 2])
+    def test_rows_over_a_non_generating_subgroup_cut_out_more(self, m):
+        n = D4.order
+        k = (n - 1) * (n - 1)
+        x = next(x for x in range(n) if D4.element_order(x) == 4)
+        c4 = [z for z in subgroup_closure(D4, [x]).members if z]
+        assert len(c4) == 3
+        partial = triple_rows(D4, m, c4)
+        full = triple_rows(D4, m, range(1, n))
+        assert not np.array_equal(hnf_from_rows(partial, k, m), hnf_from_rows(full, k, m))
+        assert h2_order_from_rows(D4, full, m) == h2_order(D4, m)[0]
+        assert h2_order_from_rows(D4, partial, m) != h2_order(D4, m)[0]
+
+
+class TestCheckCocycle:
+    @pytest.mark.parametrize("G,m", [(S3, 6), (D4, 4), (V4, 2)])
+    def test_any_single_corrupted_entry_fails(self, G, m):
+        space = cocycle_space(G, m)
+        assert space.rank
+        for basis_table in space.basis:
+            assert cohomology._check_cocycle(G, m, basis_table)
+            for x in range(G.order):
+                for y in range(G.order):
+                    table = [list(row) for row in basis_table]
+                    table[x][y] = (table[x][y] + 1) % m
+                    assert not cohomology._check_cocycle(G, m, table), (x, y)
+
+    def test_unnormalized_table_fails(self):
+        # a constant table satisfies every cocycle identity but is not normalized
+        for c in (1, 3):
+            table = [[c] * S3.order for _ in range(S3.order)]
+            assert not cohomology._check_cocycle(S3, 6, table)
+        zero = [[0] * S3.order for _ in range(S3.order)]
+        assert cohomology._check_cocycle(S3, 6, zero)
 
 
 class TestH2Order:
@@ -138,7 +261,15 @@ class TestRestriction:
             c = space.class_from_coords(coords)
             assert restrict(c, full).coords == c.coords
 
-    def test_additivity(self):
+    def test_additivity(self, monkeypatch):
+        spaces_built = []
+        original = cohomology._cocycle_constraint_rows
+
+        def counting(H, m):
+            spaces_built.append(H.mul)
+            return original(H, m)
+
+        monkeypatch.setattr(cohomology, "_cocycle_constraint_rows", counting)
         space = cocycle_space(D4, 4)
         subs = abelian_subgroups(D4, maximal_only=True)
         cs = [
@@ -151,6 +282,8 @@ class TestRestriction:
                     left = restrict(c1 + c2, A)
                     right = restrict(c1, A) + restrict(c2, A)
                     assert left.coords == right.coords
+        # repeated restrictions to one Subgroup share the space of its group
+        assert len(spaces_built) <= 1 + len(subs)
 
     def test_coordinates_match_direct_table_restriction(self):
         space = cocycle_space(V4, 2)

@@ -6,6 +6,7 @@ import random
 import numpy as np
 import pytest
 
+from grouplab import lattices
 from grouplab.errors import ValidationError
 from grouplab.groups import invariant_factors_from_orders
 from grouplab.lattices import (
@@ -204,6 +205,40 @@ def test_snf_transforms(case):
     assert np.array_equal((V @ Winv) % m, np.eye(k, dtype=np.int64))
     moved = (rows @ V) % m
     assert np.array_equal(hnf_from_rows(moved, k, m), hnf_from_rows(np.diag(diag), k, m))
+
+
+def loop_smallest_entry(sub, m):
+    """The pivot search snf_mod made before it used one masked argmin."""
+    nzr, nzc = np.nonzero(sub)
+    if nzr.size == 0:
+        return None
+    vals = sub[nzr, nzc]
+    best = int(vals.min())
+    pick = int(np.nonzero(vals == best)[0][0])
+    return int(nzr[pick]), int(nzc[pick])
+
+
+def test_snf_pivot_search_matches_the_loop(monkeypatch):
+    rng = random.Random(61)
+    cases, ties = [], 0
+    for _ in range(300):
+        k = rng.randint(1, 7)
+        m = rng.choice([2, 3, 4, 6, 8, 12, 24])
+        rows = np.array(
+            [[rng.choice([0, rng.randrange(m)]) for _ in range(k)] for _ in range(rng.randint(1, 8))],
+            dtype=np.int64,
+        )
+        assert lattices._smallest_entry(rows, m) == loop_smallest_entry(rows, m)
+        nonzero = rows[rows != 0]
+        ties += nonzero.size > 1 and np.count_nonzero(nonzero == nonzero.min()) > 1
+        cases.append((rows, k, m))
+    assert ties > 50
+    new = [snf_mod(rows, k, m, want_v=True, want_winv=True) for rows, k, m in cases]
+    monkeypatch.setattr(lattices, "_smallest_entry", loop_smallest_entry)
+    for (rows, k, m), (diag, V, Winv) in zip(cases, new):
+        old_diag, old_V, old_Winv = snf_mod(rows, k, m, want_v=True, want_winv=True)
+        assert diag == old_diag
+        assert np.array_equal(V, old_V) and np.array_equal(Winv, old_Winv)
 
 
 def test_snf_diagonal_divides_modulus():

@@ -103,15 +103,15 @@ class Subgroup:
         m = self.parent.mul
         return all(m[x][y] == m[y][x] for x in self.members for y in self.members)
 
-    def as_group(self, label: str | None = None) -> tuple[FiniteGroup, tuple[int, ...]]:
+    def as_group(self) -> tuple[FiniteGroup, tuple[int, ...]]:
         """Return the subgroup as a standalone group plus its member list.
 
         Members are sorted ascending, so the identity (element 0 of the
         parent) lands at index 0 and the global convention is preserved.
-        Without a label the result is kept on this Subgroup, so repeated
-        calls return the same group object and share its cocycle spaces.
+        The result is kept on this Subgroup, so repeated calls return the
+        same group object and share its cocycle spaces.
         """
-        if label is None and "_standalone" in vars(self):
+        if "_standalone" in vars(self):
             return self._standalone
         members = tuple(sorted(self.members))
         pos = {x: i for i, x in enumerate(members)}
@@ -122,11 +122,10 @@ class Subgroup:
             order=len(members),
             mul=mul,
             inv=inv,
-            label=label or f"{self.parent.label}-sub{len(members)}",
+            label=f"{self.parent.label}-sub{len(members)}",
             element_names=tuple(self.parent.name_of(x) for x in members),
         )
-        if label is None:
-            object.__setattr__(self, "_standalone", (grp, members))
+        object.__setattr__(self, "_standalone", (grp, members))
         return grp, members
 
 

@@ -25,7 +25,7 @@ from .catalog import (
     load_catalog,
     report_to_text,
 )
-from .cohomology import cocycle_dump
+from .cohomology import DEFAULT_ORACLE_CAP, cocycle_dump
 from .errors import CapExceeded, GroupLabError, ParseError, ValidationError
 from .fpgroups import DEFAULT_MAX_COSETS, presentation_to_json
 from .groups import FiniteGroup
@@ -37,7 +37,13 @@ from .isoclinism import (
     well_definedness_fuzz,
     witness_to_json,
 )
-from .wedge import WedgeVariant, build_wedge_presentation, compute_wedge
+from .wedge import (
+    DEFAULT_CURLY_CAP,
+    DEFAULT_EXTERIOR_CAP,
+    WedgeVariant,
+    build_wedge_presentation,
+    compute_wedge,
+)
 
 
 def _env_max_cosets() -> int:
@@ -297,9 +303,9 @@ def cmd_dump_cocycles(args: argparse.Namespace) -> int:
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max-cosets", type=int, default=None, help="coset enumeration cap (env GROUPLAB_MAX_COSETS)")
-    p.add_argument("--max-group-order", type=int, default=64, help="group-order cap for the pairing construction")
-    p.add_argument("--max-exterior-order", type=int, default=16, help="group-order cap for the exterior construction")
-    p.add_argument("--oracle-cap", type=int, default=24, help="group-order cap for the cohomology oracle")
+    p.add_argument("--max-group-order", type=int, default=DEFAULT_CURLY_CAP, help="group-order cap for the pairing construction")
+    p.add_argument("--max-exterior-order", type=int, default=DEFAULT_EXTERIOR_CAP, help="group-order cap for the exterior construction")
+    p.add_argument("--oracle-cap", type=int, default=DEFAULT_ORACLE_CAP, help="group-order cap for the cohomology oracle")
     p.add_argument("--out", default="reports", help="output directory")
 
 

@@ -17,8 +17,10 @@ lattices (a submodule of (Z/m)^k is the annihilator of its annihilator),
 so the canonical basis of the row lattice is the same as for all triples.
 
 The quotient is computed through the mod-m lattice calculus: both sides
-become lattices between m*Z^k and Z^k on k = (|G|-1)^2 coordinates, and
-the quotient structure comes from one diagonalisation.
+become lattices between m*Z^k and Z^k on k = (|G|-1)^2 coordinates. The
+cocycles are the complement of the constraint rows, read off the triangular
+basis of their lattice, and the quotient's invariants and basis tables come
+from one diagonalisation of its relations.
 
 Since the rationals-mod-integers coefficients of the classical restriction
 intersection are not finitely representable, this oracle fixes coefficients
@@ -90,13 +92,9 @@ class CocycleSpace:
 
     def class_from_table(self, table: Sequence[Sequence[int]]) -> "H2Class":
         """Class of an arbitrary normalized cocycle table."""
-        n = self.group.order
-        if self.rank == 0:
-            vec = _table_to_vector(table, n, self.modulus)
-            if self._solver is not None and self._solver.solve(vec) is None:
-                raise ValidationError("table is not a cocycle for this space")
+        vec = _table_to_vector(table, self.group.order, self.modulus)
+        if self._solver is None:  # n = 1 or m = 1: every normalized table is zero
             return self.zero()
-        vec = _table_to_vector(table, n, self.modulus)
         sol = self._solver.solve(vec)
         if sol is None:
             raise ValidationError("table is not a cocycle modulo m")
@@ -219,9 +217,7 @@ def cocycle_space(G: FiniteGroup, m: int, cap: int = DEFAULT_ORACLE_CAP) -> Cocy
         spaces[m] = space
         return space
     k = (n - 1) * (n - 1)
-    constraints = _cocycle_constraint_rows(G, m)
-    constraint_H = hnf_from_rows(constraints, k, m)
-    Hz = orth_complement(constraint_H, k, m)
+    Hz = orth_complement(_cocycle_constraint_rows(G, m), k, m)
 
     # row g - 1 is the coboundary of the indicator of g: [x=g] + [y=g] - [xy=g]
     e = np.eye(n, dtype=np.int64)
@@ -232,7 +228,7 @@ def cocycle_space(G: FiniteGroup, m: int, cap: int = DEFAULT_ORACLE_CAP) -> Cocy
         if member_residual(Hz, row, m).any():
             raise InternalCheckFailed("a coboundary failed the cocycle conditions")
 
-    diag, gens = quotient_structure(Hb, Hz, m, want_generators=True)
+    diag, gens = quotient_structure(Hb, Hz, m)
     order = 1
     for d in diag:
         order *= d
@@ -241,22 +237,16 @@ def cocycle_space(G: FiniteGroup, m: int, cap: int = DEFAULT_ORACLE_CAP) -> Cocy
         raise InconsistentOrders(
             f"quotient order {order} disagrees with index ratio {index_ratio}"
         )
-    basis_vecs = [gens[i] for i in range(len(diag)) if diag[i] > 1]
-    basis_orders = tuple(d for d in diag if d > 1)
-    basis_tables = tuple(_vector_to_table(v, n) for v in basis_vecs)
+    basis_tables = tuple(_vector_to_table(v, n) for v in gens)
     for tbl in basis_tables:
         if not _check_cocycle(G, m, tbl):
             raise InternalCheckFailed("computed basis table is not a normalized cocycle")
-    if basis_vecs:
-        solver_gens = np.vstack([np.array(basis_vecs, dtype=np.int64), Hb])
-    else:
-        solver_gens = Hb
-    solver = LatticeSolver(solver_gens, k, m)
+    solver = LatticeSolver(np.vstack([gens, Hb]), k, m)
     space = CocycleSpace(
         group=G,
         modulus=m,
         basis=basis_tables,
-        basis_orders=basis_orders,
+        basis_orders=tuple(diag),
         h2_order=order,
         h2_invariants=AbelianInvariants(invariant_factors_from_orders(diag)),
         _solver=solver,

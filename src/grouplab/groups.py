@@ -38,7 +38,6 @@ class FiniteGroup:
     inv: tuple[int, ...]
     label: str = "G"
     element_names: tuple[str, ...] | None = None
-    identity: int = 0
 
     def conj(self, x: int, y: int) -> int:
         """x ^ y = x y x^-1."""
@@ -202,13 +201,11 @@ class AbelianInvariants:
 # --- constructors ------------------------------------------------------------
 
 
-def validate_table(mul: Sequence[Sequence[int]], inv: Sequence[int], identity: int = 0) -> None:
+def validate_table(mul: Sequence[Sequence[int]], inv: Sequence[int]) -> None:
     """Check the full group axioms; raise ValidationError naming the violation."""
     n = len(mul)
     if n == 0:
         raise ValidationError("empty multiplication table")
-    if identity != 0:
-        raise ValidationError("identity must be element 0")
     for i, row in enumerate(mul):
         if len(row) != n:
             raise ValidationError(f"row {i} has length {len(row)}, expected {n}")
@@ -509,7 +506,7 @@ def invariant_factors_from_orders(orders: Sequence[int]) -> tuple[int, ...]:
     return tuple(reversed(desc))
 
 
-def abelian_invariants(H: Subgroup | FiniteGroup, assert_abelian: bool = True) -> AbelianInvariants:
+def abelian_invariants(H: Subgroup | FiniteGroup) -> AbelianInvariants:
     """Invariant factors of a finite abelian group, by element-order census.
 
     For each prime p, counting solutions of x^(p^k) = 1 determines the
@@ -519,7 +516,7 @@ def abelian_invariants(H: Subgroup | FiniteGroup, assert_abelian: bool = True) -
         grp, _ = H.as_group()
     else:
         grp = H
-    if assert_abelian and not grp.is_abelian():
+    if not grp.is_abelian():
         raise NotAbelian(f"{grp.label} is not abelian")
     n = grp.order
     if n == 1:

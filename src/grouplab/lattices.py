@@ -17,9 +17,9 @@ Provided primitives:
   * hnf_from_rows    - canonical triangular basis from a generating set
   * lattice_index    - [Z^k : L] as an exact integer
   * member_residual  - triangular membership reduction
-  * snf_mod          - diagonalisation with optional column transforms
-  * orth_complement  - {u : <l, u> = 0 mod m for all l in L}
-  * quotient_structure - invariants and generators of L2/L1
+  * snf_mod          - diagonalisation, with the inverse column transform
+  * orth_complement  - {u : <l, u> = 0 mod m for all l in L}, off L's triangular basis
+  * quotient_structure - invariants and generators of L2/L1, by one diagonalisation
   * LatticeSolver    - express vectors over a generating set, mod m
 """
 
@@ -179,32 +179,23 @@ def _smallest_entry(sub: np.ndarray, m: int) -> tuple[int, int] | None:
     return divmod(pick, sub.shape[1])
 
 
-def snf_mod(
-    rows: np.ndarray,
-    k: int,
-    m: int,
-    want_v: bool = False,
-    want_winv: bool = False,
-) -> tuple[list[int], np.ndarray | None, np.ndarray | None]:
+def snf_mod(rows: np.ndarray, k: int, m: int) -> tuple[list[int], np.ndarray]:
     """Diagonalise the lattice <rows> + m*Z^k by row and column operations.
 
-    Returns (diag, V, Winv). diag has length k; entry i is the order of the
+    Returns (diag, W). diag has length k; entry i is the order of the
     quotient in coordinate i (a divisor of m, with the implicit m*Z^k folded
-    in, so a zero physical pivot reads as m). V accumulates the column
-    operations; Winv accumulates their inverses, so Winv = V^-1 modulo m.
-    No divisibility chain is enforced; see groups.invariant_factors_from_orders.
+    in, so a zero physical pivot reads as m). W accumulates the inverses of
+    the column operations, so the lattice is the row space of diag(diag) @ W
+    plus m*Z^k, and W is invertible modulo m. No divisibility chain is
+    enforced; see groups.invariant_factors_from_orders.
     """
     A = np.asarray(rows, dtype=np.int64).reshape(-1, k) % m
     R = A.shape[0]
-    V = np.eye(k, dtype=np.int64) if want_v else None
-    W = np.eye(k, dtype=np.int64) if want_winv else None
+    W = np.eye(k, dtype=np.int64)
 
     def col_addmul(dst: int, src: int, q: int) -> None:
         A[:, dst] = (A[:, dst] - q * A[:, src]) % m
-        if V is not None:
-            V[:, dst] = (V[:, dst] - q * V[:, src]) % m
-        if W is not None:
-            W[src] = (W[src] + q * W[dst]) % m
+        W[src] = (W[src] + q * W[dst]) % m
 
     def col_combine(t: int, j: int, a: int, b: int) -> None:
         # new col t = u*ct + v*cj ; new col j = (a/g)*cj - (b/g)*ct
@@ -212,21 +203,13 @@ def snf_mod(
         ct, cj = A[:, t].copy(), A[:, j].copy()
         A[:, t] = (u * ct + v * cj) % m
         A[:, j] = ((a // g) * cj - (b // g) * ct) % m
-        if V is not None:
-            vt, vj = V[:, t].copy(), V[:, j].copy()
-            V[:, t] = (u * vt + v * vj) % m
-            V[:, j] = ((a // g) * vj - (b // g) * vt) % m
-        if W is not None:
-            wt, wj = W[t].copy(), W[j].copy()
-            W[t] = ((a // g) * wt + (b // g) * wj) % m
-            W[j] = (-v * wt + u * wj) % m
+        wt, wj = W[t].copy(), W[j].copy()
+        W[t] = ((a // g) * wt + (b // g) * wj) % m
+        W[j] = (-v * wt + u * wj) % m
 
     def col_swap(t: int, j: int) -> None:
         A[:, [t, j]] = A[:, [j, t]]
-        if V is not None:
-            V[:, [t, j]] = V[:, [j, t]]
-        if W is not None:
-            W[[t, j]] = W[[j, t]]
+        W[[t, j]] = W[[j, t]]
 
     t = 0
     size = min(R, k)
@@ -265,36 +248,55 @@ def snf_mod(
     for i in range(k):
         d = int(A[i, i]) if i < R else 0
         diag.append(gcd(d, m) if d else m)
-    return diag, V, W
+    return diag, W
+
+
+def _relations(H: np.ndarray, m: int) -> np.ndarray:
+    """Rows spanning {c : c @ H = 0 mod m} modulo m*Z^k.
+
+    H is a triangular basis with diagonal entries d_i dividing m, in which
+    every lattice vector that is zero left of column j reduces against rows
+    j.. (every hnf_from_rows output). Then (m/d_i)*H[i] is zero up to column
+    i, so one reduction against [H | I] writes it as q_i @ H, and the rows
+    (m/d_i)*e_i - q_i span the relations. Raises ValidationError when a row
+    does not reduce to zero, which shows H lacks that property.
+    """
+    k = H.shape[0]
+    scale = m // np.diagonal(H)
+    R = np.zeros((k, 2 * k), dtype=np.int64)
+    R[:, :k] = (scale[:, None] * H) % m
+    _reduce(np.hstack([H, np.eye(k, dtype=np.int64)]), R, m)
+    if R[:, :k].any():
+        raise ValidationError("basis is not in Hermite form")
+    return (R[:, k:] + np.diag(scale)) % m
 
 
 def orth_complement(rows: np.ndarray | Sequence[np.ndarray], k: int, m: int) -> np.ndarray:
-    """Basis of {u : <l, u> = 0 mod m for every generator l}."""
-    if k == 0:
-        return np.zeros((0, 0), dtype=np.int64)
-    mat = np.asarray(rows, dtype=np.int64).reshape(-1, k)
-    diag, V, _ = snf_mod(mat, k, m, want_v=True)
-    comp = [(m // diag[i]) * V[:, i] for i in range(k)]
+    """Basis of {u : <l, u> = 0 mod m for every generator l}.
+
+    With H the basis of <rows>, these are the relations c @ H.T = 0.
+    Reversing both axes of H.T makes it triangular again with the same
+    reduction property, since its row space has the size of H's.
+    """
+    H = hnf_from_rows(rows, k, m)
+    comp = _relations(H.T[::-1, ::-1], m)[:, ::-1]
     return hnf_from_rows(comp, k, m)
 
 
 def quotient_structure(
-    sub_H: np.ndarray,
-    sup_H: np.ndarray,
-    m: int,
-    want_generators: bool = False,
-) -> tuple[list[int], np.ndarray | None]:
+    sub_H: np.ndarray, sup_H: np.ndarray, m: int
+) -> tuple[list[int], np.ndarray]:
     """Structure of (sup lattice)/(sub lattice), both between m*Z^k and Z^k.
 
-    Returns (orders, gens): orders[i] is the order of the i-th cyclic
-    summand (1 allowed, divides m); gens, when requested, holds one vector
-    of Z^k per summand whose class generates it. Orders are not chained;
-    canonicalise with groups.invariant_factors_from_orders. Raises
-    ValidationError when the sub lattice does not lie inside the sup lattice.
+    Returns (orders, gens): orders[i] > 1 is the order of the i-th
+    nontrivial cyclic summand (a divisor of m), and gens[i] a vector of Z^k
+    whose class generates it. Orders are not chained; canonicalise with
+    groups.invariant_factors_from_orders. Raises ValidationError when the
+    sub lattice does not lie inside the sup lattice.
     """
     k = sup_H.shape[0]
     if k == 0:
-        return [], (np.zeros((0, 0), dtype=np.int64) if want_generators else None)
+        return [], np.zeros((0, 0), dtype=np.int64)
     # relation lattice: coordinates (against sup) of sub generators, plus the
     # coordinates of anything that lands in m*Z^k.
     R = np.zeros((sub_H.shape[0], 2 * k), dtype=np.int64)
@@ -302,13 +304,11 @@ def quotient_structure(
     _reduce(np.hstack([sup_H, np.eye(k, dtype=np.int64)]), R, m)
     if R[:, :k].any():
         raise ValidationError("sub lattice is not contained in the sup lattice")
-    slack = orth_complement(sup_H.T, k, m)  # {c : c @ sup_H = 0 mod m}
+    slack = hnf_from_rows(_relations(sup_H, m), k, m)
     rel = np.vstack([-R[:, k:] % m, slack])
-    diag, _, W = snf_mod(rel, k, m, want_winv=want_generators)
-    if not want_generators:
-        return diag, None
-    gens = (W @ sup_H) % m
-    return diag, gens
+    diag, W = snf_mod(rel, k, m)
+    keep = [i for i, d in enumerate(diag) if d > 1]
+    return [diag[i] for i in keep], (W[keep] @ sup_H) % m
 
 
 class LatticeSolver:

@@ -16,9 +16,11 @@ from grouplab.catalog import (
     shipped_corpus,
     write_corpus_catalog,
 )
-from grouplab.cli import main, resolve_group
+from grouplab.cli import build_parser, main, resolve_group
+from grouplab.cohomology import DEFAULT_ORACLE_CAP
 from grouplab.errors import ParamOutOfRange, ParseError, UnknownFamily, ValidationError
 from grouplab.groups import center, derived_subgroup
+from grouplab.wedge import DEFAULT_CURLY_CAP, DEFAULT_EXTERIOR_CAP
 
 REPO_CATALOG = Path(__file__).resolve().parent.parent / "catalog"
 
@@ -152,6 +154,15 @@ class TestReports:
 
 
 class TestCli:
+    @pytest.mark.parametrize(
+        "command", ["compute", "families", "verify-theorem", "oracle", "dump-presentation", "dump-cocycles"]
+    )
+    def test_cap_defaults_come_from_the_library(self, command):
+        args = build_parser().parse_args([command, "builtin:cyclic:2"])
+        assert args.max_group_order == DEFAULT_CURLY_CAP
+        assert args.max_exterior_order == DEFAULT_EXTERIOR_CAP
+        assert args.oracle_cap == DEFAULT_ORACLE_CAP
+
     def test_compute_builtin(self, tmp_path, capsys):
         rc = main(["compute", "builtin:symmetric:3", "--out", str(tmp_path)])
         assert rc == 0

@@ -1,6 +1,7 @@
 """Cocycle spaces, restriction maps, and the kernel-intersection bound."""
 
 import gc
+import hashlib
 import itertools
 import random
 import weakref
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 from grouplab import cohomology
-from grouplab.catalog import PipelineConfig, builtin, compute_report, shipped_corpus
+from grouplab.catalog import PipelineConfig, builtin, compute_report, dump_json, shipped_corpus
 from grouplab.cohomology import (
     b0_lower_bound,
     cocycle_dump,
@@ -19,7 +20,7 @@ from grouplab.cohomology import (
     multiplier_order_oracle,
     restrict,
 )
-from grouplab.errors import GroupTooLargeForOracle, ModulusMismatch
+from grouplab.errors import GroupTooLargeForOracle, ModulusMismatch, ValidationError
 from grouplab.groups import (
     Subgroup,
     abelian_subgroups,
@@ -301,6 +302,16 @@ class TestRestriction:
                 via_table = space_A.class_from_table(small)
                 assert via_map.coords == via_table.coords
 
+    @pytest.mark.parametrize("G, m, rank", [(cyclic(3), 2, 0), (V4, 2, 3)])
+    def test_non_cocycle_table_is_rejected(self, G, m, rank):
+        space = cocycle_space(G, m)
+        assert space.rank == rank and space._solver is not None
+        table = [[0] * G.order for _ in range(G.order)]
+        table[1][1] = 1
+        assert not cohomology._check_cocycle(G, m, table)
+        with pytest.raises(ValidationError, match="not a cocycle"):
+            space.class_from_table(table)
+
     def test_modulus_mismatch(self):
         space4 = cocycle_space(V4, 4)
         space2 = cocycle_space(V4, 2)
@@ -377,3 +388,37 @@ def test_cocycle_dump_shape():
     assert doc["restrictions"]
     for entry in doc["restrictions"]:
         assert len(entry["matrix"]) == len(doc["basis_orders"])
+
+
+# sha256 of dump_json(cocycle_dump(G, m)), recorded before the complement and
+# quotient were read off triangular bases instead of Smith forms
+DUMP_SHA256 = {
+    ("S4", 24): "0cc8f91352d295b9d83553ff594efa7f2e4719648ece59c9022faec069011553",
+    ("S4", 2): "62031f49b37ffb6df048429a4eb614ca60fba533855e29309686a52f0312d42f",
+    ("D4", 8): "95416293a4fff9a0f808a106d5aa19c36c0baebd8b5bc4baf7b87ce8b5c70720",
+    ("D4", 2): "8bc449088799d206fff4e58d184bfab9ff668629840c95ca4803462c7986ea93",
+    ("A4", 12): "2e1327b9910cd25e97ca0a6f9dd85512f460baf51c9ee7a85cd25911c3e69c84",
+    ("A4", 2): "556d582ce9650b379be4d6bdf7f59209dd08ea2d19e270d3b5830dff7f04a00f",
+    ("Q8", 8): "5b7dc5df4bad9cf61a4e78c9c015208533307a75cb4cc5ae2fcb87ae394dba61",
+    ("Q8", 2): "414a0489d8e7338ee70bc74922488bed59ea12c3b7dc6096c30b13e27022a651",
+    ("V4", 4): "17bee009a826f5c6a619c84ecfa42bb9f49df6cca45607b4af4f903ae4052aae",
+}
+DUMP_GROUPS = {
+    "S4": lambda: builtin("symmetric", (4,)),
+    "D4": lambda: D4,
+    "A4": lambda: builtin("alternating", (4,)),
+    "Q8": lambda: builtin("quaternion8"),
+    "V4": lambda: V4,
+}
+
+
+@pytest.mark.parametrize("name, m", sorted(DUMP_SHA256))
+def test_cocycle_dump_bytes_are_pinned(name, m):
+    """Pins byte stability of the dump, not a reference value.
+
+    The hashes are grouplab's own earlier output, so they show that basis
+    tables, orders and restriction matrices did not change, not that they
+    are right; the brute-force and known-multiplier tests check that.
+    """
+    text = dump_json(cocycle_dump(DUMP_GROUPS[name](), m))
+    assert hashlib.sha256(text.encode()).hexdigest() == DUMP_SHA256[name, m]

@@ -12,6 +12,7 @@ from grouplab.groups import invariant_factors_from_orders
 from grouplab.lattices import (
     LatticeSolver,
     _reduce,
+    _relations,
     hnf_canonical,
     hnf_from_rows,
     hnf_insert,
@@ -99,7 +100,7 @@ def test_quotient_structure(case):
         sub_rows.append([(c * x) % m for x in r])
     sub_H = hnf_from_rows(np.array(sub_rows, dtype=np.int64), k, m)
     assert not any(member_residual(sup_H, np.array(r), m).any() for r in sub_H)
-    diag, gens = quotient_structure(sub_H, sup_H, m, want_generators=True)
+    diag, gens = quotient_structure(sub_H, sup_H, m)
     order = 1
     for d in diag:
         order *= d
@@ -201,10 +202,31 @@ def test_reduction_splits_vectors(case):
 @pytest.mark.parametrize("case", list(wider_cases(40, seed=93)))
 def test_snf_transforms(case):
     k, m, rows = case
-    diag, V, Winv = snf_mod(rows, k, m, want_v=True, want_winv=True)
-    assert np.array_equal((V @ Winv) % m, np.eye(k, dtype=np.int64))
-    moved = (rows @ V) % m
-    assert np.array_equal(hnf_from_rows(moved, k, m), hnf_from_rows(np.diag(diag), k, m))
+    diag, W = snf_mod(rows, k, m)
+    assert lattice_index(hnf_from_rows(W, k, m)) == 1
+    # the lattice is rowspace(D @ W) + m*Z^k, which pins W down
+    rebuilt = (np.array(diag)[:, None] * W) % m
+    assert np.array_equal(hnf_from_rows(rebuilt, k, m), hnf_from_rows(rows, k, m))
+
+
+@pytest.mark.parametrize("case", list(wider_cases(40, seed=95)))
+def test_relations_of_a_triangular_basis(case):
+    k, m, rows = case
+    H = hnf_from_rows(rows, k, m)
+    rel = hnf_from_rows(_relations(H, m), k, m)
+    assert not ((rel @ H) % m).any()
+    # |{c : c @ H = 0}| = [Z^k : L], so the relation lattice has index m^k / [Z^k : L]
+    assert lattice_index(rel) * lattice_index(H) == m**k
+    comp = orth_complement(rows, k, m)
+    assert not ((rows @ comp.T) % m).any()
+    assert lattice_index(comp) * lattice_index(H) == m**k
+
+
+def test_relations_reject_a_basis_that_is_not_hermite():
+    # the lattice holds 2 * (2, 1) = (0, 2) mod 4, which row (0, 4) cannot reach
+    H = np.array([[2, 1], [0, 4]], dtype=np.int64)
+    with pytest.raises(ValidationError, match="Hermite"):
+        _relations(H, 4)
 
 
 def loop_smallest_entry(sub, m):
@@ -233,12 +255,12 @@ def test_snf_pivot_search_matches_the_loop(monkeypatch):
         ties += nonzero.size > 1 and np.count_nonzero(nonzero == nonzero.min()) > 1
         cases.append((rows, k, m))
     assert ties > 50
-    new = [snf_mod(rows, k, m, want_v=True, want_winv=True) for rows, k, m in cases]
+    new = [snf_mod(rows, k, m) for rows, k, m in cases]
     monkeypatch.setattr(lattices, "_smallest_entry", loop_smallest_entry)
-    for (rows, k, m), (diag, V, Winv) in zip(cases, new):
-        old_diag, old_V, old_Winv = snf_mod(rows, k, m, want_v=True, want_winv=True)
+    for (rows, k, m), (diag, W) in zip(cases, new):
+        old_diag, old_W = snf_mod(rows, k, m)
         assert diag == old_diag
-        assert np.array_equal(V, old_V) and np.array_equal(Winv, old_Winv)
+        assert np.array_equal(W, old_W)
 
 
 def test_snf_diagonal_divides_modulus():
@@ -250,7 +272,7 @@ def test_snf_diagonal_divides_modulus():
             [[rng.randrange(m) for _ in range(k)] for _ in range(rng.randint(1, 4))],
             dtype=np.int64,
         )
-        diag, _, _ = snf_mod(rows, k, m)
+        diag, _ = snf_mod(rows, k, m)
         assert len(diag) == k
         assert all(m % d == 0 for d in diag)
 

@@ -48,6 +48,7 @@ from .groups import (
     AbelianInvariants,
     FiniteGroup,
     Subgroup,
+    _cached,
     abelian_subgroups,
     derived_subgroup,
     invariant_factors_from_orders,
@@ -200,7 +201,7 @@ def cocycle_space(G: FiniteGroup, m: int, cap: int = DEFAULT_ORACLE_CAP) -> Cocy
         raise GroupTooLargeForOracle(
             f"|{G.label}| = {G.order} exceeds the oracle cap {cap}"
         )
-    spaces = vars(G).setdefault("_cocycle_spaces", {})
+    spaces = _cached(G, "_cocycle_spaces", dict)
     if m in spaces:
         return spaces[m]
     n = G.order

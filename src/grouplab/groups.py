@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence, TypeVar
+
+import numpy as np
 
 from .errors import (
     ClosureExceedsCap,
@@ -23,6 +25,25 @@ from .errors import (
 )
 
 DEFAULT_ORDER_CAP = 512
+
+_T = TypeVar("_T")
+
+
+def _cached(obj: object, key: str, build: Callable[[], _T]) -> _T:
+    """The value kept under ``key`` on obj, built by ``build()`` at first use.
+
+    Groups and subgroups are frozen dataclasses, so what is derived from them
+    is kept in ``vars(obj)``, outside the fields that equality and hashing
+    read, and lives exactly as long as the object. Every later caller shares
+    the value, so a NumPy array is made read-only before it is kept.
+    """
+    store = vars(obj)
+    if key not in store:
+        value = build()
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
+        store[key] = value
+    return store[key]
 
 
 @dataclass(frozen=True)
@@ -58,7 +79,11 @@ class FiniteGroup:
         return n
 
     def order_multiset(self) -> tuple[int, ...]:
-        return tuple(sorted(self.element_order(x) for x in range(self.order)))
+        return _cached(
+            self,
+            "_order_multiset",
+            lambda: tuple(sorted(self.element_order(x) for x in range(self.order))),
+        )
 
     def is_abelian(self) -> bool:
         m = self.mul
@@ -110,8 +135,9 @@ class Subgroup:
         The result is kept on this Subgroup, so repeated calls return the
         same group object and share its cocycle spaces.
         """
-        if "_standalone" in vars(self):
-            return self._standalone
+        return _cached(self, "_standalone", self._standalone_group)
+
+    def _standalone_group(self) -> tuple[FiniteGroup, tuple[int, ...]]:
         members = tuple(sorted(self.members))
         pos = {x: i for i, x in enumerate(members)}
         pm = self.parent.mul
@@ -124,7 +150,6 @@ class Subgroup:
             label=f"{self.parent.label}-sub{len(members)}",
             element_names=tuple(self.parent.name_of(x) for x in members),
         )
-        object.__setattr__(self, "_standalone", (grp, members))
         return grp, members
 
 
@@ -386,15 +411,32 @@ def subgroup_closure(G: FiniteGroup, seed: Sequence[int]) -> Subgroup:
 
 
 def center(G: FiniteGroup) -> Subgroup:
-    m = G.mul
-    n = G.order
-    members = tuple(z for z in range(n) if all(m[z][g] == m[g][z] for g in range(n)))
-    return Subgroup(G, members)
+    """The center Z(G), computed once and kept on G."""
+
+    def build() -> Subgroup:
+        m = G.mul
+        n = G.order
+        return Subgroup(G, tuple(z for z in range(n) if all(m[z][g] == m[g][z] for g in range(n))))
+
+    return _cached(G, "_center", build)
+
+
+def commutator_table(G: FiniteGroup) -> np.ndarray:
+    """Read-only int32 array whose (x, y) entry is [x, y], kept on G."""
+
+    def build() -> np.ndarray:
+        mul = np.array(G.mul, dtype=np.int32)
+        inv = np.array(G.inv, dtype=np.int32)
+        return mul[mul[mul, inv[:, None]], inv[None, :]]
+
+    return _cached(G, "_commutator_table", build)
 
 
 def derived_subgroup(G: FiniteGroup) -> Subgroup:
-    comms = {G.comm(x, y) for x in range(G.order) for y in range(G.order)}
-    return subgroup_closure(G, sorted(comms))
+    """The derived subgroup G', computed once and kept on G."""
+    return _cached(
+        G, "_derived_subgroup", lambda: subgroup_closure(G, np.unique(commutator_table(G)).tolist())
+    )
 
 
 def quotient(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, GroupHom]:
@@ -557,20 +599,27 @@ def abelian_invariants(H: Subgroup | FiniteGroup) -> AbelianInvariants:
 
 def minimal_generating_sequence(G: FiniteGroup) -> list[int]:
     """Greedy short generating sequence: repeatedly add the element whose
-    adjunction grows the generated subgroup the most (smallest index wins ties)."""
-    gens: list[int] = []
-    current = {0}
-    while len(current) < G.order:
-        best_x, best_size, best_members = -1, -1, None
-        for x in range(1, G.order):
-            if x in current:
-                continue
-            ext = subgroup_closure(G, gens + [x])
-            if len(ext) > best_size:
-                best_x, best_size, best_members = x, len(ext), set(ext.members)
-        gens.append(best_x)
-        current = best_members
-    return gens
+    adjunction grows the generated subgroup the most (smallest index wins ties).
+
+    The sequence is computed once and kept on G; each call returns a new list.
+    """
+
+    def build() -> tuple[int, ...]:
+        gens: list[int] = []
+        current = {0}
+        while len(current) < G.order:
+            best_x, best_size, best_members = -1, -1, None
+            for x in range(1, G.order):
+                if x in current:
+                    continue
+                ext = subgroup_closure(G, gens + [x])
+                if len(ext) > best_size:
+                    best_x, best_size, best_members = x, len(ext), set(ext.members)
+            gens.append(best_x)
+            current = best_members
+        return tuple(gens)
+
+    return list(_cached(G, "_minimal_generating_sequence", build))
 
 
 def _extend_partial(

@@ -7,6 +7,18 @@ the derived-subgroup map from each candidate: the compatibility condition
 pins it down on commutator values, and any failure of single-valuedness,
 multiplicativity or bijectivity rejects the candidate.
 
+``verify_witness`` checks the compatibility condition on one
+representative per central coset, as one array comparison over all pairs
+of the first group. That is a certificate for every choice of
+representatives: it first checks that the target projection is a
+homomorphism onto the target quotient whose kernel is exactly Z(G2), so
+every coset is a representative times a central element, and
+[az, bz'] = [a, b] for central z and z'.
+
+Each group's structure (center, central quotient and projection, derived
+subgroup, commutator table) is computed once and kept on the group object,
+so checking many pairs of the same groups does not recompute it.
+
 A verified witness induces an isomorphism between the CURLY pairing
 realizations of the two groups; building it, checking the commuting-square
 identity against both commutator surjections, and fuzzing the choice of
@@ -31,8 +43,10 @@ from .groups import (
     FiniteGroup,
     GroupHom,
     Subgroup,
+    _cached,
     _extend_partial,
     center,
+    commutator_table,
     derived_subgroup,
     isomorphisms_iter,
     quotient,
@@ -76,9 +90,14 @@ class IsoclinismWitness:
 
 
 def _central_data(G: FiniteGroup) -> tuple[FiniteGroup, GroupHom, Subgroup]:
-    Z = center(G)
-    Q, proj = quotient(G, Z)
-    return Q, proj, Z
+    """The central quotient Q, the projection G -> Q and Z(G), kept on G."""
+
+    def build() -> tuple[FiniteGroup, GroupHom, Subgroup]:
+        Z = center(G)
+        Q, proj = quotient(G, Z)
+        return Q, proj, Z
+
+    return _cached(G, "_central_data", build)
 
 
 def _minimal_section(G: FiniteGroup, proj: GroupHom, Q: FiniteGroup) -> tuple[int, ...]:
@@ -93,28 +112,23 @@ def _minimal_section(G: FiniteGroup, proj: GroupHom, Q: FiniteGroup) -> tuple[in
 def _derive_beta(
     G1: FiniteGroup,
     G2: FiniteGroup,
-    lift: Sequence[int],
+    image: np.ndarray,
     derived2: Subgroup,
 ) -> dict[int, int] | None:
     """Map forced on commutators by compatibility, extended to the closure.
 
-    Returns the full map on the first derived subgroup, or None when the
-    candidate quotient isomorphism admits no compatible derived-subgroup
-    isomorphism.
+    ``image[x, y]`` is the commutator in G2 of the lifts of x and y. Returns
+    the full map on the first derived subgroup, or None when the candidate
+    quotient isomorphism admits no compatible derived-subgroup isomorphism.
     """
-    n1 = G1.order
-    beta: dict[int, int] = {}
-    for x in range(n1):
-        lx = lift[x]
-        for y in range(n1):
-            c1 = G1.comm(x, y)
-            c2 = G2.comm(lx, lift[y])
-            prev = beta.get(c1)
-            if prev is None:
-                beta[c1] = c2
-            elif prev != c2:
-                return None
-    known = _extend_partial(G1, G2, beta, sorted(beta))
+    comm1 = commutator_table(G1)
+    forced = np.zeros(G1.order, dtype=image.dtype)
+    forced[comm1] = image
+    if not np.array_equal(forced[comm1], image):  # [x, y] is sent to two values
+        return None
+    values = np.unique(comm1).tolist()
+    beta = dict(zip(values, forced[values].tolist()))
+    known = _extend_partial(G1, G2, beta, values)
     if known is None or set(known.values()) != set(derived2.members):
         return None
     members = sorted(known)
@@ -139,9 +153,10 @@ def are_isoclinic(G1: FiniteGroup, G2: FiniteGroup) -> IsoclinismWitness | None:
         return None
     sec1 = _minimal_section(G1, proj1, Q1)
     sec2 = _minimal_section(G2, proj2, Q2)
+    comm2 = commutator_table(G2)
     for alpha in isomorphisms_iter(Q1, Q2):
-        lift = [sec2[alpha.images[proj1.images[x]]] for x in range(G1.order)]
-        beta = _derive_beta(G1, G2, lift, D2)
+        image = _pair_table(comm2, np.take(alpha.images, proj1.images), sec2)
+        beta = _derive_beta(G1, G2, image, D2)
         if beta is None:
             continue
         return IsoclinismWitness(
@@ -159,8 +174,23 @@ def are_isoclinic(G1: FiniteGroup, G2: FiniteGroup) -> IsoclinismWitness | None:
     return None
 
 
+def _is_central_projection(G: FiniteGroup, Q: FiniteGroup, proj: GroupHom) -> bool:
+    """Whether proj is a homomorphism from G onto Q whose kernel is exactly Z(G)."""
+    images = np.asarray(proj.images)
+    if images.shape != (G.order,) or set(images.tolist()) != set(range(Q.order)):
+        return False
+    if not np.array_equal(images[np.asarray(G.mul)], np.asarray(Q.mul)[images[:, None], images]):
+        return False
+    return tuple(np.flatnonzero(images == 0).tolist()) == center(G).members
+
+
 def verify_witness(w: IsoclinismWitness) -> bool:
-    """Re-check everything, over all pairs and all representative choices."""
+    """Re-check everything, over all pairs and all representative choices.
+
+    The compatibility condition is compared on section representatives only,
+    which covers every representative once proj2 is known to be a central
+    projection (see the module docstring).
+    """
     if not (w.alpha.is_homomorphism() and w.alpha.is_bijective()):
         return False
     beta_hom = w.beta_hom()
@@ -179,20 +209,12 @@ def verify_witness(w: IsoclinismWitness) -> bool:
     for q in range(w.quotient2.order):
         if w.proj2.images[w.section2[q]] != q:
             return False
-    bmap = w.beta_dict()
-    cosets2: list[list[int]] = [[] for _ in range(w.quotient2.order)]
-    for x in range(G2.order):
-        cosets2[w.proj2.images[x]].append(x)
-    for a1 in range(G1.order):
-        qa = w.alpha.images[w.proj1.images[a1]]
-        for b1 in range(G1.order):
-            qb = w.alpha.images[w.proj1.images[b1]]
-            expected = bmap[G1.comm(a1, b1)]
-            for a2 in cosets2[qa]:
-                for b2 in cosets2[qb]:
-                    if G2.comm(a2, b2) != expected:
-                        return False
-    return True
+    if not _is_central_projection(G2, w.quotient2, w.proj2):
+        return False
+    beta = np.zeros(G1.order, dtype=np.int64)
+    beta[[x for x, _ in w.beta]] = [y for _, y in w.beta]
+    image = _pair_table(commutator_table(G2), np.take(w.alpha.images, w.proj1.images), w.section2)
+    return bool(np.array_equal(beta[commutator_table(G1)], image))
 
 
 def identity_witness(G: FiniteGroup) -> IsoclinismWitness:
@@ -263,10 +285,12 @@ class GammaMap:
 def _pair_table(
     pairs2: np.ndarray, coset: np.ndarray, section2: np.ndarray | Sequence[int]
 ) -> np.ndarray:
-    """Entry (a, b) is the pair image in pairs2 of the section2 lifts of a and b.
+    """Entry (a, b) is the entry of pairs2 at the section2 lifts of a and b.
 
-    ``coset[x]`` is alpha of the central coset of x, so a lifts to
-    section2[coset[a]]. A stack of sections, one per row, gives a stack of tables.
+    pairs2 is a |G2| x |G2| table: a realization's pair images, or the
+    commutator table of G2. ``coset[x]`` is alpha of the central coset of x,
+    so a lifts to section2[coset[a]]. A stack of sections, one per row, gives
+    a stack of tables.
     """
     lift = np.take(section2, coset, axis=-1)
     return pairs2[lift[..., :, None], lift[..., None, :]]
@@ -329,8 +353,10 @@ def well_definedness_fuzz(
     seed: int = 0,
 ) -> bool:
     """Perturb coset representatives by central elements; gamma must not move."""
-    mul2 = np.array(w.target.mul)
     Z2 = sorted(center(w.target).members)
+    if len(Z2) == 1:  # every perturbation is the identity
+        return True
+    mul2 = np.array(w.target.mul)
     pairs2, coset = wedge2.pair_table(), np.take(w.alpha.images, w.proj1.images)
     baseline = _pair_table(pairs2, coset, w.section2)
     rng = random.Random(seed)

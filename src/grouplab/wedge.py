@@ -62,7 +62,9 @@ from .groups import (
     FiniteGroup,
     GroupHom,
     Subgroup,
+    _cached,
     abelian_invariants,
+    commutator_table,
     derived_subgroup,
 )
 
@@ -101,8 +103,7 @@ def _raw_relator_rows(G: FiniteGroup, variant: WedgeVariant) -> np.ndarray:
         -(i * n + mul[j, k] + 1), i * n + j + 1, conj[j, i] * n + conj[j, k] + 1
     ), axis=-1).reshape(-1, 3)
     if variant is WedgeVariant.CURLY:
-        comm = mul[conj, inv[None, :]]  # comm[x, y] = x y x^-1 y^-1
-        collapsed = np.flatnonzero(comm.ravel() == 0) + 1
+        collapsed = np.flatnonzero(commutator_table(G).ravel() == 0) + 1
     else:
         collapsed = a * (n + 1) + 1
     collapsing = np.zeros((len(collapsed), 3), dtype=np.int32)
@@ -351,7 +352,7 @@ def compute_wedge(
             f"a raw {variant.value} relator of {G.label} survives in the realized group"
         )
     try:
-        kappa = hom_from_generator_images(real, G, np.ravel(commutator_pairing_table(G)).tolist())
+        kappa = hom_from_generator_images(real, G, commutator_table(G).ravel().tolist())
     except RelatorNotKilled as exc:
         raise KappaRelatorViolation(
             f"commutator images of {G.label} violate a pairing relator: {exc}"
@@ -406,6 +407,10 @@ def check_pairing(G: FiniteGroup, L: FiniteGroup, phi: Sequence[Sequence[int]]) 
     The axioms are the raw CURLY relators of G, the rows the presentation
     is built from, evaluated with the pair (m, n) read as phi[m][n]. A phi
     that is not a |G| x |G| table of elements of L is not a pairing.
+
+    The rows are built once and kept on G, because one group is checked
+    against many pair tables (one per isoclinic partner). ``compute_wedge``
+    does not keep them: a group of order 64 has about 6 MB of rows.
     """
     try:
         table = np.asarray(phi)
@@ -414,7 +419,10 @@ def check_pairing(G: FiniteGroup, L: FiniteGroup, phi: Sequence[Sequence[int]]) 
     if table.shape != (G.order, G.order) or table.dtype.kind not in "iu":
         return False
     in_range = bool(np.all((table >= 0) & (table < L.order)))
-    return in_range and _relators_die(_raw_relator_rows(G, WedgeVariant.CURLY), L, table.ravel())
+    if not in_range:
+        return False
+    rows = _cached(G, "_curly_rows", lambda: _raw_relator_rows(G, WedgeVariant.CURLY))
+    return _relators_die(rows, L, table.ravel())
 
 
 def pairing_to_hom(
@@ -435,7 +443,7 @@ def pairing_to_hom(
 
 def commutator_pairing_table(G: FiniteGroup) -> list[list[int]]:
     """The commutator map as a pair table into G itself."""
-    return [[G.comm(x, y) for y in range(G.order)] for x in range(G.order)]
+    return commutator_table(G).tolist()
 
 
 def trace_relators_through_commutators(G: FiniteGroup, wp: WedgePresentation) -> bool:
@@ -444,7 +452,7 @@ def trace_relators_through_commutators(G: FiniteGroup, wp: WedgePresentation) ->
     All products must come out at the identity; this is the well-definedness
     of kappa checked directly in the base group.
     """
-    return raw_relators_die(wp, G, np.ravel(commutator_pairing_table(G)))
+    return raw_relators_die(wp, G, commutator_table(G).ravel())
 
 
 def exterior_to_curly_surjection(

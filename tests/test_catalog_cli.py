@@ -1,5 +1,6 @@
 """Builtin families, catalog files, reports, and the command surface."""
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -292,6 +293,30 @@ class TestCli:
         assert rc == 0
         doc = json.loads((tmp_path / "vt" / "verify_theorem.json").read_text())
         assert doc["all_pass"] is True and doc["pairs"] == []
+
+    def test_verify_theorem_catalog_bytes_are_pinned(self, tmp_path, capsys):
+        """Pins byte stability of ``verify-theorem catalog/``, not a reference value.
+
+        The hashes are grouplab's own earlier output: its standard output,
+        ``verify_theorem.json``, and a sha256sum-style manifest of every file
+        in ``witnesses/``. They show that the pairs, witnesses and verdicts
+        did not change, not that they are right.
+        """
+        rc = main(["verify-theorem", str(REPO_CATALOG), "--out", str(tmp_path)])
+        assert rc == 0
+        stdout = capsys.readouterr().out
+
+        def sha256(data):
+            return hashlib.sha256(data).hexdigest()
+
+        witnesses = sorted((tmp_path / "witnesses").iterdir())
+        manifest = "".join(f"{sha256(p.read_bytes())}  {p.name}\n" for p in witnesses)
+        assert len(witnesses) == 312
+        assert sha256(manifest.encode()) == "3da1e3b50ad46d519460c43c37f2fc7e94f627690beaa393938db859b58f9595"
+        assert sha256((tmp_path / "verify_theorem.json").read_bytes()) == (
+            "26a7cbf544b14292a7e281af1295bbdca1c0c09ea9fe34adc3f74e1334189c7a"
+        )
+        assert sha256(stdout.encode()) == "65bc0707d1fb8d88ba5a41564cd530a37ce602bbcdca04fa87f61c6da50b5b3e"
 
     def test_oracle_command_small(self, tmp_path):
         cat = tmp_path / "cat"

@@ -20,12 +20,14 @@ from grouplab.groups import (
     build_from_permutations,
     center,
     commutator,
+    commutator_table,
     conjugate,
     derived_subgroup,
     direct_product,
     find_isomorphism,
     from_mul_table,
     isomorphisms_iter,
+    minimal_generating_sequence,
     quotient,
     relabeled,
     subgroup_closure,
@@ -133,6 +135,42 @@ class TestCenterAndDerived:
 
     def test_derived_d4(self):
         assert len(derived_subgroup(D4)) == 2
+
+
+class TestStructureKeptOnTheGroup:
+    def test_computed_once_per_group(self):
+        G = relabeled(D4, [0, 3, 1, 2, 5, 4, 7, 6])
+        assert center(G) is center(G)
+        assert derived_subgroup(G) is derived_subgroup(G)
+        assert commutator_table(G) is commutator_table(G)
+        assert G.order_multiset() is G.order_multiset()
+
+    def test_commutator_table_matches_comm(self):
+        for G in (S3, D4, Q8):
+            assert commutator_table(G).tolist() == [
+                [G.comm(x, y) for y in range(G.order)] for x in range(G.order)
+            ]
+
+    def test_callers_cannot_change_the_kept_values(self):
+        G = relabeled(D4, [0, 2, 1, 3, 4, 5, 6, 7])
+        gens = minimal_generating_sequence(G)
+        expected = list(gens)
+        gens.append(5)
+        gens[0] = 7
+        assert minimal_generating_sequence(G) == expected
+        table = commutator_table(G)
+        with pytest.raises(ValueError):
+            table[1, 2] = 0
+        with pytest.raises(ValueError):
+            table.ravel()[0] = 3
+        assert commutator_table(G).tolist() == [
+            [G.comm(x, y) for y in range(G.order)] for x in range(G.order)
+        ]
+
+    def test_kept_values_stay_out_of_equality(self):
+        a, b = relabeled(D4, list(range(8))), relabeled(D4, list(range(8)))
+        center(a), commutator_table(a)
+        assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
 
 
 class TestQuotient:

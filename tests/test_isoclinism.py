@@ -4,9 +4,18 @@ import dataclasses
 
 import pytest
 
+from grouplab import isoclinism
 from grouplab.catalog import builtin
 from grouplab.errors import PairingAxiomFailed, WitnessInvalid
-from grouplab.groups import center, derived_subgroup, direct_product, from_mul_table
+from grouplab.groups import (
+    GroupHom,
+    center,
+    derived_subgroup,
+    direct_product,
+    from_mul_table,
+    isomorphisms_iter,
+    relabeled,
+)
 from grouplab.isoclinism import (
     IsoclinismWitness,
     are_isoclinic,
@@ -85,6 +94,124 @@ class TestVerifyWitness:
             section2=wi.section2,
         )
         assert not verify_witness(wbad)
+
+
+def verify_by_loops(w):
+    """The check over every representative pair, one element at a time.
+
+    For each (a1, b1) and every (a2, b2) in the central cosets that alpha
+    assigns to them, [a2, b2] must be beta([a1, b1]). It reads the cosets
+    off proj2 and assumes nothing about proj2 beyond that.
+    """
+    if not (w.alpha.is_homomorphism() and w.alpha.is_bijective()):
+        return False
+    beta_hom = w.beta_hom()
+    if not (beta_hom.is_homomorphism() and beta_hom.is_bijective()):
+        return False
+    G1, G2 = w.source, w.target
+    if {x for x, _ in w.beta} != set(derived_subgroup(G1).members):
+        return False
+    if {y for _, y in w.beta} != set(derived_subgroup(G2).members):
+        return False
+    if any(w.proj1.images[w.section1[q]] != q for q in range(w.quotient1.order)):
+        return False
+    if any(w.proj2.images[w.section2[q]] != q for q in range(w.quotient2.order)):
+        return False
+    bmap = w.beta_dict()
+    cosets2 = [[] for _ in range(w.quotient2.order)]
+    for x in range(G2.order):
+        cosets2[w.proj2.images[x]].append(x)
+    for a1 in range(G1.order):
+        qa = w.alpha.images[w.proj1.images[a1]]
+        for b1 in range(G1.order):
+            qb = w.alpha.images[w.proj1.images[b1]]
+            expected = bmap[G1.comm(a1, b1)]
+            for a2 in cosets2[qa]:
+                for b2 in cosets2[qb]:
+                    if G2.comm(a2, b2) != expected:
+                        return False
+    return True
+
+
+def tampered(w):
+    """(kind of change, changed copy of w) pairs: some still valid, most not."""
+    G2, Q2 = w.target, w.quotient2
+    out = []
+    beta = list(w.beta)
+    if len(beta) > 2:
+        (x1, y1), (x2, y2) = beta[1], beta[2]
+        beta[1], beta[2] = (x1, y2), (x2, y1)
+        out.append(("beta entries swapped", dataclasses.replace(w, beta=tuple(beta))))
+    for q in range(1, Q2.order):
+        images = list(w.alpha.images)
+        images[1] = (images[1] + q) % Q2.order
+        out.append(("alpha image changed", dataclasses.replace(w, alpha=GroupHom(w.quotient1, Q2, tuple(images)))))
+    for auto in isomorphisms_iter(Q2, Q2):
+        out.append(("alpha times an automorphism", dataclasses.replace(w, alpha=auto.compose(w.alpha))))
+    for z in center(G2).members[1:]:
+        section = list(w.section2)
+        section[-1] = G2.mul[section[-1]][z]
+        out.append(("section2 moved in its coset", dataclasses.replace(w, section2=tuple(section))))
+    # one element outside the sections and the center moves to another coset
+    movable = [x for x in range(G2.order) if x not in w.section2 and w.proj2.images[x] != 0]
+    if movable and Q2.order > 2:
+        x = movable[0]
+        images = list(w.proj2.images)
+        images[x] = next(q for q in range(1, Q2.order) if q != images[x])
+        out.append(("proj2 not a homomorphism", dataclasses.replace(w, proj2=GroupHom(G2, Q2, tuple(images)))))
+    return out
+
+
+def uncentral(G):
+    """The identity witness of G with the identity map as both projections.
+
+    Its cosets are single elements, so the loop check accepts it; its
+    projection's kernel is trivial, not Z(G).
+    """
+    ident = GroupHom(G, G, tuple(range(G.order)))
+    members = derived_subgroup(G).members
+    every = tuple(range(G.order))
+    return IsoclinismWitness(
+        source=G, target=G, quotient1=G, quotient2=G, proj1=ident, proj2=ident, alpha=ident,
+        beta=tuple((x, x) for x in members), section1=every, section2=every,
+    )
+
+
+class TestVerifyWitnessIsACertificate:
+    """verify_witness against the loop over all representative pairs."""
+
+    def test_every_family_witness(self, corpus, family_witnesses):
+        for (i, j), w in family_witnesses.items():
+            assert verify_witness(w) and verify_by_loops(w), (corpus[i].label, corpus[j].label)
+
+    def test_tampered_witnesses(self, corpus, family_witnesses):
+        cases = {"D4~Q8": are_isoclinic(D4, Q8), "S3~S3xZ2": are_isoclinic(S3, S3xZ2)}
+        for (i, j), w in family_witnesses.items():
+            if w.quotient2.order > 1:
+                cases[f"{corpus[i].label}~{corpus[j].label}"] = w
+        seen = set()
+        for pair, w in cases.items():
+            for kind, bad in tampered(w):
+                expected = verify_by_loops(bad)
+                assert verify_witness(bad) == expected, (pair, kind)
+                seen.add((kind, expected))
+        # every kind of change occurred, and the checks were not all one-sided
+        assert seen == {
+            ("beta entries swapped", False),
+            ("alpha image changed", False),
+            ("alpha times an automorphism", True),
+            ("alpha times an automorphism", False),
+            ("section2 moved in its coset", True),
+            ("proj2 not a homomorphism", False),
+        }
+
+    def test_kernel_must_be_the_center(self):
+        # The one difference: only verify_witness asks that proj2's kernel
+        # be Z(G2). With a smaller kernel the cosets shrink and the loop
+        # accepts; with a trivial center both checks accept.
+        for G in (D4, Q8, S3xZ2):
+            assert verify_by_loops(uncentral(G)) and not verify_witness(uncentral(G)), G.label
+        assert verify_by_loops(uncentral(S3)) and verify_witness(uncentral(S3))
 
 
 class TestWitnessAlgebra:
@@ -168,6 +295,19 @@ class TestFuzz:
         w1 = compute_wedge(Z4, WedgeVariant.CURLY)
         w2 = compute_wedge(V4, WedgeVariant.CURLY)
         assert well_definedness_fuzz(w, w1, w2, trials=100)
+
+
+    def test_trivial_center_needs_no_draws(self, monkeypatch):
+        S3r = relabeled(S3, [0, 2, 4, 1, 5, 3])
+        w = are_isoclinic(S3, S3r)
+        w1 = compute_wedge(S3, WedgeVariant.CURLY)
+        w2 = compute_wedge(S3r, WedgeVariant.CURLY)
+
+        def no_draws(seed):
+            raise AssertionError("drew perturbations for a trivial center")
+
+        monkeypatch.setattr(isoclinism.random, "Random", no_draws)
+        assert well_definedness_fuzz(w, w1, w2, trials=100, seed=0)
 
 
 class TestCorruptedPairImages:

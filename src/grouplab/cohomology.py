@@ -1,26 +1,41 @@
 """Second cohomology with finite coefficients, by explicit 2-cocycles.
 
-Normalized 2-cocycles f : G x G -> Z/m (f(1, y) = f(x, 1) = 0) form the
-kernel of the linear system
+Normalized 2-cocycles f : G x G -> Z/m (f(1, y) = f(x, 1) = 0) are the
+solutions of
 
     df(x, y, z) = f(x, y) + f(xy, z) - f(y, z) - f(x, yz) = 0  (mod m),
 
-and coboundaries are spanned by df_g(x, y) = [x=g] + [y=g] - [xy=g]. The
-system is written only for z in a generating sequence of G. That loses
-nothing: d(df) = 0 gives
+and coboundaries are spanned by df_g(x, y) = [x=g] + [y=g] - [xy=g].
 
-    df(x, y, zg) = df(y, z, g) - df(xy, z, g) + df(x, yz, g) + df(x, y, z),
+The system is solved on edge unknowns (Holt, Eick and O'Brien, Handbook of
+Computational Group Theory, ch. 7): the values f(x, g) for x != 1 and g in
+a generating sequence g_1..g_d, (|G|-1)*d of them. That loses nothing:
 
-and df(x, y, 1) = 0, so by induction on the word length of z the rows with
-z a generator imply every other row. Equal solution sets mean equal row
-lattices (a submodule of (Z/m)^k is the annihilator of its annihilator),
-so the canonical basis of the row lattice is the same as for all triples.
+  * Tree identities. A breadth-first spanning tree of the right Cayley
+    graph reaches every z from 1 by edges y -> yg, and df(x, y, g) = 0
+    reads f(x, yg) = f(x, y) + f(xy, g) - f(y, g). Along the tree this
+    writes every f(x, z) in the edge unknowns, so a cocycle is fixed by
+    its edge values, and the tables built this way are normalized.
+  * Non-tree rows. Each edge y -> yg outside the tree gives, for each x,
+    the same identity as a linear row in the edge unknowns. Together with
+    the tree identities they say df(x, y, g) = 0 for every x, y and every
+    generator g; every cocycle satisfies them.
+  * Induction on z. d(df) = 0 gives
+
+        df(x, y, zg) = df(y, z, g) - df(xy, z, g) + df(x, yz, g) + df(x, y, z),
+
+    and df(x, y, 1) = 0, so by induction on the word length of z the
+    identities with z a generator imply every other one.
+
+So the edge solutions map one to one onto the normalized cocycles. Each
+table built from a basis row of the edge solutions is checked to be a
+normalized cocycle over every triple.
 
 The quotient is computed through the mod-m lattice calculus: both sides
-become lattices between m*Z^k and Z^k on k = (|G|-1)^2 coordinates. The
-cocycles are the complement of the constraint rows, read off the triangular
-basis of their lattice, and the quotient's invariants and basis tables come
-from one diagonalisation of its relations.
+become lattices between m*Z^k and Z^k on k = (|G|-1)^2 table entries. The
+canonical basis of the cocycle lattice comes from the full tables of the
+edge solutions, and the quotient's invariants and basis tables come from
+one diagonalisation of its relations.
 
 Since the rationals-mod-integers coefficients of the classical restriction
 intersection are not finitely representable, this oracle fixes coefficients
@@ -160,33 +175,71 @@ def _vector_to_table(vec: Sequence[int], n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(row) for row in table)
 
 
-def _cocycle_constraint_rows(G: FiniteGroup, m: int) -> np.ndarray:
-    """Nonzero rows of the cocycle identity, one per (x, y, z) with z a generator.
+def _edge_system(G: FiniteGroup, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Constraint rows on the edge unknowns, and the tables they build.
 
-    Each triple scatters its four terms into a full n x n table; terms with
-    an argument equal to the identity land in row or column 0, which the
-    normalized coordinates drop.
+    Unknown (x - 1) * d + i is f(x, g_i), for x != 1 and g_i the i-th entry
+    of the generating sequence. Returns (rows, E): rows are the nonzero
+    non-tree rows, and E[x, z] is the coefficient vector of f(x, z) over
+    the unknowns, built along a breadth-first spanning tree.
     """
     n = G.order
     mul = np.array(G.mul, dtype=np.int64)
     gens = minimal_generating_sequence(G)
-    grid = np.meshgrid(np.arange(1, n), np.arange(1, n), gens, indexing="ij")
-    x, y, z = (a.ravel() for a in grid)
-    cols = np.stack([x * n + y, mul[x, y] * n + z, y * n + z, x * n + mul[y, z]], axis=1)
-    full = np.zeros((x.size, n * n), dtype=np.int64)
-    np.add.at(full, (np.arange(x.size)[:, None], cols), [1, 1, -1, -1])
-    rows = full.reshape(-1, n, n)[:, 1:, 1:].reshape(x.size, -1) % m
-    return rows[rows.any(axis=1)]
+    d = len(gens)
+    N = (n - 1) * d
+    # U[w, i] is the coefficient vector of the unknown f(w, g_i); f(1, g_i) = 0
+    U = np.zeros((n, d, N), dtype=np.int64)
+    U[1:] = np.eye(N, dtype=np.int64).reshape(n - 1, d, N)
+    E = np.zeros((n, n, N), dtype=np.int64)
+    seen = np.zeros(n, dtype=bool)
+    seen[0] = True
+    tree_order, nontree = [0], []
+    for y in tree_order:  # grows while it is walked: breadth-first order
+        for i, g in enumerate(gens):
+            z = int(mul[y, g])
+            if seen[z]:
+                nontree.append((y, i, z))
+                continue
+            seen[z] = True
+            tree_order.append(z)
+            # f(x, yg) = f(x, y) + f(xy, g) - f(y, g), for every x at once
+            E[:, z] = (E[:, y] + U[mul[:, y], i] - U[y, i]) % m
+    y, i, z = (np.array(c, dtype=np.int64) for c in zip(*nontree))
+    rows = (E[1:, y] + U[mul[1:, y], i] - U[y, i] - E[1:, z]).reshape(-1, N) % m
+    return rows[rows.any(axis=1)], E
 
 
-def _check_cocycle(G: FiniteGroup, m: int, table: Sequence[Sequence[int]]) -> bool:
-    t = np.array(table, dtype=np.int64)
+def _check_cocycle(G: FiniteGroup, m: int, tables: np.ndarray | Sequence) -> bool:
+    """Whether every table, one n x n table or a stack of them, is a normalized cocycle."""
+    n = G.order
+    t = np.asarray(tables, dtype=np.int64).reshape(-1, n, n)
     mul = np.array(G.mul, dtype=np.int64)
-    if (t[0] % m).any() or (t[:, 0] % m).any():
+    if (t[:, 0] % m).any() or (t[:, :, 0] % m).any():
         return False
-    # entry [x, y, z] is f(x, y) + f(xy, z) - f(y, z) - f(x, yz)
-    defect = t[:, :, None] + t[mul] - t[None, :, :] - t[:, mul]
-    return not (defect % m).any()
+    # f(x, y) + f(xy, z) - f(y, z) - f(x, yz), one z at a time to bound memory
+    for z in range(n):
+        defect = t + t[:, mul, z] - t[:, :, z][:, None, :] - t[:, :, mul[:, z]]
+        if (defect % m).any():
+            return False
+    return True
+
+
+def _cocycle_lattice(G: FiniteGroup, m: int) -> np.ndarray:
+    """Canonical basis of the normalized cocycles, on the (n-1)^2 table entries.
+
+    Basis rows of the edge solutions with diagonal m are m times a unit
+    vector and build zero tables, so only the others are mapped.
+    """
+    n = G.order
+    k = (n - 1) * (n - 1)
+    rows, E = _edge_system(G, m)
+    Hs = orth_complement(rows, E.shape[2], m)
+    Hs = Hs[np.diagonal(Hs) < m]
+    tables = (Hs @ E.reshape(n * n, -1).T % m).reshape(-1, n, n)
+    if not _check_cocycle(G, m, tables):
+        raise InternalCheckFailed("an edge solution does not build a normalized cocycle")
+    return hnf_from_rows(tables[:, 1:, 1:].reshape(-1, k), k, m)
 
 
 def cocycle_space(G: FiniteGroup, m: int, cap: int = DEFAULT_ORACLE_CAP) -> CocycleSpace:
@@ -218,16 +271,15 @@ def cocycle_space(G: FiniteGroup, m: int, cap: int = DEFAULT_ORACLE_CAP) -> Cocy
         spaces[m] = space
         return space
     k = (n - 1) * (n - 1)
-    Hz = orth_complement(_cocycle_constraint_rows(G, m), k, m)
+    Hz = _cocycle_lattice(G, m)
 
     # row g - 1 is the coboundary of the indicator of g: [x=g] + [y=g] - [xy=g]
     e = np.eye(n, dtype=np.int64)
     full = e[:, :, None] + e[:, None, :] - e[:, np.array(G.mul)]
     cob_rows = full[1:, 1:, 1:].reshape(n - 1, k) % m
     Hb = hnf_from_rows(cob_rows, k, m)
-    for row in cob_rows:
-        if member_residual(Hz, row, m).any():
-            raise InternalCheckFailed("a coboundary failed the cocycle conditions")
+    if member_residual(Hz, cob_rows, m).any():
+        raise InternalCheckFailed("a coboundary failed the cocycle conditions")
 
     diag, gens = quotient_structure(Hb, Hz, m)
     order = 1
@@ -239,9 +291,8 @@ def cocycle_space(G: FiniteGroup, m: int, cap: int = DEFAULT_ORACLE_CAP) -> Cocy
             f"quotient order {order} disagrees with index ratio {index_ratio}"
         )
     basis_tables = tuple(_vector_to_table(v, n) for v in gens)
-    for tbl in basis_tables:
-        if not _check_cocycle(G, m, tbl):
-            raise InternalCheckFailed("computed basis table is not a normalized cocycle")
+    if not _check_cocycle(G, m, basis_tables):
+        raise InternalCheckFailed("computed basis table is not a normalized cocycle")
     solver = LatticeSolver(np.vstack([gens, Hb]), k, m)
     space = CocycleSpace(
         group=G,
@@ -362,9 +413,8 @@ def b0_lower_bound(
         kernel_H = hnf_from_rows(np.eye(s, dtype=np.int64), s, m)
     sub_rows = np.diag(np.array(space.basis_orders, dtype=np.int64))
     sub_H = hnf_from_rows(sub_rows, s, m)
-    for row in sub_H:
-        if member_residual(kernel_H, row, m).any():
-            raise InternalCheckFailed("coboundary relations escaped the kernel stack")
+    if member_residual(kernel_H, sub_H, m).any():
+        raise InternalCheckFailed("coboundary relations escaped the kernel stack")
     diag, _ = quotient_structure(sub_H, kernel_H, m)
     order = 1
     for d in diag:

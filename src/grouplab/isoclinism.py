@@ -78,11 +78,17 @@ class IsoclinismWitness:
         return dict(self.beta)
 
     def beta_hom(self) -> GroupHom:
-        """beta as a homomorphism between the derived subgroups as groups."""
-        d1 = Subgroup(self.source, tuple(sorted(x for x, _ in self.beta)))
-        d2 = Subgroup(self.target, tuple(sorted(y for _, y in self.beta)))
-        g1, members1 = d1.as_group()
-        g2, members2 = d2.as_group()
+        """beta as a homomorphism between the derived subgroups as groups.
+
+        The groups are the ones kept on each group's derived subgroup. Raises
+        WitnessInvalid when beta's domain or image is not that subgroup.
+        """
+        g1, members1 = derived_subgroup(self.source).as_group()
+        g2, members2 = derived_subgroup(self.target).as_group()
+        domain = sorted(x for x, _ in self.beta)
+        image = sorted(y for _, y in self.beta)
+        if domain != list(members1) or image != list(members2):
+            raise WitnessInvalid("beta's domain or image is not the derived subgroup")
         pos2 = {x: i for i, x in enumerate(members2)}
         bmap = self.beta_dict()
         images = tuple(pos2[bmap[x]] for x in members1)
@@ -193,15 +199,13 @@ def verify_witness(w: IsoclinismWitness) -> bool:
     """
     if not (w.alpha.is_homomorphism() and w.alpha.is_bijective()):
         return False
-    beta_hom = w.beta_hom()
+    try:
+        beta_hom = w.beta_hom()
+    except WitnessInvalid:  # beta is not defined on the derived subgroups
+        return False
     if not (beta_hom.is_homomorphism() and beta_hom.is_bijective()):
         return False
     G1, G2 = w.source, w.target
-    D1 = derived_subgroup(G1)
-    if set(x for x, _ in w.beta) != set(D1.members):
-        return False
-    if set(y for _, y in w.beta) != set(derived_subgroup(G2).members):
-        return False
     # projections and sections must be coherent
     for q in range(w.quotient1.order):
         if w.proj1.images[w.section1[q]] != q:

@@ -16,7 +16,7 @@ All row work goes through three steps:
 Provided primitives:
   * hnf_from_rows    - canonical triangular basis from a generating set
   * lattice_index    - [Z^k : L] as an exact integer
-  * member_residual  - triangular membership reduction
+  * member_residual  - triangular membership reduction, of one vector or a block
   * snf_mod          - diagonalisation, with the inverse column transform
   * orth_complement  - {u : <l, u> = 0 mod m for all l in L}, off L's triangular basis
   * quotient_structure - invariants and generators of L2/L1, by one diagonalisation
@@ -161,22 +161,31 @@ def lattice_index(H: np.ndarray) -> int:
 
 
 def member_residual(H: np.ndarray, v: np.ndarray, m: int) -> np.ndarray:
-    """Reduce v against the basis; an all-zero result means membership."""
-    r = np.asarray(v, dtype=np.int64).reshape(1, -1) % m
-    _reduce(H, r, m)
-    return r[0]
+    """Reduce v, one vector or a block of rows, against the basis.
 
-
-def _smallest_entry(sub: np.ndarray, m: int) -> tuple[int, int] | None:
-    """(row, column) of the row-major first smallest nonzero entry, or None.
-
-    Entries lie in [0, m), so m can stand in for zero in a single argmin.
+    An all-zero row of the result means that row of v is in the lattice.
     """
-    masked = np.where(sub == 0, m, sub)
-    pick = int(np.argmin(masked))
-    if masked.flat[pick] == m:
-        return None
-    return divmod(pick, sub.shape[1])
+    v = np.asarray(v, dtype=np.int64)
+    r = v.reshape(-1, v.shape[-1]) % m
+    _reduce(H, r, m)
+    return r.reshape(v.shape)
+
+
+def _row_minima(
+    A: np.ndarray, rows: np.ndarray, t: int, m: int, rmin: np.ndarray, rcol: np.ndarray
+) -> None:
+    """Smallest nonzero entry of each listed row over columns t.., and its first column.
+
+    Entries lie in [0, m), so a row with no nonzero entry there reads m.
+    Rows go 64 at a time, so the scan never copies the whole block.
+    """
+    for s in range(0, rows.size, 64):
+        chunk = rows[s : s + 64]
+        block = A[chunk, t:]
+        block[block == 0] = m
+        j = block.argmin(axis=1)
+        rmin[chunk] = block[np.arange(chunk.size), j]
+        rcol[chunk] = j + t
 
 
 def snf_mod(rows: np.ndarray, k: int, m: int) -> tuple[list[int], np.ndarray]:
@@ -188,17 +197,36 @@ def snf_mod(rows: np.ndarray, k: int, m: int) -> tuple[list[int], np.ndarray]:
     the column operations, so the lattice is the row space of diag(diag) @ W
     plus m*Z^k, and W is invertible modulo m. No divisibility chain is
     enforced; see groups.invariant_factors_from_orders.
+
+    Step t pivots on the row-major first smallest nonzero entry of the block
+    from (t, t) on. Each row keeps its smallest entry in that block and the
+    first column holding it, so np.argmin over the rows finds the pivot.
+    Only rows that a step changed are scanned again: rows cleared by row
+    operations, the row swapped into place, and rows nonzero in a column
+    that a swap or a col_combine touched. Every other row below t was zero
+    in column t and is unchanged, so its minimum over the columns after t
+    is the one it kept.
     """
     A = np.asarray(rows, dtype=np.int64).reshape(-1, k) % m
     R = A.shape[0]
     W = np.eye(k, dtype=np.int64)
+    rmin = np.empty(R, dtype=np.int64)
+    rcol = np.empty(R, dtype=np.int64)
+    _row_minima(A, np.arange(R), 0, m, rmin, rcol)
+    dirty = np.zeros(R, dtype=bool)
+
+    def touch(*cols: int) -> None:
+        for c in cols:
+            dirty[A[:, c] != 0] = True
 
     def col_addmul(dst: int, src: int, q: int) -> None:
+        # src is column t, nonzero only in row t and in rows col_combine marked
         A[:, dst] = (A[:, dst] - q * A[:, src]) % m
         W[src] = (W[src] + q * W[dst]) % m
 
     def col_combine(t: int, j: int, a: int, b: int) -> None:
         # new col t = u*ct + v*cj ; new col j = (a/g)*cj - (b/g)*ct
+        touch(t, j)
         g, u, v = _egcd(a, b)
         ct, cj = A[:, t].copy(), A[:, j].copy()
         A[:, t] = (u * ct + v * cj) % m
@@ -208,24 +236,28 @@ def snf_mod(rows: np.ndarray, k: int, m: int) -> tuple[list[int], np.ndarray]:
         W[j] = (-v * wt + u * wj) % m
 
     def col_swap(t: int, j: int) -> None:
+        touch(t, j)
         A[:, [t, j]] = A[:, [j, t]]
         W[[t, j]] = W[[j, t]]
 
     t = 0
     size = min(R, k)
     while t < size:
-        found = _smallest_entry(A[t:, t:], m)
-        if found is None:
+        i0 = t + int(np.argmin(rmin[t:]))
+        if rmin[i0] == m:
             break
-        i0, j0 = found[0] + t, found[1] + t
+        j0 = int(rcol[i0])
         if i0 != t:
             A[[t, i0]] = A[[i0, t]]
+            dirty[i0] = True
         if j0 != t:
             col_swap(t, j0)
         while True:
             # clear column t with row operations; every row with a nonzero
             # entry there is zero left of column t
-            for i in np.nonzero(A[:, t])[0]:
+            hit = np.nonzero(A[:, t])[0]
+            dirty[hit] = True
+            for i in hit:
                 if i != t:
                     _combine(A[t, t:], A[i, t:], m)
             # clear row t with column operations
@@ -243,6 +275,9 @@ def snf_mod(rows: np.ndarray, k: int, m: int) -> tuple[list[int], np.ndarray]:
                 else:
                     col_combine(t, j, a, b)
         t += 1
+        if t < size:
+            _row_minima(A, t + np.flatnonzero(dirty[t:]), t, m, rmin, rcol)
+            dirty[:] = False
 
     diag = []
     for i in range(k):

@@ -20,12 +20,18 @@ from grouplab.cohomology import (
     multiplier_order_oracle,
     restrict,
 )
-from grouplab.errors import GroupTooLargeForOracle, ModulusMismatch, ValidationError
+from grouplab.errors import (
+    GroupTooLargeForOracle,
+    InternalCheckFailed,
+    ModulusMismatch,
+    ValidationError,
+)
 from grouplab.groups import (
     Subgroup,
     abelian_subgroups,
     direct_product,
     from_mul_table,
+    minimal_generating_sequence,
     relabeled,
     subgroup_closure,
 )
@@ -141,21 +147,23 @@ class TestGeneratorRows:
     @pytest.mark.parametrize("G", _row_groups(), ids=lambda G: G.label)
     @pytest.mark.parametrize("which_m", ["order", "two"])
     def test_generator_rows_span_every_row(self, G, which_m):
+        """The cocycle lattice solved on edge unknowns is the complement of every triple row."""
         m = G.order if which_m == "order" else 2
         n = G.order
         k = (n - 1) * (n - 1)
         ref = triple_rows(G, m, range(1, n))
-        rows = cohomology._cocycle_constraint_rows(G, m)
-        H = hnf_from_rows(rows, k, m)
         if n <= 16:
-            assert np.array_equal(hnf_from_rows(ref, k, m), H)
+            expected = orth_complement(ref, k, m)
         else:
-            # reducing all 12,167 rows at order 24 takes seconds; instead: the
-            # generator rows are among them, and every one of them lies in the
-            # generator lattice, so the lattices and their canonical bases agree
-            assert {r.tobytes() for r in rows} <= {r.tobytes() for r in ref}
+            # complementing all 12,167 rows at order 24 takes seconds; instead:
+            # the rows with z a generator are among them, and every row lies in
+            # their lattice, so both row sets have the same complement
+            rows = triple_rows(G, m, minimal_generating_sequence(G))
+            H = hnf_from_rows(rows, k, m)
             _reduce(H, ref, m)
             assert not ref.any()
+            expected = orth_complement(H, k, m)
+        assert np.array_equal(cohomology._cocycle_lattice(G, m), expected)
 
     @pytest.mark.parametrize("m", [8, 2])
     def test_rows_over_a_non_generating_subgroup_cut_out_more(self, m):
@@ -184,6 +192,13 @@ class TestCheckCocycle:
                     table[x][y] = (table[x][y] + 1) % m
                     assert not cohomology._check_cocycle(G, m, table), (x, y)
 
+    def test_a_stack_fails_when_one_table_fails(self):
+        space = cocycle_space(V4, 2)
+        assert cohomology._check_cocycle(V4, 2, space.basis)
+        bad = [list(row) for row in space.basis[-1]]
+        bad[1][2] ^= 1
+        assert not cohomology._check_cocycle(V4, 2, space.basis[:-1] + (bad,))
+
     def test_unnormalized_table_fails(self):
         # a constant table satisfies every cocycle identity but is not normalized
         for c in (1, 3):
@@ -191,6 +206,49 @@ class TestCheckCocycle:
             assert not cohomology._check_cocycle(S3, 6, table)
         zero = [[0] * S3.order for _ in range(S3.order)]
         assert cohomology._check_cocycle(S3, 6, zero)
+
+
+def _zero_lattice(rows, k, m):
+    """m * Z^k, whatever the rows: a complement with no nonzero member."""
+    return m * np.eye(k, dtype=np.int64)
+
+
+class TestCertificatesFire:
+    """Each internal check of the oracle raises when what it checks is wrong."""
+
+    def test_edge_solution_that_builds_no_cocycle(self, monkeypatch):
+        # every vector of edge values passes for a solution
+        monkeypatch.setattr(cohomology, "orth_complement", lambda rows, k, m: np.eye(k, dtype=np.int64))
+        with pytest.raises(InternalCheckFailed, match="edge solution"):
+            cocycle_space(from_mul_table(S3.mul), 6)
+
+    def test_coboundary_outside_the_cocycles(self, monkeypatch):
+        # the edge solutions shrink to zero, so no coboundary but 0 is a cocycle
+        monkeypatch.setattr(cohomology, "orth_complement", _zero_lattice)
+        with pytest.raises(InternalCheckFailed, match="coboundary failed"):
+            cocycle_space(from_mul_table(S3.mul), 6)
+
+    def test_basis_table_that_is_no_cocycle(self, monkeypatch):
+        original = cohomology.quotient_structure
+
+        def corrupted(sub_H, sup_H, m):
+            orders, gens = original(sub_H, sup_H, m)
+            gens = gens.copy()
+            gens[0, 0] = (gens[0, 0] + 1) % m
+            return orders, gens
+
+        monkeypatch.setattr(cohomology, "quotient_structure", corrupted)
+        with pytest.raises(InternalCheckFailed, match="basis table"):
+            cocycle_space(from_mul_table(V4.mul), 2)
+
+    def test_coboundary_relations_outside_the_kernel(self, monkeypatch):
+        G = from_mul_table(V4.mul)
+        space = cocycle_space(G, 4)
+        assert any(d < 4 for d in space.basis_orders)
+        # the kernel stack shrinks to zero, which an order-2 basis class leaves
+        monkeypatch.setattr(cohomology, "orth_complement", _zero_lattice)
+        with pytest.raises(InternalCheckFailed, match="escaped the kernel"):
+            b0_lower_bound(G, 4)
 
 
 class TestH2Order:
@@ -264,13 +322,13 @@ class TestRestriction:
 
     def test_additivity(self, monkeypatch):
         spaces_built = []
-        original = cohomology._cocycle_constraint_rows
+        original = cohomology._edge_system
 
         def counting(H, m):
             spaces_built.append(H.mul)
             return original(H, m)
 
-        monkeypatch.setattr(cohomology, "_cocycle_constraint_rows", counting)
+        monkeypatch.setattr(cohomology, "_edge_system", counting)
         space = cocycle_space(D4, 4)
         subs = abelian_subgroups(D4, maximal_only=True)
         cs = [
@@ -342,13 +400,13 @@ class TestSpaceLifetime:
     def test_report_builds_one_full_table_space(self, monkeypatch):
         G = from_mul_table(V4.mul, label="V4")
         tables = []
-        original = cohomology._cocycle_constraint_rows
+        original = cohomology._edge_system
 
         def counting(H, m):
             tables.append(H.mul)
             return original(H, m)
 
-        monkeypatch.setattr(cohomology, "_cocycle_constraint_rows", counting)
+        monkeypatch.setattr(cohomology, "_edge_system", counting)
         compute_report(G, PipelineConfig(oracle=True))
         assert tables.count(G.mul) == 1
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 
+import numpy as np
 import pytest
 
 from grouplab import isoclinism
@@ -10,6 +11,7 @@ from grouplab.errors import PairingAxiomFailed, WitnessInvalid
 from grouplab.groups import (
     GroupHom,
     center,
+    commutator_table,
     derived_subgroup,
     direct_product,
     from_mul_table,
@@ -94,6 +96,53 @@ class TestVerifyWitness:
             section2=wi.section2,
         )
         assert not verify_witness(wbad)
+
+    def test_beta_hom_uses_the_kept_derived_groups(self):
+        w = are_isoclinic(D4, Q8)
+        hom = w.beta_hom()
+        assert hom.source is derived_subgroup(D4).as_group()[0]
+        assert hom.target is derived_subgroup(Q8).as_group()[0]
+        assert w.beta_hom().source is hom.source
+
+    def test_beta_off_the_derived_subgroup_is_rejected(self):
+        wi = identity_witness(S3)
+        outside = next(x for x in range(S3.order) if x not in derived_subgroup(S3))
+        (x0, _), *rest = wi.beta
+        for beta in (tuple(rest), ((x0, outside), *rest), ((outside, x0), *rest)):
+            bad = dataclasses.replace(wi, beta=beta)
+            with pytest.raises(WitnessInvalid, match="derived subgroup"):
+                bad.beta_hom()
+            assert not verify_witness(bad)
+
+
+class TestDeriveBeta:
+    def test_commutator_sent_to_two_values_is_rejected_first(self, monkeypatch):
+        """The single-valuedness check rejects before any extension is tried.
+
+        The central quotient of D4 x S3 is V4 x S3. Its automorphisms
+        (v, s) -> (v * phi(s), s), with phi the sign of s into V4, change the
+        D4 part of some commutators and not of others, so they send one
+        commutator of G to two values.
+        """
+        G = builtin("direct_product", (("dihedral", 4), ("symmetric", 3)))
+        Q, proj, _ = isoclinism._central_data(G)
+        section = isoclinism._minimal_section(G, proj, Q)
+        comm = commutator_table(G)
+
+        def no_extension(*args):
+            raise AssertionError("a two-valued candidate reached the extension")
+
+        monkeypatch.setattr(isoclinism, "_extend_partial", no_extension)
+        two_valued = 0
+        for alpha in isomorphisms_iter(Q, Q):
+            image = isoclinism._pair_table(comm, np.take(alpha.images, proj.images), section)
+            values = {}
+            for c, v in zip(comm.ravel().tolist(), image.ravel().tolist()):
+                values.setdefault(c, set()).add(v)
+            if any(len(vs) > 1 for vs in values.values()):
+                two_valued += 1
+                assert isoclinism._derive_beta(G, G, image, derived_subgroup(G)) is None
+        assert two_valued
 
 
 def verify_by_loops(w):

@@ -2,15 +2,19 @@
 
 import itertools
 import random
+from math import gcd
 
 import numpy as np
 import pytest
 
-from grouplab import lattices
+from grouplab import cohomology, lattices
+from grouplab.catalog import builtin
 from grouplab.errors import ValidationError
 from grouplab.groups import invariant_factors_from_orders
 from grouplab.lattices import (
     LatticeSolver,
+    _combine,
+    _egcd,
     _reduce,
     _relations,
     hnf_canonical,
@@ -197,6 +201,7 @@ def test_reduction_splits_vectors(case):
         ref_q, ref_r = loop_reduce(H, v, m)
         assert np.array_equal(quot, ref_q) and np.array_equal(res, ref_r)
         assert np.array_equal(member_residual(H, v, m), res)
+    assert np.array_equal(member_residual(H, vs, m), r)
 
 
 @pytest.mark.parametrize("case", list(wider_cases(40, seed=93)))
@@ -240,6 +245,100 @@ def loop_smallest_entry(sub, m):
     return int(nzr[pick]), int(nzc[pick])
 
 
+def full_scan_pivot(sub, m):
+    """The pivot search of full_scan_snf_mod: one masked argmin over the block."""
+    masked = np.where(sub == 0, m, sub)
+    pick = int(np.argmin(masked))
+    if masked.flat[pick] == m:
+        return None
+    return divmod(pick, sub.shape[1])
+
+
+def full_scan_snf_mod(rows, k, m):
+    """Reference: snf_mod as it was when every pivot step scanned the whole block."""
+    A = np.asarray(rows, dtype=np.int64).reshape(-1, k) % m
+    R = A.shape[0]
+    W = np.eye(k, dtype=np.int64)
+
+    def col_addmul(dst, src, q):
+        A[:, dst] = (A[:, dst] - q * A[:, src]) % m
+        W[src] = (W[src] + q * W[dst]) % m
+
+    def col_combine(t, j, a, b):
+        g, u, v = _egcd(a, b)
+        ct, cj = A[:, t].copy(), A[:, j].copy()
+        A[:, t] = (u * ct + v * cj) % m
+        A[:, j] = ((a // g) * cj - (b // g) * ct) % m
+        wt, wj = W[t].copy(), W[j].copy()
+        W[t] = ((a // g) * wt + (b // g) * wj) % m
+        W[j] = (-v * wt + u * wj) % m
+
+    t = 0
+    while t < min(R, k):
+        found = full_scan_pivot(A[t:, t:], m)
+        if found is None:
+            break
+        i0, j0 = found[0] + t, found[1] + t
+        if i0 != t:
+            A[[t, i0]] = A[[i0, t]]
+        if j0 != t:
+            A[:, [t, j0]] = A[:, [j0, t]]
+            W[[t, j0]] = W[[j0, t]]
+        while True:
+            for i in np.nonzero(A[:, t])[0]:
+                if i != t:
+                    _combine(A[t, t:], A[i, t:], m)
+            rowmask = [int(j) for j in np.nonzero(A[t])[0] if j != t]
+            if not rowmask:
+                if np.count_nonzero(A[:, t]) == 1:
+                    break
+                continue
+            for j in rowmask:
+                a, b = int(A[t, t]), int(A[t, j])
+                if b == 0:
+                    continue
+                if b % a == 0:
+                    col_addmul(j, t, b // a)
+                else:
+                    col_combine(t, j, a, b)
+        t += 1
+    diag = [int(A[i, i]) if i < R else 0 for i in range(k)]
+    return [gcd(d, m) if d else m for d in diag], W
+
+
+# the groups of the benchmark's oracle-small workload
+ORACLE_SMALL = (
+    ("dihedral", (4,)), ("quaternion8", ()), ("alternating", (4,)), ("dihedral", (6,)),
+    ("dicyclic", (3,)), ("dihedral", (8,)), ("dicyclic", (4,)),
+    ("direct_product", (("dihedral", 4), ("cyclic", 2))),
+    ("direct_product", (("quaternion8",), ("cyclic", 2))), ("elementary", (2, 4)),
+    ("direct_product", (("cyclic", 4), ("cyclic", 4))), ("dihedral", (9,)), ("dihedral", (10,)),
+    ("dicyclic", (5,)), ("symmetric", (4,)), ("dihedral", (12,)),
+    ("direct_product", (("alternating", 4), ("cyclic", 2))),
+)
+
+
+COMBINE_CASE_96 = [
+    [0, 0, 0, 0, 0, 12, 0, 0],
+    [0, 0, 0, 0, 32, 0, 0, 0],
+    [0, 0, 0, 0, 36, 0, 0, 0],
+    [0, 0, 0, 0, 0, 0, 0, 0],
+    [0, 53, 20, 0, 87, 0, 0, 0],
+    [0, 0, 0, 0, 0, 0, 0, 0],
+    [0, 0, 0, 0, 0, 0, 0, 0],
+    [0, 0, 0, 0, 86, 1, 0, 87],
+]
+COMBINE_CASE_24 = [
+    [1, 16, 21, 17, 0, 11, 18],
+    [0, 8, 0, 0, 0, 0, 13],
+    [21, 0, 8, 14, 2, 14, 23],
+    [23, 0, 10, 7, 3, 5, 16],
+    [11, 0, 0, 10, 22, 10, 0],
+    [21, 14, 0, 22, 1, 0, 8],
+    [0, 0, 0, 20, 16, 0, 0],
+]
+
+
 def test_snf_pivot_search_matches_the_loop(monkeypatch):
     rng = random.Random(61)
     cases, ties = [], 0
@@ -250,15 +349,31 @@ def test_snf_pivot_search_matches_the_loop(monkeypatch):
             [[rng.choice([0, rng.randrange(m)]) for _ in range(k)] for _ in range(rng.randint(1, 8))],
             dtype=np.int64,
         )
-        assert lattices._smallest_entry(rows, m) == loop_smallest_entry(rows, m)
+        assert full_scan_pivot(rows, m) == loop_smallest_entry(rows, m)
         nonzero = rows[rows != 0]
         ties += nonzero.size > 1 and np.count_nonzero(nonzero == nonzero.min()) > 1
         cases.append((rows, k, m))
     assert ties > 50
-    new = [snf_mod(rows, k, m) for rows, k, m in cases]
-    monkeypatch.setattr(lattices, "_smallest_entry", loop_smallest_entry)
-    for (rows, k, m), (diag, W) in zip(cases, new):
-        old_diag, old_W = snf_mod(rows, k, m)
+    # a col_combine here changes rows that no row operation clears afterwards,
+    # so their kept minima are stale unless the combine marks them
+    cases.append((np.array(COMBINE_CASE_96), 8, 96))
+    cases.append((np.array(COMBINE_CASE_24), 7, 24))
+    # the relation matrix of each top-level cocycle space of the workload
+    original = lattices.snf_mod
+
+    def recording(rows, k, m):
+        cases.append((np.array(rows), k, m))
+        return original(rows, k, m)
+
+    monkeypatch.setattr(lattices, "snf_mod", recording)
+    for family, params in ORACLE_SMALL:
+        G = builtin(family, params)
+        cohomology.cocycle_space(G, G.order)
+    assert len(cases) == 302 + len(ORACLE_SMALL)
+    monkeypatch.undo()
+    for rows, k, m in cases:
+        diag, W = snf_mod(rows, k, m)
+        old_diag, old_W = full_scan_snf_mod(rows, k, m)
         assert diag == old_diag
         assert np.array_equal(W, old_W)
 

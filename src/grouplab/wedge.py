@@ -26,6 +26,14 @@ classes are enumerated; the realization is then lifted back to one image
 per pair, and every raw relator is evaluated in the realized group, which
 certifies the reduction.
 
+Neither step holds all raw rows at once. They are built as int32 blocks,
+each holding the relators (m, m', n), (m, n, n') and (m, n) of a range of
+about ``_BLOCK_ROWS`` / (2|G|^2) elements m. The elimination's first pass
+reduces each block and keeps its carriers and equations; later passes
+carry only the rows that still say something, with repeats dropped. The
+certificate evaluates one block at a time and stops at the first block in
+which a relator survives.
+
 ``_raw_relator_rows`` is the only spelling of the relations. The same
 evaluator runs its rows against the lifted pair images, against the
 commutator table of G, and, in ``check_pairing``, against any pair table
@@ -38,7 +46,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -81,19 +89,34 @@ class WedgeVariant(enum.Enum):
         return DEFAULT_CURLY_CAP if self is WedgeVariant.CURLY else DEFAULT_EXTERIOR_CAP
 
 
-def _raw_relator_rows(G: FiniteGroup, variant: WedgeVariant) -> np.ndarray:
-    """Every raw relator as a row of three signed 1-based pair letters.
+# Rows per block of the elimination and of the certificate. A raw block
+# holds the relators of max(1, _BLOCK_ROWS // (2|G|^2)) elements m.
+_BLOCK_ROWS = 1 << 15
+
+
+def _collapsed_letters(G: FiniteGroup, variant: WedgeVariant, ms: range) -> np.ndarray:
+    """The 1-based letters of the collapsed pairs (m, n) with m in ms."""
+    n = G.order
+    if variant is WedgeVariant.CURLY:
+        return np.flatnonzero(commutator_table(G)[ms.start:ms.stop].ravel() == 0) + ms.start * n + 1
+    return np.arange(ms.start, ms.stop) * (n + 1) + 1
+
+
+def _raw_relator_rows(G: FiniteGroup, variant: WedgeVariant, ms: range) -> np.ndarray:
+    """The raw relators of the elements m in ms, as int32 rows of three signed 1-based pair letters.
 
     The pair (m, n) is letter m * |G| + n + 1; a 0 pads the one-letter
     collapsing relators. Rows come in the order crossed-left (m, m', n),
-    then crossed-right (m, n, n'), |G|^3 rows each, then collapsing (x, y).
+    then crossed-right (m, n, n'), |ms| * |G|^2 rows each, then collapsing
+    (m, n). With ms = range(|G|) these are all the raw relators.
     """
     n = G.order
     mul = np.array(G.mul, dtype=np.int32)
     inv = np.array(G.inv, dtype=np.int32)
     conj = mul[mul, inv[:, None]]  # conj[x, y] = x y x^-1
     a = np.arange(n, dtype=np.int32)
-    i, j, k = a[:, None, None], a[None, :, None], a[None, None, :]
+    i = np.arange(ms.start, ms.stop, dtype=np.int32)[:, None, None]
+    j, k = a[None, :, None], a[None, None, :]
     # (mm', n)^-1 (m^m', m^n) (m, n) with (m, m', n) = (i, j, k)
     left = np.stack(np.broadcast_arrays(
         -(mul[i, j] * n + k + 1), conj[i, j] * n + conj[i, k] + 1, i * n + k + 1
@@ -102,13 +125,17 @@ def _raw_relator_rows(G: FiniteGroup, variant: WedgeVariant) -> np.ndarray:
     right = np.stack(np.broadcast_arrays(
         -(i * n + mul[j, k] + 1), i * n + j + 1, conj[j, i] * n + conj[j, k] + 1
     ), axis=-1).reshape(-1, 3)
-    if variant is WedgeVariant.CURLY:
-        collapsed = np.flatnonzero(commutator_table(G).ravel() == 0) + 1
-    else:
-        collapsed = a * (n + 1) + 1
+    collapsed = _collapsed_letters(G, variant, ms)
     collapsing = np.zeros((len(collapsed), 3), dtype=np.int32)
     collapsing[:, 0] = collapsed
     return np.concatenate([left, right, collapsing])
+
+
+def _relator_blocks(G: FiniteGroup, variant: WedgeVariant) -> Iterator[np.ndarray]:
+    """All raw relator rows, one block of elements m at a time."""
+    step = max(1, _BLOCK_ROWS // (2 * G.order**2))
+    for m in range(0, G.order, step):
+        yield _raw_relator_rows(G, variant, range(m, min(m + step, G.order)))
 
 
 def _reduce_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -132,46 +159,108 @@ def _reduce_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.stack([a, b, c], axis=1), length
 
 
-def _eliminate(rows: np.ndarray, num_letters: int) -> tuple[np.ndarray, np.ndarray]:
-    """Tietze elimination to a fixpoint on rows of at most three letters.
+def _mapped(blocks: list[np.ndarray], step: np.ndarray) -> Iterator[np.ndarray]:
+    """Each block rewritten by the signed node map step, released as it goes."""
+    while blocks:
+        rows = blocks.pop()
+        yield np.sign(rows) * step[np.abs(rows)]
+
+
+def _run_starts(values: np.ndarray) -> np.ndarray:
+    """Mask of the first entry of each run of equal values in a sorted array."""
+    first = np.ones(len(values), dtype=bool)
+    first[1:] = values[1:] != values[:-1]
+    return first
+
+
+def _distinct(rows: np.ndarray, num_letters: int) -> np.ndarray:
+    """The distinct rows, in the lexicographic order of their signed letters."""
+    base = 2 * num_letters + 1  # letters lie in [-num_letters, num_letters]
+    key = rows[:, 0].astype(np.int64)
+    for col in (1, 2):
+        key *= base
+        key += rows[:, col]
+    order = np.argsort(key, kind="stable")
+    return rows[order[_run_starts(key[order])]]
+
+
+def _hook(equations: np.ndarray, num_letters: int) -> tuple[np.ndarray, np.ndarray]:
+    """One union step on distinct equation rows in lexicographic order.
+
+    Returns the signed root of every node after the step, and the
+    equations that the step did not apply.
+    """
+    # Each equation row x or x z says x = y, with y = 1 (node 0) or
+    # y = z^-1. With x = u^a and y = v^b, u = v^(ab): hi = lo^s.
+    x, y = equations[:, 0], -equations[:, 1]
+    hi, lo = np.maximum(np.abs(x), np.abs(y)), np.minimum(np.abs(x), np.abs(y))
+    s = np.where((x < 0) != (y < 0), -1, 1).astype(np.int32)
+    # the smallest lo for each hi, and the first such row
+    order = np.lexsort((lo, hi))
+    hook = order[_run_starts(hi[order])]
+    root = np.arange(num_letters + 1, dtype=np.int32)
+    sign = np.ones(num_letters + 1, dtype=np.int32)
+    root[hi[hook]], sign[hi[hook]] = lo[hook], s[hook]
+    unapplied = equations[(root[hi] != lo) | (sign[hi] != s)]
+    while np.any(root[root] != root):
+        sign, root = sign * sign[root], root[root]
+    return sign * root, unapplied
+
+
+def _eliminate(blocks: Iterable[np.ndarray], num_letters: int) -> tuple[np.ndarray, np.ndarray]:
+    """Tietze elimination to a fixpoint on int32 rows of at most three letters.
 
     A row that reduces to one letter kills it; a row that reduces to two
-    letters x y identifies x with y^-1. The classes form a signed
-    union-find over the nodes 0..num_letters, node 0 being the identity:
-    each round every root with an equation to a smaller root is hooked
-    under the smallest such root, so a class's root is its smallest node
-    (0 for the dead classes) whatever the order of the rows.
+    letters x y, not a square, identifies x with y^-1. These rows are the
+    equations. The other rows that do not vanish, words of length 3 and
+    squares r r, are the carriers. The classes form a signed union-find
+    over the nodes 0..num_letters, node 0 being the identity.
+
+    Each pass reduces its rows one block at a time and splits them into
+    equations and carriers. The first pass reads the blocks as given, so a
+    caller that builds them lazily never holds all rows at once; later
+    passes drop repeated rows block by block, and read the rows as one
+    block once they fit in ``_BLOCK_ROWS``. After a pass, every root
+    with an equation to a smaller root is hooked under the smallest such
+    root, so a class's root is its smallest node (0 for the dead classes).
+    Among the equations that give that hook, the first in the
+    lexicographic order of the signed letters sets the sign. The next pass
+    reads the carriers and the equations that were not applied (an applied
+    one, and its repeats, would vanish), rewritten in the new roots. Every
+    pass thus sees the same distinct rows, apart from those that vanish, as
+    a pass over all raw rows would, so roots and signs do not depend on the
+    order or blocking of the rows. Letters, rows and signs stay int32; only
+    the sort keys are int64.
 
     Returns the signed root letter of every node (0 for dead nodes) and the
     distinct reduced rows that still carry information, all of them written
-    in root letters. Those are words of length 3, and squares r r left by a
-    class identified with its own inverse.
+    in root letters and in lexicographic order. Those are words of length
+    3, and squares r r left by a class identified with its own inverse.
     """
-    letters = np.arange(num_letters + 1, dtype=np.int64)
-    base = 2 * num_letters + 1
+    letters = np.arange(num_letters + 1, dtype=np.int32)
+    todo: Iterable[np.ndarray] = blocks
     while True:
-        rows, length = _reduce_rows(np.sign(rows) * letters[np.abs(rows)])
-        key = ((rows[:, 0] + num_letters) * base + rows[:, 1] + num_letters) * base + rows[:, 2]
-        _, first = np.unique(key[length > 0], return_index=True)
-        rows, length = rows[length > 0][first], length[length > 0][first]
-        # Each such row gives an equation x = y: a row x z gives y = z^-1, a
-        # row x gives y = 1 (node 0). With x = u^a and y = v^b, u = v^(ab).
-        ident = (length == 2) & (rows[:, 0] != rows[:, 1])
-        x = np.concatenate([rows[length == 1, 0], rows[ident, 0]])
-        y = np.concatenate([np.zeros(np.count_nonzero(length == 1), dtype=np.int64), -rows[ident, 1]])
-        if not len(x):
-            return letters, rows
-        hi, lo = np.maximum(np.abs(x), np.abs(y)), np.minimum(np.abs(x), np.abs(y))
-        s = np.sign(x) * np.where(y < 0, -1, 1)
-        order = np.lexsort((lo, hi))
-        hi, lo, s = hi[order], lo[order], s[order]
-        first = np.flatnonzero(np.diff(hi, prepend=-1))
-        root = np.arange(num_letters + 1, dtype=np.int64)
-        sign = np.ones(num_letters + 1, dtype=np.int64)
-        root[hi[first]], sign[hi[first]] = lo[first], s[first]
-        while np.any(root[root] != root):
-            sign, root = sign * sign[root], root[root]
-        letters = np.sign(letters) * sign[np.abs(letters)] * root[np.abs(letters)]
+        carried, equations = [], []
+        for rows in todo:
+            rows, length = _reduce_rows(rows)
+            rows = rows[length > 0]
+            if todo is not blocks:  # mapped rows repeat; the raw ones hardly do
+                rows = _distinct(rows, num_letters)
+            eq = (rows[:, 2] == 0) & (rows[:, 0] != rows[:, 1])
+            carried.append(rows[~eq])
+            equations.append(rows[eq])
+        rows = np.concatenate(equations)
+        equations.clear()
+        rows = _distinct(rows, num_letters)
+        if not len(rows):
+            return letters, _distinct(np.concatenate(carried), num_letters)
+        step, rows = _hook(rows, num_letters)
+        if sum(map(len, carried)) + len(rows) <= _BLOCK_ROWS:  # the rows have collapsed
+            carried = [np.concatenate(carried + [rows])]
+        else:
+            carried += (rows[i:i + _BLOCK_ROWS] for i in range(0, len(rows), _BLOCK_ROWS))
+        letters = np.sign(letters) * step[np.abs(letters)]
+        todo = _mapped(carried, step)
 
 
 @dataclass(frozen=True)
@@ -199,7 +288,7 @@ class WedgePresentation:
 
     def raw_presentation(self) -> Presentation:
         """The presentation on all |G|^2 pair letters, relators normalized."""
-        rows = _raw_relator_rows(self.base, self.variant)
+        rows = _raw_relator_rows(self.base, self.variant, range(self.base.order))
         return Presentation(
             num_generators=self.base.order**2,
             relators=preprocess_relators([tuple(x for x in w if x) for w in rows.tolist()]),
@@ -218,8 +307,7 @@ def build_wedge_presentation(
         raise GroupTooLarge(
             f"|{G.label}| = {G.order} exceeds the {variant.value} cap {cap}"
         )
-    rows = _raw_relator_rows(G, variant)
-    letters, kept = _eliminate(rows, G.order**2)
+    letters, kept = _eliminate(_relator_blocks(G, variant), G.order**2)
     roots = np.flatnonzero(letters == np.arange(len(letters)))[1:]  # live nodes that are their own root
     renumber = np.zeros(len(letters), dtype=np.int32)
     renumber[roots] = np.arange(1, len(roots) + 1)
@@ -237,7 +325,7 @@ def build_wedge_presentation(
         pair_letters=tuple(letters[1:].tolist()),
         r1_count=G.order**3,
         r2_count=G.order**3,
-        r3_count=len(rows) - 2 * G.order**3,
+        r3_count=len(_collapsed_letters(G, variant, range(G.order))),
     )
 
 
@@ -254,8 +342,13 @@ def _relators_die(rows: np.ndarray, target: FiniteGroup, pair_images: Sequence[i
 def raw_relators_die(
     wp: WedgePresentation, target: FiniteGroup, pair_images: Sequence[int]
 ) -> bool:
-    """Whether every raw relator is the identity of target with pair p read as pair_images[p]."""
-    return _relators_die(_raw_relator_rows(wp.base, wp.variant), target, pair_images)
+    """Whether every raw relator is the identity of target with pair p read as pair_images[p].
+
+    The rows are built and evaluated one block at a time; the first block
+    with a surviving relator settles the answer.
+    """
+    images = np.asarray(pair_images, dtype=np.int32)  # converted once, not per block
+    return all(_relators_die(rows, target, images) for rows in _relator_blocks(wp.base, wp.variant))
 
 
 def _lift_to_pairs(wp: WedgePresentation, real: Realization) -> Realization:
@@ -421,7 +514,7 @@ def check_pairing(G: FiniteGroup, L: FiniteGroup, phi: Sequence[Sequence[int]]) 
     in_range = bool(np.all((table >= 0) & (table < L.order)))
     if not in_range:
         return False
-    rows = _cached(G, "_curly_rows", lambda: _raw_relator_rows(G, WedgeVariant.CURLY))
+    rows = _cached(G, "_curly_rows", lambda: _raw_relator_rows(G, WedgeVariant.CURLY, range(G.order)))
     return _relators_die(rows, L, table.ravel())
 
 

@@ -2,14 +2,22 @@
 
 import dataclasses
 import random
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from grouplab import wedge
-from grouplab.catalog import builtin
+from grouplab.catalog import builtin, shipped_corpus
 from grouplab.errors import GroupTooLarge, NotAPairing, RelatorNotKilled
-from grouplab.fpgroups import preprocess_relators
-from grouplab.groups import derived_subgroup, direct_product, from_mul_table, relabeled
+from grouplab.fpgroups import Presentation, preprocess_relators, realize, todd_coxeter
+from grouplab.groups import (
+    commutator_table,
+    derived_subgroup,
+    direct_product,
+    from_mul_table,
+    relabeled,
+)
 from grouplab.wedge import (
     WedgeVariant,
     bogomolov_kernel,
@@ -409,3 +417,195 @@ class TestPairings:
         phi = [[Z4.mul[a][b] for b in range(4)] for a in range(4)]
         with pytest.raises(NotAPairing):
             pairing_to_hom(Z4, Z4, phi, wr)
+
+
+def whole_array_eliminate(rows, num_letters):
+    """Reference: _eliminate as it was when every round mapped and sorted all raw rows at once."""
+    letters = np.arange(num_letters + 1, dtype=np.int64)
+    base = 2 * num_letters + 1
+    while True:
+        rows, length = wedge._reduce_rows(np.sign(rows) * letters[np.abs(rows)])
+        key = ((rows[:, 0] + num_letters) * base + rows[:, 1] + num_letters) * base + rows[:, 2]
+        _, first = np.unique(key[length > 0], return_index=True)
+        rows, length = rows[length > 0][first], length[length > 0][first]
+        ident = (length == 2) & (rows[:, 0] != rows[:, 1])
+        x = np.concatenate([rows[length == 1, 0], rows[ident, 0]])
+        y = np.concatenate([np.zeros(np.count_nonzero(length == 1), dtype=np.int64), -rows[ident, 1]])
+        if not len(x):
+            return letters, rows
+        hi, lo = np.maximum(np.abs(x), np.abs(y)), np.minimum(np.abs(x), np.abs(y))
+        s = np.sign(x) * np.where(y < 0, -1, 1)
+        order = np.lexsort((lo, hi))
+        hi, lo, s = hi[order], lo[order], s[order]
+        first = np.flatnonzero(np.diff(hi, prepend=-1))
+        root = np.arange(num_letters + 1, dtype=np.int64)
+        sign = np.ones(num_letters + 1, dtype=np.int64)
+        root[hi[first]], sign[hi[first]] = lo[first], s[first]
+        while np.any(root[root] != root):
+            sign, root = sign * sign[root], root[root]
+        letters = np.sign(letters) * sign[np.abs(letters)] * root[np.abs(letters)]
+
+
+def whole_array_presentation(G, variant):
+    """Reference: build_wedge_presentation on all raw rows at once, with whole_array_eliminate."""
+    letters, kept = whole_array_eliminate(wedge._raw_relator_rows(G, variant, range(G.order)), G.order**2)
+    roots = np.flatnonzero(letters == np.arange(len(letters)))[1:]
+    renumber = np.zeros(len(letters), dtype=np.int64)
+    renumber[roots] = np.arange(1, len(roots) + 1)
+    letters = np.sign(letters) * renumber[np.abs(letters)]
+    kept = np.sign(kept) * renumber[np.abs(kept)]
+    pres = Presentation(
+        num_generators=len(roots),
+        relators=preprocess_relators([tuple(x for x in w if x) for w in kept.tolist()]),
+        label=f"{G.label}-{variant.value}",
+    )
+    return wedge.WedgePresentation(variant, G, pres, tuple(letters[1:].tolist()), 0, 0, 0)
+
+
+def realized_pairs(wp):
+    return wedge._lift_to_pairs(wp, realize(wp.presentation, todd_coxeter(wp.presentation, ())))
+
+
+# the curly-large benchmark pool up to order 32
+POOL_UP_TO_32 = (
+    builtin("dihedral", (16,)),
+    builtin("direct_product", (("dihedral", 4), ("cyclic", 4))),
+    builtin("direct_product", (("quaternion8",), ("cyclic", 4))),
+    S4,
+    builtin("dicyclic", (6,)),
+)
+D4xD4 = builtin("direct_product", (("dihedral", 4), ("dihedral", 4)))
+
+
+def one_m_per_block(monkeypatch, G):
+    monkeypatch.setattr(wedge, "_BLOCK_ROWS", 2 * G.order**2)
+
+
+class TestBlockedElimination:
+    """The streamed int32 elimination against the whole-array one it replaced."""
+
+    def test_matches_whole_array_elimination(self):
+        rng = random.Random(10)
+        for G0 in shipped_corpus() + list(POOL_UP_TO_32):
+            copies = [G0]
+            for _ in range(2):
+                sigma = list(range(1, G0.order))
+                rng.shuffle(sigma)
+                copies.append(relabeled(G0, [0] + sigma, label=G0.label))
+            for G in copies:
+                for variant in WedgeVariant:
+                    wp = build_wedge_presentation(G, variant, group_cap=32)
+                    ref = whole_array_presentation(G, variant)
+                    assert wp.presentation.relators == ref.presentation.relators, G.label
+                    assert wp.presentation.num_generators == ref.presentation.num_generators
+                    # the sign rule is unchanged, so signs agree too, also on
+                    # classes identified with their own inverse
+                    assert wp.pair_letters == ref.pair_letters, G.label
+                    assert realized_pairs(wp) == realized_pairs(ref), G.label
+
+    @pytest.mark.parametrize("variant", list(WedgeVariant))
+    def test_order_and_blocking_do_not_matter(self, monkeypatch, variant):
+        rng = np.random.default_rng(3)
+        for G in (S4, POOL_UP_TO_32[1]):
+            rows = wedge._raw_relator_rows(G, variant, range(G.order))
+            letters, kept = wedge._eliminate([rows], G.order**2)
+            for size in (1000, 7777, len(rows)):
+                shuffled = rows[rng.permutation(len(rows))]
+                blocks = [shuffled[i:i + size] for i in range(0, len(rows), size)]
+                got_letters, got_kept = wedge._eliminate(blocks, G.order**2)
+                assert np.array_equal(got_letters, letters)
+                assert np.array_equal(got_kept, kept)
+            wp = build_wedge_presentation(G, variant, group_cap=32)
+            for budget in (2 * G.order**2, 3 * 2 * G.order**2, 10**7):  # 1, 3 and all m per block
+                monkeypatch.setattr(wedge, "_BLOCK_ROWS", budget)
+                again = build_wedge_presentation(G, variant, group_cap=32)
+                assert again.pair_letters == wp.pair_letters
+                assert again.presentation == wp.presentation
+
+    @pytest.mark.parametrize("variant", list(WedgeVariant))
+    def test_blocks_hold_the_raw_rows(self, monkeypatch, variant):
+        for G, budget, count in ((S3, 1, 6), (D4, 3 * 2 * 8**2, 3)):  # D4: 3, 3 and 2 m per block
+            rows = wedge._raw_relator_rows(G, variant, range(G.order))
+            reference = [w + (0,) * (3 - len(w)) for w in loop_raw_relators(G, variant)]
+            assert rows.tolist() == [list(w) for w in reference]
+            monkeypatch.setattr(wedge, "_BLOCK_ROWS", budget)
+            blocks = list(wedge._relator_blocks(G, variant))
+            assert len(blocks) == count
+            assert sorted(np.concatenate(blocks).tolist()) == sorted(rows.tolist())
+            wp = build_wedge_presentation(G, variant)
+            assert len(rows) == wp.r1_count + wp.r2_count + wp.r3_count
+
+    def test_memory_of_the_d4xd4_presentation(self):
+        commutator_table(D4xD4)  # kept on the group, outside the measured calls
+        tracemalloc.start()
+        try:
+            wp = build_wedge_presentation(D4xD4, WedgeVariant.CURLY)
+            build_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            assert trace_relators_through_commutators(D4xD4, wp)
+            certificate_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the whole-array elimination peaked at 66.6 MiB and its certificate at 37.7 MiB
+        assert build_peak <= 33 * 2**20
+        assert certificate_peak <= 8 * 2**20
+        assert wp.presentation.num_generators == 3
+        assert len(wp.presentation.relators) == 11
+
+
+class TestBlockedCertificate:
+    """The certificate runs block by block and still fails where it must."""
+
+    @pytest.mark.parametrize("variant", list(WedgeVariant))
+    @pytest.mark.parametrize("G", [S3, D4], ids=["S3", "D4"])
+    def test_corrupted_pair_image_fails(self, monkeypatch, G, variant):
+        one_m_per_block(monkeypatch, G)
+        wp = build_wedge_presentation(G, variant)
+        calls = []
+        original = wedge._relators_die
+
+        def counting(rows, target, pair_images):
+            calls.append(len(rows))
+            return original(rows, target, pair_images)
+
+        monkeypatch.setattr(wedge, "_relators_die", counting)
+        assert raw_relators_die(wp, G, commutator_table(G).ravel())
+        assert len(calls) == G.order  # every block is evaluated
+        n = G.order
+        for m in (0, n // 2, n - 1):  # first, middle and last block
+            values = commutator_table(G).ravel().copy()
+            p = wp.pair_generator(m, 1)
+            values[p] = G.mul[values[p]][n - 1]
+            calls.clear()
+            assert not raw_relators_die(wp, G, values)
+            assert len(calls) < G.order  # stopped at the first failing block
+            # the same corruption through the commutator route: H is a copy of G
+            # whose commutator table alone reads the corrupted values
+            H = dataclasses.replace(G)
+            monkeypatch.setattr(
+                wedge,
+                "commutator_table",
+                lambda K, H=H, values=values: values.reshape(n, n) if K is H else commutator_table(K),
+            )
+            assert not trace_relators_through_commutators(H, wp)
+            monkeypatch.setattr(wedge, "commutator_table", commutator_table)
+            assert trace_relators_through_commutators(G, wp)
+
+    @pytest.mark.parametrize("variant", list(WedgeVariant))
+    def test_compute_wedge_rejects_corrupted_realization(self, monkeypatch, variant):
+        G = D4xZ2
+        one_m_per_block(monkeypatch, G)
+        lift = wedge._lift_to_pairs
+        n = G.order
+        for m in (0, n // 2, n - 1):
+            p = m * n + 1
+
+            def corrupted(wp, real, p=p):
+                out = lift(wp, real)
+                images = list(out.gen_images)
+                images[p] = out.group.mul[images[p]][out.group.order - 1]
+                return dataclasses.replace(out, gen_images=tuple(images))
+
+            monkeypatch.setattr(wedge, "_lift_to_pairs", corrupted)
+            with pytest.raises(RelatorNotKilled, match=f"raw {variant.value} relator"):
+                compute_wedge(G, variant)

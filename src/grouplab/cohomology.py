@@ -68,6 +68,7 @@ from .groups import (
     derived_subgroup,
     invariant_factors_from_orders,
     minimal_generating_sequence,
+    table_arrays,
 )
 from .lattices import (
     LatticeSolver,
@@ -184,7 +185,7 @@ def _edge_system(G: FiniteGroup, m: int) -> tuple[np.ndarray, np.ndarray]:
     the unknowns, built along a breadth-first spanning tree.
     """
     n = G.order
-    mul = np.array(G.mul, dtype=np.int64)
+    mul = table_arrays(G)[0]
     gens = minimal_generating_sequence(G)
     d = len(gens)
     N = (n - 1) * d
@@ -214,7 +215,7 @@ def _check_cocycle(G: FiniteGroup, m: int, tables: np.ndarray | Sequence) -> boo
     """Whether every table, one n x n table or a stack of them, is a normalized cocycle."""
     n = G.order
     t = np.asarray(tables, dtype=np.int64).reshape(-1, n, n)
-    mul = np.array(G.mul, dtype=np.int64)
+    mul = table_arrays(G)[0]
     if (t[:, 0] % m).any() or (t[:, :, 0] % m).any():
         return False
     # f(x, y) + f(xy, z) - f(y, z) - f(x, yz), one z at a time to bound memory
@@ -275,7 +276,7 @@ def cocycle_space(G: FiniteGroup, m: int, cap: int = DEFAULT_ORACLE_CAP) -> Cocy
 
     # row g - 1 is the coboundary of the indicator of g: [x=g] + [y=g] - [xy=g]
     e = np.eye(n, dtype=np.int64)
-    full = e[:, :, None] + e[:, None, :] - e[:, np.array(G.mul)]
+    full = e[:, :, None] + e[:, None, :] - e[:, table_arrays(G)[0]]
     cob_rows = full[1:, 1:, 1:].reshape(n - 1, k) % m
     Hb = hnf_from_rows(cob_rows, k, m)
     if member_residual(Hz, cob_rows, m).any():

@@ -48,7 +48,7 @@ class NotAPairing(ValidationError):
 
 
 class WitnessInvalid(ValidationError):
-    """An isoclinism witness failed re-verification."""
+    """An isoclinism witness failed verification."""
 
 
 class ModulusMismatch(ValidationError):

@@ -35,13 +35,15 @@ def _cached(obj: object, key: str, build: Callable[[], _T]) -> _T:
     Groups and subgroups are frozen dataclasses, so what is derived from them
     is kept in ``vars(obj)``, outside the fields that equality and hashing
     read, and lives exactly as long as the object. Every later caller shares
-    the value, so a NumPy array is made read-only before it is kept.
+    the value, so a NumPy array, or each array of a kept tuple, is made
+    read-only before it is kept.
     """
     store = vars(obj)
     if key not in store:
         value = build()
-        if isinstance(value, np.ndarray):
-            value.flags.writeable = False
+        for part in value if isinstance(value, tuple) else (value,):
+            if isinstance(part, np.ndarray):
+                part.flags.writeable = False
         store[key] = value
     return store[key]
 
@@ -165,14 +167,15 @@ class GroupHom:
         return self.images[x]
 
     def is_homomorphism(self) -> bool:
-        src, tgt, img = self.source, self.target, self.images
-        if img[0] != 0:
+        """Whether images lists one target element per source element and respects products."""
+        img, tmul = self.images, self.target.mul
+        if len(img) != self.source.order or not set(img) <= set(range(self.target.order)):
             return False
-        for x in range(src.order):
-            for y in range(src.order):
-                if img[src.mul[x][y]] != tgt.mul[img[x]][img[y]]:
-                    return False
-        return True
+        # row x: (img[xy] for every y) against (img[x] img[y] for every y)
+        lift = operator.itemgetter(*img)  # t -> (t[img[0]], t[img[1]], ...)
+        return all(
+            lift(tmul[img[x]]) == operator.itemgetter(*row)(img) for x, row in enumerate(self.source.mul)
+        )
 
     def is_bijective(self) -> bool:
         return (
@@ -421,13 +424,23 @@ def center(G: FiniteGroup) -> Subgroup:
     return _cached(G, "_center", build)
 
 
+def table_arrays(G: FiniteGroup) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only int32 arrays mul[x, y] = xy, inv[x] = x^-1 and conj[x, y] = x ^ y of G, kept on G."""
+
+    def build() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        mul = np.array(G.mul, dtype=np.int32)
+        inv = np.array(G.inv, dtype=np.int32)
+        return mul, inv, mul[mul, inv[:, None]]
+
+    return _cached(G, "_table_arrays", build)
+
+
 def commutator_table(G: FiniteGroup) -> np.ndarray:
     """Read-only int32 array whose (x, y) entry is [x, y], kept on G."""
 
     def build() -> np.ndarray:
-        mul = np.array(G.mul, dtype=np.int32)
-        inv = np.array(G.inv, dtype=np.int32)
-        return mul[mul[mul, inv[:, None]], inv[None, :]]
+        mul, inv, conj = table_arrays(G)
+        return mul[conj, inv[None, :]]
 
     return _cached(G, "_commutator_table", build)
 

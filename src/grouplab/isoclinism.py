@@ -4,20 +4,23 @@ Two groups are isoclinic when some isomorphism of their central quotients
 and some isomorphism of their derived subgroups intertwine the commutator
 maps. The search backtracks over central-quotient isomorphisms and derives
 the derived-subgroup map from each candidate: the compatibility condition
-pins it down on commutator values, and any failure of single-valuedness,
-multiplicativity or bijectivity rejects the candidate.
+pins it down on commutator values, and a candidate whose forced map is not
+single-valued or does not extend injectively is dropped.
 
-``verify_witness`` checks the compatibility condition on one
-representative per central coset, as one array comparison over all pairs
-of the first group. That is a certificate for every choice of
-representatives: it first checks that the target projection is a
-homomorphism onto the target quotient whose kernel is exactly Z(G2), so
-every coset is a representative times a central element, and
-[az, bz'] = [a, b] for central z and z'.
+The search's acceptance test is the certificate: a candidate is returned
+only when ``verify_witness`` accepts it. That checks the maps, projections
+and sections, and the compatibility condition on one representative per
+central coset, as one array comparison over all pairs of the first group.
+This covers every choice of representatives: each projection's kernel is
+checked to be exactly the center, so every coset is a representative times
+a central element, and [az, bz'] = [a, b] for central z and z'. The verdict
+is kept on the witness object, so later checks of it (the caller's, and
+``build_gamma``'s) read it; a ``dataclasses.replace`` copy is a new object
+and is checked afresh.
 
-Each group's structure (center, central quotient and projection, derived
-subgroup, commutator table) is computed once and kept on the group object,
-so checking many pairs of the same groups does not recompute it.
+Each group's structure (center, central quotient, projection and section,
+derived subgroup, commutator table) is computed once and kept on the group
+object, so checking many pairs of the same groups does not recompute it.
 
 A verified witness induces an isomorphism between the CURLY pairing
 realizations of the two groups; building it, checking the commuting-square
@@ -50,6 +53,7 @@ from .groups import (
     derived_subgroup,
     isomorphisms_iter,
     quotient,
+    table_arrays,
 )
 from .wedge import WedgeRealization, WedgeVariant, check_pairing, hom_from_generator_images
 
@@ -95,37 +99,25 @@ class IsoclinismWitness:
         return GroupHom(g1, g2, images)
 
 
-def _central_data(G: FiniteGroup) -> tuple[FiniteGroup, GroupHom, Subgroup]:
-    """The central quotient Q, the projection G -> Q and Z(G), kept on G."""
+def _central_data(G: FiniteGroup) -> tuple[FiniteGroup, GroupHom, Subgroup, tuple[int, ...]]:
+    """The central quotient Q, the projection G -> Q, Z(G) and the section of coset minima, kept on G."""
 
-    def build() -> tuple[FiniteGroup, GroupHom, Subgroup]:
+    def build() -> tuple[FiniteGroup, GroupHom, Subgroup, tuple[int, ...]]:
         Z = center(G)
         Q, proj = quotient(G, Z)
-        return Q, proj, Z
+        section = tuple(np.unique(proj.images, return_index=True)[1].tolist())
+        return Q, proj, Z, section
 
     return _cached(G, "_central_data", build)
 
 
-def _minimal_section(G: FiniteGroup, proj: GroupHom, Q: FiniteGroup) -> tuple[int, ...]:
-    sec = [-1] * Q.order
-    for x in range(G.order):
-        q = proj.images[x]
-        if sec[q] < 0:
-            sec[q] = x
-    return tuple(sec)
-
-
-def _derive_beta(
-    G1: FiniteGroup,
-    G2: FiniteGroup,
-    image: np.ndarray,
-    derived2: Subgroup,
-) -> dict[int, int] | None:
+def _derive_beta(G1: FiniteGroup, G2: FiniteGroup, image: np.ndarray) -> dict[int, int] | None:
     """Map forced on commutators by compatibility, extended to the closure.
 
     ``image[x, y]`` is the commutator in G2 of the lifts of x and y. Returns
-    the full map on the first derived subgroup, or None when the candidate
-    quotient isomorphism admits no compatible derived-subgroup isomorphism.
+    the injective map on the first derived subgroup the forced values
+    generate, or None when a commutator is sent to two values or the
+    extension conflicts; ``verify_witness`` checks the rest.
     """
     comm1 = commutator_table(G1)
     forced = np.zeros(G1.order, dtype=image.dtype)
@@ -133,39 +125,26 @@ def _derive_beta(
     if not np.array_equal(forced[comm1], image):  # [x, y] is sent to two values
         return None
     values = np.unique(comm1).tolist()
-    beta = dict(zip(values, forced[values].tolist()))
-    known = _extend_partial(G1, G2, beta, values)
-    if known is None or set(known.values()) != set(derived2.members):
-        return None
-    members = sorted(known)
-    for a in members:
-        for b in members:
-            if known[G1.mul[a][b]] != G2.mul[known[a]][known[b]]:
-                return None
-    return known
+    return _extend_partial(G1, G2, dict(zip(values, forced[values].tolist())), values)
 
 
 def are_isoclinic(G1: FiniteGroup, G2: FiniteGroup) -> IsoclinismWitness | None:
-    """First witness in deterministic search order, or None."""
-    Q1, proj1, _ = _central_data(G1)
-    Q2, proj2, _ = _central_data(G2)
+    """First witness in deterministic search order that verify_witness accepts, or None."""
+    Q1, proj1, _, sec1 = _central_data(G1)
+    Q2, proj2, _, sec2 = _central_data(G2)
     if Q1.order != Q2.order:
         return None
-    D1 = derived_subgroup(G1)
-    D2 = derived_subgroup(G2)
-    if len(D1) != len(D2):
+    if len(derived_subgroup(G1)) != len(derived_subgroup(G2)):
         return None
     if Q1.order_multiset() != Q2.order_multiset():
         return None
-    sec1 = _minimal_section(G1, proj1, Q1)
-    sec2 = _minimal_section(G2, proj2, Q2)
     comm2 = commutator_table(G2)
     for alpha in isomorphisms_iter(Q1, Q2):
         image = _pair_table(comm2, np.take(alpha.images, proj1.images), sec2)
-        beta = _derive_beta(G1, G2, image, D2)
+        beta = _derive_beta(G1, G2, image)
         if beta is None:
             continue
-        return IsoclinismWitness(
+        w = IsoclinismWitness(
             source=G1,
             target=G2,
             quotient1=Q1,
@@ -177,54 +156,61 @@ def are_isoclinic(G1: FiniteGroup, G2: FiniteGroup) -> IsoclinismWitness | None:
             section1=sec1,
             section2=sec2,
         )
+        if verify_witness(w):
+            return w
     return None
 
 
-def _is_central_projection(G: FiniteGroup, Q: FiniteGroup, proj: GroupHom) -> bool:
-    """Whether proj is a homomorphism from G onto Q whose kernel is exactly Z(G)."""
-    images = np.asarray(proj.images)
-    if images.shape != (G.order,) or set(images.tolist()) != set(range(Q.order)):
+def _is_central_projection(
+    G: FiniteGroup, Q: FiniteGroup, proj: GroupHom, section: Sequence[int]
+) -> bool:
+    """Whether proj is a homomorphism from G onto Q whose kernel is exactly Z(G),
+    and section lists, for each q in Q, an element that proj sends to q."""
+    images = proj.images  # checked as a map from G to Q, whatever groups proj names
+    if not GroupHom(G, Q, images).is_homomorphism() or len(set(images)) != Q.order:
         return False
-    if not np.array_equal(images[np.asarray(G.mul)], np.asarray(Q.mul)[images[:, None], images]):
+    if tuple(x for x, q in enumerate(images) if q == 0) != center(G).members:
         return False
-    return tuple(np.flatnonzero(images == 0).tolist()) == center(G).members
+    if len(section) != Q.order or not set(section) <= set(range(G.order)):
+        return False
+    return [images[x] for x in section] == list(range(Q.order))
 
 
 def verify_witness(w: IsoclinismWitness) -> bool:
-    """Re-check everything, over all pairs and all representative choices.
+    """Whether w is an isoclinism witness, over all pairs and all representative choices.
 
-    The compatibility condition is compared on section representatives only,
-    which covers every representative once proj2 is known to be a central
-    projection (see the module docstring).
+    The certificate runs once per witness object and its verdict is kept on
+    w (see the module docstring). A malformed witness, with a map or section
+    of the wrong length or with entries out of range, is rejected.
     """
-    if not (w.alpha.is_homomorphism() and w.alpha.is_bijective()):
-        return False
-    try:
-        beta_hom = w.beta_hom()
-    except WitnessInvalid:  # beta is not defined on the derived subgroups
-        return False
-    if not (beta_hom.is_homomorphism() and beta_hom.is_bijective()):
-        return False
-    G1, G2 = w.source, w.target
-    # projections and sections must be coherent
-    for q in range(w.quotient1.order):
-        if w.proj1.images[w.section1[q]] != q:
+
+    def certify() -> bool:
+        G1, G2 = w.source, w.target
+        alpha = GroupHom(w.quotient1, w.quotient2, w.alpha.images)
+        if not (alpha.is_homomorphism() and alpha.is_bijective()):
             return False
-    for q in range(w.quotient2.order):
-        if w.proj2.images[w.section2[q]] != q:
+        try:
+            beta_hom = w.beta_hom()
+        except WitnessInvalid:  # beta is not defined on the derived subgroups
             return False
-    if not _is_central_projection(G2, w.quotient2, w.proj2):
-        return False
-    beta = np.zeros(G1.order, dtype=np.int64)
-    beta[[x for x, _ in w.beta]] = [y for _, y in w.beta]
-    image = _pair_table(commutator_table(G2), np.take(w.alpha.images, w.proj1.images), w.section2)
-    return bool(np.array_equal(beta[commutator_table(G1)], image))
+        if not (beta_hom.is_homomorphism() and beta_hom.is_bijective()):
+            return False
+        if not (
+            _is_central_projection(G1, w.quotient1, w.proj1, w.section1)
+            and _is_central_projection(G2, w.quotient2, w.proj2, w.section2)
+        ):
+            return False
+        beta = np.zeros(G1.order, dtype=np.int64)
+        beta[[x for x, _ in w.beta]] = [y for _, y in w.beta]
+        image = _pair_table(commutator_table(G2), np.take(alpha.images, w.proj1.images), w.section2)
+        return bool(np.array_equal(beta[commutator_table(G1)], image))
+
+    return _cached(w, "_verified", certify)
 
 
 def identity_witness(G: FiniteGroup) -> IsoclinismWitness:
-    Q, proj, _ = _central_data(G)
+    Q, proj, _, sec = _central_data(G)
     D = derived_subgroup(G)
-    sec = _minimal_section(G, proj, Q)
     return IsoclinismWitness(
         source=G,
         target=G,
@@ -311,7 +297,7 @@ def build_gamma(
     if wedge1.base.mul != w.source.mul or wedge2.base.mul != w.target.mul:
         raise ValidationError("wedge realizations do not match the witness groups")
     if not verify_witness(w):
-        raise WitnessInvalid("witness failed re-verification")
+        raise WitnessInvalid("witness failed verification")
     coset = np.take(w.alpha.images, w.proj1.images)
     phi = _pair_table(wedge2.pair_table(), coset, w.section2)
     if not check_pairing(w.source, wedge2.realization.group, phi):
@@ -327,16 +313,12 @@ def build_gamma(
     for el in range(wedge1.realization.group.order):
         if bmap[k1[el]] != k2[gamma.images[el]]:
             raise InternalCheckFailed("commuting square fails at a realization element")
-    ker1 = tuple(sorted(wedge1.kernel.members))
-    ker2 = tuple(sorted(wedge2.kernel.members))
-    ker2_set = set(ker2)
-    for x in ker1:
-        if gamma.images[x] not in ker2_set:
-            raise InternalCheckFailed("gamma does not restrict to the kernels")
-    k1_group, members1 = Subgroup(wedge1.realization.group, ker1).as_group()
-    k2_group, members2 = Subgroup(wedge2.realization.group, ker2).as_group()
-    pos2 = {x: i for i, x in enumerate(members2)}
-    tilde_images = tuple(pos2[gamma.images[x]] for x in members1)
+    k1_group, ker1 = wedge1.kernel.as_group()
+    k2_group, ker2 = wedge2.kernel.as_group()
+    if any(gamma.images[x] not in wedge2.kernel for x in ker1):
+        raise InternalCheckFailed("gamma does not restrict to the kernels")
+    pos2 = {x: i for i, x in enumerate(ker2)}
+    tilde_images = tuple(pos2[gamma.images[x]] for x in ker1)
     gamma_tilde = GroupHom(k1_group, k2_group, tilde_images)
     if not (gamma_tilde.is_homomorphism() and gamma_tilde.is_bijective()):
         raise InternalCheckFailed("kernel restriction is not an isomorphism")
@@ -360,7 +342,7 @@ def well_definedness_fuzz(
     Z2 = sorted(center(w.target).members)
     if len(Z2) == 1:  # every perturbation is the identity
         return True
-    mul2 = np.array(w.target.mul)
+    mul2 = table_arrays(w.target)[0]
     pairs2, coset = wedge2.pair_table(), np.take(w.alpha.images, w.proj1.images)
     baseline = _pair_table(pairs2, coset, w.section2)
     rng = random.Random(seed)
@@ -373,7 +355,7 @@ def well_definedness_fuzz(
 
 
 def _signature(G: FiniteGroup) -> tuple:
-    Q, _, _ = _central_data(G)
+    Q = _central_data(G)[0]
     D = derived_subgroup(G)
     dg, _ = D.as_group()
     return (Q.order, len(D), Q.order_multiset(), dg.order_multiset())

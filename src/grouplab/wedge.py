@@ -74,6 +74,7 @@ from .groups import (
     abelian_invariants,
     commutator_table,
     derived_subgroup,
+    table_arrays,
 )
 
 DEFAULT_CURLY_CAP = 64
@@ -111,9 +112,7 @@ def _raw_relator_rows(G: FiniteGroup, variant: WedgeVariant, ms: range) -> np.nd
     (m, n). With ms = range(|G|) these are all the raw relators.
     """
     n = G.order
-    mul = np.array(G.mul, dtype=np.int32)
-    inv = np.array(G.inv, dtype=np.int32)
-    conj = mul[mul, inv[:, None]]  # conj[x, y] = x y x^-1
+    mul, _, conj = table_arrays(G)
     a = np.arange(n, dtype=np.int32)
     i = np.arange(ms.start, ms.stop, dtype=np.int32)[:, None, None]
     j, k = a[None, :, None], a[None, None, :]
@@ -331,8 +330,7 @@ def build_wedge_presentation(
 
 def _relators_die(rows: np.ndarray, target: FiniteGroup, pair_images: Sequence[int]) -> bool:
     """Whether every relator row is the identity of target with pair p read as pair_images[p]."""
-    mul = np.array(target.mul, dtype=np.int32)
-    inv = np.array(target.inv, dtype=np.int32)
+    mul, inv, _ = table_arrays(target)
     images = np.concatenate([[0], np.asarray(pair_images, dtype=np.int32)])  # letter 0 pads
     vals = images[np.abs(rows)]
     vals = np.where(rows < 0, inv[vals], vals)
@@ -359,7 +357,7 @@ def _lift_to_pairs(wp: WedgePresentation, real: Realization) -> Realization:
     """
     letters = np.array(wp.pair_letters, dtype=np.int64)
     images = np.array((0,) + real.gen_images, dtype=np.int64)[np.abs(letters)]
-    images = np.where(letters < 0, np.array(real.group.inv)[images], images)
+    images = np.where(letters < 0, table_arrays(real.group)[1][images], images)
     values, first = np.unique(letters, return_index=True)
     rep = dict(zip(values.tolist(), (first + 1).tolist()))  # letter j -> pair letter of its root
     words = tuple(tuple(rep[x] if x > 0 else -rep[-x] for x in w) for w in real.words)
@@ -423,7 +421,7 @@ class WedgeRealization:
         return self.realization.group.order
 
     def kernel_invariants(self) -> AbelianInvariants:
-        return abelian_invariants(Subgroup(self.realization.group, self.kernel.members))
+        return abelian_invariants(self.kernel)
 
 
 def compute_wedge(

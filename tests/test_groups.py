@@ -14,6 +14,7 @@ from grouplab.errors import (
     ValidationError,
 )
 from grouplab.groups import (
+    GroupHom,
     Subgroup,
     abelian_invariants,
     abelian_subgroups,
@@ -31,6 +32,7 @@ from grouplab.groups import (
     quotient,
     relabeled,
     subgroup_closure,
+    table_arrays,
     validate_table,
 )
 
@@ -143,6 +145,7 @@ class TestStructureKeptOnTheGroup:
         assert center(G) is center(G)
         assert derived_subgroup(G) is derived_subgroup(G)
         assert commutator_table(G) is commutator_table(G)
+        assert table_arrays(G) is table_arrays(G)
         assert G.order_multiset() is G.order_multiset()
 
     def test_commutator_table_matches_comm(self):
@@ -150,6 +153,15 @@ class TestStructureKeptOnTheGroup:
             assert commutator_table(G).tolist() == [
                 [G.comm(x, y) for y in range(G.order)] for x in range(G.order)
             ]
+
+    def test_table_arrays_match_the_table(self):
+        for G in (S3, D4, Q8):
+            mul, inv, conj = table_arrays(G)
+            n = G.order
+            assert mul.dtype == inv.dtype == conj.dtype == "int32"
+            assert mul.tolist() == [list(row) for row in G.mul]
+            assert inv.tolist() == list(G.inv)
+            assert conj.tolist() == [[G.conj(x, y) for y in range(n)] for x in range(n)]
 
     def test_callers_cannot_change_the_kept_values(self):
         G = relabeled(D4, [0, 2, 1, 3, 4, 5, 6, 7])
@@ -163,6 +175,9 @@ class TestStructureKeptOnTheGroup:
             table[1, 2] = 0
         with pytest.raises(ValueError):
             table.ravel()[0] = 3
+        for array in table_arrays(G):
+            with pytest.raises(ValueError):
+                array[0] = 1
         assert commutator_table(G).tolist() == [
             [G.comm(x, y) for y in range(G.order)] for x in range(G.order)
         ]
@@ -190,6 +205,13 @@ class TestQuotient:
         assert Q.order == 2
         assert proj.is_homomorphism()
         assert sorted(proj.kernel().members) == sorted(A3.members)
+
+    def test_malformed_images_are_not_a_homomorphism(self):
+        _, proj = quotient(D4, derived_subgroup(D4))
+        images = proj.images
+        assert GroupHom(D4, proj.target, images).is_homomorphism()
+        for bad in (images[:-1], images + (0,), images[:-1] + (99,), images[:-1] + (-1,)):
+            assert not GroupHom(D4, proj.target, bad).is_homomorphism(), bad
 
     def test_order_and_surjectivity(self):
         N = derived_subgroup(D4)

@@ -80,22 +80,52 @@ class TestVerifyWitness:
 
     def test_incompatible_beta_rejected(self):
         # inversion on the derived subgroup of S3 is an automorphism but is
-        # not compatible with the identity quotient map
+        # not compatible with the identity quotient map. The copy is a new
+        # object, so the verdict kept on the verified original does not carry.
         wi = identity_witness(S3)
+        assert verify_witness(wi)
         bad = tuple(sorted((x, S3.inv[x]) for x in derived_subgroup(S3).members))
-        wbad = IsoclinismWitness(
-            source=wi.source,
-            target=wi.target,
-            quotient1=wi.quotient1,
-            quotient2=wi.quotient2,
-            proj1=wi.proj1,
-            proj2=wi.proj2,
-            alpha=wi.alpha,
-            beta=bad,
-            section1=wi.section1,
-            section2=wi.section2,
-        )
-        assert not verify_witness(wbad)
+        assert not verify_witness(dataclasses.replace(wi, beta=bad))
+        assert verify_witness(wi)
+
+    def test_malformed_witness_is_rejected(self):
+        w = are_isoclinic(D4, Q8)
+        w1 = compute_wedge(D4, WedgeVariant.CURLY)
+        w2 = compute_wedge(Q8, WedgeVariant.CURLY)
+        alpha = w.alpha.images
+        cases = {
+            "alpha one image short": dict(alpha=GroupHom(w.quotient1, w.quotient2, alpha[:-1])),
+            "alpha image of 99": dict(alpha=GroupHom(w.quotient1, w.quotient2, alpha[:-1] + (99,))),
+            "section1 one entry short": dict(section1=w.section1[:-1]),
+            "section2 one entry short": dict(section2=w.section2[:-1]),
+            "section2 entry of 99": dict(section2=w.section2[:-1] + (99,)),
+        }
+        for kind, change in cases.items():
+            bad = dataclasses.replace(w, **change)
+            assert not verify_witness(bad), kind
+            with pytest.raises(WitnessInvalid):
+                build_gamma(bad, w1, w2)
+
+    def test_certificate_runs_once_per_witness(self, monkeypatch):
+        """The search, the caller's check and build_gamma share one certificate.
+
+        The certificate asks for beta_hom exactly once, so its calls count
+        the certificates run on D4 ~ Q8, whose first candidate is accepted.
+        """
+        w1 = compute_wedge(D4, WedgeVariant.CURLY)
+        w2 = compute_wedge(Q8, WedgeVariant.CURLY)
+        calls = []
+        beta_hom = IsoclinismWitness.beta_hom
+
+        def counted(w):
+            calls.append(w)
+            return beta_hom(w)
+
+        monkeypatch.setattr(IsoclinismWitness, "beta_hom", counted)
+        w = are_isoclinic(D4, Q8)
+        assert verify_witness(w)
+        build_gamma(w, w1, w2)
+        assert calls == [w]
 
     def test_beta_hom_uses_the_kept_derived_groups(self):
         w = are_isoclinic(D4, Q8)
@@ -125,8 +155,7 @@ class TestDeriveBeta:
         commutator of G to two values.
         """
         G = builtin("direct_product", (("dihedral", 4), ("symmetric", 3)))
-        Q, proj, _ = isoclinism._central_data(G)
-        section = isoclinism._minimal_section(G, proj, Q)
+        Q, proj, _, section = isoclinism._central_data(G)
         comm = commutator_table(G)
 
         def no_extension(*args):
@@ -141,7 +170,7 @@ class TestDeriveBeta:
                 values.setdefault(c, set()).add(v)
             if any(len(vs) > 1 for vs in values.values()):
                 two_valued += 1
-                assert isoclinism._derive_beta(G, G, image, derived_subgroup(G)) is None
+                assert isoclinism._derive_beta(G, G, image) is None
         assert two_valued
 
 

@@ -1,0 +1,148 @@
+"""A group with nontrivial Bogomolov multiplier, and the theorem checked on it.
+
+B64 and N are subgroups of S32 of order 64, typed in as 1-based cycles (the
+notation ``build_from_permutations`` names elements with). They share |Z| = 4,
+|G'| = 8, abelianization (2, 2, 2) and element-order counts, but only B64 has
+B0 = Z/2, so they are not isoclinic. The expected kernels rest on Chu, Hu,
+Kang and Kunyavskii (*Noether's problem and the unramified Brauer group for
+groups of order 64*, IMRN 2010): every group of order 64 has B0 = 0 or Z/2,
+B64 is one of those where it is Z/2 and N one where it is 0. The group data
+that the tests compare against come from the permutation closure below, not
+from grouplab.
+
+P = B64 x Z2 is isoclinic to B64 (an abelian direct factor changes neither
+G/Z nor G'), so by the theorem its kernel is Z/2 as well, and a witness from
+B64 to P must induce an isomorphism of the kernels.
+"""
+
+import random
+
+import pytest
+
+from grouplab.catalog import builtin
+from grouplab.groups import (
+    abelian_invariants,
+    build_from_permutations,
+    center,
+    derived_subgroup,
+    direct_product,
+    quotient,
+    relabeled,
+)
+from grouplab.isoclinism import are_isoclinic, build_gamma, verify_witness, well_definedness_fuzz
+from grouplab.wedge import WedgeVariant, compute_wedge
+
+DEGREE = 32
+
+B64_CYCLES = (
+    "(5 6)(7 8)(9 11)(10 12)(17 21)(18 22)(19 23)(20 24)(27 28)(29 31)(30 32)",
+    "(9 10)(25 27)(26 28)(29 30)",
+    "(1 3)(2 4)(25 31 28 30 26 32 27 29)",
+)
+N_CYCLES = (
+    "(1 5)(2 6)(3 7)(4 8)(13 15)(14 16)(17 18)(25 27)(26 28)(29 31)(30 32)",
+    "(1 3)(2 4)(7 8)(11 12)(25 27)(26 28)",
+    "(23 24)(29 32 30 31)",
+)
+
+
+def perm(cycles: str) -> tuple[int, ...]:
+    """0-based image tuple of a product of disjoint 1-based cycles."""
+    image = list(range(DEGREE))
+    for cycle in cycles.strip("()").split(")("):
+        points = [int(p) - 1 for p in cycle.split()]
+        for a, b in zip(points, points[1:] + points[:1]):
+            image[a] = b
+    return tuple(image)
+
+
+def compose(a, b):
+    """a after b, right to left."""
+    return tuple(a[i] for i in b)
+
+
+def inverse(a):
+    out = [0] * len(a)
+    for i, x in enumerate(a):
+        out[x] = i
+    return tuple(out)
+
+
+def closure(gens):
+    ident = tuple(range(DEGREE))
+    seen, frontier = {ident}, [ident]
+    while frontier:
+        frontier = [c for c in {compose(x, g) for x in frontier for g in gens} if c not in seen]
+        seen.update(frontier)
+    return seen
+
+
+def reference_data(cycles):
+    """|G|, |Z|, |G'| and the invariant factors of G/G', by permutations alone."""
+    gens = [perm(c) for c in cycles]
+    elements = closure(gens)
+    z = [x for x in elements if all(compose(x, g) == compose(g, x) for g in gens)]
+    comms = {compose(compose(x, y), compose(inverse(x), inverse(y))) for x in elements for y in elements}
+    derived = closure(list(comms))
+    index = len(elements) // len(derived)
+    # G/G' is elementary abelian exactly when every square lies in G'; its rank is log2(index)
+    squares_in_derived = all(compose(x, x) in derived for x in elements)
+    assert squares_in_derived and index & (index - 1) == 0
+    return len(elements), len(z), len(derived), (2,) * (index.bit_length() - 1)
+
+
+def grouplab_data(G):
+    ab, _ = quotient(G, derived_subgroup(G))
+    return G.order, len(center(G)), len(derived_subgroup(G)), abelian_invariants(ab).factors
+
+
+@pytest.fixture(scope="module")
+def b64():
+    return build_from_permutations([perm(c) for c in B64_CYCLES], cap=64, degree=DEGREE, label="B64")
+
+
+@pytest.fixture(scope="module")
+def n64():
+    return build_from_permutations([perm(c) for c in N_CYCLES], cap=64, degree=DEGREE, label="N")
+
+
+@pytest.fixture(scope="module")
+def b64_wedge(b64):
+    return compute_wedge(b64, WedgeVariant.CURLY)
+
+
+class TestGroupData:
+    def test_reference_values(self):
+        assert reference_data(B64_CYCLES) == reference_data(N_CYCLES) == (64, 4, 8, (2, 2, 2))
+
+    def test_grouplab_agrees_with_the_closure(self, b64, n64):
+        assert grouplab_data(b64) == reference_data(B64_CYCLES)
+        assert grouplab_data(n64) == reference_data(N_CYCLES)
+        assert b64.order_multiset() == n64.order_multiset()
+
+
+class TestKernel:
+    def test_b64_kernel_is_z2(self, b64_wedge):
+        assert b64_wedge.kernel_invariants().factors == (2,)
+
+    def test_relabeled_b64_kernel_is_z2(self, b64):
+        sigma = list(range(1, b64.order))
+        random.Random(64).shuffle(sigma)
+        G = relabeled(b64, [0] + sigma)
+        assert compute_wedge(G, WedgeVariant.CURLY).kernel_invariants().factors == (2,)
+
+    def test_n_kernel_is_trivial_and_n_is_not_isoclinic_to_b64(self, b64, n64):
+        assert compute_wedge(n64, WedgeVariant.CURLY).kernel_invariants().factors == ()
+        assert are_isoclinic(b64, n64) is None
+
+
+class TestTheoremOnB64TimesZ2:
+    def test_witness_induces_an_isomorphism_of_the_kernels(self, b64, b64_wedge):
+        P = direct_product(b64, builtin("cyclic", (2,)), label="B64xZ2")
+        wedge_p = compute_wedge(P, WedgeVariant.CURLY, group_cap=128)
+        w = are_isoclinic(b64, P)
+        assert w is not None and verify_witness(w)
+        g = build_gamma(w, b64_wedge, wedge_p)
+        assert g.gamma.is_bijective() and g.gamma_tilde.is_bijective()
+        assert len(g.kernel1_members) == len(g.kernel2_members) == 2
+        assert well_definedness_fuzz(w, b64_wedge, wedge_p, trials=100, seed=0)

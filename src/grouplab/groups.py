@@ -178,10 +178,9 @@ class GroupHom:
         )
 
     def is_bijective(self) -> bool:
-        return (
-            self.source.order == self.target.order
-            and len(set(self.images)) == self.source.order
-        )
+        """Whether images lists each target element exactly once, one per source element."""
+        n = self.target.order
+        return self.source.order == n and sorted(self.images) == list(range(n))
 
     def kernel(self) -> Subgroup:
         return Subgroup(self.source, tuple(x for x in range(self.source.order) if self.images[x] == 0))

@@ -35,11 +35,11 @@ certificate evaluates one block at a time and stops at the first block in
 which a relator survives.
 
 ``_raw_relator_rows`` is the only spelling of the relations. The same
-evaluator runs its rows against the lifted pair images, against the
-commutator table of G, and, in ``check_pairing``, against any pair table
-phi : G x G -> L, where the raw CURLY rows are the pairing axioms.
-``WedgeRealization.pair_table()`` gives a realization's pair images as one
-|G| x |G| array.
+blocked evaluator runs its rows against the lifted pair images, against
+the commutator table of G, and, in ``check_pairing``, against any pair
+table phi : G x G -> L, where the raw CURLY rows are the pairing axioms.
+No rows are kept between calls. ``WedgeRealization.pair_table()`` gives a
+realization's pair images as one |G| x |G| array.
 """
 
 from __future__ import annotations
@@ -70,7 +70,6 @@ from .groups import (
     FiniteGroup,
     GroupHom,
     Subgroup,
-    _cached,
     abelian_invariants,
     commutator_table,
     derived_subgroup,
@@ -385,11 +384,10 @@ def hom_from_generator_images(
                 x = target.inv[x]
             el = target.mul[el][x]
         images.append(el)
-    for el in range(grp.order):
-        row = grp.mul[el]
-        img_el = images[el]
+    for el, (row, img_el) in enumerate(zip(grp.mul, images)):
+        img_row = target.mul[img_el]
         for g, rg in enumerate(realization.gen_images):
-            if images[row[rg]] != target.mul[img_el][gen_images[g]]:
+            if images[row[rg]] != img_row[gen_images[g]]:
                 raise RelatorNotKilled(
                     f"generator images do not extend to a homomorphism "
                     f"(element {el}, generator {g})"
@@ -497,11 +495,9 @@ def check_pairing(G: FiniteGroup, L: FiniteGroup, phi: Sequence[Sequence[int]]) 
 
     The axioms are the raw CURLY relators of G, the rows the presentation
     is built from, evaluated with the pair (m, n) read as phi[m][n]. A phi
-    that is not a |G| x |G| table of elements of L is not a pairing.
-
-    The rows are built once and kept on G, because one group is checked
-    against many pair tables (one per isoclinic partner). ``compute_wedge``
-    does not keep them: a group of order 64 has about 6 MB of rows.
+    that is not a |G| x |G| table of elements of L is not a pairing. As in
+    ``raw_relators_die``, the rows are built and evaluated one block at a
+    time, and none is kept.
     """
     try:
         table = np.asarray(phi)
@@ -510,10 +506,8 @@ def check_pairing(G: FiniteGroup, L: FiniteGroup, phi: Sequence[Sequence[int]]) 
     if table.shape != (G.order, G.order) or table.dtype.kind not in "iu":
         return False
     in_range = bool(np.all((table >= 0) & (table < L.order)))
-    if not in_range:
-        return False
-    rows = _cached(G, "_curly_rows", lambda: _raw_relator_rows(G, WedgeVariant.CURLY, range(G.order)))
-    return _relators_die(rows, L, table.ravel())
+    blocks = _relator_blocks(G, WedgeVariant.CURLY)
+    return in_range and all(_relators_die(rows, L, table.ravel()) for rows in blocks)
 
 
 def pairing_to_hom(

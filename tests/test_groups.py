@@ -213,6 +213,16 @@ class TestQuotient:
         for bad in (images[:-1], images + (0,), images[:-1] + (99,), images[:-1] + (-1,)):
             assert not GroupHom(D4, proj.target, bad).is_homomorphism(), bad
 
+    def test_image_outside_the_target_is_not_bijective(self):
+        Z2 = cyclic(2)
+        hom = GroupHom(Z2, Z2, (0, 5))
+        assert not hom.is_bijective()
+        with pytest.raises(ValidationError):
+            hom.inverse()
+        assert GroupHom(Z2, Z2, (0, 1)).inverse().images == (0, 1)
+        for bad in ((0,), (0, 1, 1), (1, 1), (0, -1)):
+            assert not GroupHom(Z2, Z2, bad).is_bijective(), bad
+
     def test_order_and_surjectivity(self):
         N = derived_subgroup(D4)
         Q, proj = quotient(D4, N)

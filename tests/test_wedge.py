@@ -17,6 +17,7 @@ from grouplab.groups import (
     direct_product,
     from_mul_table,
     relabeled,
+    table_arrays,
 )
 from grouplab.wedge import (
     WedgeVariant,
@@ -609,3 +610,33 @@ class TestBlockedCertificate:
             monkeypatch.setattr(wedge, "_lift_to_pairs", corrupted)
             with pytest.raises(RelatorNotKilled, match=f"raw {variant.value} relator"):
                 compute_wedge(G, variant)
+
+    def test_check_pairing_reads_every_block_and_keeps_nothing(self, monkeypatch):
+        G = POOL_UP_TO_32[1]  # D4 x Z4, order 32
+        one_m_per_block(monkeypatch, G)
+        phi = commutator_pairing_table(G)
+        table_arrays(G)  # kept on the group, outside the measured call
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            assert check_pairing(G, G, phi)
+            after = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        # keeping the raw rows left 0.76 MiB here; numpy's own caches keep about 1.5 KiB
+        assert after - before <= 16 * 2**10
+        calls = []
+        original = wedge._relators_die
+
+        def counting(rows, target, pair_images):
+            calls.append(len(rows))
+            return original(rows, target, pair_images)
+
+        monkeypatch.setattr(wedge, "_relators_die", counting)
+        assert check_pairing(G, G, phi)
+        assert len(calls) == G.order  # every block is evaluated
+        n = G.order
+        bad = [list(row) for row in phi]
+        bad[n - 1][1] = G.mul[bad[n - 1][1]][n - 1]  # a pair (m, 1) of the last block
+        assert not loop_check_pairing(G, G, bad)
+        assert not check_pairing(G, G, bad)

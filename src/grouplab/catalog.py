@@ -13,7 +13,7 @@ import hashlib
 import json
 import operator
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -437,6 +437,10 @@ class InvariantReport:
     @staticmethod
     def from_json_dict(doc: dict) -> "InvariantReport":
         data = {k: v for k, v in doc.items() if k != "schema_version"}
+        names = {f.name for f in fields(InvariantReport)}
+        missing, unknown = sorted(names - data.keys()), sorted(data.keys() - names)
+        if missing or unknown:
+            raise ValidationError(f"malformed report document: missing keys {missing}, unknown keys {unknown}")
         return InvariantReport(**data)
 
 

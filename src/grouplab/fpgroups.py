@@ -100,7 +100,7 @@ def presentation_from_json(doc: dict) -> Presentation:
             relators=tuple(tuple(int(x) for x in w) for w in doc["relators"]),
             label=str(doc.get("label", "P")),
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed presentation document: {exc}") from exc
 
 

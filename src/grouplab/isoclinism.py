@@ -7,20 +7,22 @@ the derived-subgroup map from each candidate: the compatibility condition
 pins it down on commutator values, and a candidate whose forced map is not
 single-valued or does not extend injectively is dropped.
 
-The search's acceptance test is the certificate: a candidate is returned
-only when ``verify_witness`` accepts it. That checks the maps, projections
-and sections, and the compatibility condition on one representative per
-central coset, as one array comparison over all pairs of the first group.
-This covers every choice of representatives: each projection's kernel is
-checked to be exactly the center, so every coset is a representative times
-a central element, and [az, bz'] = [a, b] for central z and z'. The verdict
-is kept on the witness object, so later checks of it (the caller's, and
-``build_gamma``'s) read it; a ``dataclasses.replace`` copy is a new object
-and is checked afresh.
+A witness is just that pair, alpha and beta. Each group's structure
+(center, central quotient, projection and section of coset minima, derived
+subgroup, commutator table) is computed once and kept on the group object;
+every reader of a witness takes the quotients, projections and sections
+from there, so checking many pairs of the same groups recomputes nothing.
 
-Each group's structure (center, central quotient, projection and section,
-derived subgroup, commutator table) is computed once and kept on the group
-object, so checking many pairs of the same groups does not recompute it.
+The search's acceptance test is the certificate: a candidate is returned
+only when ``verify_witness`` accepts it. That checks alpha and beta, and the
+compatibility condition on one representative per central coset, as one
+array comparison over all pairs of the first group. This covers every
+choice of representatives: each kept projection's kernel is the center by
+construction, so every coset is a representative times a central element,
+and [az, bz'] = [a, b] for central z and z'. The verdict is kept on the
+witness object, so later checks of it (the caller's, and ``build_gamma``'s)
+read it; a ``dataclasses.replace`` copy is a new object and is checked
+afresh.
 
 A verified witness induces an isomorphism between the CURLY pairing
 realizations of the two groups. Its pair table is a pairing exactly when it
@@ -64,23 +66,17 @@ from .wedge import WedgeRealization, WedgeVariant, check_pairing, hom_from_gener
 
 @dataclass(frozen=True)
 class IsoclinismWitness:
-    """The pair of intertwining isomorphisms plus the data to replay them.
+    """The pair of intertwining isomorphisms, alpha and beta.
 
-    ``alpha`` maps central-quotient indices; ``beta`` lists (element of the
-    first derived subgroup, element of the second) pairs in parent labels;
-    the sections pick one representative element per central coset.
+    ``alpha`` maps indices of the central quotients kept on source and
+    target (``_central_data``); ``beta`` lists (element of the first derived
+    subgroup, element of the second) pairs in parent labels.
     """
 
     source: FiniteGroup
     target: FiniteGroup
-    quotient1: FiniteGroup
-    quotient2: FiniteGroup
-    proj1: GroupHom
-    proj2: GroupHom
     alpha: GroupHom
     beta: tuple[tuple[int, int], ...]
-    section1: tuple[int, ...]
-    section2: tuple[int, ...]
 
     def beta_dict(self) -> dict[int, int]:
         return dict(self.beta)
@@ -115,6 +111,11 @@ def _central_data(G: FiniteGroup) -> tuple[FiniteGroup, GroupHom, Subgroup, tupl
     return _cached(G, "_central_data", build)
 
 
+def _coset_images(G: FiniteGroup, alpha: GroupHom) -> np.ndarray:
+    """Entry x is alpha of the central coset of x, for x in G."""
+    return np.take(alpha.images, _central_data(G)[1].images)
+
+
 def _derive_beta(G1: FiniteGroup, G2: FiniteGroup, image: np.ndarray) -> dict[int, int] | None:
     """Map forced on commutators by compatibility, extended to the closure.
 
@@ -134,63 +135,35 @@ def _derive_beta(G1: FiniteGroup, G2: FiniteGroup, image: np.ndarray) -> dict[in
 
 def are_isoclinic(G1: FiniteGroup, G2: FiniteGroup) -> IsoclinismWitness | None:
     """First witness in deterministic search order that verify_witness accepts, or None."""
-    Q1, proj1, _, sec1 = _central_data(G1)
-    Q2, proj2, _, sec2 = _central_data(G2)
+    Q1, Q2 = _central_data(G1)[0], _central_data(G2)[0]
     if Q1.order != Q2.order:
         return None
     if len(derived_subgroup(G1)) != len(derived_subgroup(G2)):
         return None
     if Q1.order_multiset() != Q2.order_multiset():
         return None
-    comm2 = commutator_table(G2)
+    comm2, sec2 = commutator_table(G2), _central_data(G2)[3]
     for alpha in isomorphisms_iter(Q1, Q2):
-        image = _pair_table(comm2, np.take(alpha.images, proj1.images), sec2)
-        beta = _derive_beta(G1, G2, image)
+        beta = _derive_beta(G1, G2, _pair_table(comm2, _coset_images(G1, alpha), sec2))
         if beta is None:
             continue
-        w = IsoclinismWitness(
-            source=G1,
-            target=G2,
-            quotient1=Q1,
-            quotient2=Q2,
-            proj1=proj1,
-            proj2=proj2,
-            alpha=alpha,
-            beta=tuple(sorted(beta.items())),
-            section1=sec1,
-            section2=sec2,
-        )
+        w = IsoclinismWitness(source=G1, target=G2, alpha=alpha, beta=tuple(sorted(beta.items())))
         if verify_witness(w):
             return w
     return None
-
-
-def _is_central_projection(
-    G: FiniteGroup, Q: FiniteGroup, proj: GroupHom, section: Sequence[int]
-) -> bool:
-    """Whether proj is a homomorphism from G onto Q whose kernel is exactly Z(G),
-    and section lists, for each q in Q, an element that proj sends to q."""
-    images = proj.images  # checked as a map from G to Q, whatever groups proj names
-    if not GroupHom(G, Q, images).is_homomorphism() or len(set(images)) != Q.order:
-        return False
-    if tuple(x for x, q in enumerate(images) if q == 0) != center(G).members:
-        return False
-    if len(section) != Q.order or not set(section) <= set(range(G.order)):
-        return False
-    return [images[x] for x in section] == list(range(Q.order))
 
 
 def verify_witness(w: IsoclinismWitness) -> bool:
     """Whether w is an isoclinism witness, over all pairs and all representative choices.
 
     The certificate runs once per witness object and its verdict is kept on
-    w (see the module docstring). A malformed witness, with a map or section
-    of the wrong length or with entries out of range, is rejected.
+    w (see the module docstring). A malformed witness, with a map of the
+    wrong length or with entries out of range, is rejected.
     """
 
     def certify() -> bool:
         G1, G2 = w.source, w.target
-        alpha = GroupHom(w.quotient1, w.quotient2, w.alpha.images)
+        alpha = GroupHom(_central_data(G1)[0], _central_data(G2)[0], w.alpha.images)
         if not (alpha.is_homomorphism() and alpha.is_bijective()):
             return False
         try:
@@ -199,33 +172,21 @@ def verify_witness(w: IsoclinismWitness) -> bool:
             return False
         if not (beta_hom.is_homomorphism() and beta_hom.is_bijective()):
             return False
-        if not (
-            _is_central_projection(G1, w.quotient1, w.proj1, w.section1)
-            and _is_central_projection(G2, w.quotient2, w.proj2, w.section2)
-        ):
-            return False
         beta = np.zeros(G1.order, dtype=np.int64)
         beta[[x for x, _ in w.beta]] = [y for _, y in w.beta]
-        image = _pair_table(commutator_table(G2), np.take(alpha.images, w.proj1.images), w.section2)
+        image = _pair_table(commutator_table(G2), _coset_images(G1, alpha), _central_data(G2)[3])
         return bool(np.array_equal(beta[commutator_table(G1)], image))
 
     return _cached(w, "_verified", certify)
 
 
 def identity_witness(G: FiniteGroup) -> IsoclinismWitness:
-    Q, proj, _, sec = _central_data(G)
-    D = derived_subgroup(G)
+    Q = _central_data(G)[0]
     return IsoclinismWitness(
         source=G,
         target=G,
-        quotient1=Q,
-        quotient2=Q,
-        proj1=proj,
-        proj2=proj,
         alpha=GroupHom(Q, Q, tuple(range(Q.order))),
-        beta=tuple((x, x) for x in sorted(D.members)),
-        section1=sec,
-        section2=sec,
+        beta=tuple((x, x) for x in sorted(derived_subgroup(G).members)),
     )
 
 
@@ -233,35 +194,26 @@ def invert_witness(w: IsoclinismWitness) -> IsoclinismWitness:
     return IsoclinismWitness(
         source=w.target,
         target=w.source,
-        quotient1=w.quotient2,
-        quotient2=w.quotient1,
-        proj1=w.proj2,
-        proj2=w.proj1,
         alpha=w.alpha.inverse(),
         beta=tuple(sorted((y, x) for x, y in w.beta)),
-        section1=w.section2,
-        section2=w.section1,
     )
 
 
 def compose_witnesses(w12: IsoclinismWitness, w23: IsoclinismWitness) -> IsoclinismWitness:
+    """The witness from w12's source to w23's target; both must verify.
+
+    Equal middle tables give equal kept central quotients, so alpha composes.
+    """
     if w12.target.mul != w23.source.mul:
         raise WitnessInvalid("witnesses do not share the middle group")
-    if w12.quotient2.mul != w23.quotient1.mul:
-        raise WitnessInvalid("middle central quotients disagree")
-    b12 = w12.beta_dict()
+    if not (verify_witness(w12) and verify_witness(w23)):
+        raise WitnessInvalid("a composed witness failed verification")
     b23 = w23.beta_dict()
     return IsoclinismWitness(
         source=w12.source,
         target=w23.target,
-        quotient1=w12.quotient1,
-        quotient2=w23.quotient2,
-        proj1=w12.proj1,
-        proj2=w23.proj2,
         alpha=w23.alpha.compose(w12.alpha),
-        beta=tuple(sorted((x, b23[y]) for x, y in b12.items())),
-        section1=w12.section1,
-        section2=w23.section2,
+        beta=tuple(sorted((x, b23[y]) for x, y in w12.beta)),
     )
 
 
@@ -311,7 +263,7 @@ def build_gamma(
         raise ValidationError("wedge realizations do not match the witness groups")
     if not verify_witness(w):
         raise WitnessInvalid("witness failed verification")
-    phi = _pair_table(wedge2.pair_table(), np.take(w.alpha.images, w.proj1.images), w.section2)
+    phi = _pair_table(wedge2.pair_table(), _coset_images(w.source, w.alpha), _central_data(w.target)[3])
     try:
         gamma = hom_from_generator_images(wedge1.realization, wedge2.realization.group, phi.ravel().tolist())
     except RelatorNotKilled as exc:
@@ -345,17 +297,22 @@ def well_definedness_fuzz(
     trials: int = 100,
     seed: int = 0,
 ) -> bool:
-    """Perturb coset representatives by central elements; gamma must not move."""
+    """Perturb coset representatives by central elements; gamma must not move.
+
+    Raises ValidationError when trials < 1: a check with no draws cannot fail.
+    """
+    if trials < 1:
+        raise ValidationError(f"fuzz trials must be at least 1, got {trials}")
     Z2 = sorted(center(w.target).members)
     if len(Z2) == 1:  # every perturbation is the identity
         return True
-    mul2 = table_arrays(w.target)[0]
-    pairs2, coset = wedge2.pair_table(), np.take(w.alpha.images, w.proj1.images)
-    baseline = _pair_table(pairs2, coset, w.section2)
+    mul2, sec2 = table_arrays(w.target)[0], _central_data(w.target)[3]
+    pairs2, coset = wedge2.pair_table(), _coset_images(w.source, w.alpha)
+    baseline = _pair_table(pairs2, coset, sec2)
     rng = random.Random(seed)
     for start in range(0, trials, 100):  # 100 trials at a time bound the memory
-        draws = [rng.choice(Z2) for _ in range(min(100, trials - start) * len(w.section2))]
-        perturbed = mul2[w.section2, np.reshape(draws, (-1, len(w.section2)))]
+        draws = [rng.choice(Z2) for _ in range(min(100, trials - start) * len(sec2))]
+        perturbed = mul2[sec2, np.reshape(draws, (-1, len(sec2)))]
         if not np.all(_pair_table(pairs2, coset, perturbed) == baseline):
             return False
     return True
@@ -406,5 +363,5 @@ def witness_to_json(w: IsoclinismWitness) -> dict:
         "target": w.target.label,
         "alpha": list(w.alpha.images),
         "beta": [list(pair) for pair in w.beta],
-        "section": {"source": list(w.section1), "target": list(w.section2)},
+        "section": {"source": list(_central_data(w.source)[3]), "target": list(_central_data(w.target)[3])},
     }

@@ -147,6 +147,15 @@ class TestReports:
         back = InvariantReport.from_json_dict(json.loads(json.dumps(doc)))
         assert back.to_json_dict() == doc
 
+    def test_missing_and_unknown_keys_are_named(self):
+        with pytest.raises(ValidationError, match=r"missing keys \['abelianization'.*unknown keys \[\]"):
+            InvariantReport.from_json_dict({"group": "x"})
+        doc = compute_report(builtin("cyclic", (2,))).to_json_dict()
+        doc["extra"] = 1
+        del doc["order"]
+        with pytest.raises(ValidationError, match=r"missing keys \['order'\], unknown keys \['extra'\]"):
+            InvariantReport.from_json_dict(doc)
+
     def test_consistency_enforced(self):
         rep = compute_report(builtin("symmetric", (3,)))
         rep.kernel_order = 5
@@ -282,6 +291,18 @@ class TestCli:
         fams = sorted(f["members"] for f in doc["families"])
         assert fams == [["d4", "q8"], ["s3", "s3xz2"], ["v4", "z4"]]
         assert (tmp_path / "vt" / "witnesses" / "d4__q8.json").is_file()
+
+    def test_verify_theorem_rejects_fuzz_trials_below_one(self, tmp_path, capsys):
+        cat = tmp_path / "cat"
+        cat.mkdir()
+        for name, fam in (("d4", "dihedral"), ("q8", "quaternion8")):
+            params = [4] if fam == "dihedral" else []
+            (cat / f"{name}.json").write_text(
+                json.dumps({"name": name, "kind": "builtin", "data": {"family": fam, "params": params}})
+            )
+        rc = main(["verify-theorem", str(cat), "--out", str(tmp_path / "vt"), "--fuzz-trials", "-5"])
+        assert rc == 1
+        assert "fuzz trials must be at least 1" in capsys.readouterr().err
 
     def test_verify_theorem_single_group(self, tmp_path):
         cat = tmp_path / "cat"

@@ -150,5 +150,10 @@ class TestPresentationJson:
         assert presentation_from_json(doc) == S3P
 
     def test_malformed_rejected(self):
-        with pytest.raises(ValidationError):
-            presentation_from_json({"relators": [[1]]})
+        for doc in (
+            {"relators": [[1]]},
+            {"num_generators": "a", "relators": []},
+            {"num_generators": 1, "relators": [["x"]]},
+        ):
+            with pytest.raises(ValidationError):
+                presentation_from_json(doc)

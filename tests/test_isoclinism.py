@@ -2,12 +2,11 @@
 
 import dataclasses
 
-import numpy as np
 import pytest
 
 from grouplab import isoclinism
 from grouplab.catalog import builtin
-from grouplab.errors import PairingAxiomFailed, WitnessInvalid
+from grouplab.errors import PairingAxiomFailed, ValidationError, WitnessInvalid
 from grouplab.groups import (
     GroupHom,
     center,
@@ -49,7 +48,7 @@ class TestSearch:
     def test_abelian_pair(self):
         w = are_isoclinic(Z4, V4)
         assert w is not None
-        assert w.quotient1.order == 1 and w.quotient2.order == 1
+        assert w.alpha.source.order == 1 and w.alpha.target.order == 1
         assert verify_witness(w)
 
     def test_product_with_abelian(self):
@@ -92,16 +91,13 @@ class TestVerifyWitness:
         w = are_isoclinic(D4, Q8)
         w1 = compute_wedge(D4, WedgeVariant.CURLY)
         w2 = compute_wedge(Q8, WedgeVariant.CURLY)
-        alpha = w.alpha.images
+        Q1, Q2, alpha = w.alpha.source, w.alpha.target, w.alpha.images
         cases = {
-            "alpha one image short": dict(alpha=GroupHom(w.quotient1, w.quotient2, alpha[:-1])),
-            "alpha image of 99": dict(alpha=GroupHom(w.quotient1, w.quotient2, alpha[:-1] + (99,))),
-            "section1 one entry short": dict(section1=w.section1[:-1]),
-            "section2 one entry short": dict(section2=w.section2[:-1]),
-            "section2 entry of 99": dict(section2=w.section2[:-1] + (99,)),
+            "alpha one image short": GroupHom(Q1, Q2, alpha[:-1]),
+            "alpha image of 99": GroupHom(Q1, Q2, alpha[:-1] + (99,)),
         }
         for kind, change in cases.items():
-            bad = dataclasses.replace(w, **change)
+            bad = dataclasses.replace(w, alpha=change)
             assert not verify_witness(bad), kind
             with pytest.raises(WitnessInvalid):
                 build_gamma(bad, w1, w2)
@@ -155,7 +151,7 @@ class TestDeriveBeta:
         commutator of G to two values.
         """
         G = builtin("direct_product", (("dihedral", 4), ("symmetric", 3)))
-        Q, proj, _, section = isoclinism._central_data(G)
+        Q, _, _, section = isoclinism._central_data(G)
         comm = commutator_table(G)
 
         def no_extension(*args):
@@ -164,7 +160,7 @@ class TestDeriveBeta:
         monkeypatch.setattr(isoclinism, "_extend_partial", no_extension)
         two_valued = 0
         for alpha in isomorphisms_iter(Q, Q):
-            image = isoclinism._pair_table(comm, np.take(alpha.images, proj.images), section)
+            image = isoclinism._pair_table(comm, isoclinism._coset_images(G, alpha), section)
             values = {}
             for c, v in zip(comm.ravel().tolist(), image.ravel().tolist()):
                 values.setdefault(c, set()).add(v)
@@ -179,7 +175,7 @@ def verify_by_loops(w):
 
     For each (a1, b1) and every (a2, b2) in the central cosets that alpha
     assigns to them, [a2, b2] must be beta([a1, b1]). It reads the cosets
-    off proj2 and assumes nothing about proj2 beyond that.
+    off each group's kept projection and uses no section.
     """
     if not (w.alpha.is_homomorphism() and w.alpha.is_bijective()):
         return False
@@ -191,18 +187,16 @@ def verify_by_loops(w):
         return False
     if {y for _, y in w.beta} != set(derived_subgroup(G2).members):
         return False
-    if any(w.proj1.images[w.section1[q]] != q for q in range(w.quotient1.order)):
-        return False
-    if any(w.proj2.images[w.section2[q]] != q for q in range(w.quotient2.order)):
-        return False
+    proj1 = isoclinism._central_data(G1)[1].images
+    proj2 = isoclinism._central_data(G2)[1].images
     bmap = w.beta_dict()
-    cosets2 = [[] for _ in range(w.quotient2.order)]
+    cosets2 = [[] for _ in range(w.alpha.target.order)]
     for x in range(G2.order):
-        cosets2[w.proj2.images[x]].append(x)
+        cosets2[proj2[x]].append(x)
     for a1 in range(G1.order):
-        qa = w.alpha.images[w.proj1.images[a1]]
+        qa = w.alpha.images[proj1[a1]]
         for b1 in range(G1.order):
-            qb = w.alpha.images[w.proj1.images[b1]]
+            qb = w.alpha.images[proj1[b1]]
             expected = bmap[G1.comm(a1, b1)]
             for a2 in cosets2[qa]:
                 for b2 in cosets2[qb]:
@@ -213,7 +207,7 @@ def verify_by_loops(w):
 
 def tampered(w):
     """(kind of change, changed copy of w) pairs: some still valid, most not."""
-    G2, Q2 = w.target, w.quotient2
+    Q2 = w.alpha.target
     out = []
     beta = list(w.beta)
     if len(beta) > 2:
@@ -223,36 +217,10 @@ def tampered(w):
     for q in range(1, Q2.order):
         images = list(w.alpha.images)
         images[1] = (images[1] + q) % Q2.order
-        out.append(("alpha image changed", dataclasses.replace(w, alpha=GroupHom(w.quotient1, Q2, tuple(images)))))
+        out.append(("alpha image changed", dataclasses.replace(w, alpha=GroupHom(w.alpha.source, Q2, tuple(images)))))
     for auto in isomorphisms_iter(Q2, Q2):
         out.append(("alpha times an automorphism", dataclasses.replace(w, alpha=auto.compose(w.alpha))))
-    for z in center(G2).members[1:]:
-        section = list(w.section2)
-        section[-1] = G2.mul[section[-1]][z]
-        out.append(("section2 moved in its coset", dataclasses.replace(w, section2=tuple(section))))
-    # one element outside the sections and the center moves to another coset
-    movable = [x for x in range(G2.order) if x not in w.section2 and w.proj2.images[x] != 0]
-    if movable and Q2.order > 2:
-        x = movable[0]
-        images = list(w.proj2.images)
-        images[x] = next(q for q in range(1, Q2.order) if q != images[x])
-        out.append(("proj2 not a homomorphism", dataclasses.replace(w, proj2=GroupHom(G2, Q2, tuple(images)))))
     return out
-
-
-def uncentral(G):
-    """The identity witness of G with the identity map as both projections.
-
-    Its cosets are single elements, so the loop check accepts it; its
-    projection's kernel is trivial, not Z(G).
-    """
-    ident = GroupHom(G, G, tuple(range(G.order)))
-    members = derived_subgroup(G).members
-    every = tuple(range(G.order))
-    return IsoclinismWitness(
-        source=G, target=G, quotient1=G, quotient2=G, proj1=ident, proj2=ident, alpha=ident,
-        beta=tuple((x, x) for x in members), section1=every, section2=every,
-    )
 
 
 class TestVerifyWitnessIsACertificate:
@@ -265,7 +233,7 @@ class TestVerifyWitnessIsACertificate:
     def test_tampered_witnesses(self, corpus, family_witnesses):
         cases = {"D4~Q8": are_isoclinic(D4, Q8), "S3~S3xZ2": are_isoclinic(S3, S3xZ2)}
         for (i, j), w in family_witnesses.items():
-            if w.quotient2.order > 1:
+            if w.alpha.target.order > 1:
                 cases[f"{corpus[i].label}~{corpus[j].label}"] = w
         seen = set()
         for pair, w in cases.items():
@@ -279,17 +247,7 @@ class TestVerifyWitnessIsACertificate:
             ("alpha image changed", False),
             ("alpha times an automorphism", True),
             ("alpha times an automorphism", False),
-            ("section2 moved in its coset", True),
-            ("proj2 not a homomorphism", False),
         }
-
-    def test_kernel_must_be_the_center(self):
-        # The one difference: only verify_witness asks that proj2's kernel
-        # be Z(G2). With a smaller kernel the cosets shrink and the loop
-        # accepts; with a trivial center both checks accept.
-        for G in (D4, Q8, S3xZ2):
-            assert verify_by_loops(uncentral(G)) and not verify_witness(uncentral(G)), G.label
-        assert verify_by_loops(uncentral(S3)) and verify_witness(uncentral(S3))
 
 
 class TestWitnessAlgebra:
@@ -311,10 +269,42 @@ class TestWitnessAlgebra:
         with pytest.raises(WitnessInvalid):
             compose_witnesses(w, w)
 
+    def test_composition_of_a_malformed_witness_is_rejected(self):
+        w12 = are_isoclinic(D4, Q8)
+        w23 = invert_witness(w12)
+        short = dataclasses.replace(w23, beta=w23.beta[1:])
+        with pytest.raises(WitnessInvalid, match="failed verification"):
+            compose_witnesses(w12, short)
+        with pytest.raises(WitnessInvalid, match="failed verification"):
+            compose_witnesses(invert_witness(short), w23)
+
+    def test_composition_through_an_equal_table_copy(self):
+        # the middle groups are distinct objects with equal tables, so each
+        # keeps its own central quotient, and the two are equal
+        Q8copy = from_mul_table(Q8.mul, label="Q8copy")
+        w12 = are_isoclinic(D4, Q8)
+        w23 = are_isoclinic(Q8copy, D4)
+        loop = compose_witnesses(w12, w23)
+        assert loop.source is D4 and loop.target is D4
+        assert verify_witness(loop)
+
+    def test_witness_is_alpha_and_beta(self):
+        names = [f.name for f in dataclasses.fields(IsoclinismWitness)]
+        assert names == ["source", "target", "alpha", "beta"]
+
     def test_json_shape(self):
         doc = witness_to_json(are_isoclinic(D4, Q8))
         assert set(doc) == {"schema_version", "source", "target", "alpha", "beta", "section"}
         assert sorted(doc["section"]) == ["source", "target"]
+
+    def test_json_sections_are_the_coset_minima(self):
+        for G1, G2 in ((D4, Q8), (S3, S3xZ2), (Z4, V4)):
+            doc = witness_to_json(are_isoclinic(G1, G2))
+            for side, G in (("source", G1), ("target", G2)):
+                minima = {}
+                for x, q in enumerate(isoclinism._central_data(G)[1].images):
+                    minima.setdefault(q, x)
+                assert doc["section"][side] == [minima[q] for q in range(len(minima))], (G.label, side)
 
 
 class TestGamma:
@@ -374,6 +364,16 @@ class TestFuzz:
         w2 = compute_wedge(V4, WedgeVariant.CURLY)
         assert well_definedness_fuzz(w, w1, w2, trials=100)
 
+    def test_trials_below_one_are_rejected(self):
+        # checked before the trivial-center shortcut, which would return True
+        S3r = relabeled(S3, [0, 2, 4, 1, 5, 3])
+        for G1, G2 in ((D4, Q8), (S3, S3r)):
+            w = are_isoclinic(G1, G2)
+            w1 = compute_wedge(G1, WedgeVariant.CURLY)
+            w2 = compute_wedge(G2, WedgeVariant.CURLY)
+            for trials in (0, -5):
+                with pytest.raises(ValidationError, match="at least 1"):
+                    well_definedness_fuzz(w, w1, w2, trials=trials)
 
     def test_trivial_center_needs_no_draws(self, monkeypatch):
         S3r = relabeled(S3, [0, 2, 4, 1, 5, 3])
@@ -404,9 +404,10 @@ class TestCorruptedPairImages:
         w = are_isoclinic(D4, Q8)
         w1 = compute_wedge(D4, WedgeVariant.CURLY)
         w2 = compute_wedge(Q8, WedgeVariant.CURLY)
+        section2 = isoclinism._central_data(Q8)[3]
         z = next(x for x in center(Q8).members if x != 0)
-        m, n = Q8.mul[w.section2[1]][z], w.section2[2]
-        assert m not in w.section2
+        m, n = Q8.mul[section2[1]][z], section2[2]
+        assert m not in section2
         bad = self._changed(w2, m, n)
         build_gamma(w, w1, bad)  # gamma reads section pairs only
         assert not well_definedness_fuzz(w, w1, bad, seed=0)
@@ -415,7 +416,8 @@ class TestCorruptedPairImages:
         w = are_isoclinic(D4, Q8)
         w1 = compute_wedge(D4, WedgeVariant.CURLY)
         w2 = compute_wedge(Q8, WedgeVariant.CURLY)
-        bad = self._changed(w2, w.section2[1], w.section2[2])
+        section2 = isoclinism._central_data(Q8)[3]
+        bad = self._changed(w2, section2[1], section2[2])
         with pytest.raises(PairingAxiomFailed):
             build_gamma(w, w1, bad)
 

@@ -35,7 +35,9 @@ The quotient is computed through the mod-m lattice calculus: both sides
 become lattices between m*Z^k and Z^k on k = (|G|-1)^2 table entries. The
 canonical basis of the cocycle lattice comes from the full tables of the
 edge solutions, and the quotient's invariants and basis tables come from
-one diagonalisation of its relations.
+one diagonalisation of its relations. The basis is kept as one array of
+tables, and restriction to a subgroup is one gather of every basis table's
+entries on the subgroup and one block solve against the subgroup's space.
 
 Since the rationals-mod-integers coefficients of the classical restriction
 intersection are not finitely representable, this oracle fixes coefficients
@@ -48,6 +50,7 @@ reported per group rather than assumed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import prod
 from typing import Sequence
 
 import numpy as np
@@ -82,13 +85,17 @@ from .lattices import (
 DEFAULT_ORACLE_CAP = 24
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CocycleSpace:
-    """Basis data for H^2(G, Z/m) on normalized cocycle tables."""
+    """Basis data for H^2(G, Z/m) on normalized cocycle tables.
+
+    ``basis`` is a read-only int64 array of shape (rank, n, n); basis[i] is
+    the table of the i-th generator, of order basis_orders[i].
+    """
 
     group: FiniteGroup
     modulus: int
-    basis: tuple[tuple[tuple[int, ...], ...], ...]
+    basis: np.ndarray
     basis_orders: tuple[int, ...]
     h2_order: int
     h2_invariants: AbelianInvariants
@@ -109,27 +116,32 @@ class CocycleSpace:
 
     def class_from_table(self, table: Sequence[Sequence[int]]) -> "H2Class":
         """Class of an arbitrary normalized cocycle table."""
-        vec = _table_to_vector(table, self.group.order, self.modulus)
+        return self.class_from_coords(self._coords([table])[0])
+
+    def _coords(self, tables: np.ndarray | Sequence) -> np.ndarray:
+        """Class coordinates of a stack of tables, one row per table, by one block solve.
+
+        Raises ValidationError unless every table is an n x n normalized
+        cocycle modulo m.
+        """
+        n, m = self.group.order, self.modulus
+        try:
+            t = np.asarray(tables, dtype=np.int64) % m
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"tables are not integer arrays: {exc}") from exc
+        if t.ndim != 3 or t.shape[1:] != (n, n):
+            raise ValidationError(f"a table of {self.group.label} is {n} x {n}, got shape {t.shape[1:]}")
+        if t[:, 0].any() or t[:, :, 0].any():
+            raise ValidationError("table is not normalized (identity row/column nonzero)")
         if self._solver is None:  # n = 1 or m = 1: every normalized table is zero
-            return self.zero()
-        sol = self._solver.solve(vec)
+            return np.zeros((len(t), 0), dtype=np.int64)
+        sol = self._solver.solve(t[:, 1:, 1:].reshape(len(t), (n - 1) ** 2))
         if sol is None:
             raise ValidationError("table is not a cocycle modulo m")
-        return self.class_from_coords(tuple(int(x) for x in sol[: self.rank]))
+        return sol[:, : self.rank] % np.array(self.basis_orders, dtype=np.int64)
 
     def representative_table(self, coords: Sequence[int]) -> list[list[int]]:
-        n = self.group.order
-        m = self.modulus
-        table = [[0] * n for _ in range(n)]
-        for c, basis_table in zip(coords, self.basis):
-            if c == 0:
-                continue
-            for x in range(n):
-                row = basis_table[x]
-                trow = table[x]
-                for y in range(n):
-                    trow[y] = (trow[y] + c * row[y]) % m
-        return table
+        return (np.tensordot(np.asarray(coords, dtype=np.int64), self.basis, 1) % self.modulus).tolist()
 
 
 @dataclass(frozen=True)
@@ -152,28 +164,6 @@ class H2Class:
 
     def table(self) -> list[list[int]]:
         return self.space.representative_table(self.coords)
-
-
-def _table_to_vector(table: Sequence[Sequence[int]], n: int, m: int) -> np.ndarray:
-    for t in range(n):
-        if table[0][t] % m or table[t][0] % m:
-            raise ValidationError("table is not normalized (identity row/column nonzero)")
-    vec = np.zeros((n - 1) * (n - 1), dtype=np.int64)
-    for x in range(1, n):
-        row = table[x]
-        base = (x - 1) * (n - 1)
-        for y in range(1, n):
-            vec[base + y - 1] = row[y] % m
-    return vec
-
-
-def _vector_to_table(vec: Sequence[int], n: int) -> tuple[tuple[int, ...], ...]:
-    table = [[0] * n for _ in range(n)]
-    for x in range(1, n):
-        base = (x - 1) * (n - 1)
-        for y in range(1, n):
-            table[x][y] = int(vec[base + y - 1])
-    return tuple(tuple(row) for row in table)
 
 
 def _edge_system(G: FiniteGroup, m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -249,6 +239,9 @@ def cocycle_space(G: FiniteGroup, m: int, cap: int = DEFAULT_ORACLE_CAP) -> Cocy
     Later calls with the same group object reuse the space, which is freed
     together with the group. Equality, hashing and repr of ``G`` ignore it.
     """
+    if isinstance(m, bool) or not isinstance(m, (int, np.integer)):
+        raise ValidationError(f"modulus must be an integer, got {m!r}")
+    m = int(m)
     if m < 1:
         raise ValidationError("modulus must be at least 1")
     if G.order > cap:
@@ -259,16 +252,10 @@ def cocycle_space(G: FiniteGroup, m: int, cap: int = DEFAULT_ORACLE_CAP) -> Cocy
     if m in spaces:
         return spaces[m]
     n = G.order
-    if n == 1 or m == 1:
-        space = CocycleSpace(
-            group=G,
-            modulus=m,
-            basis=(),
-            basis_orders=(),
-            h2_order=1,
-            h2_invariants=AbelianInvariants(()),
-            _solver=None,
-        )
+    if n == 1 or m == 1:  # every normalized table is zero
+        basis = np.zeros((0, n, n), dtype=np.int64)
+        basis.flags.writeable = False
+        space = CocycleSpace(G, m, basis, (), 1, AbelianInvariants(()))
         spaces[m] = space
         return space
     k = (n - 1) * (n - 1)
@@ -283,26 +270,25 @@ def cocycle_space(G: FiniteGroup, m: int, cap: int = DEFAULT_ORACLE_CAP) -> Cocy
         raise InternalCheckFailed("a coboundary failed the cocycle conditions")
 
     diag, gens = quotient_structure(Hb, Hz, m)
-    order = 1
-    for d in diag:
-        order *= d
+    order = prod(diag)
     index_ratio = lattice_index(Hb) // lattice_index(Hz)
     if order != index_ratio:
         raise InconsistentOrders(
             f"quotient order {order} disagrees with index ratio {index_ratio}"
         )
-    basis_tables = tuple(_vector_to_table(v, n) for v in gens)
-    if not _check_cocycle(G, m, basis_tables):
+    basis = np.zeros((len(diag), n, n), dtype=np.int64)
+    basis[:, 1:, 1:] = gens.reshape(-1, n - 1, n - 1)
+    if not _check_cocycle(G, m, basis):
         raise InternalCheckFailed("computed basis table is not a normalized cocycle")
-    solver = LatticeSolver(np.vstack([gens, Hb]), k, m)
+    basis.flags.writeable = False
     space = CocycleSpace(
         group=G,
         modulus=m,
-        basis=basis_tables,
+        basis=basis,
         basis_orders=tuple(diag),
         h2_order=order,
         h2_invariants=AbelianInvariants(invariant_factors_from_orders(diag)),
-        _solver=solver,
+        _solver=LatticeSolver(np.vstack([gens, Hb]), k, m),
     )
     spaces[m] = space
     return space
@@ -331,57 +317,30 @@ def multiplier_order_oracle(G: FiniteGroup, cap: int = DEFAULT_ORACLE_CAP) -> in
     return q
 
 
-def restrict(
-    c: H2Class,
-    A: Subgroup,
-    cap: int = DEFAULT_ORACLE_CAP,
-    target_space: CocycleSpace | None = None,
-) -> H2Class:
-    """Restriction of a class along an inclusion of a subgroup.
-
-    Without ``target_space`` the subgroup's space is computed on the group
-    that ``A.as_group()`` keeps on ``A``, so later calls with the same
-    ``A`` reuse it.
-    """
-    G = c.space.group
-    if A.parent.mul != G.mul:
-        raise ValidationError("subgroup does not belong to the class's group")
-    sub, members = A.as_group()
-    if target_space is not None:
-        if target_space.modulus != c.space.modulus:
-            raise ModulusMismatch(
-                f"target space modulus {target_space.modulus} != {c.space.modulus}"
-            )
-        if target_space.group.mul != sub.mul:
-            raise ValidationError("target space does not match the subgroup")
-        space_A = target_space
-    else:
-        space_A = cocycle_space(sub, c.space.modulus, cap)
-    big = c.table()
-    small = [[big[a][b] for b in members] for a in members]
-    return space_A.class_from_table(small)
-
-
 def restriction_matrix(
     space: CocycleSpace, A: Subgroup, cap: int = DEFAULT_ORACLE_CAP
 ) -> tuple[CocycleSpace, np.ndarray]:
-    """Matrix of the restriction map on basis classes, rows indexed by basis."""
+    """Matrix of the restriction map on basis classes, rows indexed by basis.
+
+    The basis tables' entries on A x A are gathered at once and solved as
+    one block against A's space, which is computed on the group that
+    ``A.as_group()`` keeps on ``A``, so later calls with the same ``A``
+    reuse it.
+    """
+    if A.parent.mul != space.group.mul:
+        raise ValidationError("subgroup does not belong to the space's group")
     sub, members = A.as_group()
     # sub is A's own group object, which never holds G's spaces; for A = G
     # reuse G's
-    if sub.mul == space.group.mul:
-        space_A = space
-    else:
-        space_A = cocycle_space(sub, space.modulus, cap)
-    rows = []
-    for i in range(space.rank):
-        cls = space.class_from_coords(
-            tuple(1 if j == i else 0 for j in range(space.rank))
-        )
-        res = restrict(cls, A, cap=cap, target_space=space_A)
-        rows.append(res.coords)
-    mat = np.array(rows, dtype=np.int64).reshape(space.rank, space_A.rank)
-    return space_A, mat
+    space_A = space if sub.mul == space.group.mul else cocycle_space(sub, space.modulus, cap)
+    idx = np.array(members)
+    return space_A, space_A._coords(space.basis[:, idx[:, None], idx])
+
+
+def restrict(c: H2Class, A: Subgroup, cap: int = DEFAULT_ORACLE_CAP) -> H2Class:
+    """Restriction of a class along an inclusion of a subgroup."""
+    space_A, mat = restriction_matrix(c.space, A, cap)
+    return space_A.class_from_coords(np.asarray(c.coords, dtype=np.int64) @ mat)
 
 
 def b0_lower_bound(
@@ -402,25 +361,18 @@ def b0_lower_bound(
         return 1, AbelianInvariants(())
     if subgroups is None:
         subgroups = abelian_subgroups(G, maximal_only=True)
+    # column j of A's matrix, times m / (order of A's generator j), is one row
     constraint_rows: list[np.ndarray] = []
     for A in subgroups:
         space_A, mat = restriction_matrix(space, A, cap=cap)
-        for j in range(space_A.rank):
-            e = space_A.basis_orders[j]
-            constraint_rows.append((m // e) * mat[:, j])
-    if constraint_rows:
-        kernel_H = orth_complement(np.array(constraint_rows, dtype=np.int64), s, m)
-    else:
-        kernel_H = hnf_from_rows(np.eye(s, dtype=np.int64), s, m)
+        constraint_rows.extend((mat * (m // np.array(space_A.basis_orders, dtype=np.int64))).T)
+    kernel_H = orth_complement(np.array(constraint_rows, dtype=np.int64), s, m)
     sub_rows = np.diag(np.array(space.basis_orders, dtype=np.int64))
     sub_H = hnf_from_rows(sub_rows, s, m)
     if member_residual(kernel_H, sub_H, m).any():
         raise InternalCheckFailed("coboundary relations escaped the kernel stack")
     diag, _ = quotient_structure(sub_H, kernel_H, m)
-    order = 1
-    for d in diag:
-        order *= d
-    return order, AbelianInvariants(invariant_factors_from_orders(diag))
+    return prod(diag), AbelianInvariants(invariant_factors_from_orders(diag))
 
 
 def cocycle_dump(G: FiniteGroup, m: int, cap: int = DEFAULT_ORACLE_CAP) -> dict:
@@ -434,7 +386,7 @@ def cocycle_dump(G: FiniteGroup, m: int, cap: int = DEFAULT_ORACLE_CAP) -> dict:
         "h2_order": space.h2_order,
         "h2_invariants": list(space.h2_invariants.factors),
         "basis_orders": list(space.basis_orders),
-        "basis_tables": [[list(row) for row in tbl] for tbl in space.basis],
+        "basis_tables": space.basis.tolist(),
         "restrictions": [],
     }
     for A in abelian_subgroups(G, maximal_only=True):

@@ -31,6 +31,8 @@ class Presentation:
     label: str = "P"
 
     def __post_init__(self):
+        if self.num_generators < 0:
+            raise ValidationError(f"negative generator count {self.num_generators}")
         for w in self.relators:
             for ltr in w:
                 if ltr == 0 or abs(ltr) > self.num_generators:

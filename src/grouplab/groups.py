@@ -135,7 +135,8 @@ class Subgroup:
         Members are sorted ascending, so the identity (element 0 of the
         parent) lands at index 0 and the global convention is preserved.
         The result is kept on this Subgroup, so repeated calls return the
-        same group object and share its cocycle spaces.
+        same group object and share its cocycle spaces. Raises
+        ValidationError when the members are not closed under multiplication.
         """
         return _cached(self, "_standalone", self._standalone_group)
 
@@ -143,7 +144,10 @@ class Subgroup:
         members = tuple(sorted(self.members))
         pos = {x: i for i, x in enumerate(members)}
         pm = self.parent.mul
-        mul = tuple(tuple(pos[pm[x][y]] for y in members) for x in members)
+        try:
+            mul = tuple(tuple(pos[pm[x][y]] for y in members) for x in members)
+        except KeyError:
+            raise ValidationError("subgroup members are not closed under multiplication") from None
         inv = tuple(pos[self.parent.inv[x]] for x in members)
         grp = FiniteGroup(
             order=len(members),

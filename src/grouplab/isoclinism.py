@@ -242,6 +242,16 @@ def _pair_table(
     return pairs2[lift[..., :, None], lift[..., None, :]]
 
 
+def _check_inputs(w: IsoclinismWitness, wedge1: WedgeRealization, wedge2: WedgeRealization) -> None:
+    """Require CURLY realizations of the witness groups and a verified witness."""
+    if wedge1.variant is not WedgeVariant.CURLY or wedge2.variant is not WedgeVariant.CURLY:
+        raise ValidationError("gamma is built between CURLY realizations")
+    if wedge1.base.mul != w.source.mul or wedge2.base.mul != w.target.mul:
+        raise ValidationError("wedge realizations do not match the witness groups")
+    if not verify_witness(w):
+        raise WitnessInvalid("witness failed verification")
+
+
 def build_gamma(
     w: IsoclinismWitness,
     wedge1: WedgeRealization,
@@ -257,12 +267,7 @@ def build_gamma(
     on phi is gamma of the identity. A failed extension raises
     PairingAxiomFailed. kappa1 rests on the same certificate.
     """
-    if wedge1.variant is not WedgeVariant.CURLY or wedge2.variant is not WedgeVariant.CURLY:
-        raise ValidationError("gamma is built between CURLY realizations")
-    if wedge1.base.mul != w.source.mul or wedge2.base.mul != w.target.mul:
-        raise ValidationError("wedge realizations do not match the witness groups")
-    if not verify_witness(w):
-        raise WitnessInvalid("witness failed verification")
+    _check_inputs(w, wedge1, wedge2)
     phi = _pair_table(wedge2.pair_table(), _coset_images(w.source, w.alpha), _central_data(w.target)[3])
     try:
         gamma = hom_from_generator_images(wedge1.realization, wedge2.realization.group, phi.ravel().tolist())
@@ -299,10 +304,13 @@ def well_definedness_fuzz(
 ) -> bool:
     """Perturb coset representatives by central elements; gamma must not move.
 
-    Raises ValidationError when trials < 1: a check with no draws cannot fail.
+    Raises ValidationError when trials < 1, since a check with no draws
+    cannot fail, and checks its inputs as build_gamma does, before the
+    trivial-center shortcut.
     """
     if trials < 1:
         raise ValidationError(f"fuzz trials must be at least 1, got {trials}")
+    _check_inputs(w, wedge1, wedge2)
     Z2 = sorted(center(w.target).members)
     if len(Z2) == 1:  # every perturbation is the identity
         return True

@@ -350,9 +350,10 @@ class LatticeSolver:
     """Express vectors as combinations of a fixed generating set, mod m.
 
     The basis of [gens | I] is built by hnf_insert, so its trailing columns
-    record each pivot row as a combination of the generators; solve(v)
-    returns one coefficient vector c with v = sum c_i * gen_i modulo
-    m*Z^k, or None.
+    record each pivot row as a combination of the generators. solve(v)
+    takes one vector or a block of rows, and returns for each row one
+    coefficient vector c with v = sum c_i * gen_i modulo m*Z^k, or None
+    when some row is outside the span.
     """
 
     def __init__(self, gens: np.ndarray, k: int, m: int):
@@ -367,9 +368,10 @@ class LatticeSolver:
 
     def solve(self, v: np.ndarray) -> np.ndarray | None:
         m, k = self.m, self.k
-        r = np.zeros((1, k + self.t), dtype=np.int64)
-        r[0, :k] = np.asarray(v, dtype=np.int64) % m
+        v = np.asarray(v, dtype=np.int64)
+        r = np.zeros((v.size // k, k + self.t), dtype=np.int64)
+        r[:, :k] = v.reshape(-1, k) % m
         _reduce(self.H, r, m)
-        if r[0, :k].any():
+        if r[:, :k].any():
             return None
-        return -r[0, k:] % m
+        return (-r[:, k:] % m).reshape(v.shape[:-1] + (self.t,))

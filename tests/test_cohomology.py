@@ -46,6 +46,8 @@ Z2 = cyclic(2)
 V4 = direct_product(Z2, Z2, label="V4")
 S3 = builtin("symmetric", (3,))
 D4 = builtin("dihedral", (4,))
+Q8 = builtin("quaternion8")
+A4 = builtin("alternating", (4,))
 
 
 def brute_h2(G, m):
@@ -195,9 +197,11 @@ class TestCheckCocycle:
     def test_a_stack_fails_when_one_table_fails(self):
         space = cocycle_space(V4, 2)
         assert cohomology._check_cocycle(V4, 2, space.basis)
-        bad = [list(row) for row in space.basis[-1]]
-        bad[1][2] ^= 1
-        assert not cohomology._check_cocycle(V4, 2, space.basis[:-1] + (bad,))
+        bad = space.basis[-1].copy()
+        bad[1, 2] ^= 1
+        stack = np.concatenate([space.basis[:-1], bad[None]])
+        assert stack.shape == space.basis.shape
+        assert not cohomology._check_cocycle(V4, 2, stack)
 
     def test_unnormalized_table_fails(self):
         # a constant table satisfies every cocycle identity but is not normalized
@@ -287,6 +291,19 @@ class TestH2Order:
         with pytest.raises(GroupTooLargeForOracle):
             h2_order(builtin("cyclic", (25,)), 2)
 
+    @pytest.mark.parametrize("m", [2.5, 4.0, True, "4"])
+    def test_non_integer_modulus_is_rejected(self, m):
+        G = from_mul_table(D4.mul)
+        with pytest.raises(ValidationError, match="integer"):
+            cocycle_space(G, m)
+        with pytest.raises(ValidationError, match="integer"):
+            h2_order(G, m)
+
+    def test_numpy_integer_modulus_is_an_int(self):
+        G = from_mul_table(D4.mul)
+        space = cocycle_space(G, np.int64(4))
+        assert type(space.modulus) is int and cocycle_space(G, 4) is space
+
 
 class TestMultiplierOracle:
     @pytest.mark.parametrize(
@@ -344,21 +361,51 @@ class TestRestriction:
         # repeated restrictions to one Subgroup share the space of its group
         assert len(spaces_built) <= 1 + len(subs)
 
-    def test_coordinates_match_direct_table_restriction(self):
-        space = cocycle_space(V4, 2)
-        assert space.h2_order == 8
+    @staticmethod
+    def check_against_table_slicing(G, m):
+        """Restriction through the matrix agrees with slicing each class's table by hand."""
+        space = cocycle_space(G, m)
+        assert space.rank
         for coords in itertools.product(*[range(d) for d in space.basis_orders]):
             cls = space.class_from_coords(coords)
             big = cls.table()
-            for A in abelian_subgroups(V4):
+            for A in abelian_subgroups(G):
                 if len(A) == 1:
                     continue
                 sub, members = A.as_group()
-                space_A = cocycle_space(sub, 2)
-                via_map = restrict(cls, A, target_space=space_A)
+                space_A = space if sub.mul == G.mul else cocycle_space(sub, m)
+                via_map = restrict(cls, A)
+                assert via_map.space is space_A
                 small = [[big[a][b] for b in members] for a in members]
                 via_table = space_A.class_from_table(small)
                 assert via_map.coords == via_table.coords
+
+    def test_coordinates_match_direct_table_restriction(self):
+        assert cocycle_space(V4, 2).h2_order == 8
+        self.check_against_table_slicing(V4, 2)
+
+    @pytest.mark.parametrize("G", [S3, D4, Q8, A4], ids=lambda G: G.label)
+    @pytest.mark.parametrize("which_m", ["order", "two"])
+    def test_coordinates_match_table_slicing_on_nonabelian_groups(self, G, which_m):
+        self.check_against_table_slicing(G, G.order if which_m == "order" else 2)
+
+    def test_basis_is_a_read_only_array(self):
+        for G, m, rank in ((D4, 8, 3), (S3, 1, 0), (cyclic(1), 4, 0)):
+            space = cocycle_space(G, m)
+            assert space.basis.dtype == np.int64 and space.rank == rank
+            assert space.basis.shape == (rank, G.order, G.order)
+            with pytest.raises(ValueError):
+                space.basis[..., 0] = 1
+
+    def test_subgroup_of_another_group_is_rejected(self):
+        with pytest.raises(ValidationError, match="does not belong"):
+            restrict(cocycle_space(D4, 4).zero(), Subgroup(Q8, (0,)))
+
+    @pytest.mark.parametrize("table", [[[0]], [[0] * 5] * 4, [[[0] * 4] * 4] * 2, [[0, 1], [0]]])
+    def test_wrongly_shaped_table_is_rejected(self, table):
+        space = cocycle_space(V4, 2)
+        with pytest.raises(ValidationError):
+            space.class_from_table(table)
 
     @pytest.mark.parametrize("G, m, rank", [(cyclic(3), 2, 0), (V4, 2, 3)])
     def test_non_cocycle_table_is_rejected(self, G, m, rank):
@@ -369,13 +416,6 @@ class TestRestriction:
         assert not cohomology._check_cocycle(G, m, table)
         with pytest.raises(ValidationError, match="not a cocycle"):
             space.class_from_table(table)
-
-    def test_modulus_mismatch(self):
-        space4 = cocycle_space(V4, 4)
-        space2 = cocycle_space(V4, 2)
-        c = space4.zero()
-        with pytest.raises(ModulusMismatch):
-            restrict(c, Subgroup(V4, (0, 1)), target_space=space2)
 
     def test_addition_across_separately_computed_spaces(self):
         first = cocycle_space(from_mul_table(V4.mul), 2)

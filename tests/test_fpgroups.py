@@ -154,6 +154,9 @@ class TestPresentationJson:
             {"relators": [[1]]},
             {"num_generators": "a", "relators": []},
             {"num_generators": 1, "relators": [["x"]]},
+            {"num_generators": -2, "relators": []},
         ):
             with pytest.raises(ValidationError):
                 presentation_from_json(doc)
+        with pytest.raises(ValidationError, match="negative"):
+            Presentation(-1, ())

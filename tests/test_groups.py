@@ -392,3 +392,10 @@ class TestValidation:
     def test_relabel_must_fix_identity(self):
         with pytest.raises(ValidationError):
             relabeled(V4, [1, 0, 2, 3])
+
+    def test_subgroup_not_closed_under_multiplication(self):
+        # restricting a cocycle class to these members raised KeyError: 3
+        S = Subgroup(D4, (0, 1, 2))
+        assert any(D4.mul[x][y] not in S for x in S.members for y in S.members)
+        with pytest.raises(ValidationError, match="not closed"):
+            S.as_group()

@@ -375,6 +375,43 @@ class TestFuzz:
                 with pytest.raises(ValidationError, match="at least 1"):
                     well_definedness_fuzz(w, w1, w2, trials=trials)
 
+    @staticmethod
+    def d4_q8():
+        return are_isoclinic(D4, Q8), compute_wedge(D4, WedgeVariant.CURLY), compute_wedge(Q8, WedgeVariant.CURLY)
+
+    def test_constant_alpha_is_rejected(self):
+        w, w1, w2 = self.d4_q8()
+        constant = GroupHom(w.alpha.source, w.alpha.target, (0,) * w.alpha.source.order)
+        with pytest.raises(WitnessInvalid):
+            well_definedness_fuzz(dataclasses.replace(w, alpha=constant), w1, w2)
+
+    def test_alpha_image_out_of_range_is_rejected(self):
+        w, w1, w2 = self.d4_q8()
+        images = (99,) + w.alpha.images[1:]
+        with pytest.raises(WitnessInvalid):
+            well_definedness_fuzz(dataclasses.replace(w, alpha=GroupHom(w.alpha.source, w.alpha.target, images)), w1, w2)
+
+    def test_swapped_wedges_are_rejected(self):
+        w, w1, w2 = self.d4_q8()
+        with pytest.raises(ValidationError, match="do not match the witness groups"):
+            well_definedness_fuzz(w, w2, w1)
+
+    def test_exterior_wedge_is_rejected(self):
+        w, w1, w2 = self.d4_q8()
+        with pytest.raises(ValidationError, match="CURLY"):
+            well_definedness_fuzz(w, compute_wedge(D4, WedgeVariant.EXTERIOR), w2)
+
+    def test_inputs_are_checked_before_the_trivial_center_shortcut(self):
+        S3r = relabeled(S3, [0, 2, 4, 1, 5, 3])
+        w = are_isoclinic(S3, S3r)
+        w1 = compute_wedge(S3, WedgeVariant.CURLY)
+        w2 = compute_wedge(S3r, WedgeVariant.CURLY)
+        with pytest.raises(ValidationError, match="do not match the witness groups"):
+            well_definedness_fuzz(w, w2, w1)
+        constant = GroupHom(w.alpha.source, w.alpha.target, (0,) * w.alpha.source.order)
+        with pytest.raises(WitnessInvalid):
+            well_definedness_fuzz(dataclasses.replace(w, alpha=constant), w1, w2)
+
     def test_trivial_center_needs_no_draws(self, monkeypatch):
         S3r = relabeled(S3, [0, 2, 4, 1, 5, 3])
         w = are_isoclinic(S3, S3r)

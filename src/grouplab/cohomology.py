@@ -111,6 +111,8 @@ class CocycleSpace:
     def class_from_coords(self, coords: Sequence[int]) -> "H2Class":
         if len(coords) != self.rank:
             raise ValidationError("coordinate length does not match basis rank")
+        if any(isinstance(c, bool) or not isinstance(c, (int, np.integer)) for c in coords):
+            raise ValidationError(f"coordinates must be integers, got {tuple(coords)!r}")
         normal = tuple(int(c) % d for c, d in zip(coords, self.basis_orders))
         return H2Class(self, normal)
 
@@ -281,6 +283,7 @@ def cocycle_space(G: FiniteGroup, m: int, cap: int = DEFAULT_ORACLE_CAP) -> Cocy
     if not _check_cocycle(G, m, basis):
         raise InternalCheckFailed("computed basis table is not a normalized cocycle")
     basis.flags.writeable = False
+    # the rows m*e_j of Hb are zero modulo m and would only widen every solve
     space = CocycleSpace(
         group=G,
         modulus=m,
@@ -288,7 +291,7 @@ def cocycle_space(G: FiniteGroup, m: int, cap: int = DEFAULT_ORACLE_CAP) -> Cocy
         basis_orders=tuple(diag),
         h2_order=order,
         h2_invariants=AbelianInvariants(invariant_factors_from_orders(diag)),
-        _solver=LatticeSolver(np.vstack([gens, Hb]), k, m),
+        _solver=LatticeSolver(np.vstack([gens, Hb[np.diagonal(Hb) < m]]), k, m),
     )
     spaces[m] = space
     return space

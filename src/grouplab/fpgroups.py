@@ -11,6 +11,7 @@ as soon as it dies.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -31,6 +32,8 @@ class Presentation:
     label: str = "P"
 
     def __post_init__(self):
+        if isinstance(self.num_generators, bool) or not isinstance(self.num_generators, numbers.Integral):
+            raise ValidationError(f"generator count must be an integer, got {self.num_generators!r}")
         if self.num_generators < 0:
             raise ValidationError(f"negative generator count {self.num_generators}")
         for w in self.relators:

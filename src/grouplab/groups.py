@@ -136,11 +136,18 @@ class Subgroup:
         parent) lands at index 0 and the global convention is preserved.
         The result is kept on this Subgroup, so repeated calls return the
         same group object and share its cocycle spaces. Raises
-        ValidationError when the members are not closed under multiplication.
+        ValidationError when the members are not integers in range, miss the
+        identity or are not closed under multiplication.
         """
         return _cached(self, "_standalone", self._standalone_group)
 
     def _standalone_group(self) -> tuple[FiniteGroup, tuple[int, ...]]:
+        n = self.parent.order
+        for x in self.members:
+            if isinstance(x, bool) or not isinstance(x, (int, np.integer)) or not 0 <= x < n:
+                raise ValidationError(f"subgroup member {x!r} is not an element index in [0, {n})")
+        if 0 not in self._member_set:
+            raise ValidationError("subgroup members must contain the identity 0")
         members = tuple(sorted(self.members))
         pos = {x: i for i, x in enumerate(members)}
         pm = self.parent.mul

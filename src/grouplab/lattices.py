@@ -13,6 +13,12 @@ All row work goes through three steps:
   * hnf_insert       - fold one row into a triangular basis
   * _reduce          - triangular reduction of rows against a basis
 
+Most pivots of a basis here are m, on a row m*e_j that is zero modulo m:
+the cocycle lattice of S4 has 24 pivots below m out of 529. A pivot of m
+divides no nonzero entry in [0, m), so _reduce and hnf_canonical walk only
+the pivots below m, and quotient_structure writes the unit relation rows of
+the pivots of m directly.
+
 Provided primitives:
   * hnf_from_rows    - canonical triangular basis from a generating set
   * lattice_index    - [Z^k : L] as an exact integer
@@ -98,9 +104,19 @@ def _reduce(H: np.ndarray, R: np.ndarray, m: int) -> None:
     ends all-zero lies in the lattice. Trailing columns ride along, so a
     row [v | 0] reduced against [H | I] ends as [r | -q], with
     v = q @ H + r (mod m).
+
+    Only the pivots below m are walked. A pivot of m divides no nonzero
+    entry in [0, m), so a row nonzero in the gap columns before the next
+    pivot below m stops there with q = 0, and rows zero in every pivot
+    column are never touched.
     """
-    live = np.arange(R.shape[0])
-    for j in range(H.shape[0]):
+    k = H.shape[0]
+    live = np.flatnonzero(R[:, :k].any(axis=1))
+    start = 0
+    for j in np.flatnonzero(np.diagonal(H) < m):
+        if j > start:
+            live = live[~R[live, start:j].any(axis=1)]
+        start = j + 1
         col = R[live, j]
         hit = np.nonzero(col)[0]
         if hit.size == 0:
@@ -119,10 +135,11 @@ def hnf_canonical(H: np.ndarray, m: int) -> np.ndarray:
 
     Column j reduces the rows above it against row j. Only later columns
     change row j, so every row meets the same pivot rows in the same order
-    as in a row-by-row pass.
+    as in a row-by-row pass. Entries lie in [0, m), so a pivot of m
+    changes nothing and only the pivots below m are walked.
     """
     out = H.copy()
-    for j in range(1, out.shape[0]):
+    for j in np.flatnonzero(np.diagonal(out) < m):
         q = out[:j, j] // out[j, j]
         rows = np.nonzero(q)[0]
         if rows.size:
@@ -135,7 +152,9 @@ def hnf_from_rows(rows: Sequence[np.ndarray] | np.ndarray, k: int, m: int) -> np
 
     Rows are first swept in bulk by the triangular reduction, which disposes
     of redundant generators cheaply; rows that stop on a pivot need a pivot
-    update and go through hnf_insert, at most 256 between two sweeps. The
+    update and go through hnf_insert, at most 8 between two sweeps. A sweep
+    walks only the pivots below m, so it is cheap and frequent sweeps win:
+    of the batch sizes 1, 8, 32 and 256, 8 gave the fastest oracle. The
     resulting lattice does not depend on processing order, and the returned
     form is canonical.
     """
@@ -146,9 +165,9 @@ def hnf_from_rows(rows: Sequence[np.ndarray] | np.ndarray, k: int, m: int) -> np
     while R.shape[0]:
         _reduce(H, R, m)
         R = R[R.any(axis=1)]
-        for row in R[:256]:
+        for row in R[:8]:
             hnf_insert(H, row, m)
-        R = R[256:]
+        R = R[8:]
     return hnf_canonical(H, m)
 
 
@@ -333,13 +352,20 @@ def quotient_structure(
     if k == 0:
         return [], np.zeros((0, 0), dtype=np.int64)
     # relation lattice: coordinates (against sup) of sub generators, plus the
-    # coordinates of anything that lands in m*Z^k.
+    # coordinates of anything that lands in m*Z^k (the slack). In a canonical
+    # basis a pivot of m sits on the row m*e_j, whose slack row is e_j, and
+    # the other slack rows are zero in those columns, so the unit rows are
+    # written in after the others are reduced.
+    unit = np.flatnonzero(np.diagonal(sup_H) == m)
+    if (sup_H[unit] % m).any():
+        raise ValidationError("basis is not in Hermite form")
     R = np.zeros((sub_H.shape[0], 2 * k), dtype=np.int64)
     R[:, :k] = sub_H % m
     _reduce(np.hstack([sup_H, np.eye(k, dtype=np.int64)]), R, m)
     if R[:, :k].any():
         raise ValidationError("sub lattice is not contained in the sup lattice")
-    slack = hnf_from_rows(_relations(sup_H, m), k, m)
+    slack = hnf_from_rows(np.delete(_relations(sup_H, m), unit, axis=0), k, m)
+    slack[unit, unit] = 1
     rel = np.vstack([-R[:, k:] % m, slack])
     diag, W = snf_mod(rel, k, m)
     keep = [i for i, d in enumerate(diag) if d > 1]

@@ -417,6 +417,18 @@ class TestRestriction:
         with pytest.raises(ValidationError, match="not a cocycle"):
             space.class_from_table(table)
 
+    @pytest.mark.parametrize("first", [1.7, "1", True, None])
+    def test_non_integer_coordinates_are_rejected(self, first):
+        # these all became (1, 0, 0) through int()
+        space = cocycle_space(D4, 8)
+        with pytest.raises(ValidationError, match="integers"):
+            space.class_from_coords((first, 0, 0))
+
+    def test_numpy_integer_coordinates_are_accepted(self):
+        space = cocycle_space(D4, 8)
+        c = space.class_from_coords(np.array([3, 0, 1]))
+        assert c.coords == (1, 0, 1) and all(type(x) is int for x in c.coords)
+
     def test_addition_across_separately_computed_spaces(self):
         first = cocycle_space(from_mul_table(V4.mul), 2)
         second = cocycle_space(from_mul_table(V4.mul), 2)

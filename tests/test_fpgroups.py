@@ -160,3 +160,6 @@ class TestPresentationJson:
                 presentation_from_json(doc)
         with pytest.raises(ValidationError, match="negative"):
             Presentation(-1, ())
+        for count in (1.5, True, "2"):
+            with pytest.raises(ValidationError, match="integer"):
+                Presentation(count, ())

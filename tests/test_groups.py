@@ -3,6 +3,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from grouplab.catalog import builtin
@@ -399,3 +400,17 @@ class TestValidation:
         assert any(D4.mul[x][y] not in S for x in S.members for y in S.members)
         with pytest.raises(ValidationError, match="not closed"):
             S.as_group()
+
+    @pytest.mark.parametrize(
+        "members, match",
+        [((), "identity"), ((0, 99), "99"), ((0, -1), "-1"), ((0.0,), "0.0"), ((0, True), "True")],
+    )
+    def test_subgroup_members_must_be_element_indices(self, members, match):
+        # () gave a group of order 0, 99 a bare IndexError, -1 the last
+        # element and 0.0 a TypeError
+        with pytest.raises(ValidationError, match=match):
+            Subgroup(D4, members).as_group()
+
+    def test_numpy_integer_members_are_accepted(self):
+        sub, members = Subgroup(D4, tuple(np.arange(4))).as_group()
+        assert sub.order == 4 and members == (0, 1, 2, 3)

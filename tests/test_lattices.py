@@ -227,6 +227,157 @@ def test_relations_of_a_triangular_basis(case):
     assert lattice_index(comp) * lattice_index(H) == m**k
 
 
+def dense_reduce(H, R, m):
+    """Reference: _reduce as it was when it stepped through every pivot column."""
+    live = np.arange(R.shape[0])
+    for j in range(H.shape[0]):
+        col = R[live, j]
+        hit = np.nonzero(col)[0]
+        if hit.size == 0:
+            continue
+        q, rem = np.divmod(col[hit], H[j, j])
+        ok = rem == 0
+        rows = live[hit[ok]]
+        if rows.size:
+            R[rows, j:] = (R[rows, j:] - q[ok, None] * H[j, j:]) % m
+        if rows.size < hit.size:
+            live = np.delete(live, hit[~ok])
+
+
+def dense_hnf_canonical(H, m):
+    """Reference: hnf_canonical as it was when it stepped through every pivot column."""
+    out = H.copy()
+    for j in range(1, out.shape[0]):
+        q = out[:j, j] // out[j, j]
+        rows = np.nonzero(q)[0]
+        if rows.size:
+            out[rows, j:] = (out[rows, j:] - q[rows, None] * out[j, j:]) % m
+    return out
+
+
+def dense_hnf_from_rows(rows, k, m):
+    """Reference: hnf_from_rows on the dense kernels, 256 insertions between sweeps."""
+    H = m * np.eye(k, dtype=np.int64)
+    if k == 0:
+        return H
+    R = np.asarray(rows, dtype=np.int64).reshape(-1, k) % m
+    while R.shape[0]:
+        dense_reduce(H, R, m)
+        R = R[R.any(axis=1)]
+        for row in R[:256]:
+            hnf_insert(H, row, m)
+        R = R[256:]
+    return dense_hnf_canonical(H, m)
+
+
+def dense_quotient_relations(sub_H, sup_H, m):
+    """Reference: the matrix quotient_structure diagonalised when every slack row was inserted."""
+    k = sup_H.shape[0]
+    I = np.eye(k, dtype=np.int64)
+    R = np.zeros((sub_H.shape[0], 2 * k), dtype=np.int64)
+    R[:, :k] = sub_H % m
+    dense_reduce(np.hstack([sup_H, I]), R, m)
+    assert not R[:, :k].any()
+    scale = m // np.diagonal(sup_H)
+    S = np.zeros((k, 2 * k), dtype=np.int64)
+    S[:, :k] = (scale[:, None] * sup_H) % m
+    dense_reduce(np.hstack([sup_H, I]), S, m)
+    assert not S[:, :k].any()
+    slack = dense_hnf_from_rows((S[:, k:] + np.diag(scale)) % m, k, m)
+    return np.vstack([-R[:, k:] % m, slack])
+
+
+def sparse_cases(count, seed):
+    """Lattices of up to 40 coordinates spanned by a few rows, so most pivots are m."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        k = rng.randint(1, 40)
+        m = rng.choice([2, 4, 6, 8, 12, 24])
+        density = rng.choice([0.05, 0.2, 1.0])
+        rows = [
+            [rng.randrange(m) if rng.random() < density else 0 for _ in range(k)]
+            for _ in range(rng.randint(0, 6))
+        ]
+        yield k, m, np.array(rows, dtype=np.int64).reshape(len(rows), k)
+
+
+SPARSE_CASES = list(sparse_cases(60, seed=15))
+
+
+def test_sparse_cases_are_mostly_pivots_of_m():
+    pivots = np.concatenate([np.diagonal(hnf_from_rows(rows, k, m)) == m for k, m, rows in SPARSE_CASES])
+    assert pivots.mean() > 0.8 and not pivots.all()
+
+
+def reduce_blocks(rows, k, m, rng):
+    """Lattice members, random rows, random tails and zero rows, 26 in all."""
+    coeffs = np.array([[rng.randrange(m) for _ in rows] for _ in range(8)], dtype=np.int64)
+    members = (coeffs.reshape(8, len(rows)) @ rows) % m
+    noise = np.array([[rng.randrange(m) for _ in range(k)] for _ in range(8)], dtype=np.int64)
+    tails = noise * (np.arange(k) >= rng.randrange(k))
+    return np.vstack([members, noise, tails, np.zeros((2, k), dtype=np.int64)])
+
+
+@pytest.mark.parametrize("case", SPARSE_CASES)
+def test_kernels_match_the_dense_reference(case):
+    k, m, rows = case
+    H = hnf_from_rows(rows, k, m)
+    assert np.array_equal(H, dense_hnf_from_rows(rows, k, m))
+    raw = m * np.eye(k, dtype=np.int64)
+    for row in rows:
+        hnf_insert(raw, row, m)
+    assert np.array_equal(hnf_canonical(raw, m), dense_hnf_canonical(raw, m))
+    rng = random.Random(k * 1000 + m)
+    I = np.eye(k, dtype=np.int64)
+    # H, the reversed transpose orth_complement builds, and both with [. | I] trailing columns
+    for basis in (H, H.T[::-1, ::-1], np.hstack([H, I]), np.hstack([H.T[::-1, ::-1], I])):
+        vs = reduce_blocks(rows, k, m, rng)
+        R = np.hstack([vs, np.zeros((len(vs), basis.shape[1] - k), dtype=np.int64)])
+        ref = R.copy()
+        _reduce(basis, R, m)
+        dense_reduce(basis, ref, m)
+        assert np.array_equal(R, ref)
+
+
+@pytest.mark.parametrize("case", SPARSE_CASES)
+def test_quotient_and_solver_match_the_dense_reference(case, monkeypatch):
+    k, m, rows = case
+    sup_H = hnf_from_rows(rows, k, m)
+    rng = random.Random(k * 1000 + m + 1)
+    sub_rows = [(rng.choice([1, 2, 3, m]) * r + rng.randrange(m) * sup_H[rng.randrange(k)]) % m for r in sup_H]
+    sub_H = hnf_from_rows(np.array(sub_rows, dtype=np.int64).reshape(-1, k), k, m)
+    seen = []
+    monkeypatch.setattr(lattices, "snf_mod", lambda rel, k, m: seen.append(rel) or snf_mod(rel, k, m))
+    diag, gens = quotient_structure(sub_H, sup_H, m)
+    ref = dense_quotient_relations(sub_H, sup_H, m)
+    assert np.array_equal(seen[0], ref)
+    ref_diag, W = snf_mod(ref, k, m)
+    keep = [i for i, d in enumerate(ref_diag) if d > 1]
+    assert diag == [ref_diag[i] for i in keep]
+    assert np.array_equal(gens, (W[keep] @ sup_H) % m)
+    # the solver on the quotient generators and only the sub rows below m
+    # gives the coordinates it gives with every sub row
+    full = LatticeSolver(np.vstack([gens, sub_H]), k, m)
+    trimmed_gens = np.vstack([gens, sub_H[np.diagonal(sub_H) < m]])
+    trimmed = LatticeSolver(trimmed_gens, k, m)
+    orders = np.array(diag, dtype=np.int64)
+    members = (np.array([[rng.randrange(m) for _ in range(k)] for _ in range(6)], dtype=np.int64) @ sup_H) % m
+    a, b = full.solve(members), trimmed.solve(members)
+    assert np.array_equal(a[:, : len(diag)] % orders, b[:, : len(diag)] % orders)
+    assert not ((b @ trimmed_gens - members) % m).any()
+    # random rows, most of them outside a sparse lattice
+    for v in reduce_blocks(rows, k, m, rng)[8:16]:
+        assert (full.solve(v) is None) == (trimmed.solve(v) is None)
+        assert (full.solve(v) is None) == bool(member_residual(sup_H, v, m).any())
+
+
+def test_quotient_structure_rejects_a_pivot_of_m_off_its_unit_row():
+    # row 0 has pivot 4 = m but is not 4*e_0, so its relation row is not e_0
+    sup_H = np.array([[4, 1], [0, 2]], dtype=np.int64)
+    with pytest.raises(ValidationError, match="Hermite"):
+        quotient_structure(4 * np.eye(2, dtype=np.int64), sup_H, 4)
+
+
 def test_relations_reject_a_basis_that_is_not_hermite():
     # the lattice holds 2 * (2, 1) = (0, 2) mod 4, which row (0, 4) cannot reach
     H = np.array([[2, 1], [0, 4]], dtype=np.int64)

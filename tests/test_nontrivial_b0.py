@@ -18,11 +18,14 @@ realization (order 128, so ``group_cap=128``) are built once for the module.
 
 import random
 import tracemalloc
+from math import prod
 
 import pytest
 
 from grouplab.catalog import builtin
+from grouplab.cohomology import b0_lower_bound, h2_order
 from grouplab.groups import (
+    AbelianInvariants,
     abelian_invariants,
     build_from_permutations,
     center,
@@ -146,6 +149,16 @@ class TestKernel:
     def test_n_kernel_is_trivial_and_n_is_not_isoclinic_to_b64(self, b64, n64):
         assert compute_wedge(n64, WedgeVariant.CURLY).kernel_invariants().factors == ()
         assert are_isoclinic(b64, n64) is None
+
+
+class TestOracle:
+    def test_b64_oracle_bound_at_m2_is_the_curly_kernel(self, b64_wedge):
+        # a group of its own, so the cocycle spaces (about 130 MB) go with it
+        G = build_from_permutations([perm(c) for c in B64_CYCLES], cap=64, degree=DEGREE, label="B64")
+        assert h2_order(G, 2, cap=64) == (32, AbelianInvariants((2, 2, 2, 2, 2)))
+        bound, _ = b0_lower_bound(G, 2, cap=64)
+        assert bound == 2
+        assert bound == prod(b64_wedge.kernel_invariants().factors)
 
 
 class TestTheoremOnB64TimesZ2:

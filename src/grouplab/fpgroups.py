@@ -38,6 +38,8 @@ class Presentation:
             raise ValidationError(f"negative generator count {self.num_generators}")
         for w in self.relators:
             for ltr in w:
+                if isinstance(ltr, bool) or not isinstance(ltr, numbers.Integral):
+                    raise ValidationError(f"letter {ltr!r} in relator {w} is not an integer")
                 if ltr == 0 or abs(ltr) > self.num_generators:
                     raise ValidationError(f"letter {ltr} out of range in relator {w}")
 

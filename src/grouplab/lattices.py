@@ -9,20 +9,29 @@ columns after its k pivot columns; they ride along through every row
 operation, which is how LatticeSolver keeps its coefficients.
 
 All row work goes through three steps:
-  * _combine         - clear one row's leading entry against a pivot row
+  * _combine         - clear one row's entry in the pivot column against the pivot row
   * hnf_insert       - fold one row into a triangular basis
   * _reduce          - triangular reduction of rows against a basis
 
 Most pivots of a basis here are m, on a row m*e_j that is zero modulo m:
 the cocycle lattice of S4 has 24 pivots below m out of 529. A pivot of m
 divides no nonzero entry in [0, m), so _reduce and hnf_canonical walk only
-the pivots below m, and quotient_structure writes the unit relation rows of
-the pivots of m directly.
+the pivots below m.
+
+quotient_structure works on those pivots J alone. Coordinates against the
+sup basis live on J, and so do the relations of its rows J; each pivot of
+m contributes one unit relation row e_j. The relation matrix goes to
+snf_mod as a SparseRows: the unit rows as (row, column, 1) triples and the
+rest as one small dense block (at most 20 x 12 on the benchmark's oracle
+groups, against 1,058 x 529 dense). snf_mod tracks where the dense run
+would have moved every row and column, so it makes the same pivots, and
+the kept rows of W, hence the basis tables, come out byte for byte.
 
 Provided primitives:
   * hnf_from_rows    - canonical triangular basis from a generating set
   * lattice_index    - [Z^k : L] as an exact integer
   * member_residual  - triangular membership reduction, of one vector or a block
+  * SparseRows       - a matrix of isolated rows and one dense block
   * snf_mod          - diagonalisation, with the inverse column transform
   * orth_complement  - {u : <l, u> = 0 mod m for all l in L}, off L's triangular basis
   * quotient_structure - invariants and generators of L2/L1, by one diagonalisation
@@ -31,6 +40,7 @@ Provided primitives:
 
 from __future__ import annotations
 
+from bisect import insort
 from math import gcd
 from typing import Sequence
 
@@ -54,14 +64,14 @@ def _egcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
-def _combine(p: np.ndarray, r: np.ndarray, m: int) -> None:
-    """Clear r[0] against the pivot row p, in place; <p, r> is unchanged.
+def _combine(p: np.ndarray, r: np.ndarray, m: int, c: int = 0) -> None:
+    """Clear r[c] against the pivot row p, in place; <p, r> is unchanged.
 
-    Both rows start at the pivot column. When p[0] divides r[0], a multiple
-    of p is subtracted from r. Otherwise p becomes the egcd combination with
-    leading entry gcd(p[0], r[0]) and r the complementary one, leading zero.
+    Column c is the pivot column. When p[c] divides r[c], a multiple of p is
+    subtracted from r. Otherwise p becomes the egcd combination with entry
+    gcd(p[c], r[c]) at c and r the complementary one, zero at c.
     """
-    piv, a = int(p[0]), int(r[0])
+    piv, a = int(p[c]), int(r[c])
     if a % piv == 0:
         np.subtract(r, (a // piv) * p, out=r)
         np.remainder(r, m, out=r)
@@ -71,7 +81,7 @@ def _combine(p: np.ndarray, r: np.ndarray, m: int) -> None:
     np.multiply(r, piv // g, out=r)
     np.subtract(r, (a // g) * p, out=r)
     np.remainder(r, m, out=r)
-    new_p[0] = g  # g in (0, m); avoids a zero diagonal representative
+    new_p[c] = g  # g in (0, m); avoids a zero diagonal representative
     p[:] = new_p
 
 
@@ -95,15 +105,15 @@ def hnf_insert(H: np.ndarray, row: np.ndarray, m: int) -> None:
         j += 1
 
 
-def _reduce(H: np.ndarray, R: np.ndarray, m: int) -> None:
+def _reduce(H: np.ndarray, R: np.ndarray, m: int, Q: np.ndarray | None = None) -> None:
     """Triangular reduction of the rows of R against the basis H, in place.
 
     R is a 2-D int64 array with entries in [0, m) and as many columns as H.
     Each row subtracts q_j * H[j] (mod m) pivot column by pivot column and
     stops at the first pivot that does not divide its entry; a row that
-    ends all-zero lies in the lattice. Trailing columns ride along, so a
-    row [v | 0] reduced against [H | I] ends as [r | -q], with
-    v = q @ H + r (mod m).
+    ends all-zero lies in the lattice. Trailing columns ride along. When Q
+    is given, Q[i, n] receives row i's quotient at the n-th pivot below m,
+    so that v = q @ H + r (mod m) with q zero off those pivots.
 
     Only the pivots below m are walked. A pivot of m divides no nonzero
     entry in [0, m), so a row nonzero in the gap columns before the next
@@ -113,7 +123,7 @@ def _reduce(H: np.ndarray, R: np.ndarray, m: int) -> None:
     k = H.shape[0]
     live = np.flatnonzero(R[:, :k].any(axis=1))
     start = 0
-    for j in np.flatnonzero(np.diagonal(H) < m):
+    for n, j in enumerate(np.flatnonzero(np.diagonal(H) < m)):
         if j > start:
             live = live[~R[live, start:j].any(axis=1)]
         start = j + 1
@@ -126,6 +136,8 @@ def _reduce(H: np.ndarray, R: np.ndarray, m: int) -> None:
         rows = live[hit[ok]]
         if rows.size:
             R[rows, j:] = (R[rows, j:] - q[ok, None] * H[j, j:]) % m
+            if Q is not None:
+                Q[rows, n] = q[ok]
         if rows.size < hit.size:
             live = np.delete(live, hit[~ok])
 
@@ -190,139 +202,204 @@ def member_residual(H: np.ndarray, v: np.ndarray, m: int) -> np.ndarray:
     return r.reshape(v.shape)
 
 
-def _row_minima(
-    A: np.ndarray, rows: np.ndarray, t: int, m: int, rmin: np.ndarray, rcol: np.ndarray
-) -> None:
-    """Smallest nonzero entry of each listed row over columns t.., and its first column.
+class SparseRows:
+    """An R x k integer matrix kept as isolated rows and one dense block.
 
-    Entries lie in [0, m), so a row with no nonzero entry there reads m.
-    Rows go 64 at a time, so the scan never copies the whole block.
+    Each row (r, c, v) of iso says that row r is v * e_c and that no other
+    row is nonzero in column c. block holds the entries of the rows `rows`
+    in the columns `cols`; every other entry is zero. np.asarray(...) gives
+    the dense matrix.
     """
-    for s in range(0, rows.size, 64):
-        chunk = rows[s : s + 64]
-        block = A[chunk, t:]
-        block[block == 0] = m
-        j = block.argmin(axis=1)
-        rmin[chunk] = block[np.arange(chunk.size), j]
-        rcol[chunk] = j + t
+
+    def __init__(
+        self, shape: tuple[int, int], iso: np.ndarray, rows: np.ndarray, cols: np.ndarray, block: np.ndarray
+    ):
+        self.shape, self.iso, self.rows, self.cols, self.block = shape, iso, rows, cols, block
+
+    def take(self, idx: Sequence[int] | np.ndarray) -> np.ndarray:
+        """The dense rows idx, in that order."""
+        idx = np.asarray(idx, dtype=np.intp)
+        where = np.full(self.shape[0], -1)
+        where[idx] = np.arange(idx.size)
+        out = np.zeros((idx.size, self.shape[1]), dtype=np.int64)
+        r, c, v = self.iso.T
+        hit = where[r] >= 0
+        out[where[r[hit]], c[hit]] = v[hit]
+        hit = where[self.rows] >= 0
+        out[np.ix_(where[self.rows[hit]], self.cols)] = self.block[hit]
+        return out
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        return self.take(np.arange(self.shape[0])).astype(dtype or np.int64, copy=False)
 
 
-def snf_mod(rows: np.ndarray, k: int, m: int) -> tuple[list[int], np.ndarray]:
+def _isolate(rows: SparseRows, m: int) -> tuple[np.ndarray, list[int], np.ndarray, np.ndarray]:
+    """Move the isolated rows of the block to the iso triples, modulo m.
+
+    Returns (iso, block rows, block columns, block). Zero rows and zero
+    columns leave the block.
+    """
+    B = rows.block % m
+    nz = B != 0
+    per_row = nz.sum(axis=1)
+    r, c = np.nonzero(nz & (per_row == 1)[:, None] & (nz.sum(axis=0) == 1))
+    iso = np.vstack([rows.iso, np.column_stack([rows.rows[r], rows.cols[c], B[r, c]])])
+    iso[:, 2] %= m
+    rest = per_row > 0
+    rest[r] = False
+    used = B[rest].any(axis=0)
+    return iso[iso[:, 2] != 0], rows.rows[rest].tolist(), rows.cols[used], B[np.ix_(rest, used)]
+
+
+def snf_mod(rows: np.ndarray | SparseRows, k: int, m: int) -> tuple[list[int], np.ndarray | SparseRows]:
     """Diagonalise the lattice <rows> + m*Z^k by row and column operations.
 
-    Returns (diag, W). diag has length k; entry i is the order of the
-    quotient in coordinate i (a divisor of m, with the implicit m*Z^k folded
-    in, so a zero physical pivot reads as m). W accumulates the inverses of
-    the column operations, so the lattice is the row space of diag(diag) @ W
-    plus m*Z^k, and W is invertible modulo m. No divisibility chain is
-    enforced; see groups.invariant_factors_from_orders.
+    rows is an (R, k) array or a SparseRows. Returns (diag, W). diag has
+    length k; entry i is the order of the quotient in coordinate i (a
+    divisor of m, with the implicit m*Z^k folded in, so a zero physical
+    pivot reads as m). W accumulates the inverses of the column operations,
+    so the lattice is the row space of diag(diag) @ W plus m*Z^k, and W is
+    invertible modulo m. W comes back as a SparseRows when rows was one. No
+    divisibility chain is enforced; see groups.invariant_factors_from_orders.
 
-    Step t pivots on the row-major first smallest nonzero entry of the block
-    from (t, t) on. Each row keeps its smallest entry in that block and the
-    first column holding it, so np.argmin over the rows finds the pivot.
-    Only rows that a step changed are scanned again: rows cleared by row
-    operations, the row swapped into place, and rows nonzero in a column
-    that a swap or a col_combine touched. Every other row below t was zero
-    in column t and is unchanged, so its minimum over the columns after t
-    is the one it kept.
+    Step t pivots on the row-major first smallest nonzero entry of the
+    submatrix from (t, t) on, after swapping that entry's row and column
+    into position t. An isolated row (one nonzero entry, in a column no
+    other row touches) needs nothing more, and it stays isolated until it is
+    pivoted: a row operation touches only rows nonzero in the pivot column,
+    and a column operation only columns that the pivot row touches. So
+    isolated rows are kept as (row, column, value) triples, the positions
+    of all rows and columns are tracked in index lists, and row and column
+    operations run on the dense block of the other rows alone, in position
+    order. That reproduces the dense run step for step.
     """
-    A = np.asarray(rows, dtype=np.int64).reshape(-1, k) % m
-    R = A.shape[0]
-    W = np.eye(k, dtype=np.int64)
-    rmin = np.empty(R, dtype=np.int64)
-    rcol = np.empty(R, dtype=np.int64)
-    _row_minima(A, np.arange(R), 0, m, rmin, rcol)
-    dirty = np.zeros(R, dtype=bool)
+    sparse = isinstance(rows, SparseRows)
+    if not sparse:
+        A = np.asarray(rows, dtype=np.int64).reshape(-1, k)
+        rows = SparseRows(A.shape, np.zeros((0, 3), dtype=np.int64), np.arange(A.shape[0]), np.arange(k), A)
+    iso, brow, bcol, B = _isolate(rows, m)
+    R = rows.shape[0]
+    pos, at = list(range(R)), list(range(R))  # row -> position, position -> row
+    cpos, cat = list(range(k)), list(range(k))  # the same for columns
+    lone = {r: (v, c) for r, c, v in iso.tolist()}
+    queue: dict[int, list[int]] = {}  # value -> minus the positions of the isolated rows with it, ascending
+    for r, (v, _) in sorted(lone.items(), reverse=True):
+        queue.setdefault(v, []).append(-r)
+    slot = bcol.tolist()
+    W = np.eye(len(slot), dtype=np.int64)
+    live = list(range(len(brow)))
+    bmin = np.where(B == 0, m, B).min(axis=1, initial=m).tolist()
 
-    def touch(*cols: int) -> None:
-        for c in cols:
-            dirty[A[:, c] != 0] = True
+    def swap(t: int, p: int, q: int) -> None:
+        # row positions t and p, column positions t and q
+        x, y = at[t], at[p]
+        at[t], at[p], pos[x], pos[y] = y, x, p, t
+        if x != y and x in lone:
+            # x sat at t, ahead of every other row of its value
+            ahead = queue[lone[x][0]]
+            ahead.pop()
+            insort(ahead, -p)
+        a, c = cat[t], cat[q]
+        cat[t], cat[q], cpos[a], cpos[c] = c, a, q, t
 
-    def col_addmul(dst: int, src: int, q: int) -> None:
-        # src is column t, nonzero only in row t and in rows col_combine marked
-        A[:, dst] = (A[:, dst] - q * A[:, src]) % m
-        W[src] = (W[src] + q * W[dst]) % m
-
-    def col_combine(t: int, j: int, a: int, b: int) -> None:
-        # new col t = u*ct + v*cj ; new col j = (a/g)*cj - (b/g)*ct
-        touch(t, j)
-        g, u, v = _egcd(a, b)
-        ct, cj = A[:, t].copy(), A[:, j].copy()
-        A[:, t] = (u * ct + v * cj) % m
-        A[:, j] = ((a // g) * cj - (b // g) * ct) % m
-        wt, wj = W[t].copy(), W[j].copy()
-        W[t] = ((a // g) * wt + (b // g) * wj) % m
-        W[j] = (-v * wt + u * wj) % m
-
-    def col_swap(t: int, j: int) -> None:
-        touch(t, j)
-        A[:, [t, j]] = A[:, [j, t]]
-        W[[t, j]] = W[[j, t]]
-
-    t = 0
-    size = min(R, k)
-    while t < size:
-        i0 = t + int(np.argmin(rmin[t:]))
-        if rmin[i0] == m:
-            break
-        j0 = int(rcol[i0])
-        if i0 != t:
-            A[[t, i0]] = A[[i0, t]]
-            dirty[i0] = True
-        if j0 != t:
-            col_swap(t, j0)
+    def clear(b: int, s: int) -> None:
+        # clear column s but for row b with row operations and row b but
+        # for column s with column operations, in position order
         while True:
-            # clear column t with row operations; every row with a nonzero
-            # entry there is zero left of column t
-            hit = np.nonzero(A[:, t])[0]
-            dirty[hit] = True
-            for i in hit:
-                if i != t:
-                    _combine(A[t, t:], A[i, t:], m)
-            # clear row t with column operations
-            rowmask = [int(j) for j in np.nonzero(A[t])[0] if j != t]
-            if not rowmask:
-                if np.count_nonzero(A[:, t]) == 1:
-                    break
+            for h in sorted(np.flatnonzero(B[:, s]).tolist(), key=lambda h: pos[brow[h]]):
+                if h != b:
+                    _combine(B[b], B[h], m, s)
+            others = sorted((j for j in np.flatnonzero(B[b]).tolist() if j != s), key=lambda j: cpos[slot[j]])
+            if not others:
+                if np.count_nonzero(B[:, s]) == 1:
+                    return
                 continue
-            for j in rowmask:
-                a, b = int(A[t, t]), int(A[t, j])
-                if b == 0:
+            for j in others:
+                a, c = int(B[b, s]), int(B[b, j])
+                if c == 0:
                     continue
-                if b % a == 0:
-                    col_addmul(j, t, b // a)
-                else:
-                    col_combine(t, j, a, b)
-        t += 1
-        if t < size:
-            _row_minima(A, t + np.flatnonzero(dirty[t:]), t, m, rmin, rcol)
-            dirty[:] = False
+                if c % a == 0:
+                    B[:, j] = (B[:, j] - (c // a) * B[:, s]) % m
+                    W[s] = (W[s] + (c // a) * W[j]) % m
+                    continue
+                g, u, v = _egcd(a, c)
+                cs, cj = B[:, s].copy(), B[:, j].copy()
+                B[:, s] = (u * cs + v * cj) % m
+                B[:, j] = ((a // g) * cj - (c // g) * cs) % m
+                ws, wj = W[s].copy(), W[j].copy()
+                W[s] = ((a // g) * ws + (c // g) * wj) % m
+                W[j] = (-v * ws + u * wj) % m
 
-    diag = []
-    for i in range(k):
-        d = int(A[i, i]) if i < R else 0
-        diag.append(gcd(d, m) if d else m)
-    return diag, W
+    def key(b: int) -> tuple[int, int]:
+        # a block row's smallest entry and its position
+        return bmin[b], pos[brow[b]]
+
+    diag = [m] * k
+    for t in range(min(R, k)):
+        b = min(live, key=key, default=None)
+        best = min(((v, -q[-1]) for v, q in queue.items() if q), default=(m, R))
+        best = min(best, (m, R) if b is None else key(b))
+        if best[0] == m:
+            break
+        if b is not None and key(b) == best:
+            s = min(np.flatnonzero(B[b] == bmin[b]).tolist(), key=lambda j: cpos[slot[j]])
+            swap(t, pos[brow[b]], cpos[slot[s]])
+            clear(b, s)
+            diag[t] = gcd(int(B[b, s]), m)
+            live.remove(b)
+            bmin = np.where(B == 0, m, B).min(axis=1, initial=m).tolist()
+        else:
+            v, p = best
+            queue[v].pop()
+            swap(t, p, cpos[lone[at[p]][1]])
+            diag[t] = gcd(v, m)
+
+    cat = np.array(cat, dtype=np.int64)
+    in_block = np.zeros(k, dtype=bool)
+    in_block[bcol] = True
+    free = np.flatnonzero(~in_block[cat])
+    out = SparseRows(
+        (k, k),
+        np.column_stack([free, cat[free], np.ones_like(free)]),
+        np.array(cpos, dtype=np.int64)[bcol],
+        bcol,
+        W,
+    )
+    return diag, out if sparse else np.asarray(out)
 
 
-def _relations(H: np.ndarray, m: int) -> np.ndarray:
-    """Rows spanning {c : c @ H = 0 mod m} modulo m*Z^k.
+def _outside(H: np.ndarray, m: int) -> np.ndarray:
+    """Indices of the rows of H that are nonzero modulo m, read 64 rows at a time."""
+    return np.array(
+        [s + i for s in range(0, H.shape[0], 64) for i in np.flatnonzero((H[s : s + 64] % m).any(axis=1))],
+        dtype=np.int64,
+    )
+
+
+def _relations(H: np.ndarray, m: int, idx: np.ndarray | None = None) -> np.ndarray:
+    """Rows spanning {c : c @ H = 0 mod m} modulo m*Z^k, or the rows idx of them.
 
     H is a triangular basis with diagonal entries d_i dividing m, in which
     every lattice vector that is zero left of column j reduces against rows
     j.. (every hnf_from_rows output). Then (m/d_i)*H[i] is zero up to column
-    i, so one reduction against [H | I] writes it as q_i @ H, and the rows
-    (m/d_i)*e_i - q_i span the relations. Raises ValidationError when a row
-    does not reduce to zero, which shows H lacks that property.
+    i and reduces to q_i @ H, with q_i nonzero only at the pivots below m,
+    and the rows (m/d_i)*e_i - q_i span the relations. Raises
+    ValidationError when a row does not reduce to zero, which shows H lacks
+    that property.
     """
     k = H.shape[0]
-    scale = m // np.diagonal(H)
-    R = np.zeros((k, 2 * k), dtype=np.int64)
-    R[:, :k] = (scale[:, None] * H) % m
-    _reduce(np.hstack([H, np.eye(k, dtype=np.int64)]), R, m)
-    if R[:, :k].any():
+    idx = np.arange(k) if idx is None else idx
+    scale = m // np.diagonal(H)[idx]
+    R = (scale[:, None] * H[idx]) % m
+    piv = np.flatnonzero(np.diagonal(H) < m)
+    Q = np.zeros((idx.size, piv.size), dtype=np.int64)
+    _reduce(H, R, m, Q)
+    if R.any():
         raise ValidationError("basis is not in Hermite form")
-    return (R[:, k:] + np.diag(scale)) % m
+    rel = np.zeros((idx.size, k), dtype=np.int64)
+    rel[np.arange(idx.size), idx] = scale
+    rel[:, piv] -= Q
+    return rel % m
 
 
 def orth_complement(rows: np.ndarray | Sequence[np.ndarray], k: int, m: int) -> np.ndarray:
@@ -347,29 +424,42 @@ def quotient_structure(
     whose class generates it. Orders are not chained; canonicalise with
     groups.invariant_factors_from_orders. Raises ValidationError when the
     sub lattice does not lie inside the sup lattice.
+
+    The relation lattice is diagonalised: the coordinates (against sup) of
+    the sub generators, one row per row of sub_H, then one slack row per
+    column for the coordinates of what lands in m*Z^k. Coordinates live on
+    the pivots J of sup below m. A pivot of m sits on the row m*e_j, whose
+    slack row is the isolated row e_j; the other slack rows are a basis of
+    the relations of the rows J, on the columns J.
     """
     k = sup_H.shape[0]
     if k == 0:
         return [], np.zeros((0, 0), dtype=np.int64)
-    # relation lattice: coordinates (against sup) of sub generators, plus the
-    # coordinates of anything that lands in m*Z^k (the slack). In a canonical
-    # basis a pivot of m sits on the row m*e_j, whose slack row is e_j, and
-    # the other slack rows are zero in those columns, so the unit rows are
-    # written in after the others are reduced.
-    unit = np.flatnonzero(np.diagonal(sup_H) == m)
-    if (sup_H[unit] % m).any():
+    below = np.diagonal(sup_H) < m
+    J, unit = np.flatnonzero(below), np.flatnonzero(~below)
+    # a pivot of m off the row m*e_j would not have e_j as its relation
+    if not below[_outside(sup_H, m)].all():
         raise ValidationError("basis is not in Hermite form")
-    R = np.zeros((sub_H.shape[0], 2 * k), dtype=np.int64)
-    R[:, :k] = sub_H % m
-    _reduce(np.hstack([sup_H, np.eye(k, dtype=np.int64)]), R, m)
-    if R[:, :k].any():
+    sub = _outside(sub_H, m)
+    R = sub_H[sub] % m
+    Q = np.zeros((sub.size, J.size), dtype=np.int64)
+    _reduce(sup_H, R, m, Q)
+    if R.any():
         raise ValidationError("sub lattice is not contained in the sup lattice")
-    slack = hnf_from_rows(np.delete(_relations(sup_H, m), unit, axis=0), k, m)
-    slack[unit, unit] = 1
-    rel = np.vstack([-R[:, k:] % m, slack])
+    slack = hnf_from_rows(_relations(sup_H, m, J)[:, J], J.size, m)
+    n = sub_H.shape[0]
+    rel = SparseRows(
+        (n + k, k),
+        np.column_stack([n + unit, unit, np.ones_like(unit)]),
+        np.concatenate([sub, n + J]),
+        J,
+        np.vstack([Q, slack]),
+    )
     diag, W = snf_mod(rel, k, m)
     keep = [i for i, d in enumerate(diag) if d > 1]
-    return [diag[i] for i in keep], (W[keep] @ sup_H) % m
+    gens = W.take(keep)
+    cols = np.flatnonzero(gens.any(axis=0))
+    return [diag[i] for i in keep], (gens[:, cols] @ sup_H[cols]) % m
 
 
 class LatticeSolver:

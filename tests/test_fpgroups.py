@@ -50,6 +50,12 @@ class TestWords:
         with pytest.raises(ValidationError):
             Presentation(1, ((2,),))
 
+    @pytest.mark.parametrize("letter", [1.5, True, "1"])
+    def test_letter_type_checked(self, letter):
+        # each would reach todd_coxeter as a table index
+        with pytest.raises(ValidationError, match="not an integer"):
+            Presentation(2, ((1, letter),))
+
 
 class TestToddCoxeter:
     def test_cyclic_relator(self):

@@ -160,6 +160,13 @@ class TestOracle:
         assert bound == 2
         assert bound == prod(b64_wedge.kernel_invariants().factors)
 
+    def test_b64_oracle_bound_at_m64_is_the_curly_kernel(self, b64_wedge):
+        # at m = |G| the bound is the whole of B0, so the two routes agree exactly
+        G = build_from_permutations([perm(c) for c in B64_CYCLES], cap=64, degree=DEGREE, label="B64")
+        bound, invariants = b0_lower_bound(G, 64, cap=64)
+        assert bound == 2 and invariants == AbelianInvariants((2,))
+        assert bound == prod(b64_wedge.kernel_invariants().factors)
+
 
 class TestTheoremOnB64TimesZ2:
     @staticmethod

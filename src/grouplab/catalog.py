@@ -172,6 +172,8 @@ def _int_params(family: str, params: Sequence, count: int) -> list[int]:
     if len(params) != count:
         raise ParamOutOfRange(f"{family} takes {count} parameter(s), got {len(params)}")
     try:
+        if any(isinstance(p, bool) for p in params):
+            raise TypeError
         return [int(p) if isinstance(p, str) else operator.index(p) for p in params]
     except (TypeError, ValueError):
         raise ParamOutOfRange(f"{family} parameters must be integers, got {list(params)!r}") from None
@@ -257,14 +259,14 @@ def group_from_spec_dict(doc: dict, origin: str = "<spec>") -> FiniteGroup:
         table, names = data.get("table"), data.get("element_names")
         if not isinstance(table, list):
             raise ParseError("cayley data needs a 'table' array", path=origin)
-        if names is not None and not isinstance(names, list):
-            raise ParseError("cayley 'element_names' must be an array", path=origin)
+        if names is not None and not (isinstance(names, list) and all(isinstance(x, str) for x in names)):
+            raise ParseError("cayley 'element_names' must be an array of strings", path=origin)
         return from_mul_table(table, label=name, element_names=names)
     if kind == "perm":
         gens, degree = data.get("generators"), data.get("degree")
         if not isinstance(gens, list):
             raise ParseError("perm data needs a 'generators' array", path=origin)
-        if degree is not None and not isinstance(degree, int):
+        if degree is not None and (isinstance(degree, bool) or not isinstance(degree, int)):
             raise ParseError("perm 'degree' must be an integer", path=origin)
         return build_from_permutations(gens, cap=512, degree=degree, label=name)
     if kind == "builtin":

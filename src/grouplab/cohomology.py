@@ -240,6 +240,13 @@ def cocycle_space(G: FiniteGroup, m: int, cap: int = DEFAULT_ORACLE_CAP) -> Cocy
 
     Later calls with the same group object reuse the space, which is freed
     together with the group. Equality, hashing and repr of ``G`` ignore it.
+
+    The arithmetic is exact in int64 while m^2 * max(2, k) < 2^63, with
+    k = (|G| - 1)^2, and a larger m is rejected. Entries stay below m, so a
+    product of two is below m^2. _reduce and hnf_canonical add one such
+    product to an entry, _combine and snf_mod's W update add two, and the
+    matrix products Hs @ E, gens @ sup_H and representative_table sum at
+    most k of them.
     """
     if isinstance(m, bool) or not isinstance(m, (int, np.integer)):
         raise ValidationError(f"modulus must be an integer, got {m!r}")
@@ -250,6 +257,8 @@ def cocycle_space(G: FiniteGroup, m: int, cap: int = DEFAULT_ORACLE_CAP) -> Cocy
         raise GroupTooLargeForOracle(
             f"|{G.label}| = {G.order} exceeds the oracle cap {cap}"
         )
+    if m * m * max(2, (G.order - 1) ** 2) >= 2**63:
+        raise ValidationError(f"modulus {m} is too large for exact int64 arithmetic on {G.label}")
     spaces = _cached(G, "_cocycle_spaces", dict)
     if m in spaces:
         return spaces[m]

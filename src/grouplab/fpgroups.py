@@ -103,8 +103,8 @@ def presentation_to_json(pres: Presentation) -> dict:
 def presentation_from_json(doc: dict) -> Presentation:
     try:
         return Presentation(
-            num_generators=int(doc["num_generators"]),
-            relators=tuple(tuple(int(x) for x in w) for w in doc["relators"]),
+            num_generators=doc["num_generators"],
+            relators=tuple(tuple(w) for w in doc["relators"]),
             label=str(doc.get("label", "P")),
         )
     except (KeyError, TypeError, ValueError) as exc:

@@ -135,13 +135,9 @@ def _derive_beta(G1: FiniteGroup, G2: FiniteGroup, image: np.ndarray) -> dict[in
 
 def are_isoclinic(G1: FiniteGroup, G2: FiniteGroup) -> IsoclinismWitness | None:
     """First witness in deterministic search order that verify_witness accepts, or None."""
+    if _signature(G1) != _signature(G2):
+        return None
     Q1, Q2 = _central_data(G1)[0], _central_data(G2)[0]
-    if Q1.order != Q2.order:
-        return None
-    if len(derived_subgroup(G1)) != len(derived_subgroup(G2)):
-        return None
-    if Q1.order_multiset() != Q2.order_multiset():
-        return None
     comm2, sec2 = commutator_table(G2), _central_data(G2)[3]
     for alpha in isomorphisms_iter(Q1, Q2):
         beta = _derive_beta(G1, G2, _pair_table(comm2, _coset_images(G1, alpha), sec2))
@@ -327,10 +323,13 @@ def well_definedness_fuzz(
 
 
 def _signature(G: FiniteGroup) -> tuple:
-    Q = _central_data(G)[0]
-    D = derived_subgroup(G)
-    dg, _ = D.as_group()
-    return (Q.order, len(D), Q.order_multiset(), dg.order_multiset())
+    """Isoclinism invariants, kept on G: the orders of G/Z(G) and G', and the element orders of both."""
+
+    def build() -> tuple:
+        Q, D = _central_data(G)[0], derived_subgroup(G)
+        return (Q.order, len(D), Q.order_multiset(), D.as_group()[0].order_multiset())
+
+    return _cached(G, "_signature", build)
 
 
 def partition_into_families(catalog: Sequence[FiniteGroup]) -> list[list[int]]:

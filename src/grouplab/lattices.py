@@ -8,8 +8,8 @@ changes the lattice. Lattices are stored as k x k upper-triangular bases
 columns after its k pivot columns; they ride along through every row
 operation, which is how LatticeSolver keeps its coefficients.
 
-All row work goes through three steps:
-  * _combine         - clear one row's entry in the pivot column against the pivot row
+All row and column work goes through three steps:
+  * _combine         - clear one entry against the pivot: of a row, or of a column in snf_mod
   * hnf_insert       - fold one row into a triangular basis
   * _reduce          - triangular reduction of rows against a basis
 
@@ -21,17 +21,18 @@ the pivots below m.
 quotient_structure works on those pivots J alone. Coordinates against the
 sup basis live on J, and so do the relations of its rows J; each pivot of
 m contributes one unit relation row e_j. The relation matrix goes to
-snf_mod as a SparseRows: the unit rows as (row, column, 1) triples and the
-rest as one small dense block (at most 20 x 12 on the benchmark's oracle
-groups, against 1,058 x 529 dense). snf_mod tracks where the dense run
-would have moved every row and column, so it makes the same pivots, and
-the kept rows of W, hence the basis tables, come out byte for byte.
+snf_mod as a SparseRows: the unit rows as (row, column) pairs and the rest
+as one small dense block (at most 26 x 24 over the 114 quotients of the
+benchmark's oracle groups, against 1,058 x 529 dense). snf_mod tracks where
+the dense run would have moved every row and column, so it makes the same
+pivots, and the kept rows of W, hence the basis tables, come out byte for
+byte.
 
 Provided primitives:
   * hnf_from_rows    - canonical triangular basis from a generating set
   * lattice_index    - [Z^k : L] as an exact integer
   * member_residual  - triangular membership reduction, of one vector or a block
-  * SparseRows       - a matrix of isolated rows and one dense block
+  * SparseRows       - a matrix of unit rows and one dense block
   * snf_mod          - diagonalisation, with the inverse column transform
   * orth_complement  - {u : <l, u> = 0 mod m for all l in L}, off L's triangular basis
   * quotient_structure - invariants and generators of L2/L1, by one diagonalisation
@@ -64,18 +65,20 @@ def _egcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
-def _combine(p: np.ndarray, r: np.ndarray, m: int, c: int = 0) -> None:
+def _combine(p: np.ndarray, r: np.ndarray, m: int, c: int = 0) -> tuple[int, int, int, int]:
     """Clear r[c] against the pivot row p, in place; <p, r> is unchanged.
 
     Column c is the pivot column. When p[c] divides r[c], a multiple of p is
     subtracted from r. Otherwise p becomes the egcd combination with entry
-    gcd(p[c], r[c]) at c and r the complementary one, zero at c.
+    gcd(p[c], r[c]) at c and r the complementary one, zero at c. Returns the
+    determinant-1 transform (x, y, z, w) applied: p <- x*p + y*r and
+    r <- z*p + w*r, modulo m. p and r may be column views, as in snf_mod.
     """
     piv, a = int(p[c]), int(r[c])
     if a % piv == 0:
         np.subtract(r, (a // piv) * p, out=r)
         np.remainder(r, m, out=r)
-        return
+        return 1, 0, -(a // piv), 1
     g, u, v = _egcd(piv, a)
     new_p = (u * p + v * r) % m
     np.multiply(r, piv // g, out=r)
@@ -83,6 +86,7 @@ def _combine(p: np.ndarray, r: np.ndarray, m: int, c: int = 0) -> None:
     np.remainder(r, m, out=r)
     new_p[c] = g  # g in (0, m); avoids a zero diagonal representative
     p[:] = new_p
+    return u, v, -(a // g), piv // g
 
 
 def hnf_insert(H: np.ndarray, row: np.ndarray, m: int) -> None:
@@ -203,18 +207,18 @@ def member_residual(H: np.ndarray, v: np.ndarray, m: int) -> np.ndarray:
 
 
 class SparseRows:
-    """An R x k integer matrix kept as isolated rows and one dense block.
+    """An R x k integer matrix kept as unit rows and one dense block.
 
-    Each row (r, c, v) of iso says that row r is v * e_c and that no other
-    row is nonzero in column c. block holds the entries of the rows `rows`
-    in the columns `cols`; every other entry is zero. np.asarray(...) gives
-    the dense matrix.
+    Each pair (r, c) of unit says that row r is e_c; no block row is nonzero
+    in column c. block holds the entries of the rows `rows` in the columns
+    `cols`; every other entry is zero. np.asarray(...) gives the dense
+    matrix.
     """
 
     def __init__(
-        self, shape: tuple[int, int], iso: np.ndarray, rows: np.ndarray, cols: np.ndarray, block: np.ndarray
+        self, shape: tuple[int, int], unit: np.ndarray, rows: np.ndarray, cols: np.ndarray, block: np.ndarray
     ):
-        self.shape, self.iso, self.rows, self.cols, self.block = shape, iso, rows, cols, block
+        self.shape, self.unit, self.rows, self.cols, self.block = shape, unit, rows, cols, block
 
     def take(self, idx: Sequence[int] | np.ndarray) -> np.ndarray:
         """The dense rows idx, in that order."""
@@ -222,33 +226,15 @@ class SparseRows:
         where = np.full(self.shape[0], -1)
         where[idx] = np.arange(idx.size)
         out = np.zeros((idx.size, self.shape[1]), dtype=np.int64)
-        r, c, v = self.iso.T
+        r, c = self.unit.T
         hit = where[r] >= 0
-        out[where[r[hit]], c[hit]] = v[hit]
+        out[where[r[hit]], c[hit]] = 1
         hit = where[self.rows] >= 0
         out[np.ix_(where[self.rows[hit]], self.cols)] = self.block[hit]
         return out
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
         return self.take(np.arange(self.shape[0])).astype(dtype or np.int64, copy=False)
-
-
-def _isolate(rows: SparseRows, m: int) -> tuple[np.ndarray, list[int], np.ndarray, np.ndarray]:
-    """Move the isolated rows of the block to the iso triples, modulo m.
-
-    Returns (iso, block rows, block columns, block). Zero rows and zero
-    columns leave the block.
-    """
-    B = rows.block % m
-    nz = B != 0
-    per_row = nz.sum(axis=1)
-    r, c = np.nonzero(nz & (per_row == 1)[:, None] & (nz.sum(axis=0) == 1))
-    iso = np.vstack([rows.iso, np.column_stack([rows.rows[r], rows.cols[c], B[r, c]])])
-    iso[:, 2] %= m
-    rest = per_row > 0
-    rest[r] = False
-    used = B[rest].any(axis=0)
-    return iso[iso[:, 2] != 0], rows.rows[rest].tolist(), rows.cols[used], B[np.ix_(rest, used)]
 
 
 def snf_mod(rows: np.ndarray | SparseRows, k: int, m: int) -> tuple[list[int], np.ndarray | SparseRows]:
@@ -264,28 +250,26 @@ def snf_mod(rows: np.ndarray | SparseRows, k: int, m: int) -> tuple[list[int], n
 
     Step t pivots on the row-major first smallest nonzero entry of the
     submatrix from (t, t) on, after swapping that entry's row and column
-    into position t. An isolated row (one nonzero entry, in a column no
-    other row touches) needs nothing more, and it stays isolated until it is
-    pivoted: a row operation touches only rows nonzero in the pivot column,
-    and a column operation only columns that the pivot row touches. So
-    isolated rows are kept as (row, column, value) triples, the positions
-    of all rows and columns are tracked in index lists, and row and column
-    operations run on the dense block of the other rows alone, in position
-    order. That reproduces the dense run step for step.
+    into position t. A unit row needs nothing more, and it stays a unit row
+    alone in its column until it is pivoted: a row operation touches only
+    rows nonzero in the pivot column, and a column operation only columns
+    that the pivot row touches. So unit rows are kept as one ascending list
+    of positions, the positions of all rows and columns are tracked in
+    index lists, and row and column operations, both by _combine, run on
+    the dense block alone, in position order. That reproduces the dense run
+    step for step.
     """
     sparse = isinstance(rows, SparseRows)
     if not sparse:
         A = np.asarray(rows, dtype=np.int64).reshape(-1, k)
-        rows = SparseRows(A.shape, np.zeros((0, 3), dtype=np.int64), np.arange(A.shape[0]), np.arange(k), A)
-    iso, brow, bcol, B = _isolate(rows, m)
+        rows = SparseRows(A.shape, np.zeros((0, 2), dtype=np.int64), np.arange(A.shape[0]), np.arange(k), A)
+    B = rows.block % m
     R = rows.shape[0]
     pos, at = list(range(R)), list(range(R))  # row -> position, position -> row
     cpos, cat = list(range(k)), list(range(k))  # the same for columns
-    lone = {r: (v, c) for r, c, v in iso.tolist()}
-    queue: dict[int, list[int]] = {}  # value -> minus the positions of the isolated rows with it, ascending
-    for r, (v, _) in sorted(lone.items(), reverse=True):
-        queue.setdefault(v, []).append(-r)
-    slot = bcol.tolist()
+    lone = dict(rows.unit.tolist())  # unit row -> its column
+    units = sorted(lone)  # positions of the unit rows not yet pivoted
+    brow, slot = rows.rows.tolist(), rows.cols.tolist()
     W = np.eye(len(slot), dtype=np.int64)
     live = list(range(len(brow)))
     bmin = np.where(B == 0, m, B).min(axis=1, initial=m).tolist()
@@ -295,10 +279,9 @@ def snf_mod(rows: np.ndarray | SparseRows, k: int, m: int) -> tuple[list[int], n
         x, y = at[t], at[p]
         at[t], at[p], pos[x], pos[y] = y, x, p, t
         if x != y and x in lone:
-            # x sat at t, ahead of every other row of its value
-            ahead = queue[lone[x][0]]
-            ahead.pop()
-            insort(ahead, -p)
+            # x sat at t, the first position in units
+            units.pop(0)
+            insort(units, p)
         a, c = cat[t], cat[q]
         cat[t], cat[q], cpos[a], cpos[c] = c, a, q, t
 
@@ -315,20 +298,8 @@ def snf_mod(rows: np.ndarray | SparseRows, k: int, m: int) -> tuple[list[int], n
                     return
                 continue
             for j in others:
-                a, c = int(B[b, s]), int(B[b, j])
-                if c == 0:
-                    continue
-                if c % a == 0:
-                    B[:, j] = (B[:, j] - (c // a) * B[:, s]) % m
-                    W[s] = (W[s] + (c // a) * W[j]) % m
-                    continue
-                g, u, v = _egcd(a, c)
-                cs, cj = B[:, s].copy(), B[:, j].copy()
-                B[:, s] = (u * cs + v * cj) % m
-                B[:, j] = ((a // g) * cj - (c // g) * cs) % m
-                ws, wj = W[s].copy(), W[j].copy()
-                W[s] = ((a // g) * ws + (c // g) * wj) % m
-                W[j] = (-v * ws + u * wj) % m
+                x, y, z, w = _combine(B[:, s], B[:, j], m, b)
+                W[s], W[j] = (w * W[s] - z * W[j]) % m, (x * W[j] - y * W[s]) % m
 
     def key(b: int) -> tuple[int, int]:
         # a block row's smallest entry and its position
@@ -337,43 +308,26 @@ def snf_mod(rows: np.ndarray | SparseRows, k: int, m: int) -> tuple[list[int], n
     diag = [m] * k
     for t in range(min(R, k)):
         b = min(live, key=key, default=None)
-        best = min(((v, -q[-1]) for v, q in queue.items() if q), default=(m, R))
-        best = min(best, (m, R) if b is None else key(b))
-        if best[0] == m:
+        if units and (b is None or key(b) > (1, units[0])):
+            p = units.pop(0)
+            swap(t, p, cpos[lone[at[p]]])
+            diag[t] = 1
+            continue
+        if b is None or bmin[b] == m:
             break
-        if b is not None and key(b) == best:
-            s = min(np.flatnonzero(B[b] == bmin[b]).tolist(), key=lambda j: cpos[slot[j]])
-            swap(t, pos[brow[b]], cpos[slot[s]])
-            clear(b, s)
-            diag[t] = gcd(int(B[b, s]), m)
-            live.remove(b)
-            bmin = np.where(B == 0, m, B).min(axis=1, initial=m).tolist()
-        else:
-            v, p = best
-            queue[v].pop()
-            swap(t, p, cpos[lone[at[p]][1]])
-            diag[t] = gcd(v, m)
+        s = min(np.flatnonzero(B[b] == bmin[b]).tolist(), key=lambda j: cpos[slot[j]])
+        swap(t, pos[brow[b]], cpos[slot[s]])
+        clear(b, s)
+        diag[t] = gcd(int(B[b, s]), m)
+        live.remove(b)
+        bmin = np.where(B == 0, m, B).min(axis=1, initial=m).tolist()
 
     cat = np.array(cat, dtype=np.int64)
     in_block = np.zeros(k, dtype=bool)
-    in_block[bcol] = True
+    in_block[rows.cols] = True
     free = np.flatnonzero(~in_block[cat])
-    out = SparseRows(
-        (k, k),
-        np.column_stack([free, cat[free], np.ones_like(free)]),
-        np.array(cpos, dtype=np.int64)[bcol],
-        bcol,
-        W,
-    )
+    out = SparseRows((k, k), np.column_stack([free, cat[free]]), np.array(cpos)[rows.cols], rows.cols, W)
     return diag, out if sparse else np.asarray(out)
-
-
-def _outside(H: np.ndarray, m: int) -> np.ndarray:
-    """Indices of the rows of H that are nonzero modulo m, read 64 rows at a time."""
-    return np.array(
-        [s + i for s in range(0, H.shape[0], 64) for i in np.flatnonzero((H[s : s + 64] % m).any(axis=1))],
-        dtype=np.int64,
-    )
 
 
 def _relations(H: np.ndarray, m: int, idx: np.ndarray | None = None) -> np.ndarray:
@@ -423,37 +377,40 @@ def quotient_structure(
     nontrivial cyclic summand (a divisor of m), and gens[i] a vector of Z^k
     whose class generates it. Orders are not chained; canonicalise with
     groups.invariant_factors_from_orders. Raises ValidationError when the
-    sub lattice does not lie inside the sup lattice.
+    sub lattice does not lie inside the sup lattice, or when a row of either
+    basis with pivot m is not m*e_j, as it is in a canonical basis.
 
     The relation lattice is diagonalised: the coordinates (against sup) of
     the sub generators, one row per row of sub_H, then one slack row per
     column for the coordinates of what lands in m*Z^k. Coordinates live on
-    the pivots J of sup below m. A pivot of m sits on the row m*e_j, whose
-    slack row is the isolated row e_j; the other slack rows are a basis of
-    the relations of the rows J, on the columns J.
+    the pivots J of sup below m. A row m*e_j is zero modulo m, and as a row
+    of sup its slack row is the unit row e_j. The dense block holds the
+    other rows: those of sub_H, and a basis of the relations of the rows J
+    on the columns J, each with its pivot below m.
     """
     k = sup_H.shape[0]
     if k == 0:
         return [], np.zeros((0, 0), dtype=np.int64)
     below = np.diagonal(sup_H) < m
     J, unit = np.flatnonzero(below), np.flatnonzero(~below)
-    # a pivot of m off the row m*e_j would not have e_j as its relation
-    if not below[_outside(sup_H, m)].all():
-        raise ValidationError("basis is not in Hermite form")
-    sub = _outside(sub_H, m)
+    sub = np.flatnonzero(np.diagonal(sub_H) < m)
+    for H, idx in ((sup_H, J), (sub_H, sub)):
+        if np.count_nonzero(H) != np.count_nonzero(H[idx]) + H.shape[0] - idx.size:
+            raise ValidationError("basis is not in Hermite form")
     R = sub_H[sub] % m
     Q = np.zeros((sub.size, J.size), dtype=np.int64)
     _reduce(sup_H, R, m, Q)
     if R.any():
         raise ValidationError("sub lattice is not contained in the sup lattice")
     slack = hnf_from_rows(_relations(sup_H, m, J)[:, J], J.size, m)
+    live = np.flatnonzero(np.diagonal(slack) < m)
     n = sub_H.shape[0]
     rel = SparseRows(
         (n + k, k),
-        np.column_stack([n + unit, unit, np.ones_like(unit)]),
-        np.concatenate([sub, n + J]),
+        np.column_stack([n + unit, unit]),
+        np.concatenate([sub, n + J[live]]),
         J,
-        np.vstack([Q, slack]),
+        np.vstack([Q, slack[live]]),
     )
     diag, W = snf_mod(rel, k, m)
     keep = [i for i, d in enumerate(diag) if d > 1]

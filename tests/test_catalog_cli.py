@@ -213,12 +213,16 @@ class TestCli:
             ({"kind": "perm", "data": {"generators": [], "degree": "x"}}, ParseError),
             ({"kind": "cayley", "data": {"table": [[0]], "element_names": 5}}, ParseError),
             ({"kind": "cayley", "data": 5}, ParseError),
+            ({"kind": "builtin", "data": {"family": "cyclic", "params": [True]}}, ParamOutOfRange),
+            ({"kind": "perm", "data": {"generators": [[1, 0]], "degree": True}}, ParseError),
+            ({"kind": "cayley", "data": {"table": [[0, 1], [1, 0]], "element_names": ["e", 5]}}, ParseError),
         ],
         ids=[
             "no-param", "non-integer-param", "extra-param", "missing-param", "spec-no-param",
             "spec-params-not-a-list", "empty-factor", "factor-without-family",
             "short-row", "string-entry", "float-entry", "string-point", "float-point",
             "string-degree", "names-not-a-list", "data-not-an-object",
+            "boolean-param", "boolean-degree", "non-string-name",
         ],
     )
     def test_malformed_group_is_an_input_error(self, tmp_path, capsys, spec, error):
@@ -380,6 +384,11 @@ class TestCli:
         rc = main(["dump-cocycles", "builtin:elementary:2:2", "--modulus", "0"])
         assert rc == 1
         assert capsys.readouterr().err == "error: modulus must be at least 1\n"
+
+    def test_dump_cocycles_rejects_a_modulus_too_large_for_int64(self, capsys):
+        rc = main(["dump-cocycles", "builtin:elementary:2:2", "--modulus", "12884901888"])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: modulus 12884901888 is too large")
 
     def test_resolve_group_rejects_garbage(self):
         with pytest.raises(ValidationError):

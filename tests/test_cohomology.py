@@ -299,6 +299,17 @@ class TestH2Order:
         with pytest.raises(ValidationError, match="integer"):
             h2_order(G, m)
 
+    @pytest.mark.parametrize("G", [V4, S3, D4], ids=["V4", "S3", "D4"])
+    @pytest.mark.parametrize("m", [12_884_901_888, 2**63 - 1])
+    def test_modulus_too_large_for_int64_is_rejected(self, G, m):
+        # these moduli once overflowed int64 and tripped an internal certificate
+        with pytest.raises(ValidationError, match="too large"):
+            cocycle_space(from_mul_table(G.mul), m)
+
+    def test_largest_power_of_two_modulus_is_exact(self):
+        # m^2 * (|V4| - 1)^2 = 9 * 2^58 < 2^63, and H^2(V4, Z/m) = (Z/2)^3 for even m
+        assert h2_order(from_mul_table(V4.mul), 2**29)[0] == 8
+
     def test_numpy_integer_modulus_is_an_int(self):
         G = from_mul_table(D4.mul)
         space = cocycle_space(G, np.int64(4))

@@ -161,6 +161,10 @@ class TestPresentationJson:
             {"num_generators": "a", "relators": []},
             {"num_generators": 1, "relators": [["x"]]},
             {"num_generators": -2, "relators": []},
+            {"num_generators": 2.7, "relators": []},
+            {"num_generators": True, "relators": []},
+            {"num_generators": 2, "relators": [[1.9]]},
+            {"num_generators": 2, "relators": [[True]]},
         ):
             with pytest.raises(ValidationError):
                 presentation_from_json(doc)

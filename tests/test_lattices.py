@@ -518,6 +518,32 @@ def test_quotient_structure_rejects_a_pivot_of_m_off_its_unit_row():
     sup_H = np.array([[4, 1], [0, 2]], dtype=np.int64)
     with pytest.raises(ValidationError, match="Hermite"):
         quotient_structure(4 * np.eye(2, dtype=np.int64), sup_H, 4)
+    # the same on the sub side: row 0 of sub_H is read as 4*e_0, zero modulo 4
+    with pytest.raises(ValidationError, match="Hermite"):
+        quotient_structure(sup_H, np.eye(2, dtype=np.int64), 4)
+
+
+def test_combine_returns_its_determinant_one_transform():
+    rng = random.Random(17)
+    divisible = 0
+    for _ in range(200):
+        m = rng.choice([2, 4, 6, 12, 24, 36, 96])
+        n = rng.randint(1, 6)
+        c = rng.randrange(n)
+        p = np.array([rng.randrange(m) for _ in range(n)], dtype=np.int64)
+        p[c] = rng.randrange(1, m)
+        r = np.array([rng.randrange(m) for _ in range(n)], dtype=np.int64)
+        # as rows, and as the column views snf_mod passes
+        rows, cols = np.vstack([p, r]), np.column_stack([p, r])
+        x, y, z, w = _combine(rows[0], rows[1], m, c)
+        assert _combine(cols[:, 0], cols[:, 1], m, c) == (x, y, z, w)
+        assert x * w - y * z == 1
+        for new_p, new_r in (rows, cols.T):
+            assert np.array_equal(new_p, (x * p + y * r) % m)
+            assert np.array_equal(new_r, (z * p + w * r) % m)
+            assert new_r[c] == 0
+        divisible += (x, y, w) == (1, 0, 1)
+    assert 20 < divisible < 180
 
 
 def test_relations_reject_a_basis_that_is_not_hermite():
@@ -630,6 +656,13 @@ COMBINE_CASE_24 = [
     [21, 14, 0, 22, 1, 0, 8],
     [0, 0, 0, 20, 16, 0, 0],
 ]
+# The quotient of the lattice of these rows by that of twice them has block
+# rows with one entry above 1, alone in its column, among unit rows: at m = 8
+# the slack row 2*e_3 sits at position 8, after the unit rows at 5 and 7 and
+# before the one at 9; at m = 12 the slack row 2*e_0 sits at position 6,
+# before the unit rows at 7, 9 and 10.
+SINGLE_ENTRY_CASE_8 = [[0, 2, 0, 0, 0], [0, 0, 0, 4, 0]]
+SINGLE_ENTRY_CASE_12 = [[0, 0, 3, 0, 0, 0], [0, 0, 0, 0, 0, 4], [6, 0, 0, 0, 0, 0]]
 
 
 def test_snf_pivot_search_matches_the_loop(monkeypatch):
@@ -685,7 +718,10 @@ def test_quotient_matches_the_dense_run(case):
     assert_same_quotient(*nested_pair(rows, k, m, seed=k * 1000 + m + 2), m)
 
 
-@pytest.mark.parametrize("rows, m", [(COMBINE_CASE_24, 24), (COMBINE_CASE_96, 96)])
+@pytest.mark.parametrize(
+    "rows, m",
+    [(COMBINE_CASE_24, 24), (COMBINE_CASE_96, 96), (SINGLE_ENTRY_CASE_8, 8), (SINGLE_ENTRY_CASE_12, 12)],
+)
 def test_quotient_matches_the_dense_run_on_the_combine_cases(rows, m):
     A = np.array(rows, dtype=np.int64)
     k = A.shape[1]

@@ -143,6 +143,8 @@ class CocycleSpace:
         return sol[:, : self.rank] % np.array(self.basis_orders, dtype=np.int64)
 
     def representative_table(self, coords: Sequence[int]) -> list[list[int]]:
+        """The table of the class with these coordinates, checked and reduced by ``class_from_coords``."""
+        coords = self.class_from_coords(coords).coords
         return (np.tensordot(np.asarray(coords, dtype=np.int64), self.basis, 1) % self.modulus).tolist()
 
 

@@ -4,9 +4,13 @@ Words are tuples of nonzero signed integers: +g is generator g (1-based),
 -g its inverse. Enumeration follows the relator-scanning (HLT) strategy
 with immediate coincidence processing. It scans the relators as given, so
 callers normalize them once, with ``preprocess_relators``, when they build
-a presentation. Identical inputs always produce identical standardized
-tables. Rows are allocated only when a coset is defined and are released
-as soon as it dies.
+a presentation. Rows are allocated only when a coset is defined and are
+released as soon as it dies.
+
+A closed table is finished by one walk from coset 0 that drops the dead
+cosets and numbers the live ones by first appearance, so identical inputs
+give identical tables. ``realize`` reads each element's column of the
+multiplication table off the element a second walk reached it from.
 """
 
 from __future__ import annotations
@@ -36,12 +40,17 @@ class Presentation:
             raise ValidationError(f"generator count must be an integer, got {self.num_generators!r}")
         if self.num_generators < 0:
             raise ValidationError(f"negative generator count {self.num_generators}")
-        for w in self.relators:
-            for ltr in w:
-                if isinstance(ltr, bool) or not isinstance(ltr, numbers.Integral):
-                    raise ValidationError(f"letter {ltr!r} in relator {w} is not an integer")
-                if ltr == 0 or abs(ltr) > self.num_generators:
-                    raise ValidationError(f"letter {ltr} out of range in relator {w}")
+        _check_letters(self.relators, self.num_generators, "relator")
+
+
+def _check_letters(words: Sequence[Sequence[int]], num_generators: int, kind: str) -> None:
+    """Raise ValidationError unless every letter is an integer g or -g, 1 <= g <= num_generators."""
+    for w in words:
+        for ltr in w:
+            if isinstance(ltr, bool) or not isinstance(ltr, numbers.Integral):
+                raise ValidationError(f"letter {ltr!r} in {kind} {w} is not an integer")
+            if ltr == 0 or abs(ltr) > num_generators:
+                raise ValidationError(f"letter {ltr} out of range in {kind} {w}")
 
 
 def free_reduce(word: Sequence[int]) -> Word:
@@ -115,8 +124,8 @@ class CosetTable:
     """Working state and final result of a coset enumeration.
 
     Column 2*g is the action of generator g+1, column 2*g+1 of its inverse.
-    A closed, compressed, standardized table defines a permutation action
-    on live cosets 0..n-1 with coset 0 the subgroup itself.
+    A closed, standardized table defines a permutation action on the
+    cosets 0..n-1 with coset 0 the subgroup itself.
     """
 
     def __init__(self, num_generators: int, max_cosets: int, subgroup_words: tuple[Word, ...]):
@@ -139,9 +148,6 @@ class CosetTable:
         self.table.append([-1] * self.width)
         self.p.append(idx)
         return idx
-
-    def live_cosets(self) -> list[int]:
-        return [a for a in range(len(self.p)) if self.p[a] == a]
 
     def rep(self, k: int) -> int:
         p = self.p
@@ -240,38 +246,16 @@ class CosetTable:
             all(v >= 0 for v in self.table[a]) for a in range(len(self.p)) if self.p[a] == a
         )
 
-    def compress(self) -> None:
-        live = self.live_cosets()
-        remap = {old: new for new, old in enumerate(live)}
-        newtable = []
-        for old in live:
-            row = self.table[old]
-            newtable.append([remap[self.rep(v)] if v >= 0 else -1 for v in row])
-        self.table = newtable
-        self.p = list(range(len(live)))
-
     def standardize(self) -> None:
-        """Renumber cosets so first appearances occur in scan order."""
-        n = len(self.table)
-        order: list[int] = [0]
-        seen = {0}
-        qi = 0
-        while qi < len(order):
-            a = order[qi]
-            qi += 1
-            for c in range(self.width):
-                b = self.table[a][c]
-                if b >= 0 and b not in seen:
-                    seen.add(b)
-                    order.append(b)
-        relabel = {old: new for new, old in enumerate(order)}
-        newtable = [[-1] * self.width for _ in range(n)]
-        for old in range(n):
-            for c in range(self.width):
-                v = self.table[old][c]
-                if v >= 0:
-                    newtable[relabel[old]][c] = relabel[v]
-        self.table = newtable
+        """Drop dead cosets and number live ones by first appearance in a scan from coset 0."""
+        order, label = [0], {0: 0}
+        for a in order:
+            for v in map(self.rep, self.table[a]):
+                if v not in label:
+                    label[v] = len(order)
+                    order.append(v)
+        self.table = [[label[self.rep(v)] for v in self.table[a]] for a in order]
+        self.p = list(range(len(order)))
 
     def trace(self, a: int, word_cols: tuple[int, ...]) -> int:
         for c in word_cols:
@@ -297,11 +281,12 @@ def todd_coxeter(
 ) -> CosetTable:
     """Enumerate cosets of the subgroup generated by subgroup_words.
 
-    Returns a closed, compressed, standardized table. With no subgroup
-    words the number of live cosets is the order of the presented group.
+    Returns a closed, standardized table. With no subgroup words the
+    number of cosets is the order of the presented group.
     """
     if max_cosets <= 0:
         raise ValidationError("max_cosets must be positive")
+    _check_letters(subgroup_words, pres.num_generators, "subgroup word")
     relator_cols = sorted((word_columns(w) for w in pres.relators), key=lambda t: (len(t), t))
     sub_words = tuple(free_reduce(w) for w in subgroup_words)
     tbl = CosetTable(pres.num_generators, max_cosets, sub_words)
@@ -324,7 +309,6 @@ def todd_coxeter(
         alpha += 1
     if not tbl.is_closed():
         raise TableNotClosed("enumeration finished with an open table")
-    tbl.compress()
     tbl.standardize()
     return tbl
 
@@ -334,14 +318,14 @@ class Realization:
     """A presented group realized concretely through its coset action.
 
     The action on cosets of the trivial subgroup is regular, so cosets
-    double as group elements; ``words`` holds one defining word per element.
+    double as group elements; ``gen_images`` generate ``group``.
     """
 
     group: FiniteGroup
     gen_images: tuple[int, ...]
-    words: tuple[Word, ...]
 
     def evaluate(self, word: Sequence[int]) -> int:
+        _check_letters((word,), len(self.gen_images), "word")
         el = 0
         grp = self.group
         for ltr in word:
@@ -353,39 +337,30 @@ class Realization:
 
 
 def realize(pres: Presentation, table: CosetTable) -> Realization:
-    """Turn a closed table over the trivial subgroup into a finite group."""
+    """Turn a closed table over the trivial subgroup into a finite group.
+
+    A walk from coset 0 first reaches b from a along column c, so column b
+    of the multiplication table is column a followed by the entries in c.
+    """
     if table.subgroup_words:
         raise ValidationError("realization requires enumeration over the trivial subgroup")
+    if pres.num_generators != table.num_generators:
+        raise ValidationError(f"the table has {table.num_generators} generators, not {pres.num_generators}")
     if not table.is_closed():
         raise TableNotClosed("cannot realize an open table")
-    n = len(table.table)
-    words: list[Word | None] = [None] * n
-    words[0] = ()
-    order = [0]
-    qi = 0
-    while qi < len(order):
-        a = order[qi]
-        qi += 1
-        for c in range(table.width):
-            b = table.table[a][c]
-            if b >= 0 and words[b] is None:
-                ltr = c // 2 + 1
-                if c % 2:
-                    ltr = -ltr
-                words[b] = words[a] + (ltr,)
+    rows = table.table
+    order, cols = [0], {0: range(len(rows))}
+    for a in order:
+        for c, b in enumerate(rows[a]):
+            if b not in cols:
+                cols[b] = [rows[x][c] for x in cols[a]]
                 order.append(b)
-    if any(w is None for w in words):
+    if len(order) != len(rows):
         raise TableNotClosed("coset action is not transitive")
-    word_cols = [word_columns(w) for w in words]
-    mul = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            mul[i][j] = table.trace(i, word_cols[j])
+    mul = list(zip(*(cols[b] for b in range(len(rows)))))
     grp = from_mul_table(mul, label=f"{pres.label}!", validate=False)
-    gen_images = tuple(
-        table.table[0][letter_column(g + 1)] for g in range(pres.num_generators)
-    )
-    return Realization(group=grp, gen_images=gen_images, words=tuple(words))
+    gen_images = tuple(rows[0][letter_column(g + 1)] for g in range(pres.num_generators))
+    return Realization(group=grp, gen_images=gen_images)
 
 
 def evaluate_word(realization: Realization, word: Sequence[int]) -> int:

@@ -142,10 +142,7 @@ class Subgroup:
         return _cached(self, "_standalone", self._standalone_group)
 
     def _standalone_group(self) -> tuple[FiniteGroup, tuple[int, ...]]:
-        n = self.parent.order
-        for x in self.members:
-            if isinstance(x, bool) or not isinstance(x, (int, np.integer)) or not 0 <= x < n:
-                raise ValidationError(f"subgroup member {x!r} is not an element index in [0, {n})")
+        _check_indices(self.members, self.parent.order, "subgroup member")
         if 0 not in self._member_set:
             raise ValidationError("subgroup members must contain the identity 0")
         members = tuple(sorted(self.members))
@@ -400,26 +397,30 @@ def conjugate(G: FiniteGroup, x: int, y: int) -> int:
 # --- structural subroutines ---------------------------------------------------
 
 
+def _check_indices(xs: Sequence[int], n: int, what: str) -> None:
+    """Raise ValidationError unless every x is an integer element index in [0, n)."""
+    for x in xs:
+        if isinstance(x, bool) or not isinstance(x, (int, np.integer)) or not 0 <= x < n:
+            raise ValidationError(f"{what} {x!r} is not an element index in [0, {n})")
+
+
 def subgroup_closure(G: FiniteGroup, seed: Sequence[int]) -> Subgroup:
-    """Smallest subgroup containing the seed elements."""
+    """Smallest subgroup containing the seed elements.
+
+    In a finite group the products of seed elements already form it (an
+    inverse is a positive power), so one walk from 1 multiplies by the seed.
+    """
+    _check_indices(seed, G.order, "seed element")
+    gens = sorted(set(seed))
     have = {0}
     queue = [0]
-    gens = sorted(set(seed))
-    for g in gens:
-        if g not in have:
-            have.add(g)
-            queue.append(g)
-    while queue:
-        x = queue.pop(0)
+    for x in queue:
+        row = G.mul[x]
         for g in gens:
-            for y in (G.mul[x][g], G.mul[g][x]):
-                if y not in have:
-                    have.add(y)
-                    queue.append(y)
-        xi = G.inv[x]
-        if xi not in have:
-            have.add(xi)
-            queue.append(xi)
+            y = row[g]
+            if y not in have:
+                have.add(y)
+                queue.append(y)
     return Subgroup(G, tuple(sorted(have)))
 
 

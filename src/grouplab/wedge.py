@@ -56,6 +56,7 @@ from .errors import (
     KappaRelatorViolation,
     NotAPairing,
     RelatorNotKilled,
+    ValidationError,
 )
 from .fpgroups import (
     DEFAULT_MAX_COSETS,
@@ -349,18 +350,11 @@ def raw_relators_die(
 
 
 def _lift_to_pairs(wp: WedgePresentation, real: Realization) -> Realization:
-    """Rewrite a realization of the reduced presentation over the pair letters.
-
-    Every pair gets its image, and each element's word is spelled with one
-    representative pair per reduced letter.
-    """
+    """The realization on the pair letters: pair p gets the image of its letter ``wp.pair_letters[p]``."""
     letters = np.array(wp.pair_letters, dtype=np.int64)
     images = np.array((0,) + real.gen_images, dtype=np.int64)[np.abs(letters)]
     images = np.where(letters < 0, table_arrays(real.group)[1][images], images)
-    values, first = np.unique(letters, return_index=True)
-    rep = dict(zip(values.tolist(), (first + 1).tolist()))  # letter j -> pair letter of its root
-    words = tuple(tuple(rep[x] if x > 0 else -rep[-x] for x in w) for w in real.words)
-    return Realization(group=real.group, gen_images=tuple(images.tolist()), words=words)
+    return Realization(group=real.group, gen_images=tuple(images.tolist()))
 
 
 def hom_from_generator_images(
@@ -370,28 +364,32 @@ def hom_from_generator_images(
 ) -> GroupHom:
     """Extend generator images to the whole realized group, verifying edges.
 
-    Every element carries a defining word; images are folded along those
-    words and then every (element, generator) product is checked, which
-    certifies the homomorphism property and that all relators die.
+    One walk from the identity follows each (element, generator) edge once:
+    an edge to a new element sets its image, and every other edge is checked
+    against the image already set, which certifies a homomorphism. Raises
+    ValidationError unless the images, one per generator, reach every element.
     """
     grp = realization.group
-    images = []
-    for w in realization.words:
-        el = 0
-        for ltr in w:
-            x = gen_images[abs(ltr) - 1]
-            if ltr < 0:
-                x = target.inv[x]
-            el = target.mul[el][x]
-        images.append(el)
-    for el, (row, img_el) in enumerate(zip(grp.mul, images)):
-        img_row = target.mul[img_el]
-        for g, rg in enumerate(realization.gen_images):
+    gens = realization.gen_images
+    if len(gen_images) != len(gens):
+        raise ValidationError(f"{len(gen_images)} generator images for {len(gens)} generators")
+    if gens and not (0 <= min(gen_images) and max(gen_images) < target.order):
+        raise ValidationError(f"a generator image lies outside [0, {target.order})")
+    images, order = [0] + [-1] * (grp.order - 1), [0]
+    for el in order:
+        row, img_row = grp.mul[el], target.mul[images[el]]
+        for g, rg in enumerate(gens):
             if images[row[rg]] != img_row[gen_images[g]]:
-                raise RelatorNotKilled(
-                    f"generator images do not extend to a homomorphism "
-                    f"(element {el}, generator {g})"
-                )
+                y = row[rg]
+                if images[y] >= 0:
+                    raise RelatorNotKilled(
+                        f"generator images do not extend to a homomorphism "
+                        f"(element {el}, generator {g})"
+                    )
+                images[y] = img_row[gen_images[g]]
+                order.append(y)
+    if len(order) != grp.order:
+        raise ValidationError(f"the images reach {len(order)} of the {grp.order} elements of {grp.label}")
     return GroupHom(grp, target, tuple(images))
 
 

@@ -47,6 +47,7 @@ V4 = direct_product(Z2, Z2, label="V4")
 S3 = builtin("symmetric", (3,))
 D4 = builtin("dihedral", (4,))
 Q8 = builtin("quaternion8")
+D6 = builtin("dihedral", (6,))
 A4 = builtin("alternating", (4,))
 
 
@@ -428,12 +429,30 @@ class TestRestriction:
         with pytest.raises(ValidationError, match="not a cocycle"):
             space.class_from_table(table)
 
-    @pytest.mark.parametrize("first", [1.7, "1", True, None])
+    @pytest.mark.parametrize("first", [1.7, "1", True, None, 1.5])
     def test_non_integer_coordinates_are_rejected(self, first):
-        # these all became (1, 0, 0) through int()
+        # these all became (1, 0, 0) through int(); representative_table truncated 1.5 to 1
         space = cocycle_space(D4, 8)
         with pytest.raises(ValidationError, match="integers"):
             space.class_from_coords((first, 0, 0))
+        with pytest.raises(ValidationError, match="integers"):
+            space.representative_table((first, 0, 0))
+
+    @pytest.mark.parametrize("coords", [(1, 0), (1, 0, 0, 0)])
+    def test_wrong_coordinate_count_is_rejected(self, coords):
+        # representative_table raised a bare numpy ValueError
+        space = cocycle_space(D6, 12)
+        with pytest.raises(ValidationError, match="length"):
+            space.representative_table(coords)
+
+    def test_representative_table_reduces_its_coordinates(self):
+        # 2**62 + 1 overflowed the int64 sum and gave another table than 1
+        space = cocycle_space(D6, 12)
+        assert space.basis_orders == (2, 2, 2)
+        for coords in ((2**62 + 1, 0, 0), (3, -1, 4), (np.int64(5), 0, 1)):
+            reduced = tuple(int(c) % 2 for c in coords)
+            assert space.representative_table(coords) == space.representative_table(reduced)
+            assert space.representative_table(coords) == space.class_from_coords(coords).table()
 
     def test_numpy_integer_coordinates_are_accepted(self):
         space = cocycle_space(D4, 8)

@@ -1,11 +1,14 @@
 """Coset enumeration, realization, and word handling."""
 
+import copy
+
 import pytest
 
 from grouplab.catalog import builtin
 from grouplab.errors import CosetLimitExceeded, ValidationError
 from grouplab.fpgroups import (
     Presentation,
+    Realization,
     cyclic_reduce,
     evaluate_word,
     free_reduce,
@@ -18,7 +21,8 @@ from grouplab.fpgroups import (
     word_columns,
 )
 from grouplab.groups import find_isomorphism
-from grouplab.wedge import WedgeVariant, build_wedge_presentation
+from grouplab.wedge import WedgeVariant, build_wedge_presentation, hom_from_generator_images
+from word_reference import two_pass_finish, unfinished_table, word_realize
 
 Z3 = Presentation(1, ((1, 1, 1),), label="z3")
 S3P = Presentation(2, ((1, 1), (2, 2), (1, 2, 1, 2, 1, 2)), label="s3")
@@ -106,6 +110,15 @@ class TestToddCoxeter:
         table = todd_coxeter(S3P, subgroup_words=[(1,)])
         assert len(table.table) == 3
 
+    @pytest.mark.parametrize(
+        "word, match",
+        [((0,), "out of range"), ((3,), "out of range"), ((1.0,), "not an integer"), ((True,), "not an integer")],
+    )
+    def test_subgroup_words_are_checked_as_relators_are(self, word, match):
+        # 0 read column -2 and gave index 2, 3 and 1.0 raised bare IndexError and TypeError, True read letter 1
+        with pytest.raises(ValidationError, match=match):
+            todd_coxeter(S3P, subgroup_words=[(1,), word])
+
 
 class TestRealize:
     @pytest.mark.parametrize(
@@ -148,6 +161,46 @@ class TestRealize:
         t = todd_coxeter(S3P, subgroup_words=[(1,)])
         with pytest.raises(ValidationError):
             realize(S3P, t)
+
+    def test_realize_needs_the_table_of_its_presentation(self):
+        # Z3's one generator on S3's table gave a group of order 6 that (1,) does not generate
+        with pytest.raises(ValidationError, match="generators"):
+            realize(Z3, todd_coxeter(S3P))
+
+    @pytest.mark.parametrize("word", [(0,), (2,), (-2,), (1.0,), (True,)])
+    def test_evaluated_words_are_checked(self, word):
+        # letter 0 read the last generator
+        with pytest.raises(ValidationError):
+            evaluate_word(realize(Z3, todd_coxeter(Z3)), word)
+
+    def test_images_that_do_not_generate_are_rejected(self):
+        real = realize(S3P, todd_coxeter(S3P))
+        partial = Realization(group=real.group, gen_images=real.gen_images[:1] * 2)
+        with pytest.raises(ValidationError, match="reach 2 of the 6"):
+            hom_from_generator_images(partial, real.group, partial.gen_images)
+
+
+class TestWalksMatchWords:
+    """Finishing and realization against the word-based references they replaced."""
+
+    def test_small_presentations(self, monkeypatch, corpus):
+        cases = [(pres, ()) for pres in (Z3, S3P, D4P, Q8P, TRIV)]
+        cases += [(S3P, [(1,)]), (S3P, [(2,)]), (D4P, [(1, 1)]), (Q8P, [(2,)])]
+        for G in corpus:
+            if G.order <= 8:  # the raw pairing presentations, which merge many cosets
+                cases += [(build_wedge_presentation(G, v).raw_presentation(), ()) for v in WedgeVariant]
+        dead = 0
+        for pres, words in cases:
+            raw = unfinished_table(monkeypatch, pres, words)
+            dead += sum(raw.p[a] != a for a in range(len(raw.p)))
+            table = copy.deepcopy(raw)
+            table.standardize()
+            assert table.table == two_pass_finish(raw) == todd_coxeter(pres, words).table
+            if not words:
+                mul, gen_images, _ = word_realize(pres, table)
+                real = realize(pres, table)
+                assert real.group.mul == mul and real.gen_images == gen_images
+        assert dead > 0  # the finish drops dead cosets
 
 
 class TestPresentationJson:

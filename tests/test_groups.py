@@ -411,6 +411,26 @@ class TestValidation:
         with pytest.raises(ValidationError, match=match):
             Subgroup(D4, members).as_group()
 
+    @pytest.mark.parametrize("seed", [[-1], [True], [6], [2.0], [2, "2"]])
+    def test_closure_seed_must_be_element_indices(self, seed):
+        # -1 became a member, True stood in for 1, 6 and 2.0 raised bare IndexError and TypeError
+        with pytest.raises(ValidationError, match="seed element"):
+            subgroup_closure(cyclic(6), seed)
+
+    def test_one_sided_closure_matches_the_two_sided_one(self, corpus):
+        rng = random.Random(19)
+        for G in corpus:
+            for size in (0, 1, 2, 3):
+                seed = [rng.randrange(G.order) for _ in range(size)]
+                have, queue = {0, *seed}, [0, *seed]
+                while queue:  # closed under left and right products by the seed and inverses
+                    x = queue.pop()
+                    for y in [G.mul[x][g] for g in seed] + [G.mul[g][x] for g in seed] + [G.inv[x]]:
+                        if y not in have:
+                            have.add(y)
+                            queue.append(y)
+                assert subgroup_closure(G, seed).members == tuple(sorted(have)), (G.label, seed)
+
     def test_numpy_integer_members_are_accepted(self):
         sub, members = Subgroup(D4, tuple(np.arange(4))).as_group()
         assert sub.order == 4 and members == (0, 1, 2, 3)

@@ -29,13 +29,16 @@ from grouplab.groups import (
     abelian_invariants,
     build_from_permutations,
     center,
+    commutator_table,
     derived_subgroup,
     direct_product,
     quotient,
     relabeled,
 )
+from grouplab import isoclinism
 from grouplab.isoclinism import are_isoclinic, build_gamma, verify_witness, well_definedness_fuzz
 from grouplab.wedge import WedgeVariant, compute_wedge
+from word_reference import walked_and_worded, word_fold_hom
 
 DEGREE = 32
 
@@ -191,3 +194,25 @@ class TestTheoremOnB64TimesZ2:
     def test_reverse_witness_induces_an_isomorphism_of_the_kernels(self, b64, b64_wedge, p128, p128_wedge):
         # measured 0.29 MiB; checking the pair table on kept raw rows of P peaked at 300 MiB
         assert self.check_direction(p128, p128_wedge, b64, b64_wedge) <= 2**20
+
+
+def test_walks_match_the_word_references(monkeypatch, b64, b64_wedge, p128, p128_wedge):
+    """Realizations, kappa and gamma in both directions against the word-based references."""
+    words = {}
+    for G, wr in ((b64, b64_wedge), (p128, p128_wedge)):
+        real, words[G.label] = walked_and_worded(monkeypatch, wr.presentation)
+        assert real == wr.realization
+        kappa = commutator_table(G).ravel().tolist()
+        assert wr.kappa.images == word_fold_hom(words[G.label], real, G, kappa)
+    for (G1, wedge1), (G2, wedge2) in (((b64, b64_wedge), (p128, p128_wedge)), ((p128, p128_wedge), (b64, b64_wedge))):
+        seen = []
+        extend = isoclinism.hom_from_generator_images
+
+        def recorded(realization, target, gen_images):
+            seen.append(word_fold_hom(words[G1.label], realization, target, gen_images))
+            return extend(realization, target, gen_images)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(isoclinism, "hom_from_generator_images", recorded)
+            gamma = build_gamma(are_isoclinic(G1, G2), wedge1, wedge2).gamma
+        assert seen == [gamma.images]

@@ -9,7 +9,7 @@ import pytest
 
 from grouplab import wedge
 from grouplab.catalog import builtin, shipped_corpus
-from grouplab.errors import GroupTooLarge, NotAPairing, RelatorNotKilled
+from grouplab.errors import GroupTooLarge, NotAPairing, RelatorNotKilled, ValidationError
 from grouplab.fpgroups import Presentation, preprocess_relators, realize, todd_coxeter
 from grouplab.groups import (
     commutator_table,
@@ -27,11 +27,13 @@ from grouplab.wedge import (
     commutator_pairing_table,
     compute_wedge,
     exterior_to_curly_surjection,
+    hom_from_generator_images,
     multiplier_order,
     pairing_to_hom,
     raw_relators_die,
     trace_relators_through_commutators,
 )
+from word_reference import walked_and_worded, word_fold_hom
 
 
 def cyclic(n):
@@ -640,3 +642,61 @@ class TestBlockedCertificate:
         bad[n - 1][1] = G.mul[bad[n - 1][1]][n - 1]  # a pair (m, 1) of the last block
         assert not loop_check_pairing(G, G, bad)
         assert not check_pairing(G, G, bad)
+
+
+# the curly-large benchmark pool
+CURLY_LARGE_POOL = POOL_UP_TO_32 + (D4xD4, builtin("direct_product", (("alternating", 4), ("cyclic", 4))))
+
+
+class TestWalksMatchWords:
+    """Realizations, kappa and the exterior-to-curly map against the word-based references."""
+
+    @staticmethod
+    def check(monkeypatch, wr):
+        real, words = walked_and_worded(monkeypatch, wr.presentation)
+        assert real == wr.realization
+        kappa = commutator_table(wr.base).ravel().tolist()
+        assert wr.kappa.images == word_fold_hom(words, real, wr.base, kappa)
+        return words
+
+    def test_corpus(self, monkeypatch, corpus, curly_wedges, exterior_wedges):
+        for G in corpus:
+            cur, ext = curly_wedges[G.label], exterior_wedges[G.label]
+            self.check(monkeypatch, cur)
+            words = self.check(monkeypatch, ext)
+            images = list(cur.realization.gen_images)
+            expected = word_fold_hom(words, ext.realization, cur.realization.group, images)
+            assert exterior_to_curly_surjection(ext, cur).images == expected, G.label
+
+    def test_curly_large_pool(self, monkeypatch):
+        for G in CURLY_LARGE_POOL:
+            self.check(monkeypatch, compute_wedge(G, WedgeVariant.CURLY))
+
+    @pytest.mark.parametrize("G", [S3, D4, S4], ids=["S3", "D4", "S4"])
+    def test_non_homomorphism_raises(self, monkeypatch, G):
+        wr = compute_wedge(G, WedgeVariant.CURLY)
+        _, words = walked_and_worded(monkeypatch, wr.presentation)
+        n = G.order
+        for m in (1, n // 2, n - 1):
+            kappa = commutator_table(G).ravel().tolist()
+            kappa[m * n + 1] = G.mul[kappa[m * n + 1]][n - 1]
+            message = r"do not extend to a homomorphism \(element \d+, generator \d+\)"
+            with pytest.raises(RelatorNotKilled, match=message):
+                hom_from_generator_images(wr.realization, G, kappa)
+            with pytest.raises(RelatorNotKilled):
+                word_fold_hom(words, wr.realization, G, kappa)
+
+    @pytest.mark.parametrize(
+        "change, match",
+        [
+            (lambda k: k + [0], "37 generator images for 36"),  # surplus: was ignored
+            (lambda k: k[:-1], "35 generator images for 36"),
+            (lambda k: [-1] + k[1:], "outside"),  # negative: was read from the end of a row
+            (lambda k: k[:-1] + [6], "outside"),
+        ],
+        ids=["surplus", "missing", "negative", "out-of-range"],
+    )
+    def test_malformed_images_are_rejected(self, change, match):
+        wr = compute_wedge(S3, WedgeVariant.CURLY)
+        with pytest.raises(ValidationError, match=match):
+            hom_from_generator_images(wr.realization, S3, change(commutator_table(S3).ravel().tolist()))

@@ -9,8 +9,10 @@ inputs, configuration and version produce byte-identical files.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
+import math
 import operator
 import time
 from dataclasses import asdict, dataclass, fields, replace
@@ -29,6 +31,7 @@ from .errors import (
 from .fpgroups import DEFAULT_MAX_COSETS
 from .groups import (
     FiniteGroup,
+    _factorise,
     abelian_invariants,
     build_from_permutations,
     center,
@@ -50,12 +53,14 @@ SCHEMA_VERSION = 1
 # --- builtin families ---------------------------------------------------------
 
 
+def _from_rule(elems: list, mul, label: str) -> FiniteGroup:
+    """The group on elems under mul, each element numbered by its list position."""
+    idx = {e: k for k, e in enumerate(elems)}
+    return from_mul_table([[idx[mul(a, b)] for b in elems] for a in elems], label=label, validate=False)
+
+
 def _cyclic(n: int) -> FiniteGroup:
-    return from_mul_table(
-        [[(i + j) % n for j in range(n)] for i in range(n)],
-        label=f"Z{n}",
-        validate=False,
-    )
+    return _from_rule(list(range(n)), lambda a, b: (a + b) % n, f"Z{n}")
 
 
 def _dihedral(n: int) -> FiniteGroup:
@@ -65,11 +70,7 @@ def _dihedral(n: int) -> FiniteGroup:
         i2, j2 = e2
         return ((i1 + (i2 if j1 == 0 else -i2)) % n, (j1 + j2) % 2)
 
-    elems = [(i, j) for j in range(2) for i in range(n)]
-    idx = {e: k for k, e in enumerate(elems)}
-    return from_mul_table(
-        [[idx[mul(a, b)] for b in elems] for a in elems], label=f"D{n}", validate=False
-    )
+    return _from_rule([(i, j) for j in range(2) for i in range(n)], mul, f"D{n}")
 
 
 def _dicyclic(n: int) -> FiniteGroup:
@@ -84,11 +85,7 @@ def _dicyclic(n: int) -> FiniteGroup:
             i = (i + n) % nn
         return (i, (j1 + j2) % 2)
 
-    elems = [(i, j) for j in range(2) for i in range(nn)]
-    idx = {e: k for k, e in enumerate(elems)}
-    return from_mul_table(
-        [[idx[mul(a, b)] for b in elems] for a in elems], label=f"Dic{n}", validate=False
-    )
+    return _from_rule([(i, j) for j in range(2) for i in range(nn)], mul, f"Dic{n}")
 
 
 def _symmetric(n: int) -> FiniteGroup:
@@ -109,22 +106,7 @@ def _alternating(n: int) -> FiniteGroup:
     return build_from_permutations(three_cycles, cap=200, label=f"A{n}")
 
 
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
-
-
 def _elementary(p: int, k: int) -> FiniteGroup:
-    if not _is_prime(p):
-        raise ParamOutOfRange(f"elementary family needs a prime, got {p}")
-    if k < 1 or p**k > 512:
-        raise ParamOutOfRange(f"elementary p^k out of range: {p}^{k}")
     G = _cyclic(p)
     for _ in range(k - 1):
         G = direct_product(G, _cyclic(p))
@@ -135,9 +117,6 @@ def _extraspecial(p: int, exponent_type: str) -> FiniteGroup:
     if p not in (3, 5):
         raise ParamOutOfRange(f"extraspecial family supports p in {{3, 5}}, got {p}")
     if exponent_type == "p":
-        elems = [(a, b, c) for a in range(p) for b in range(p) for c in range(p)]
-        idx = {e: i for i, e in enumerate(elems)}
-
         def mul(e1, e2):
             return (
                 (e1[0] + e2[0]) % p,
@@ -145,26 +124,29 @@ def _extraspecial(p: int, exponent_type: str) -> FiniteGroup:
                 (e1[2] + e2[2] + e1[0] * e2[1]) % p,
             )
 
-        return from_mul_table(
-            [[idx[mul(a, b)] for b in elems] for a in elems],
-            label=f"ES{p}^3+",
-            validate=False,
-        )
+        return _from_rule([(a, b, c) for a in range(p) for b in range(p) for c in range(p)], mul, f"ES{p}^3+")
     if exponent_type in ("p2", "p^2"):
         pp = p * p
-        elems = [(i, j) for i in range(pp) for j in range(p)]
-        idx = {e: i for i, e in enumerate(elems)}
         powers = [pow(1 + p, j, pp) for j in range(p)]
 
         def mul(e1, e2):
             return ((e1[0] + e2[0] * powers[e1[1]]) % pp, (e1[1] + e2[1]) % p)
 
-        return from_mul_table(
-            [[idx[mul(a, b)] for b in elems] for a in elems],
-            label=f"ES{p}^3-",
-            validate=False,
-        )
+        return _from_rule([(i, j) for i in range(pp) for j in range(p)], mul, f"ES{p}^3-")
     raise ParamOutOfRange(f"extraspecial exponent type must be 'p' or 'p2', got {exponent_type!r}")
+
+
+# family -> (constructor, number of integer parameters, range check). A range
+# check bounds every parameter before it tests a prime or takes a power.
+_FAMILIES = {
+    "cyclic": (_cyclic, 1, lambda n: 1 <= n <= 512),
+    "dihedral": (_dihedral, 1, lambda n: 1 <= n and 2 * n <= 512),
+    "dicyclic": (_dicyclic, 1, lambda n: 1 <= n and 4 * n <= 512),
+    "quaternion8": (lambda: _dicyclic(2), 0, lambda: True),
+    "symmetric": (_symmetric, 1, lambda n: 1 <= n <= 5),
+    "alternating": (_alternating, 1, lambda n: 1 <= n <= 5),
+    "elementary": (_elementary, 2, lambda p, k: 2 <= p <= 512 and 1 <= k <= 9 and p**k <= 512 and _factorise(p) == {p: 1}),
+}
 
 
 def _int_params(family: str, params: Sequence, count: int) -> list[int]:
@@ -184,37 +166,6 @@ def builtin(family: str, params: Sequence = ()) -> FiniteGroup:
     fam = str(family).lower()
     if not isinstance(params, (list, tuple)):
         raise ParamOutOfRange(f"{family} parameters must be a list, got {params!r}")
-    if fam == "cyclic":
-        (n,) = _int_params(fam, params, 1)
-        if n < 1 or n > 512:
-            raise ParamOutOfRange(f"cyclic order out of range: {n}")
-        return _cyclic(n)
-    if fam == "dihedral":
-        (n,) = _int_params(fam, params, 1)
-        if n < 1 or 2 * n > 512:
-            raise ParamOutOfRange(f"dihedral parameter out of range: {n}")
-        return _dihedral(n)
-    if fam == "dicyclic":
-        (n,) = _int_params(fam, params, 1)
-        if n < 1 or 4 * n > 512:
-            raise ParamOutOfRange(f"dicyclic parameter out of range: {n}")
-        return _dicyclic(n)
-    if fam == "quaternion8":
-        if params:
-            raise ParamOutOfRange("quaternion8 takes no parameters")
-        return _dicyclic(2)
-    if fam == "symmetric":
-        (n,) = _int_params(fam, params, 1)
-        if n < 1 or n > 5:
-            raise ParamOutOfRange(f"symmetric degree must be 1..5, got {n}")
-        return _symmetric(n)
-    if fam == "alternating":
-        (n,) = _int_params(fam, params, 1)
-        if n < 1 or n > 5:
-            raise ParamOutOfRange(f"alternating degree must be 1..5, got {n}")
-        return _alternating(n)
-    if fam == "elementary":
-        return _elementary(*_int_params(fam, params, 2))
     if fam == "extraspecial":
         if len(params) != 2:
             raise ParamOutOfRange(f"extraspecial takes 2 parameter(s), got {len(params)}")
@@ -231,16 +182,17 @@ def builtin(family: str, params: Sequence = ()) -> FiniteGroup:
                 factors.append(builtin(desc[0], desc[1:]))
             else:
                 raise ParamOutOfRange(f"bad direct_product factor descriptor: {desc!r}")
-        total = 1
-        for fac in factors:
-            total *= fac.order
+        total = math.prod(fac.order for fac in factors)
         if total > 512:
             raise ParamOutOfRange(f"direct product order {total} exceeds the core cap 512")
-        G = factors[0]
-        for fac in factors[1:]:
-            G = direct_product(G, fac)
-        return G
-    raise UnknownFamily(f"unknown builtin family {family!r}")
+        return functools.reduce(direct_product, factors)
+    if fam not in _FAMILIES:
+        raise UnknownFamily(f"unknown builtin family {family!r}")
+    build, count, in_range = _FAMILIES[fam]
+    ints = _int_params(fam, params, count)
+    if not in_range(*ints):
+        raise ParamOutOfRange(f"{fam} parameters out of range: {ints}")
+    return build(*ints)
 
 
 # --- group spec files ---------------------------------------------------------
@@ -253,6 +205,8 @@ def group_from_spec_dict(doc: dict, origin: str = "<spec>") -> FiniteGroup:
         data = doc["data"]
     except (KeyError, TypeError) as exc:
         raise ParseError(f"missing field {exc}", path=origin) from exc
+    if name in ("", ".", "..") or "/" in name or "\\" in name:
+        raise ParseError(f"group name {name!r} is not a plain file name", path=origin)
     if not isinstance(data, dict):
         raise ParseError("'data' must be an object", path=origin)
     if kind == "cayley":
@@ -277,6 +231,22 @@ def group_from_spec_dict(doc: dict, origin: str = "<spec>") -> FiniteGroup:
     raise ParseError(f"unknown group kind {kind!r}", path=origin)
 
 
+def _read_spec(path: Path) -> FiniteGroup:
+    """The group in one spec file; ParseError names the file."""
+    try:
+        doc = json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise ParseError(exc.msg, path=str(path), position=f"line {exc.lineno} col {exc.colno}") from exc
+    return group_from_spec_dict(doc, origin=str(path))
+
+
+def _write_spec(root: Path, name: str, kind: str, data: dict) -> Path:
+    root.mkdir(parents=True, exist_ok=True)
+    out = root / f"{name}.json"
+    out.write_text(dump_json({"schema_version": SCHEMA_VERSION, "name": name, "kind": kind, "data": data}))
+    return out
+
+
 def load_catalog(path: str | Path) -> list[FiniteGroup]:
     """Load and validate all *.json group specs under a directory, name-sorted."""
     root = Path(path)
@@ -284,11 +254,7 @@ def load_catalog(path: str | Path) -> list[FiniteGroup]:
         raise ParseError("catalog path is not a directory", path=str(root))
     groups: dict[str, FiniteGroup] = {}
     for f in sorted(root.glob("*.json")):
-        try:
-            doc = json.loads(f.read_text())
-        except json.JSONDecodeError as exc:
-            raise ParseError(exc.msg, path=str(f), position=f"line {exc.lineno} col {exc.colno}") from exc
-        G = group_from_spec_dict(doc, origin=str(f))
+        G = _read_spec(f)
         if G.label in groups:
             raise ValidationError(f"duplicate group name {G.label!r} in catalog")
         groups[G.label] = G
@@ -297,21 +263,12 @@ def load_catalog(path: str | Path) -> list[FiniteGroup]:
 
 def save_catalog(groups: Sequence[FiniteGroup], path: str | Path) -> list[Path]:
     """Write groups as cayley-kind spec files; inverse of load_catalog."""
-    root = Path(path)
-    root.mkdir(parents=True, exist_ok=True)
     written = []
     for G in groups:
-        doc = {
-            "schema_version": SCHEMA_VERSION,
-            "name": G.label,
-            "kind": "cayley",
-            "data": {"table": [list(row) for row in G.mul]},
-        }
+        data = {"table": [list(row) for row in G.mul]}
         if G.element_names is not None:
-            doc["data"]["element_names"] = list(G.element_names)
-        out = root / f"{G.label}.json"
-        out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-        written.append(out)
+            data["element_names"] = list(G.element_names)
+        written.append(_write_spec(Path(path), G.label, "cayley", data))
     return written
 
 
@@ -364,20 +321,10 @@ def shipped_corpus() -> list[FiniteGroup]:
 
 def write_corpus_catalog(path: str | Path) -> list[Path]:
     """Materialize the shipped corpus as builtin-kind spec files."""
-    root = Path(path)
-    root.mkdir(parents=True, exist_ok=True)
-    written = []
-    for name, family, params in sorted(CORPUS_SPECS):
-        doc = {
-            "schema_version": SCHEMA_VERSION,
-            "name": name,
-            "kind": "builtin",
-            "data": {"family": family, "params": [list(p) if isinstance(p, tuple) else p for p in params]},
-        }
-        out = root / f"{name}.json"
-        out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-        written.append(out)
-    return written
+    return [
+        _write_spec(Path(path), name, "builtin", {"family": family, "params": params})
+        for name, family, params in sorted(CORPUS_SPECS)
+    ]
 
 
 # --- configuration and reports -------------------------------------------------
@@ -393,17 +340,8 @@ class PipelineConfig:
     timings: bool = False
 
     def config_hash(self) -> str:
-        payload = json.dumps(
-            {
-                "max_cosets": self.max_cosets,
-                "curly_cap": self.curly_cap,
-                "exterior_cap": self.exterior_cap,
-                "oracle_cap": self.oracle_cap,
-                "oracle": self.oracle,
-            },
-            sort_keys=True,
-        )
-        return hashlib.sha256(payload.encode()).hexdigest()[:16]
+        payload = {k: v for k, v in asdict(self).items() if k != "timings"}
+        return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()[:16]
 
 
 @dataclass

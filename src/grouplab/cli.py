@@ -6,27 +6,26 @@ Exit codes: 0 success, 1 input error, 2 configured-cap exceeded.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
-from itertools import combinations
+from itertools import combinations, repeat
 from pathlib import Path
+from typing import Sequence
 
 from . import __version__
 from .catalog import (
-    InvariantReport,
     PipelineConfig,
+    _read_spec,
     builtin,
     compute_report,
     dump_json,
-    group_from_spec_dict,
     load_catalog,
     report_to_text,
 )
 from .cohomology import DEFAULT_ORACLE_CAP, cocycle_dump
-from .errors import CapExceeded, GroupLabError, ParseError, ValidationError
+from .errors import CapExceeded, GroupLabError, ValidationError
 from .fpgroups import DEFAULT_MAX_COSETS, presentation_to_json
 from .groups import FiniteGroup
 from .isoclinism import (
@@ -46,59 +45,32 @@ from .wedge import (
 )
 
 
-def _env_max_cosets() -> int:
-    raw = os.environ.get("GROUPLAB_MAX_COSETS")
-    if raw is None:
-        return DEFAULT_MAX_COSETS
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValidationError(f"GROUPLAB_MAX_COSETS is not an integer: {raw!r}")
-
-
 def resolve_group(spec: str) -> FiniteGroup:
     """A group from 'builtin:family:params' or a spec-file path."""
     if spec.startswith("builtin:"):
-        parts = spec.split(":")[1:]
-        if not parts:
-            raise ValidationError("empty builtin spec")
-        family, raw_params = parts[0], parts[1:]
-        params = [int(p) if p.lstrip("-").isdigit() else p for p in raw_params]
-        label = spec.removeprefix("builtin:").replace(":", "_")
-        return replace(builtin(family, params), label=label)
-    path = Path(spec)
-    if path.is_file():
-        try:
-            doc = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
-            raise ParseError(exc.msg, path=str(path), position=f"line {exc.lineno}") from exc
-        return group_from_spec_dict(doc, origin=str(path))
+        family, *params = spec.removeprefix("builtin:").split(":")
+        return replace(builtin(family, params), label=spec.removeprefix("builtin:").replace(":", "_"))
+    if Path(spec).is_file():
+        return _read_spec(Path(spec))
     raise ValidationError(f"group spec {spec!r} is neither builtin:... nor a file")
 
 
 def _config_from_args(args: argparse.Namespace) -> PipelineConfig:
+    max_cosets = args.max_cosets
+    if max_cosets is None:
+        raw = os.environ.get("GROUPLAB_MAX_COSETS", str(DEFAULT_MAX_COSETS))
+        try:
+            max_cosets = int(raw)
+        except ValueError:
+            raise ValidationError(f"GROUPLAB_MAX_COSETS is not an integer: {raw!r}") from None
     return PipelineConfig(
-        max_cosets=args.max_cosets,
+        max_cosets=max_cosets,
         curly_cap=args.max_group_order,
         exterior_cap=args.max_exterior_order,
         oracle_cap=args.oracle_cap,
         oracle=getattr(args, "oracle", False),
         timings=getattr(args, "timings", False),
     )
-
-
-def _report_job(payload: tuple[FiniteGroup, PipelineConfig]) -> InvariantReport:
-    G, config = payload
-    return compute_report(G, config)
-
-
-def _compute_reports(
-    groups: list[FiniteGroup], config: PipelineConfig, jobs: int
-) -> list[InvariantReport]:
-    if jobs <= 1 or len(groups) <= 1:
-        return [compute_report(G, config) for G in groups]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(_report_job, [(G, config) for G in groups]))
 
 
 def _write(out_dir: Path, name: str, doc: dict) -> Path:
@@ -108,18 +80,33 @@ def _write(out_dir: Path, name: str, doc: dict) -> Path:
     return path
 
 
+def _dump(doc: dict, out: str | None) -> int:
+    """Write a dump command's document to its --out file, or to stdout."""
+    if out:
+        Path(out).write_text(dump_json(doc))
+    else:
+        sys.stdout.write(dump_json(doc))
+    return 0
+
+
+def _families_doc(groups: list[FiniteGroup], families: list) -> list[dict]:
+    return [{"family_id": i, "members": [groups[j].label for j in fam]} for i, fam in enumerate(families)]
+
+
 def cmd_compute(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
-    target = Path(args.group)
-    if target.is_dir():
-        groups = load_catalog(target)
+    if not args.group.startswith("builtin:") and Path(args.group).is_dir():
+        groups = load_catalog(args.group)
     else:
         groups = [resolve_group(args.group)]
-    reports = _compute_reports(groups, config, args.jobs)
-    out_dir = Path(args.out)
+    if args.jobs <= 1 or len(groups) <= 1:
+        reports = [compute_report(G, config) for G in groups]
+    else:
+        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+            reports = list(pool.map(compute_report, groups, repeat(config)))
     for rep in reports:
         doc = rep.to_json_dict()
-        _write(out_dir, f"{rep.group}.json", doc)
+        _write(Path(args.out), f"{rep.group}.json", doc)
         if args.format == "json":
             sys.stdout.write(dump_json(doc))
         else:
@@ -129,14 +116,10 @@ def cmd_compute(args: argparse.Namespace) -> int:
 
 def cmd_families(args: argparse.Namespace) -> int:
     groups = load_catalog(args.catalog)
-    families = partition_into_families(groups)
     doc = {
         "schema_version": 1,
         "tool_version": __version__,
-        "families": [
-            {"family_id": i, "members": [groups[j].label for j in fam]}
-            for i, fam in enumerate(families)
-        ],
+        "families": _families_doc(groups, partition_into_families(groups)),
     }
     _write(Path(args.out), "families.json", doc)
     for fam in doc["families"]:
@@ -155,17 +138,14 @@ def cmd_verify_theorem(args: argparse.Namespace) -> int:
         )
     out_dir = Path(args.out)
     pair_rows = []
-    all_pass = True
     for fam_id, fam in enumerate(families):
         for i, j in combinations(fam, 2):
             G1, G2 = groups[i], groups[j]
-            row = {"family_id": fam_id, "pair": [G1.label, G2.label]}
             witness = are_isoclinic(G1, G2)
-            row["witness_found"] = witness is not None
+            row = {"family_id": fam_id, "pair": [G1.label, G2.label], "witness_found": witness is not None}
+            pair_rows.append(row)
             if witness is None:
                 row["pass"] = False
-                all_pass = False
-                pair_rows.append(row)
                 continue
             w1, w2 = wedges[G1.label], wedges[G2.label]
             row["witness_valid"] = verify_witness(witness)
@@ -200,16 +180,12 @@ def cmd_verify_theorem(args: argparse.Namespace) -> int:
                     "fuzz_stable",
                 )
             )
-            all_pass = all_pass and row["pass"]
-            pair_rows.append(row)
+    all_pass = all(row["pass"] for row in pair_rows)
     doc = {
         "schema_version": 1,
         "tool_version": __version__,
         "config_hash": config.config_hash(),
-        "families": [
-            {"family_id": i, "members": [groups[j].label for j in fam]}
-            for i, fam in enumerate(families)
-        ],
+        "families": _families_doc(groups, families),
         "pairs": pair_rows,
         "all_pass": all_pass,
     }
@@ -281,32 +257,32 @@ def cmd_dump_presentation(args: argparse.Namespace) -> int:
     doc = presentation_to_json(wp.raw_presentation())
     doc["pair_generator_layout"] = "generator index = m * |G| + n for the pair (m, n)"
     doc["raw_relator_counts"] = {"crossed_left": wp.r1_count, "crossed_right": wp.r2_count, "collapsing": wp.r3_count}
-    text = dump_json(doc)
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
-    return 0
+    return _dump(doc, args.out)
 
 
 def cmd_dump_cocycles(args: argparse.Namespace) -> int:
     G = resolve_group(args.group)
     m = args.modulus if args.modulus is not None else G.order
-    doc = cocycle_dump(G, m, cap=args.oracle_cap)
-    text = dump_json(doc)
-    if args.out:
-        Path(args.out).write_text(text)
+    return _dump(cocycle_dump(G, m, cap=args.oracle_cap), args.out)
+
+
+# flag -> (default, help) of every cap; a command takes those that change its output
+_CAPS = {
+    "--max-cosets": (None, "coset enumeration cap (env GROUPLAB_MAX_COSETS)"),
+    "--max-group-order": (DEFAULT_CURLY_CAP, "group-order cap for the pairing construction"),
+    "--max-exterior-order": (DEFAULT_EXTERIOR_CAP, "group-order cap for the exterior construction"),
+    "--oracle-cap": (DEFAULT_ORACLE_CAP, "group-order cap for the cohomology oracle"),
+}
+
+
+def _add_options(p: argparse.ArgumentParser, caps: Sequence[str] = tuple(_CAPS), out_dir: bool = True) -> None:
+    for flag in caps:
+        default, text = _CAPS[flag]
+        p.add_argument(flag, type=int, default=default, help=text)
+    if out_dir:
+        p.add_argument("--out", default="reports", help="output directory")
     else:
-        sys.stdout.write(text)
-    return 0
-
-
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--max-cosets", type=int, default=None, help="coset enumeration cap (env GROUPLAB_MAX_COSETS)")
-    p.add_argument("--max-group-order", type=int, default=DEFAULT_CURLY_CAP, help="group-order cap for the pairing construction")
-    p.add_argument("--max-exterior-order", type=int, default=DEFAULT_EXTERIOR_CAP, help="group-order cap for the exterior construction")
-    p.add_argument("--oracle-cap", type=int, default=DEFAULT_ORACLE_CAP, help="group-order cap for the cohomology oracle")
-    p.add_argument("--out", default="reports", help="output directory")
+        p.add_argument("--out", default=None, help="output file (default: standard output)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -319,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compute", help="compute invariants for one group or a catalog directory")
     p.add_argument("group", help="builtin:family:params, a spec file, or a catalog directory")
-    _add_common(p)
+    _add_options(p)
     p.add_argument("--oracle", action="store_true", help="also run the cohomology oracle")
     p.add_argument("--jobs", type=int, default=1, help="parallel workers for catalog runs")
     p.add_argument("--timings", action="store_true", help="record wall-clock timings in reports")
@@ -328,42 +304,39 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("families", help="partition a catalog into isoclinism families")
     p.add_argument("catalog")
-    _add_common(p)
+    _add_options(p, caps=())
     p.set_defaults(func=cmd_families)
 
     p = sub.add_parser("verify-theorem", help="check kernel invariance across isoclinic pairs")
     p.add_argument("catalog")
-    _add_common(p)
+    _add_options(p)
     p.add_argument("--fuzz-trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_verify_theorem)
 
     p = sub.add_parser("oracle", help="cross-check pairing kernels against the cohomology oracle")
     p.add_argument("catalog")
-    _add_common(p)
+    _add_options(p)
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("dump-presentation", help="emit the raw pairing presentation (one generator per pair) as JSON")
     p.add_argument("group")
     p.add_argument("--variant", choices=("curly", "exterior"), default="curly")
-    _add_common(p)
-    p.set_defaults(func=cmd_dump_presentation, out=None)
+    _add_options(p, caps=("--max-group-order", "--max-exterior-order"), out_dir=False)
+    p.set_defaults(func=cmd_dump_presentation)
 
     p = sub.add_parser("dump-cocycles", help="emit the cocycle basis and restriction data as JSON")
     p.add_argument("group")
     p.add_argument("--modulus", type=int, default=None)
-    _add_common(p)
-    p.set_defaults(func=cmd_dump_cocycles, out=None)
+    _add_options(p, caps=("--oracle-cap",), out_dir=False)
+    p.set_defaults(func=cmd_dump_cocycles)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if getattr(args, "max_cosets", None) is None:
-            args.max_cosets = _env_max_cosets()
         return args.func(args)
     except CapExceeded as exc:
         print(f"error (cap): {exc}", file=sys.stderr)

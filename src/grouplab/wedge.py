@@ -71,6 +71,7 @@ from .groups import (
     FiniteGroup,
     GroupHom,
     Subgroup,
+    _check_indices,
     abelian_invariants,
     commutator_table,
     derived_subgroup,
@@ -373,8 +374,7 @@ def hom_from_generator_images(
     gens = realization.gen_images
     if len(gen_images) != len(gens):
         raise ValidationError(f"{len(gen_images)} generator images for {len(gens)} generators")
-    if gens and not (0 <= min(gen_images) and max(gen_images) < target.order):
-        raise ValidationError(f"a generator image lies outside [0, {target.order})")
+    _check_indices(gen_images, target.order, "generator image")
     images, order = [0] + [-1] * (grp.order - 1), [0]
     for el in order:
         row, img_row = grp.mul[el], target.mul[images[el]]

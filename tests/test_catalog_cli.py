@@ -2,10 +2,12 @@
 
 import hashlib
 import json
+import shlex
 from pathlib import Path
 
 import pytest
 
+from grouplab import catalog
 from grouplab.catalog import (
     InvariantReport,
     PipelineConfig,
@@ -23,7 +25,8 @@ from grouplab.errors import ParamOutOfRange, ParseError, UnknownFamily, Validati
 from grouplab.groups import center, derived_subgroup
 from grouplab.wedge import DEFAULT_CURLY_CAP, DEFAULT_EXTERIOR_CAP
 
-REPO_CATALOG = Path(__file__).resolve().parent.parent / "catalog"
+REPO = Path(__file__).resolve().parent.parent
+REPO_CATALOG = REPO / "catalog"
 
 
 class TestBuiltins:
@@ -71,6 +74,18 @@ class TestBuiltins:
     def test_param_out_of_range(self):
         with pytest.raises(ParamOutOfRange):
             builtin("symmetric", (6,))
+
+    def test_range_is_checked_before_any_arithmetic(self, monkeypatch):
+        # a prime test on 10^18 + 3 ran for minutes before the range check rejected it
+        def factorise(n):
+            raise AssertionError(f"factorised {n}")
+
+        monkeypatch.setattr(catalog, "_factorise", factorise)
+        for params in ((1000000000000000003, 1), (3, 3000000), (4, 10**100), (1, 2)):
+            with pytest.raises(ParamOutOfRange):
+                builtin("elementary", params)
+        with pytest.raises(AssertionError, match="factorised 3"):
+            builtin("elementary", (3, 2))
 
 
 class TestCatalogFiles:
@@ -164,14 +179,52 @@ class TestReports:
 
 
 class TestCli:
+    ALL_CAPS = ("max_cosets", "max_group_order", "max_exterior_order", "oracle_cap")
+
     @pytest.mark.parametrize(
-        "command", ["compute", "families", "verify-theorem", "oracle", "dump-presentation", "dump-cocycles"]
+        "command,caps",
+        [
+            ("compute", ALL_CAPS),
+            ("families", ()),
+            ("verify-theorem", ALL_CAPS),
+            ("oracle", ALL_CAPS),
+            ("dump-presentation", ("max_group_order", "max_exterior_order")),
+            ("dump-cocycles", ("oracle_cap",)),
+        ],
+        ids=["compute", "families", "verify-theorem", "oracle", "dump-presentation", "dump-cocycles"],
     )
-    def test_cap_defaults_come_from_the_library(self, command):
-        args = build_parser().parse_args([command, "builtin:cyclic:2"])
-        assert args.max_group_order == DEFAULT_CURLY_CAP
-        assert args.max_exterior_order == DEFAULT_EXTERIOR_CAP
-        assert args.oracle_cap == DEFAULT_ORACLE_CAP
+    def test_cap_defaults_come_from_the_library(self, command, caps):
+        args = vars(build_parser().parse_args([command, "builtin:cyclic:2"]))
+        defaults = {
+            "max_cosets": None,  # read from GROUPLAB_MAX_COSETS, else DEFAULT_MAX_COSETS
+            "max_group_order": DEFAULT_CURLY_CAP,
+            "max_exterior_order": DEFAULT_EXTERIOR_CAP,
+            "oracle_cap": DEFAULT_ORACLE_CAP,
+        }
+        assert {k: args[k] for k in defaults if k in args} == {k: defaults[k] for k in caps}
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["families", "catalog", "--oracle-cap", "0"],
+            ["dump-presentation", "builtin:cyclic:2", "--max-cosets", "5"],
+            ["dump-cocycles", "builtin:cyclic:2", "--max-group-order", "5"],
+        ],
+        ids=["families", "dump-presentation", "dump-cocycles"],
+    )
+    def test_caps_that_change_nothing_are_rejected(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(argv[2:])}" in capsys.readouterr().err
+
+    def test_readme_command_lines_parse(self):
+        text = (REPO / "README.md").read_text()
+        block = text.split("## Command line\n\n```\n", 1)[1].split("```", 1)[0]
+        lines = [shlex.split(line, comments=True) for line in block.splitlines()]
+        assert len(lines) >= 7 and all(words[0] == "grouplab" for words in lines)
+        for words in lines:
+            build_parser().parse_args(words[1:])
 
     def test_compute_builtin(self, tmp_path, capsys):
         rc = main(["compute", "builtin:symmetric:3", "--out", str(tmp_path)])
@@ -216,6 +269,11 @@ class TestCli:
             ({"kind": "builtin", "data": {"family": "cyclic", "params": [True]}}, ParamOutOfRange),
             ({"kind": "perm", "data": {"generators": [[1, 0]], "degree": True}}, ParseError),
             ({"kind": "cayley", "data": {"table": [[0, 1], [1, 0]], "element_names": ["e", 5]}}, ParseError),
+            ({"name": "../escaped", "kind": "builtin", "data": {"family": "cyclic", "params": [2]}}, ParseError),
+            ({"name": "a/b", "kind": "builtin", "data": {"family": "cyclic", "params": [2]}}, ParseError),
+            ("builtin:elementary:1000000000000000003:1", ParamOutOfRange),
+            ("builtin:elementary:3:3000000", ParamOutOfRange),
+            ("builtin:cyclic:" + "9" * 5000, ParamOutOfRange),
         ],
         ids=[
             "no-param", "non-integer-param", "extra-param", "missing-param", "spec-no-param",
@@ -223,6 +281,7 @@ class TestCli:
             "short-row", "string-entry", "float-entry", "string-point", "float-point",
             "string-degree", "names-not-a-list", "data-not-an-object",
             "boolean-param", "boolean-degree", "non-string-name",
+            "name-leaves-the-directory", "name-with-a-slash", "huge-prime", "huge-exponent", "5000-digit-param",
         ],
     )
     def test_malformed_group_is_an_input_error(self, tmp_path, capsys, spec, error):
@@ -245,6 +304,22 @@ class TestCli:
         rc = main(["compute", "builtin:symmetric:3", "--out", str(tmp_path)])
         assert rc == 1
         assert capsys.readouterr().err == "error: GROUPLAB_MAX_COSETS is not an integer: 'abc'\n"
+
+    def test_env_var_is_read_only_where_max_cosets_exists(self, tmp_path, monkeypatch):
+        # families takes no cap, so a malformed GROUPLAB_MAX_COSETS made it exit 1
+        cat = tmp_path / "cat"
+        cat.mkdir()
+        (cat / "z2.json").write_text(json.dumps({"name": "z2", "kind": "builtin", "data": {"family": "cyclic", "params": [2]}}))
+        monkeypatch.setenv("GROUPLAB_MAX_COSETS", "abc")
+        assert main(["families", str(cat), "--out", str(tmp_path / "fam")]) == 0
+        assert main(["dump-presentation", "builtin:cyclic:2"]) == 0
+        assert main(["oracle", str(cat), "--out", str(tmp_path / "orc")]) == 1
+
+    def test_dump_out_is_a_file(self, tmp_path, capsys):
+        out = tmp_path / "pres.json"
+        assert main(["dump-presentation", "builtin:cyclic:2", "--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert json.loads(out.read_text())["num_generators"] == 4
 
     def test_catalog_compute_with_jobs(self, tmp_path):
         cat = tmp_path / "cat"
@@ -342,6 +417,56 @@ class TestCli:
             "26a7cbf544b14292a7e281af1295bbdca1c0c09ea9fe34adc3f74e1334189c7a"
         )
         assert sha256(stdout.encode()) == "65bc0707d1fb8d88ba5a41564cd530a37ce602bbcdca04fa87f61c6da50b5b3e"
+
+    @pytest.mark.parametrize(
+        "argv,files,manifest,stdout",
+        [
+            (
+                ["compute", str(REPO_CATALOG), "--oracle", "--format", "json"],
+                35,
+                "1b8f04c364781faacdcd5d68b6452119819829531ae3ff4f769b1be59e8fee99",
+                "da10c742dc16c6983a5b8aaace2cd5485b8f6306a4eb725f4d1693dea8595c95",
+            ),
+            (
+                ["families", str(REPO_CATALOG)],
+                1,
+                "0a8f9e45d8174ba0e2cbb1edad200cbee70a6bc719c3019f93d8d0b19b041630",
+                "4b6e90ce43f1d51a9dec9336b17c6ebbcbcafb032d97962392b0119b0a3b0384",
+            ),
+            (
+                ["oracle", str(REPO_CATALOG)],
+                1,
+                "2d3a2dc7fe3d2f6d5ba475f9448492a4e906cde939998cf0e491d850e0d5db1b",
+                "6d1b11c743be82f4c373982aa4af9261013dfa912d8213835d564d707015d595",
+            ),
+            (
+                ["dump-presentation", "builtin:dihedral:4", "--variant", "exterior"],
+                0,
+                "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+                "078424fe582f3e31a8e562d3b46c2c1cab9616b5a02f362874fa7a31a2085175",
+            ),
+        ],
+        ids=["compute-oracle-json", "families", "oracle", "dump-presentation"],
+    )
+    def test_catalog_outputs_are_pinned(self, tmp_path, capsys, monkeypatch, argv, files, manifest, stdout):
+        """Pins byte stability of the other commands' outputs, not reference values.
+
+        As for ``verify-theorem``, the hashes are grouplab's own earlier
+        output: its standard output and a sha256sum-style manifest of the
+        files it writes into the working directory.
+        """
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+
+        def sha256(data):
+            return hashlib.sha256(data).hexdigest()
+
+        written = sorted(p for p in tmp_path.rglob("*") if p.is_file())
+        lines = "".join(f"{sha256(p.read_bytes())}  {p.name}\n" for p in written)
+        assert len(written) == files
+        assert sha256(lines.encode()) == manifest
+        assert sha256(out.encode()) == stdout
 
     def test_oracle_command_small(self, tmp_path):
         cat = tmp_path / "cat"

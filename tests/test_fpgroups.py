@@ -173,6 +173,13 @@ class TestRealize:
         with pytest.raises(ValidationError):
             evaluate_word(realize(Z3, todd_coxeter(Z3)), word)
 
+    @pytest.mark.parametrize("images", [(7,), (-1,), (1.0,), ("1",), (True,)])
+    def test_realization_checks_its_generator_images(self, images):
+        # (7,) over a group of order 3 was accepted and failed later with a bare IndexError
+        group = realize(Z3, todd_coxeter(Z3)).group
+        with pytest.raises(ValidationError, match="not an integer or lies outside"):
+            Realization(group=group, gen_images=images)
+
     def test_images_that_do_not_generate_are_rejected(self):
         real = realize(S3P, todd_coxeter(S3P))
         partial = Realization(group=real.group, gen_images=real.gen_images[:1] * 2)

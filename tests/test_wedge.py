@@ -693,8 +693,11 @@ class TestWalksMatchWords:
             (lambda k: k[:-1], "35 generator images for 36"),
             (lambda k: [-1] + k[1:], "outside"),  # negative: was read from the end of a row
             (lambda k: k[:-1] + [6], "outside"),
+            (lambda k: k[:-1] + [1.0], "not an integer"),  # float: raised a bare TypeError
+            (lambda k: k[:-1] + ["1"], "not an integer"),  # str: raised a bare TypeError from min
+            (lambda k: k[:-1] + [True], "not an integer"),  # bool: was read as 1
         ],
-        ids=["surplus", "missing", "negative", "out-of-range"],
+        ids=["surplus", "missing", "negative", "out-of-range", "float", "str", "bool"],
     )
     def test_malformed_images_are_rejected(self, change, match):
         wr = compute_wedge(S3, WedgeVariant.CURLY)

@@ -17,7 +17,7 @@ import operator
 import time
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 from . import __version__
 from .cohomology import DEFAULT_ORACLE_CAP, b0_lower_bound, h2_order, multiplier_order_oracle
@@ -198,6 +198,26 @@ def builtin(family: str, params: Sequence = ()) -> FiniteGroup:
 # --- group spec files ---------------------------------------------------------
 
 
+def _check_plain_name(name: str, origin: str) -> None:
+    """A group name must be a plain file name: its spec file is <name>.json in the catalog directory."""
+    if name in ("", ".", "..") or "/" in name or "\\" in name:
+        raise ParseError(f"group name {name!r} is not a plain file name", path=origin)
+
+
+def _path_is(test: Callable[[Path], bool], path: str | Path) -> bool:
+    """test(Path(path)) for Path.is_dir or Path.is_file, with a path the system cannot look up a ParseError.
+
+    Those tests raise OSError for, among others, a name longer than the file
+    system allows; the error names the first 60 characters of the path.
+    """
+    try:
+        return test(Path(path))
+    except OSError as exc:
+        text = str(path)
+        shown = text if len(text) <= 60 else text[:60] + "..."
+        raise ParseError(f"cannot look up the path: {exc.strerror}", path=shown) from None
+
+
 def group_from_spec_dict(doc: dict, origin: str = "<spec>") -> FiniteGroup:
     try:
         name = str(doc["name"])
@@ -205,8 +225,7 @@ def group_from_spec_dict(doc: dict, origin: str = "<spec>") -> FiniteGroup:
         data = doc["data"]
     except (KeyError, TypeError) as exc:
         raise ParseError(f"missing field {exc}", path=origin) from exc
-    if name in ("", ".", "..") or "/" in name or "\\" in name:
-        raise ParseError(f"group name {name!r} is not a plain file name", path=origin)
+    _check_plain_name(name, origin)
     if not isinstance(data, dict):
         raise ParseError("'data' must be an object", path=origin)
     if kind == "cayley":
@@ -241,6 +260,7 @@ def _read_spec(path: Path) -> FiniteGroup:
 
 
 def _write_spec(root: Path, name: str, kind: str, data: dict) -> Path:
+    _check_plain_name(name, str(root))
     root.mkdir(parents=True, exist_ok=True)
     out = root / f"{name}.json"
     out.write_text(dump_json({"schema_version": SCHEMA_VERSION, "name": name, "kind": kind, "data": data}))
@@ -250,7 +270,7 @@ def _write_spec(root: Path, name: str, kind: str, data: dict) -> Path:
 def load_catalog(path: str | Path) -> list[FiniteGroup]:
     """Load and validate all *.json group specs under a directory, name-sorted."""
     root = Path(path)
-    if not root.is_dir():
+    if not _path_is(Path.is_dir, root):
         raise ParseError("catalog path is not a directory", path=str(root))
     groups: dict[str, FiniteGroup] = {}
     for f in sorted(root.glob("*.json")):

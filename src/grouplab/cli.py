@@ -17,6 +17,7 @@ from typing import Sequence
 from . import __version__
 from .catalog import (
     PipelineConfig,
+    _path_is,
     _read_spec,
     builtin,
     compute_report,
@@ -50,7 +51,7 @@ def resolve_group(spec: str) -> FiniteGroup:
     if spec.startswith("builtin:"):
         family, *params = spec.removeprefix("builtin:").split(":")
         return replace(builtin(family, params), label=spec.removeprefix("builtin:").replace(":", "_"))
-    if Path(spec).is_file():
+    if _path_is(Path.is_file, spec):
         return _read_spec(Path(spec))
     raise ValidationError(f"group spec {spec!r} is neither builtin:... nor a file")
 
@@ -95,7 +96,7 @@ def _families_doc(groups: list[FiniteGroup], families: list) -> list[dict]:
 
 def cmd_compute(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
-    if not args.group.startswith("builtin:") and Path(args.group).is_dir():
+    if not args.group.startswith("builtin:") and _path_is(Path.is_dir, args.group):
         groups = load_catalog(args.group)
     else:
         groups = [resolve_group(args.group)]

@@ -18,21 +18,22 @@ EXTERIOR case. Both constructions are realized concretely by coset
 enumeration, and kappa is rebuilt and verified rather than assumed.
 
 The raw presentation has |G|^2 generators and about 2|G|^3 relators, most
-of them redundant: each collapsed pair is dead, and a crossed relator with
-one dead letter identifies the other two up to inversion. The relators are
-therefore built as numpy index arrays and reduced by Tietze elimination (a
-signed union-find run to a fixpoint) before enumeration. Only the surviving
-classes are enumerated; the realization is then lifted back to one image
-per pair, and every raw relator is evaluated in the realized group, which
-certifies the reduction.
+of them redundant. They are built as numpy index arrays and reduced by
+Tietze elimination (a signed union-find run to a fixpoint) before
+enumeration. The realization of the surviving classes is lifted back to one
+image per pair, and evaluating every raw relator in it certifies the
+reduction. A crossed relator cancels to one letter exactly when one of m,
+m', n, n' is 1, and that letter is a pair with 1; none cancels to two. So
+the letters that single raw relators kill, the collapsed pairs and the
+pairs (1, y) and (y, 1), are sent to the identity before the elimination,
+which skips the pass that would only have found them.
 
 Neither step holds all raw rows at once. They are built as int32 blocks,
 each holding the relators (m, m', n), (m, n, n') and (m, n) of a range of
-about ``_BLOCK_ROWS`` / (2|G|^2) elements m. The elimination's first pass
-reduces each block and keeps its carriers and equations; later passes
-carry only the rows that still say something, with repeats dropped. The
-certificate evaluates one block at a time and stops at the first block in
-which a relator survives.
+about ``_BLOCK_ROWS`` / (2|G|^2) elements m. Every elimination pass drops
+repeated rows block by block, by sorting one int64 key per row, and carries
+only the rows that still say something. The certificate evaluates one block
+at a time and stops at the first block in which a relator survives.
 
 ``_raw_relator_rows`` is the only spelling of the relations. The same
 blocked evaluator runs its rows against the lifted pair images, against
@@ -175,13 +176,18 @@ def _run_starts(values: np.ndarray) -> np.ndarray:
 
 def _distinct(rows: np.ndarray, num_letters: int) -> np.ndarray:
     """The distinct rows, in the lexicographic order of their signed letters."""
-    base = 2 * num_letters + 1  # letters lie in [-num_letters, num_letters]
-    key = rows[:, 0].astype(np.int64)
+    bits = (2 * num_letters).bit_length()  # an int64 key's digits are the letters offset into [0, 2 num_letters]
+    key = (rows[:, 0] + num_letters).astype(np.int64)
     for col in (1, 2):
-        key *= base
-        key += rows[:, col]
-    order = np.argsort(key, kind="stable")
-    return rows[order[_run_starts(key[order])]]
+        key <<= bits
+        key |= rows[:, col] + num_letters
+    key.sort()
+    key = key[_run_starts(key)]
+    out = np.empty((len(key), 3), dtype=np.int32)
+    for col in (2, 1, 0):
+        out[:, col] = (key & ((1 << bits) - 1)) - num_letters
+        key >>= bits
+    return out
 
 
 def _hook(equations: np.ndarray, num_letters: int) -> tuple[np.ndarray, np.ndarray]:
@@ -192,12 +198,11 @@ def _hook(equations: np.ndarray, num_letters: int) -> tuple[np.ndarray, np.ndarr
     """
     # Each equation row x or x z says x = y, with y = 1 (node 0) or
     # y = z^-1. With x = u^a and y = v^b, u = v^(ab): hi = lo^s.
-    x, y = equations[:, 0], -equations[:, 1]
-    hi, lo = np.maximum(np.abs(x), np.abs(y)), np.minimum(np.abs(x), np.abs(y))
-    s = np.where((x < 0) != (y < 0), -1, 1).astype(np.int32)
-    # the smallest lo for each hi, and the first such row
-    order = np.lexsort((lo, hi))
-    hook = order[_run_starts(hi[order])]
+    x, z = equations[:, 0], equations[:, 1]
+    hi, lo = np.maximum(np.abs(x), np.abs(z)), np.minimum(np.abs(x), np.abs(z))
+    s = np.where((x < 0) != (z > 0), -1, 1).astype(np.int32)  # y < 0 exactly when z > 0
+    hook = np.lexsort((lo, hi))  # by hi, then lo, then row; not kept, to save memory
+    hook = hook[_run_starts(hi[hook])]  # for each hi, the first row of smallest lo
     root = np.arange(num_letters + 1, dtype=np.int32)
     sign = np.ones(num_letters + 1, dtype=np.int32)
     root[hi[hook]], sign[hi[hook]] = lo[hook], s[hook]
@@ -211,41 +216,33 @@ def _eliminate(blocks: Iterable[np.ndarray], num_letters: int) -> tuple[np.ndarr
     """Tietze elimination to a fixpoint on int32 rows of at most three letters.
 
     A row that reduces to one letter kills it; a row that reduces to two
-    letters x y, not a square, identifies x with y^-1. These rows are the
-    equations. The other rows that do not vanish, words of length 3 and
-    squares r r, are the carriers. The classes form a signed union-find
-    over the nodes 0..num_letters, node 0 being the identity.
+    letters x y, not a square, identifies x with y^-1. These equations join
+    the classes of a signed union-find over the nodes 0..num_letters, node 0
+    being the identity; the other rows that do not vanish are carried.
 
-    Each pass reduces its rows one block at a time and splits them into
-    equations and carriers. The first pass reads the blocks as given, so a
-    caller that builds them lazily never holds all rows at once; later
-    passes drop repeated rows block by block, and read the rows as one
-    block once they fit in ``_BLOCK_ROWS``. After a pass, every root
-    with an equation to a smaller root is hooked under the smallest such
-    root, so a class's root is its smallest node (0 for the dead classes).
-    Among the equations that give that hook, the first in the
-    lexicographic order of the signed letters sets the sign. The next pass
-    reads the carriers and the equations that were not applied (an applied
-    one, and its repeats, would vanish), rewritten in the new roots. Every
-    pass thus sees the same distinct rows, apart from those that vanish, as
-    a pass over all raw rows would, so roots and signs do not depend on the
-    order or blocking of the rows. Letters, rows and signs stay int32; only
-    the sort keys are int64.
+    Each pass reduces each block's rows, drops repeats within the block and
+    splits the rest. Lazily built blocks are thus never all held at once;
+    later passes read the rows as one block once they fit in
+    ``_BLOCK_ROWS``. After a pass, every root with an equation to a smaller
+    root is hooked under the smallest such root (0 for the dead classes),
+    and the first such equation in lexicographic order sets the sign. The
+    next pass reads the carried rows and the unapplied equations in the new
+    roots. So every pass sees the distinct rows that a pass over all raw
+    rows would, apart from those that vanish: the result depends neither on
+    the order or blocking of the rows, nor on whether the letters that a
+    first pass would kill were mapped to 0 beforehand.
 
     Returns the signed root letter of every node (0 for dead nodes) and the
-    distinct reduced rows that still carry information, all of them written
-    in root letters and in lexicographic order. Those are words of length
-    3, and squares r r left by a class identified with its own inverse.
+    distinct reduced rows that still carry information, in root letters and
+    lexicographic order: words of length 3, and squares r r left by a class
+    identified with its own inverse.
     """
     letters = np.arange(num_letters + 1, dtype=np.int32)
-    todo: Iterable[np.ndarray] = blocks
     while True:
         carried, equations = [], []
-        for rows in todo:
+        for rows in blocks:
             rows, length = _reduce_rows(rows)
-            rows = rows[length > 0]
-            if todo is not blocks:  # mapped rows repeat; the raw ones hardly do
-                rows = _distinct(rows, num_letters)
+            rows = _distinct(rows[length > 0], num_letters)
             eq = (rows[:, 2] == 0) & (rows[:, 0] != rows[:, 1])
             carried.append(rows[~eq])
             equations.append(rows[eq])
@@ -260,7 +257,7 @@ def _eliminate(blocks: Iterable[np.ndarray], num_letters: int) -> tuple[np.ndarr
         else:
             carried += (rows[i:i + _BLOCK_ROWS] for i in range(0, len(rows), _BLOCK_ROWS))
         letters = np.sign(letters) * step[np.abs(letters)]
-        todo = _mapped(carried, step)
+        blocks = _mapped(carried, step)
 
 
 @dataclass(frozen=True)
@@ -307,12 +304,15 @@ def build_wedge_presentation(
         raise GroupTooLarge(
             f"|{G.label}| = {G.order} exceeds the {variant.value} cap {cap}"
         )
-    letters, kept = _eliminate(_relator_blocks(G, variant), G.order**2)
-    roots = np.flatnonzero(letters == np.arange(len(letters)))[1:]  # live nodes that are their own root
+    dead = np.arange(G.order**2 + 1, dtype=np.int32)  # sends the letters single raw relators kill to 0
+    dead[_collapsed_letters(G, variant, range(G.order))] = 0
+    dead[1:G.order + 1] = dead[1::G.order] = 0  # the pairs (1, y) and (y, 1)
+    blocks = (np.sign(rows) * dead[np.abs(rows)] for rows in _relator_blocks(G, variant))
+    letters, kept = _eliminate(blocks, G.order**2)
+    roots = np.flatnonzero(letters == dead)[1:]  # live own roots: _eliminate never sees a dead node
     renumber = np.zeros(len(letters), dtype=np.int32)
     renumber[roots] = np.arange(1, len(roots) + 1)
-    letters = np.sign(letters) * renumber[np.abs(letters)]
-    kept = np.sign(kept) * renumber[np.abs(kept)]
+    letters, kept = (np.sign(x) * renumber[np.abs(x)] for x in (letters[dead], kept))
     pres = Presentation(
         num_generators=len(roots),
         relators=preprocess_relators([tuple(x for x in w if x) for w in kept.tolist()]),

@@ -108,6 +108,14 @@ class TestCatalogFiles:
             orig = groups[names.index(g.label)]
             assert g.mul == orig.mul
 
+    def test_save_rejects_a_name_that_leaves_the_directory(self, tmp_path):
+        import dataclasses
+
+        escaping = dataclasses.replace(builtin("cyclic", (2,)), label="../escaped_save")
+        with pytest.raises(ParseError, match="not a plain file name"):
+            save_catalog([escaping], tmp_path / "root")
+        assert list(tmp_path.iterdir()) == []  # neither root nor escaped_save.json
+
     def test_bad_table_rejected(self, tmp_path):
         (tmp_path / "bad.json").write_text(
             json.dumps({"name": "bad", "kind": "cayley", "data": {"table": [[0, 1], [1, 1]]}})
@@ -274,6 +282,7 @@ class TestCli:
             ("builtin:elementary:1000000000000000003:1", ParamOutOfRange),
             ("builtin:elementary:3:3000000", ParamOutOfRange),
             ("builtin:cyclic:" + "9" * 5000, ParamOutOfRange),
+            ("x" * 5000, ParseError),  # raised a bare OSError (file name too long)
         ],
         ids=[
             "no-param", "non-integer-param", "extra-param", "missing-param", "spec-no-param",
@@ -282,6 +291,7 @@ class TestCli:
             "string-degree", "names-not-a-list", "data-not-an-object",
             "boolean-param", "boolean-degree", "non-string-name",
             "name-leaves-the-directory", "name-with-a-slash", "huge-prime", "huge-exponent", "5000-digit-param",
+            "5000-character-path",
         ],
     )
     def test_malformed_group_is_an_input_error(self, tmp_path, capsys, spec, error):
@@ -293,6 +303,11 @@ class TestCli:
             resolve_group(spec)
         assert main(["compute", spec, "--out", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("command", ["families", "verify-theorem", "oracle"])
+    def test_over_long_catalog_path_is_an_input_error(self, tmp_path, capsys, command):
+        assert main([command, "x" * 5000, "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith("error: " + "x" * 60 + "...: cannot look up the path")
 
     def test_env_var_cap(self, tmp_path, monkeypatch):
         monkeypatch.setenv("GROUPLAB_MAX_COSETS", "2")

@@ -478,6 +478,23 @@ POOL_UP_TO_32 = (
     builtin("dicyclic", (6,)),
 )
 D4xD4 = builtin("direct_product", (("dihedral", 4), ("dihedral", 4)))
+A4xZ4 = builtin("direct_product", (("alternating", 4), ("cyclic", 4)))
+# the curly-large benchmark pool
+CURLY_LARGE_POOL = POOL_UP_TO_32 + (D4xD4, A4xZ4)
+# the groups of the oracle-small and families-dense benchmark pools outside it
+OTHER_BENCHMARK_GROUPS = tuple(
+    builtin(family, params)
+    for family, params in (
+        ("dihedral", (4,)), ("quaternion8", ()), ("alternating", (4,)), ("dihedral", (6,)),
+        ("dicyclic", (3,)), ("dihedral", (8,)), ("dicyclic", (4,)), ("elementary", (2, 4)),
+        ("direct_product", (("dihedral", 4), ("cyclic", 2))),
+        ("direct_product", (("quaternion8",), ("cyclic", 2))),
+        ("direct_product", (("cyclic", 4), ("cyclic", 4))),
+        ("dihedral", (9,)), ("dihedral", (10,)), ("dicyclic", (5,)), ("dihedral", (12,)),
+        ("direct_product", (("alternating", 4), ("cyclic", 2))),
+        ("symmetric", (3,)), ("dihedral", (5,)), ("dihedral", (7,)),
+    )
+)
 
 
 def one_m_per_block(monkeypatch, G):
@@ -489,15 +506,17 @@ class TestBlockedElimination:
 
     def test_matches_whole_array_elimination(self):
         rng = random.Random(10)
-        for G0 in shipped_corpus() + list(POOL_UP_TO_32):
+        # two relabelings each up to order 32, and one of D4xD4 and A4xZ4
+        cases = [(G, 2) for G in shipped_corpus() + list(POOL_UP_TO_32)] + [(D4xD4, 1), (A4xZ4, 1)]
+        for G0, relabelings in cases:
             copies = [G0]
-            for _ in range(2):
+            for _ in range(relabelings):
                 sigma = list(range(1, G0.order))
                 rng.shuffle(sigma)
                 copies.append(relabeled(G0, [0] + sigma, label=G0.label))
             for G in copies:
                 for variant in WedgeVariant:
-                    wp = build_wedge_presentation(G, variant, group_cap=32)
+                    wp = build_wedge_presentation(G, variant, group_cap=64)
                     ref = whole_array_presentation(G, variant)
                     assert wp.presentation.relators == ref.presentation.relators, G.label
                     assert wp.presentation.num_generators == ref.presentation.num_generators
@@ -505,6 +524,23 @@ class TestBlockedElimination:
                     # classes identified with their own inverse
                     assert wp.pair_letters == ref.pair_letters, G.label
                     assert realized_pairs(wp) == realized_pairs(ref), G.label
+
+    @pytest.mark.parametrize("variant", list(WedgeVariant))
+    def test_single_raw_relators_kill_exactly_the_seeded_letters(self, variant):
+        # build_wedge_presentation sends the collapsed pairs and the pairs with
+        # the identity to 0 before the elimination, in place of a first pass
+        # over the raw rows; that is exact only if this pass would find just them
+        for G in shipped_corpus() + list(CURLY_LARGE_POOL + OTHER_BENCHMARK_GROUPS):
+            if G.order > variant.default_cap:
+                continue
+            n = G.order
+            rows, length = wedge._reduce_rows(wedge._raw_relator_rows(G, variant, range(n)))
+            killed = set(np.abs(rows[length == 1, 0]).tolist())
+            seeded = set(wedge._collapsed_letters(G, variant, range(n)).tolist())
+            seeded |= set(range(1, n + 1)) | set(range(1, n * n + 1, n))  # the letters of (1, y) and (y, 1)
+            assert killed == seeded, G.label
+            # and no raw row identifies two letters or vanishes
+            assert set(length.tolist()) <= {1, 3}, G.label
 
     @pytest.mark.parametrize("variant", list(WedgeVariant))
     def test_order_and_blocking_do_not_matter(self, monkeypatch, variant):
@@ -642,10 +678,6 @@ class TestBlockedCertificate:
         bad[n - 1][1] = G.mul[bad[n - 1][1]][n - 1]  # a pair (m, 1) of the last block
         assert not loop_check_pairing(G, G, bad)
         assert not check_pairing(G, G, bad)
-
-
-# the curly-large benchmark pool
-CURLY_LARGE_POOL = POOL_UP_TO_32 + (D4xD4, builtin("direct_product", (("alternating", 4), ("cyclic", 4))))
 
 
 class TestWalksMatchWords:

@@ -282,7 +282,9 @@ def load_catalog(path: str | Path) -> list[FiniteGroup]:
 
 
 def save_catalog(groups: Sequence[FiniteGroup], path: str | Path) -> list[Path]:
-    """Write groups as cayley-kind spec files; inverse of load_catalog."""
+    """Write groups as cayley-kind spec files, after checking every label; inverse of load_catalog."""
+    for G in groups:
+        _check_plain_name(G.label, str(path))
     written = []
     for G in groups:
         data = {"table": [list(row) for row in G.mul]}

@@ -223,14 +223,12 @@ def _check_cocycle(G: FiniteGroup, m: int, tables: np.ndarray | Sequence) -> boo
 def _cocycle_lattice(G: FiniteGroup, m: int) -> np.ndarray:
     """Canonical basis of the normalized cocycles, on the (n-1)^2 table entries.
 
-    Basis rows of the edge solutions with diagonal m are m times a unit
-    vector and build zero tables, so only the others are mapped.
+    Each basis row of the edge solutions is mapped to the table it builds.
     """
     n = G.order
     k = (n - 1) * (n - 1)
     rows, E = _edge_system(G, m)
     Hs = orth_complement(rows, E.shape[2], m)
-    Hs = Hs[np.diagonal(Hs) < m]
     tables = (Hs @ E.reshape(n * n, -1).T % m).reshape(-1, n, n)
     if not _check_cocycle(G, m, tables):
         raise InternalCheckFailed("an edge solution does not build a normalized cocycle")
@@ -242,6 +240,9 @@ def cocycle_space(G: FiniteGroup, m: int, cap: int = DEFAULT_ORACLE_CAP) -> Cocy
 
     Later calls with the same group object reuse the space, which is freed
     together with the group. Equality, hashing and repr of ``G`` ignore it.
+    Each lattice on the k = (|G| - 1)^2 table entries is kept as the rows of
+    its Hermite form with pivot below m (see lattices): on B64, of order
+    64, 60 to 66 rows of k = 3,969.
 
     The arithmetic is exact in int64 while m^2 * max(2, k) < 2^63, with
     k = (|G| - 1)^2, and a larger m is rejected. Entries stay below m, so a
@@ -284,7 +285,7 @@ def cocycle_space(G: FiniteGroup, m: int, cap: int = DEFAULT_ORACLE_CAP) -> Cocy
 
     diag, gens = quotient_structure(Hb, Hz, m)
     order = prod(diag)
-    index_ratio = lattice_index(Hb) // lattice_index(Hz)
+    index_ratio = lattice_index(Hb, m) // lattice_index(Hz, m)
     if order != index_ratio:
         raise InconsistentOrders(
             f"quotient order {order} disagrees with index ratio {index_ratio}"
@@ -294,7 +295,6 @@ def cocycle_space(G: FiniteGroup, m: int, cap: int = DEFAULT_ORACLE_CAP) -> Cocy
     if not _check_cocycle(G, m, basis):
         raise InternalCheckFailed("computed basis table is not a normalized cocycle")
     basis.flags.writeable = False
-    # the rows m*e_j of Hb are zero modulo m and would only widen every solve
     space = CocycleSpace(
         group=G,
         modulus=m,
@@ -302,7 +302,7 @@ def cocycle_space(G: FiniteGroup, m: int, cap: int = DEFAULT_ORACLE_CAP) -> Cocy
         basis_orders=tuple(diag),
         h2_order=order,
         h2_invariants=AbelianInvariants(invariant_factors_from_orders(diag)),
-        _solver=LatticeSolver(np.vstack([gens, Hb[np.diagonal(Hb) < m]]), k, m),
+        _solver=LatticeSolver(np.vstack([gens, Hb]), k, m),
     )
     spaces[m] = space
     return space

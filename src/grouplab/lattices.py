@@ -2,47 +2,46 @@
 
 Every lattice handled here sits between m*Z^k and Z^k, which makes all row
 reductions valid modulo m: adding or removing multiples of m*e_j never
-changes the lattice. Lattices are stored as k x k upper-triangular bases
-(row Hermite form) whose diagonal entries divide m; entries stay in
-[0, m), except diagonals which stay in (0, m]. A basis may carry trailing
+changes the lattice. A lattice is stored as the rows of its row Hermite
+form whose pivot is below m, in pivot order, as one int64 array of k
+columns. A row's pivot column is its first nonzero entry, and its pivot
+divides m; entries stay in [0, m). Every other column j carries the row
+m*e_j of the Hermite form, zero modulo m, which stays implicit: the
+cocycle lattice of S4 keeps 24 rows of its 529, that of B64 (order 64)
+65 of 3,969 at m = 2. A pivot of m divides no nonzero entry in [0, m), so
+no reduction ever uses an implicit row. A basis may carry trailing
 columns after its k pivot columns; they ride along through every row
 operation, which is how LatticeSolver keeps its coefficients.
 
 All row and column work goes through three steps:
   * _combine         - clear one entry against the pivot: of a row, or of a column in snf_mod
-  * hnf_insert       - fold one row into a triangular basis
+  * hnf_insert       - fold one row into a basis
   * _reduce          - triangular reduction of rows against a basis
 
-Most pivots of a basis here are m, on a row m*e_j that is zero modulo m:
-the cocycle lattice of S4 has 24 pivots below m out of 529. A pivot of m
-divides no nonzero entry in [0, m), so _reduce and hnf_canonical walk only
-the pivots below m.
-
-quotient_structure works on those pivots J alone. Coordinates against the
-sup basis live on J, and so do the relations of its rows J; each pivot of
-m contributes one unit relation row e_j. The relation matrix goes to
-snf_mod as a SparseRows: the unit rows as (row, column) pairs and the rest
-as one small dense block (at most 26 x 24 over the 114 quotients of the
-benchmark's oracle groups, against 1,058 x 529 dense). snf_mod tracks where
-the dense run would have moved every row and column, so it makes the same
-pivots, and the kept rows of W, hence the basis tables, come out byte for
-byte.
+quotient_structure diagonalises the relations of L2/L1 with snf_mod on a
+SparseRows: each implicit row of the sup basis contributes the unit
+relation row e_j, and the rest is one small dense block (at most 26 x 24
+over the 114 quotients of the benchmark's oracle groups, against
+1,058 x 529 dense). Rows and columns sit where the dense k x k run put
+them, and snf_mod tracks where that run would have moved every row and
+column, so it makes the same pivots, and the kept rows of W, hence the
+basis tables, come out byte for byte.
 
 Provided primitives:
-  * hnf_from_rows    - canonical triangular basis from a generating set
+  * hnf_from_rows    - canonical basis from a generating set
   * lattice_index    - [Z^k : L] as an exact integer
   * member_residual  - triangular membership reduction, of one vector or a block
   * SparseRows       - a matrix of unit rows and one dense block
   * snf_mod          - diagonalisation, with the inverse column transform
-  * orth_complement  - {u : <l, u> = 0 mod m for all l in L}, off L's triangular basis
+  * orth_complement  - {u : <l, u> = 0 mod m for all l in L}, off L's transposed basis
   * quotient_structure - invariants and generators of L2/L1, by one diagonalisation
   * LatticeSolver    - express vectors over a generating set, mod m
 """
 
 from __future__ import annotations
 
-from bisect import insort
-from math import gcd
+from bisect import bisect_left, insort
+from math import gcd, prod
 from typing import Sequence
 
 import numpy as np
@@ -89,23 +88,33 @@ def _combine(p: np.ndarray, r: np.ndarray, m: int, c: int = 0) -> tuple[int, int
     return u, v, -(a // g), piv // g
 
 
-def hnf_insert(H: np.ndarray, row: np.ndarray, m: int) -> None:
-    """Fold one row into the basis H, in place.
+def _pivots(H: np.ndarray) -> np.ndarray:
+    """The pivot column of each row of a basis: its first nonzero entry."""
+    return (H != 0).argmax(axis=1) if H.size else np.zeros(len(H), dtype=np.intp)
 
-    H has k = H.shape[0] pivot rows; columns past the k-th are trailing.
-    The scan walks the pivot columns left to right; columns once cleared
-    stay cleared because pivot rows are triangular, so the scan pointer
-    never backs up.
+
+def hnf_insert(H: np.ndarray, row: np.ndarray, k: int, m: int) -> np.ndarray:
+    """Fold one row into the basis H, and return the new basis.
+
+    Columns past the k-th are trailing. The scan walks the pivot columns
+    left to right; columns once cleared stay cleared because pivot rows are
+    triangular, so the scan pointer never backs up. At a column without a
+    row, the implicit row m*e_j is put in and combined, which gives it a
+    pivot below m.
     """
-    k = H.shape[0]
+    piv = _pivots(H).tolist()
     r = row.astype(np.int64) % m
     j = 0
     while True:
         nz = np.nonzero(r[j:k])[0]
         if nz.size == 0:
-            return
+            return H
         j += int(nz[0])
-        _combine(H[j, j:], r[j:], m)
+        n = bisect_left(piv, j)
+        if n == len(piv) or piv[n] != j:
+            H = np.concatenate([H[:n], m * (np.arange(r.size) == j)[None], H[n:]])
+            piv.insert(n, j)
+        _combine(H[n, j:], r[j:], m)
         j += 1
 
 
@@ -113,21 +122,19 @@ def _reduce(H: np.ndarray, R: np.ndarray, m: int, Q: np.ndarray | None = None) -
     """Triangular reduction of the rows of R against the basis H, in place.
 
     R is a 2-D int64 array with entries in [0, m) and as many columns as H.
-    Each row subtracts q_j * H[j] (mod m) pivot column by pivot column and
-    stops at the first pivot that does not divide its entry; a row that
+    Each row subtracts q_n * H[n] (mod m) row by row of H, in pivot order,
+    and stops at the first pivot that does not divide its entry; a row that
     ends all-zero lies in the lattice. Trailing columns ride along. When Q
-    is given, Q[i, n] receives row i's quotient at the n-th pivot below m,
-    so that v = q @ H + r (mod m) with q zero off those pivots.
+    is given, Q[i, n] receives row i's quotient at the row n of H, so that
+    v = q @ H + r (mod m).
 
-    Only the pivots below m are walked. A pivot of m divides no nonzero
-    entry in [0, m), so a row nonzero in the gap columns before the next
-    pivot below m stops there with q = 0, and rows zero in every pivot
-    column are never touched.
+    A row nonzero in a column without a row of H stops there, at the
+    implicit pivot m, with q = 0, so it leaves the walk when it reaches
+    that column.
     """
-    k = H.shape[0]
-    live = np.flatnonzero(R[:, :k].any(axis=1))
+    live = np.flatnonzero(R.any(axis=1))
     start = 0
-    for n, j in enumerate(np.flatnonzero(np.diagonal(H) < m)):
+    for n, j in enumerate(_pivots(H).tolist()):
         if j > start:
             live = live[~R[live, start:j].any(axis=1)]
         start = j + 1
@@ -135,11 +142,11 @@ def _reduce(H: np.ndarray, R: np.ndarray, m: int, Q: np.ndarray | None = None) -
         hit = np.nonzero(col)[0]
         if hit.size == 0:
             continue
-        q, rem = np.divmod(col[hit], H[j, j])
+        q, rem = np.divmod(col[hit], H[n, j])
         ok = rem == 0
         rows = live[hit[ok]]
         if rows.size:
-            R[rows, j:] = (R[rows, j:] - q[ok, None] * H[j, j:]) % m
+            R[rows, j:] = (R[rows, j:] - q[ok, None] * H[n, j:]) % m
             if Q is not None:
                 Q[rows, n] = q[ok]
         if rows.size < hit.size:
@@ -147,52 +154,48 @@ def _reduce(H: np.ndarray, R: np.ndarray, m: int, Q: np.ndarray | None = None) -
 
 
 def hnf_canonical(H: np.ndarray, m: int) -> np.ndarray:
-    """Reduce above-diagonal entries modulo the pivot below them.
+    """Reduce the entries above each pivot modulo that pivot.
 
-    Column j reduces the rows above it against row j. Only later columns
-    change row j, so every row meets the same pivot rows in the same order
-    as in a row-by-row pass. Entries lie in [0, m), so a pivot of m
-    changes nothing and only the pivots below m are walked.
+    Pivot column j reduces the rows above it against its row. Only later
+    columns change that row, so every row meets the same pivot rows in the
+    same order as in a row-by-row pass.
     """
     out = H.copy()
-    for j in np.flatnonzero(np.diagonal(out) < m):
-        q = out[:j, j] // out[j, j]
+    for n, j in enumerate(_pivots(out).tolist()):
+        q = out[:n, j] // out[n, j]
         rows = np.nonzero(q)[0]
         if rows.size:
-            out[rows, j:] = (out[rows, j:] - q[rows, None] * out[j, j:]) % m
+            out[rows, j:] = (out[rows, j:] - q[rows, None] * out[n, j:]) % m
     return out
 
 
 def hnf_from_rows(rows: Sequence[np.ndarray] | np.ndarray, k: int, m: int) -> np.ndarray:
-    """Triangular basis of <rows> + m*Z^k.
+    """Canonical basis of <rows> + m*Z^k.
 
-    Rows are first swept in bulk by the triangular reduction, which disposes
-    of redundant generators cheaply; rows that stop on a pivot need a pivot
-    update and go through hnf_insert, at most 8 between two sweeps. A sweep
-    walks only the pivots below m, so it is cheap and frequent sweeps win:
-    of the batch sizes 1, 8, 32 and 256, 8 gave the fastest oracle. The
-    resulting lattice does not depend on processing order, and the returned
-    form is canonical.
+    rows is a 2-D array, whose columns past the k-th are trailing, or a
+    sequence of rows of k entries. Rows are first swept in bulk by the
+    triangular reduction, which disposes of redundant generators cheaply;
+    rows that stop on a pivot need a pivot update and go through
+    hnf_insert, at most 8 between two sweeps. Frequent sweeps win: of the
+    batch sizes 1, 8, 32 and 256, 8 gave the fastest oracle. The resulting
+    lattice does not depend on processing order, and the returned form is
+    canonical, up to the trailing columns.
     """
-    H = m * np.eye(k, dtype=np.int64)
-    if k == 0:
-        return H
-    R = np.asarray(rows, dtype=np.int64).reshape(-1, k) % m
+    R = np.asarray(rows, dtype=np.int64)
+    R = (R if R.ndim == 2 else R.reshape(-1, k)) % m
+    H = np.zeros((0, R.shape[1]), dtype=np.int64)
     while R.shape[0]:
         _reduce(H, R, m)
-        R = R[R.any(axis=1)]
+        R = R[R[:, :k].any(axis=1)]
         for row in R[:8]:
-            hnf_insert(H, row, m)
+            H = hnf_insert(H, row, k, m)
         R = R[8:]
     return hnf_canonical(H, m)
 
 
-def lattice_index(H: np.ndarray) -> int:
-    """[Z^k : L], as an exact (possibly huge) integer."""
-    out = 1
-    for d in np.diagonal(H):
-        out *= int(d)
-    return out
+def lattice_index(H: np.ndarray, m: int) -> int:
+    """[Z^k : L], as an exact (possibly huge) integer, for a basis of k columns."""
+    return prod(H[np.arange(len(H)), _pivots(H)].tolist(), start=m ** (H.shape[1] - len(H)))
 
 
 def member_residual(H: np.ndarray, v: np.ndarray, m: int) -> np.ndarray:
@@ -330,41 +333,44 @@ def snf_mod(rows: np.ndarray | SparseRows, k: int, m: int) -> tuple[list[int], n
     return diag, out if sparse else np.asarray(out)
 
 
-def _relations(H: np.ndarray, m: int, idx: np.ndarray | None = None) -> np.ndarray:
-    """Rows spanning {c : c @ H = 0 mod m} modulo m*Z^k, or the rows idx of them.
+def _relations(H: np.ndarray, m: int) -> np.ndarray:
+    """Rows spanning {c : c @ H = 0 mod m} modulo m*Z^r, for the r rows of H.
 
-    H is a triangular basis with diagonal entries d_i dividing m, in which
-    every lattice vector that is zero left of column j reduces against rows
-    j.. (every hnf_from_rows output). Then (m/d_i)*H[i] is zero up to column
-    i and reduces to q_i @ H, with q_i nonzero only at the pivots below m,
-    and the rows (m/d_i)*e_i - q_i span the relations. Raises
-    ValidationError when a row does not reduce to zero, which shows H lacks
-    that property.
+    Row i of H has its pivot d_i, a divisor of m, at its first nonzero
+    column, and its rows with d_i < m form a basis in which every lattice
+    vector that is zero left of column j reduces against the rows with
+    pivot from j on (every hnf_from_rows output, and the reversed transpose
+    orth_complement builds, whose rows with d_i = m are not m*e_j). Then
+    (m/d_i)*H[i] is zero up to its pivot and reduces to q_i @ H, with q_i
+    nonzero only at the rows with pivot below m, and the rows
+    (m/d_i)*e_i - q_i span the relations. Raises ValidationError when a row
+    does not reduce to zero, which shows H lacks that property.
     """
-    k = H.shape[0]
-    idx = np.arange(k) if idx is None else idx
-    scale = m // np.diagonal(H)[idx]
-    R = (scale[:, None] * H[idx]) % m
-    piv = np.flatnonzero(np.diagonal(H) < m)
-    Q = np.zeros((idx.size, piv.size), dtype=np.int64)
-    _reduce(H, R, m, Q)
+    d = H[np.arange(H.shape[0]), _pivots(H)]
+    below = np.flatnonzero(d < m)
+    R = ((m // d)[:, None] * H) % m
+    Q = np.zeros((H.shape[0], below.size), dtype=np.int64)
+    _reduce(H[below], R, m, Q)
     if R.any():
         raise ValidationError("basis is not in Hermite form")
-    rel = np.zeros((idx.size, k), dtype=np.int64)
-    rel[np.arange(idx.size), idx] = scale
-    rel[:, piv] -= Q
+    rel = np.diag(m // d)
+    rel[:, below] -= Q
     return rel % m
 
 
 def orth_complement(rows: np.ndarray | Sequence[np.ndarray], k: int, m: int) -> np.ndarray:
     """Basis of {u : <l, u> = 0 mod m for every generator l}.
 
-    With H the basis of <rows>, these are the relations c @ H.T = 0.
-    Reversing both axes of H.T makes it triangular again with the same
-    reduction property, since its row space has the size of H's.
+    With D the k x k Hermite form of <rows>, these are the relations
+    c @ D.T = 0. Reversing both axes of D.T makes it triangular again with
+    the same reduction property, since its row space has the size of D's.
+    k counts edge unknowns or basis classes here (189 and 5 on B64), so D
+    is rebuilt from the basis and its implicit rows.
     """
+    D = m * np.eye(k, dtype=np.int64)
     H = hnf_from_rows(rows, k, m)
-    comp = _relations(H.T[::-1, ::-1], m)[:, ::-1]
+    D[_pivots(H)] = H
+    comp = _relations(D.T[::-1, ::-1], m)[:, ::-1]
     return hnf_from_rows(comp, k, m)
 
 
@@ -377,67 +383,54 @@ def quotient_structure(
     nontrivial cyclic summand (a divisor of m), and gens[i] a vector of Z^k
     whose class generates it. Orders are not chained; canonicalise with
     groups.invariant_factors_from_orders. Raises ValidationError when the
-    sub lattice does not lie inside the sup lattice, or when a row of either
-    basis with pivot m is not m*e_j, as it is in a canonical basis.
+    sub lattice does not lie inside the sup lattice.
 
     The relation lattice is diagonalised: the coordinates (against sup) of
-    the sub generators, one row per row of sub_H, then one slack row per
-    column for the coordinates of what lands in m*Z^k. Coordinates live on
-    the pivots J of sup below m. A row m*e_j is zero modulo m, and as a row
-    of sup its slack row is the unit row e_j. The dense block holds the
-    other rows: those of sub_H, and a basis of the relations of the rows J
-    on the columns J, each with its pivot below m.
+    the sub generators, then one slack row per column for the coordinates
+    of what lands in m*Z^k, each row at the position of its pivot in the
+    dense k x k forms. Coordinates live on the pivots J of sup. The slack
+    row of an implicit row m*e_j of sup is the unit row e_j; the dense
+    block holds the rows of sub_H, and a basis of the relations of the rows
+    of sup_H on the columns J.
     """
-    k = sup_H.shape[0]
+    k = sup_H.shape[1]
     if k == 0:
         return [], np.zeros((0, 0), dtype=np.int64)
-    below = np.diagonal(sup_H) < m
-    J, unit = np.flatnonzero(below), np.flatnonzero(~below)
-    sub = np.flatnonzero(np.diagonal(sub_H) < m)
-    for H, idx in ((sup_H, J), (sub_H, sub)):
-        if np.count_nonzero(H) != np.count_nonzero(H[idx]) + H.shape[0] - idx.size:
-            raise ValidationError("basis is not in Hermite form")
-    R = sub_H[sub] % m
-    Q = np.zeros((sub.size, J.size), dtype=np.int64)
+    J = _pivots(sup_H)
+    unit = np.setdiff1d(np.arange(k), J)
+    R = sub_H % m
+    Q = np.zeros((R.shape[0], J.size), dtype=np.int64)
     _reduce(sup_H, R, m, Q)
     if R.any():
         raise ValidationError("sub lattice is not contained in the sup lattice")
-    slack = hnf_from_rows(_relations(sup_H, m, J)[:, J], J.size, m)
-    live = np.flatnonzero(np.diagonal(slack) < m)
-    n = sub_H.shape[0]
+    slack = hnf_from_rows(_relations(sup_H, m), J.size, m)
     rel = SparseRows(
-        (n + k, k),
-        np.column_stack([n + unit, unit]),
-        np.concatenate([sub, n + J[live]]),
+        (2 * k, k),
+        np.column_stack([k + unit, unit]),
+        np.concatenate([_pivots(sub_H), k + J[_pivots(slack)]]),
         J,
-        np.vstack([Q, slack[live]]),
+        np.vstack([Q, slack]),
     )
     diag, W = snf_mod(rel, k, m)
     keep = [i for i, d in enumerate(diag) if d > 1]
-    gens = W.take(keep)
-    cols = np.flatnonzero(gens.any(axis=0))
-    return [diag[i] for i in keep], (gens[:, cols] @ sup_H[cols]) % m
+    return [diag[i] for i in keep], (W.take(keep)[:, J] @ sup_H) % m
 
 
 class LatticeSolver:
     """Express vectors as combinations of a fixed generating set, mod m.
 
-    The basis of [gens | I] is built by hnf_insert, so its trailing columns
-    record each pivot row as a combination of the generators. solve(v)
-    takes one vector or a block of rows, and returns for each row one
-    coefficient vector c with v = sum c_i * gen_i modulo m*Z^k, or None
+    The basis of [gens | I] comes from hnf_from_rows, so its trailing
+    columns record each basis row as a combination of the generators.
+    solve(v) takes one vector or a block of rows, and returns for each row
+    one coefficient vector c with v = sum c_i * gen_i modulo m*Z^k, or None
     when some row is outside the span.
     """
 
     def __init__(self, gens: np.ndarray, k: int, m: int):
-        self.k = k
-        self.m = m
+        self.k, self.m = k, m
         self.t = gens.shape[0] if gens.size else 0
-        self.H = np.zeros((k, k + self.t), dtype=np.int64)
-        self.H[:, :k] = m * np.eye(k, dtype=np.int64)
         gens = np.asarray(gens, dtype=np.int64).reshape(self.t, k)
-        for row in np.hstack([gens, np.eye(self.t, dtype=np.int64)]):
-            hnf_insert(self.H, row, m)
+        self.H = hnf_from_rows(np.hstack([gens, np.eye(self.t, dtype=np.int64)]), k, m)
 
     def solve(self, v: np.ndarray) -> np.ndarray | None:
         m, k = self.m, self.k

@@ -304,8 +304,9 @@ def build_wedge_presentation(
         raise GroupTooLarge(
             f"|{G.label}| = {G.order} exceeds the {variant.value} cap {cap}"
         )
+    collapsed = _collapsed_letters(G, variant, range(G.order))
     dead = np.arange(G.order**2 + 1, dtype=np.int32)  # sends the letters single raw relators kill to 0
-    dead[_collapsed_letters(G, variant, range(G.order))] = 0
+    dead[collapsed] = 0
     dead[1:G.order + 1] = dead[1::G.order] = 0  # the pairs (1, y) and (y, 1)
     blocks = (np.sign(rows) * dead[np.abs(rows)] for rows in _relator_blocks(G, variant))
     letters, kept = _eliminate(blocks, G.order**2)
@@ -325,7 +326,7 @@ def build_wedge_presentation(
         pair_letters=tuple(letters[1:].tolist()),
         r1_count=G.order**3,
         r2_count=G.order**3,
-        r3_count=len(_collapsed_letters(G, variant, range(G.order))),
+        r3_count=len(collapsed),
     )
 
 

@@ -116,6 +116,15 @@ class TestCatalogFiles:
             save_catalog([escaping], tmp_path / "root")
         assert list(tmp_path.iterdir()) == []  # neither root nor escaped_save.json
 
+    def test_save_checks_every_name_before_it_writes(self, tmp_path):
+        import dataclasses
+
+        ok = dataclasses.replace(builtin("cyclic", (2,)), label="ok")
+        bad = dataclasses.replace(builtin("cyclic", (2,)), label="../bad")
+        with pytest.raises(ParseError, match="not a plain file name"):
+            save_catalog([ok, bad], tmp_path)
+        assert list(tmp_path.iterdir()) == []  # no ok.json
+
     def test_bad_table_rejected(self, tmp_path):
         (tmp_path / "bad.json").write_text(
             json.dumps({"name": "bad", "kind": "cayley", "data": {"table": [[0, 1], [1, 1]]}})

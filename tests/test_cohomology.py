@@ -127,7 +127,7 @@ def h2_order_from_rows(G, rows, m):
             for y in range(1, n):
                 c = (x == g) + (y == g) - (G.mul[x][y] == g)
                 cob[g - 1, (x - 1) * (n - 1) + (y - 1)] = c % m
-    return lattice_index(hnf_from_rows(cob, k, m)) // lattice_index(Hz)
+    return lattice_index(hnf_from_rows(cob, k, m), m) // lattice_index(Hz, m)
 
 
 def _row_groups():
@@ -214,8 +214,8 @@ class TestCheckCocycle:
 
 
 def _zero_lattice(rows, k, m):
-    """m * Z^k, whatever the rows: a complement with no nonzero member."""
-    return m * np.eye(k, dtype=np.int64)
+    """m * Z^k, whatever the rows: a complement with no nonzero member, so no basis row."""
+    return np.zeros((0, k), dtype=np.int64)
 
 
 class TestCertificatesFire:

@@ -51,6 +51,24 @@ def brute_complement(rows, k, m):
     }
 
 
+def first_nonzero(H):
+    """The pivot column of each row of a basis: its first nonzero entry."""
+    return [int(np.flatnonzero(row)[0]) for row in H]
+
+
+def densify(H, k, m):
+    """The k x k Hermite form of a basis: its rows at their pivots and m*e_j elsewhere, trailing columns kept."""
+    D = np.zeros((k, H.shape[1]), dtype=np.int64)
+    D[:, :k] = m * np.eye(k, dtype=np.int64)
+    D[first_nonzero(H[:, :k])] = H
+    return D
+
+
+def compact(D, m):
+    """The rows of a k x k Hermite form with diagonal below m: the basis lattices.py keeps."""
+    return D[np.diagonal(D) < m]
+
+
 def random_cases(count, seed):
     rng = random.Random(seed)
     for _ in range(count):
@@ -65,8 +83,9 @@ def test_hnf_membership_and_index(case):
     k, m, rows = case
     arr = np.array(rows, dtype=np.int64).reshape(-1, k)
     H = hnf_from_rows(arr, k, m)
+    assert np.array_equal(H, compact(dense_hnf_from_rows(arr, k, m), m))
     span = brute_span(rows, k, m)
-    assert m**k // lattice_index(H) == len(span)
+    assert m**k // lattice_index(H, m) == len(span)
     for v in itertools.product(range(m), repeat=k):
         assert (not member_residual(H, np.array(v), m).any()) == (v in span)
 
@@ -100,7 +119,7 @@ def test_quotient_structure(case):
     sup_H = hnf_from_rows(np.array(rows, dtype=np.int64).reshape(-1, k), k, m)
     rng = random.Random(hash(str(case)) & 0xFFFF)
     sub_rows = []
-    for r in sup_H:
+    for r in densify(sup_H, k, m):
         c = rng.choice([1, 2, m])
         sub_rows.append([(c * x) % m for x in r])
     sub_H = hnf_from_rows(np.array(sub_rows, dtype=np.int64), k, m)
@@ -173,14 +192,15 @@ def test_hnf_is_canonical(case):
     rng.shuffle(perm)
     assert np.array_equal(hnf_from_rows(rows[perm], k, m), H)
     assert np.array_equal(hnf_from_rows(np.vstack([rows, rows[::-1]]), k, m), H)
-    assert np.array_equal(H, np.triu(H))
+    D = densify(H, k, m)
+    assert np.array_equal(D, np.triu(D))
     for j in range(k):
-        assert 0 < H[j, j] <= m and m % H[j, j] == 0
-        assert all(0 <= H[i, j] < H[j, j] for i in range(j))
-    raw = m * np.eye(k, dtype=np.int64)
+        assert 0 < D[j, j] <= m and m % D[j, j] == 0
+        assert all(0 <= D[i, j] < D[j, j] for i in range(j))
+    raw = np.zeros((0, k), dtype=np.int64)
     for row in rows:
-        hnf_insert(raw, row, m)
-    assert np.array_equal(hnf_canonical(raw, m), loop_hnf_canonical(raw, m))
+        raw = hnf_insert(raw, row, k, m)
+    assert np.array_equal(hnf_canonical(raw, m), compact(loop_hnf_canonical(densify(raw, k, m), m), m))
     assert np.array_equal(hnf_canonical(raw, m), H)
 
 
@@ -194,13 +214,16 @@ def test_reduction_splits_vectors(case):
         (np.array(members, dtype=np.int64).reshape(10, len(rows)) @ rows) % m,
         np.array([[rng.randrange(m) for _ in range(k)] for _ in range(10)], dtype=np.int64),
     ])
-    R = np.hstack([vs, np.zeros_like(vs)])
-    _reduce(np.hstack([H, np.eye(k, dtype=np.int64)]), R, m)
+    p = H.shape[0]
+    R = np.hstack([vs, np.zeros((len(vs), p), dtype=np.int64)])
+    _reduce(np.hstack([H, np.eye(p, dtype=np.int64)]), R, m)
     r, q = R[:, :k], -R[:, k:] % m
     assert not ((q @ H + r - vs) % m).any()
     for v, quot, res in zip(vs, q, r):
-        ref_q, ref_r = loop_reduce(H, v, m)
-        assert np.array_equal(quot, ref_q) and np.array_equal(res, ref_r)
+        ref_q, ref_r = loop_reduce(densify(H, k, m), v, m)
+        dense_q = np.zeros(k, dtype=np.int64)
+        dense_q[first_nonzero(H)] = quot
+        assert np.array_equal(dense_q, ref_q) and np.array_equal(res, ref_r)
         assert np.array_equal(member_residual(H, v, m), res)
     assert np.array_equal(member_residual(H, vs, m), r)
 
@@ -209,7 +232,7 @@ def test_reduction_splits_vectors(case):
 def test_snf_transforms(case):
     k, m, rows = case
     diag, W = snf_mod(rows, k, m)
-    assert lattice_index(hnf_from_rows(W, k, m)) == 1
+    assert lattice_index(hnf_from_rows(W, k, m), m) == 1
     # the lattice is rowspace(D @ W) + m*Z^k, which pins W down
     rebuilt = (np.array(diag)[:, None] * W) % m
     assert np.array_equal(hnf_from_rows(rebuilt, k, m), hnf_from_rows(rows, k, m))
@@ -219,13 +242,20 @@ def test_snf_transforms(case):
 def test_relations_of_a_triangular_basis(case):
     k, m, rows = case
     H = hnf_from_rows(rows, k, m)
-    rel = hnf_from_rows(_relations(H, m), k, m)
+    D = densify(H, k, m)
+    rel = hnf_from_rows(_relations(D, m), k, m)
+    assert not ((rel @ D) % m).any()
+    # |{c : c @ D = 0}| = [Z^k : L], so the relation lattice has index m^k / [Z^k : L]
+    assert lattice_index(rel, m) * lattice_index(H, m) == m**k
+    # the relations of the p rows of H: the image of c -> c @ H has m^k / [Z^k : L]
+    # members, so the relation lattice in Z^p has the same index
+    p = H.shape[0]
+    rel = hnf_from_rows(_relations(H, m), p, m)
     assert not ((rel @ H) % m).any()
-    # |{c : c @ H = 0}| = [Z^k : L], so the relation lattice has index m^k / [Z^k : L]
-    assert lattice_index(rel) * lattice_index(H) == m**k
+    assert lattice_index(rel, m) * lattice_index(H, m) == m**k
     comp = orth_complement(rows, k, m)
     assert not ((rows @ comp.T) % m).any()
-    assert lattice_index(comp) * lattice_index(H) == m**k
+    assert lattice_index(comp, m) * lattice_index(H, m) == m**k
 
 
 def dense_reduce(H, R, m):
@@ -256,19 +286,56 @@ def dense_hnf_canonical(H, m):
     return out
 
 
+def dense_hnf_insert(H, row, m):
+    """Reference: hnf_insert as it was on a k x k basis, in place; columns past the k-th are trailing."""
+    k = H.shape[0]
+    r = row.astype(np.int64) % m
+    j = 0
+    while True:
+        nz = np.nonzero(r[j:k])[0]
+        if nz.size == 0:
+            return
+        j += int(nz[0])
+        _combine(H[j, j:], r[j:], m)
+        j += 1
+
+
 def dense_hnf_from_rows(rows, k, m):
-    """Reference: hnf_from_rows on the dense kernels, 256 insertions between sweeps."""
-    H = m * np.eye(k, dtype=np.int64)
-    if k == 0:
-        return H
-    R = np.asarray(rows, dtype=np.int64).reshape(-1, k) % m
+    """Reference: hnf_from_rows on k x k bases and the dense kernels, 256 insertions between sweeps.
+
+    rows may carry trailing columns, which ride along as in LatticeSolver.
+    """
+    R = np.asarray(rows, dtype=np.int64)
+    R = R.reshape(-1, R.shape[1] if R.ndim == 2 else k) % m
+    H = np.zeros((k, R.shape[1]), dtype=np.int64)
+    H[:, :k] = m * np.eye(k, dtype=np.int64)
     while R.shape[0]:
         dense_reduce(H, R, m)
-        R = R[R.any(axis=1)]
+        R = R[R[:, :k].any(axis=1)]
         for row in R[:256]:
-            hnf_insert(H, row, m)
+            dense_hnf_insert(H, row, m)
         R = R[256:]
     return dense_hnf_canonical(H, m)
+
+
+class InsertOnlySolver:
+    """Reference: LatticeSolver as it was, with [mI | 0] folding in each row of [gens | I] by dense_hnf_insert."""
+
+    def __init__(self, gens, k, m):
+        self.k, self.m, self.t = k, m, len(gens)
+        self.H = np.zeros((k, k + self.t), dtype=np.int64)
+        self.H[:, :k] = m * np.eye(k, dtype=np.int64)
+        for row in np.hstack([gens, np.eye(self.t, dtype=np.int64)]):
+            dense_hnf_insert(self.H, row, m)
+
+    def solve(self, v):
+        k = self.k
+        r = np.zeros((len(v), k + self.t), dtype=np.int64)
+        r[:, :k] = v % self.m
+        dense_reduce(self.H, r, self.m)
+        if r[:, :k].any():
+            return None
+        return -r[:, k:] % self.m
 
 
 def dense_quotient_relations(sub_H, sup_H, m):
@@ -425,7 +492,8 @@ def block_only_quotient(sub_H, sup_H, m):
 
 def assert_same_quotient(sub_H, sup_H, m):
     diag, gens = quotient_structure(sub_H, sup_H, m)
-    ref_diag, ref_gens = dense_quotient_structure(sub_H, sup_H, m)
+    k = sup_H.shape[1]
+    ref_diag, ref_gens = dense_quotient_structure(densify(sub_H, k, m), densify(sup_H, k, m), m)
     assert diag == ref_diag
     assert np.array_equal(gens, ref_gens)
 
@@ -448,7 +516,7 @@ SPARSE_CASES = list(sparse_cases(60, seed=15))
 
 
 def test_sparse_cases_are_mostly_pivots_of_m():
-    pivots = np.concatenate([np.diagonal(hnf_from_rows(rows, k, m)) == m for k, m, rows in SPARSE_CASES])
+    pivots = np.concatenate([np.diagonal(densify(hnf_from_rows(rows, k, m), k, m)) == m for k, m, rows in SPARSE_CASES])
     assert pivots.mean() > 0.8 and not pivots.all()
 
 
@@ -465,20 +533,32 @@ def reduce_blocks(rows, k, m, rng):
 def test_kernels_match_the_dense_reference(case):
     k, m, rows = case
     H = hnf_from_rows(rows, k, m)
-    assert np.array_equal(H, dense_hnf_from_rows(rows, k, m))
-    raw = m * np.eye(k, dtype=np.int64)
+    assert np.array_equal(H, compact(dense_hnf_from_rows(rows, k, m), m))
+    raw = np.zeros((0, k), dtype=np.int64)
+    dense_raw = m * np.eye(k, dtype=np.int64)
     for row in rows:
-        hnf_insert(raw, row, m)
-    assert np.array_equal(hnf_canonical(raw, m), dense_hnf_canonical(raw, m))
+        raw = hnf_insert(raw, row, k, m)
+        dense_hnf_insert(dense_raw, row, m)
+    assert np.array_equal(densify(raw, k, m), dense_raw)
+    assert np.array_equal(hnf_canonical(raw, m), compact(dense_hnf_canonical(dense_raw, m), m))
     rng = random.Random(k * 1000 + m)
     I = np.eye(k, dtype=np.int64)
-    # H, the reversed transpose orth_complement builds, and both with [. | I] trailing columns
-    for basis in (H, H.T[::-1, ::-1], np.hstack([H, I]), np.hstack([H.T[::-1, ::-1], I])):
+    D = densify(H, k, m)
+    T = D.T[::-1, ::-1]
+    below = np.diagonal(T) < m
+    # H, the rows below m of the reversed transpose orth_complement builds, and
+    # both with [. | I] trailing columns, against the dense forms they come from
+    for basis, dense in (
+        (H, D),
+        (T[below], T),
+        (np.hstack([H, I[np.diagonal(D) < m]]), np.hstack([D, I])),
+        (np.hstack([T[below], I[below]]), np.hstack([T, I])),
+    ):
         vs = reduce_blocks(rows, k, m, rng)
         R = np.hstack([vs, np.zeros((len(vs), basis.shape[1] - k), dtype=np.int64)])
         ref = R.copy()
         _reduce(basis, R, m)
-        dense_reduce(basis, ref, m)
+        dense_reduce(dense, ref, m)
         assert np.array_equal(R, ref)
 
 
@@ -486,41 +566,36 @@ def test_kernels_match_the_dense_reference(case):
 def test_quotient_and_solver_match_the_dense_reference(case):
     k, m, rows = case
     sup_H = hnf_from_rows(rows, k, m)
+    sup_D = densify(sup_H, k, m)
     rng = random.Random(k * 1000 + m + 1)
-    sub_rows = [(rng.choice([1, 2, 3, m]) * r + rng.randrange(m) * sup_H[rng.randrange(k)]) % m for r in sup_H]
+    sub_rows = [(rng.choice([1, 2, 3, m]) * r + rng.randrange(m) * sup_D[rng.randrange(k)]) % m for r in sup_D]
     sub_H = hnf_from_rows(np.array(sub_rows, dtype=np.int64).reshape(-1, k), k, m)
+    sub_D = densify(sub_H, k, m)
     diag, gens = quotient_structure(sub_H, sup_H, m)
-    ref_diag, ref_gens = dense_quotient_structure(sub_H, sup_H, m)
+    ref_diag, ref_gens = dense_quotient_structure(sub_D, sup_D, m)
     assert diag == ref_diag and np.array_equal(gens, ref_gens)
-    ref = dense_quotient_relations(sub_H, sup_H, m)
+    ref = dense_quotient_relations(sub_D, sup_D, m)
     ref_diag, W = snf_mod(ref, k, m)
     keep = [i for i, d in enumerate(ref_diag) if d > 1]
     assert diag == [ref_diag[i] for i in keep]
-    assert np.array_equal(gens, (W[keep] @ sup_H) % m)
-    # the solver on the quotient generators and only the sub rows below m
-    # gives the coordinates it gives with every sub row
-    full = LatticeSolver(np.vstack([gens, sub_H]), k, m)
-    trimmed_gens = np.vstack([gens, sub_H[np.diagonal(sub_H) < m]])
+    assert np.array_equal(gens, (W[keep] @ sup_D) % m)
+    # the solver on the quotient generators and the sub basis gives the
+    # coordinates it gives with every row of the dense sub basis, and the
+    # insert-only reference gives them too
+    full = LatticeSolver(np.vstack([gens, sub_D]), k, m)
+    trimmed_gens = np.vstack([gens, sub_H])
     trimmed = LatticeSolver(trimmed_gens, k, m)
+    reference = InsertOnlySolver(trimmed_gens, k, m)
     orders = np.array(diag, dtype=np.int64)
-    members = (np.array([[rng.randrange(m) for _ in range(k)] for _ in range(6)], dtype=np.int64) @ sup_H) % m
-    a, b = full.solve(members), trimmed.solve(members)
+    members = (np.array([[rng.randrange(m) for _ in range(k)] for _ in range(6)], dtype=np.int64) @ sup_D) % m
+    a, b, c = full.solve(members), trimmed.solve(members), reference.solve(members)
     assert np.array_equal(a[:, : len(diag)] % orders, b[:, : len(diag)] % orders)
+    assert np.array_equal(c[:, : len(diag)] % orders, b[:, : len(diag)] % orders)
     assert not ((b @ trimmed_gens - members) % m).any()
     # random rows, most of them outside a sparse lattice
     for v in reduce_blocks(rows, k, m, rng)[8:16]:
-        assert (full.solve(v) is None) == (trimmed.solve(v) is None)
+        assert (full.solve(v) is None) == (trimmed.solve(v) is None) == (reference.solve(v[None]) is None)
         assert (full.solve(v) is None) == bool(member_residual(sup_H, v, m).any())
-
-
-def test_quotient_structure_rejects_a_pivot_of_m_off_its_unit_row():
-    # row 0 has pivot 4 = m but is not 4*e_0, so its relation row is not e_0
-    sup_H = np.array([[4, 1], [0, 2]], dtype=np.int64)
-    with pytest.raises(ValidationError, match="Hermite"):
-        quotient_structure(4 * np.eye(2, dtype=np.int64), sup_H, 4)
-    # the same on the sub side: row 0 of sub_H is read as 4*e_0, zero modulo 4
-    with pytest.raises(ValidationError, match="Hermite"):
-        quotient_structure(sup_H, np.eye(2, dtype=np.int64), 4)
 
 
 def test_combine_returns_its_determinant_one_transform():
@@ -551,6 +626,9 @@ def test_relations_reject_a_basis_that_is_not_hermite():
     H = np.array([[2, 1], [0, 4]], dtype=np.int64)
     with pytest.raises(ValidationError, match="Hermite"):
         _relations(H, 4)
+    # the same basis with its implicit row (0, 4) left out
+    with pytest.raises(ValidationError, match="Hermite"):
+        _relations(H[:1], 4)
 
 
 def loop_smallest_entry(sub, m):
@@ -707,8 +785,9 @@ def test_snf_pivot_search_matches_the_loop(monkeypatch):
 def nested_pair(rows, k, m, seed):
     """(sub_H, sup_H): the basis of the rows, and a basis of a sublattice of it."""
     sup_H = hnf_from_rows(rows, k, m)
+    sup_D = densify(sup_H, k, m)
     rng = random.Random(seed)
-    sub_rows = [(rng.choice([1, 2, 3, m]) * r + rng.randrange(m) * sup_H[rng.randrange(k)]) % m for r in sup_H]
+    sub_rows = [(rng.choice([1, 2, 3, m]) * r + rng.randrange(m) * sup_D[rng.randrange(k)]) % m for r in sup_D]
     return hnf_from_rows(np.array(sub_rows, dtype=np.int64).reshape(-1, k), k, m), sup_H
 
 
@@ -732,40 +811,89 @@ def test_quotient_matches_the_dense_run_on_the_combine_cases(rows, m):
 
 
 @pytest.fixture(scope="module")
-def oracle_quotients():
-    """The (sub, sup, m) inputs of quotient_structure in b0_lower_bound on the workload's groups.
+def oracle_inputs():
+    """What b0_lower_bound hands the lattice code on the workload's groups.
 
-    They include the spaces of the maximal abelian subgroups and the
-    quotient b0_lower_bound itself takes.
+    "quotient" holds the (sub, sup, m) inputs of quotient_structure, those
+    of the spaces of the maximal abelian subgroups and of the quotient
+    b0_lower_bound itself takes. "hnf" holds the (rows, k, m) inputs of
+    hnf_from_rows, the solvers' included, and "space" each group's
+    top-level cocycle space with the generators of its solver.
     """
-    seen = []
-    original = cohomology.quotient_structure
+    seen = {"quotient": [], "hnf": [], "space": []}
+    solver_gens = {}
+    quotient, hnf, solver = cohomology.quotient_structure, lattices.hnf_from_rows, cohomology.LatticeSolver
 
-    def recording(sub_H, sup_H, m):
-        seen.append((sub_H.copy(), sup_H.copy(), m))
-        return original(sub_H, sup_H, m)
+    def recording_quotient(sub_H, sup_H, m):
+        seen["quotient"].append((sub_H.copy(), sup_H.copy(), m))
+        return quotient(sub_H, sup_H, m)
+
+    def recording_hnf(rows, k, m):
+        seen["hnf"].append((np.array(rows, dtype=np.int64), k, m))
+        return hnf(rows, k, m)
+
+    def recording_solver(gens, k, m):
+        out = solver(gens, k, m)
+        solver_gens[id(out)] = gens.copy()
+        return out
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(cohomology, "quotient_structure", recording)
+        patch.setattr(cohomology, "quotient_structure", recording_quotient)
+        patch.setattr(cohomology, "hnf_from_rows", recording_hnf)
+        patch.setattr(lattices, "hnf_from_rows", recording_hnf)
+        patch.setattr(cohomology, "LatticeSolver", recording_solver)
         for family, params in ORACLE_SMALL:
             G = builtin(family, params)
             cohomology.b0_lower_bound(G, G.order)
+            space = cohomology.cocycle_space(G, G.order)
+            seen["space"].append((space, solver_gens[id(space._solver)]))
     return seen
 
 
-def test_quotient_matches_the_dense_run_on_the_oracle_inputs(oracle_quotients):
+def test_quotient_matches_the_dense_run_on_the_oracle_inputs(oracle_inputs):
     shortcut_misses = 0
-    for sub_H, sup_H, m in oracle_quotients:
+    for sub_H, sup_H, m in oracle_inputs["quotient"]:
         diag, gens = quotient_structure(sub_H, sup_H, m)
-        ref_diag, ref_gens = dense_quotient_structure(sub_H, sup_H, m)
+        k = sup_H.shape[1]
+        sub_D, sup_D = densify(sub_H, k, m), densify(sup_H, k, m)
+        ref_diag, ref_gens = dense_quotient_structure(sub_D, sup_D, m)
         assert diag == ref_diag
         assert np.array_equal(gens, ref_gens)
-        short_diag, short_gens = block_only_quotient(sub_H, sup_H, m)
+        short_diag, short_gens = block_only_quotient(sub_D, sup_D, m)
         shortcut_misses += short_diag != ref_diag or not np.array_equal(short_gens, ref_gens)
     # a Smith form of the non-unit rows alone, without the row swaps that
     # pivots on unit rows make, gets 36 of the 114 wrong
-    assert len(oracle_quotients) == 114
+    assert len(oracle_inputs["quotient"]) == 114
     assert shortcut_misses >= 30
+
+
+def test_hnf_matches_the_dense_run_on_the_oracle_inputs(oracle_inputs):
+    calls = oracle_inputs["hnf"]
+    solver_calls = 0
+    for rows, k, m in calls:
+        H = hnf_from_rows(rows, k, m)
+        assert np.array_equal(H[:, :k], compact(dense_hnf_from_rows(rows, k, m), m)[:, :k])
+        if rows.shape[1] > k:
+            # a solver's [gens | I]: the trailing columns write each row over the generators
+            solver_calls += 1
+            assert not ((H[:, k:] @ rows[:, :k] - H[:, :k]) % m).any()
+    assert len(calls) == 650 and solver_calls == 97
+
+
+def test_class_coordinates_match_the_insert_only_solver(oracle_inputs):
+    rng = random.Random(23)
+    for space, gens in oracle_inputs["space"]:
+        n, m, rank = space.group.order, space.modulus, space.rank
+        k = (n - 1) ** 2
+        # members of the cocycle lattice; the rows of gens past the basis are coboundaries
+        coeffs = np.array([[rng.randrange(m) for _ in gens] for _ in range(8)], dtype=np.int64)
+        tables = np.zeros((8, n, n), dtype=np.int64)
+        tables[:, 1:, 1:] = ((coeffs @ gens) % m).reshape(8, n - 1, n - 1)
+        orders = np.array(space.basis_orders, dtype=np.int64)
+        coords = space._coords(tables)
+        assert np.array_equal(coords, coeffs[:, :rank] % orders)
+        reference = InsertOnlySolver(gens, k, m).solve(tables[:, 1:, 1:].reshape(8, k))
+        assert np.array_equal(reference[:, :rank] % orders, coords)
 
 
 def test_quotient_structure_stays_off_the_dense_form(monkeypatch):
@@ -774,8 +902,9 @@ def test_quotient_structure_stays_off_the_dense_form(monkeypatch):
     monkeypatch.setattr(cohomology, "quotient_structure", lambda *args: seen.append(args) or original(*args))
     cohomology.cocycle_space(builtin("symmetric", (4,)), 24)
     sub_H, sup_H, m = seen[0]
-    assert sup_H.shape == (529, 529) and m == 24
-    assert np.count_nonzero(np.diagonal(sup_H) < m) == 24 and np.count_nonzero(np.diagonal(sub_H) < m) == 23
+    assert sup_H.shape == (24, 529) and sub_H.shape == (23, 529) and m == 24
+    sub_D, sup_D = densify(sub_H, 529, m), densify(sup_H, 529, m)
+    assert np.count_nonzero(np.diagonal(sup_D) < m) == 24 and np.count_nonzero(np.diagonal(sub_D) < m) == 23
     tracemalloc.start()
     try:
         quotient_structure(sub_H, sup_H, m)

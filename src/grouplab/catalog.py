@@ -30,6 +30,7 @@ from .errors import (
 )
 from .fpgroups import DEFAULT_MAX_COSETS
 from .groups import (
+    DEFAULT_ORDER_CAP,
     FiniteGroup,
     _factorise,
     abelian_invariants,
@@ -92,7 +93,7 @@ def _symmetric(n: int) -> FiniteGroup:
     if n <= 1:
         return _cyclic(1)
     gens = [[1, 0] + list(range(2, n)), list(range(1, n)) + [0]]
-    return build_from_permutations(gens, cap=200, label=f"S{n}")
+    return build_from_permutations(gens, label=f"S{n}")
 
 
 def _alternating(n: int) -> FiniteGroup:
@@ -103,7 +104,7 @@ def _alternating(n: int) -> FiniteGroup:
         perm = list(range(n))
         perm[0], perm[1], perm[c] = perm[1], perm[c], perm[0]
         three_cycles.append(perm)
-    return build_from_permutations(three_cycles, cap=200, label=f"A{n}")
+    return build_from_permutations(three_cycles, label=f"A{n}")
 
 
 def _elementary(p: int, k: int) -> FiniteGroup:
@@ -139,13 +140,13 @@ def _extraspecial(p: int, exponent_type: str) -> FiniteGroup:
 # family -> (constructor, number of integer parameters, range check). A range
 # check bounds every parameter before it tests a prime or takes a power.
 _FAMILIES = {
-    "cyclic": (_cyclic, 1, lambda n: 1 <= n <= 512),
-    "dihedral": (_dihedral, 1, lambda n: 1 <= n and 2 * n <= 512),
-    "dicyclic": (_dicyclic, 1, lambda n: 1 <= n and 4 * n <= 512),
+    "cyclic": (_cyclic, 1, lambda n: 1 <= n <= DEFAULT_ORDER_CAP),
+    "dihedral": (_dihedral, 1, lambda n: 1 <= n and 2 * n <= DEFAULT_ORDER_CAP),
+    "dicyclic": (_dicyclic, 1, lambda n: 1 <= n and 4 * n <= DEFAULT_ORDER_CAP),
     "quaternion8": (lambda: _dicyclic(2), 0, lambda: True),
     "symmetric": (_symmetric, 1, lambda n: 1 <= n <= 5),
     "alternating": (_alternating, 1, lambda n: 1 <= n <= 5),
-    "elementary": (_elementary, 2, lambda p, k: 2 <= p <= 512 and 1 <= k <= 9 and p**k <= 512 and _factorise(p) == {p: 1}),
+    "elementary": (_elementary, 2, lambda p, k: 2 <= p <= DEFAULT_ORDER_CAP and 1 <= k <= 9 and p**k <= DEFAULT_ORDER_CAP and _factorise(p) == {p: 1}),
 }
 
 
@@ -183,8 +184,8 @@ def builtin(family: str, params: Sequence = ()) -> FiniteGroup:
             else:
                 raise ParamOutOfRange(f"bad direct_product factor descriptor: {desc!r}")
         total = math.prod(fac.order for fac in factors)
-        if total > 512:
-            raise ParamOutOfRange(f"direct product order {total} exceeds the core cap 512")
+        if total > DEFAULT_ORDER_CAP:
+            raise ParamOutOfRange(f"direct product order {total} exceeds the core cap {DEFAULT_ORDER_CAP}")
         return functools.reduce(direct_product, factors)
     if fam not in _FAMILIES:
         raise UnknownFamily(f"unknown builtin family {family!r}")
@@ -241,7 +242,7 @@ def group_from_spec_dict(doc: dict, origin: str = "<spec>") -> FiniteGroup:
             raise ParseError("perm data needs a 'generators' array", path=origin)
         if degree is not None and (isinstance(degree, bool) or not isinstance(degree, int)):
             raise ParseError("perm 'degree' must be an integer", path=origin)
-        return build_from_permutations(gens, cap=512, degree=degree, label=name)
+        return build_from_permutations(gens, degree=degree, label=name)
     if kind == "builtin":
         fam = data.get("family")
         if not isinstance(fam, str):

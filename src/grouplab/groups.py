@@ -5,6 +5,8 @@ Conventions, fixed globally:
   * permutations compose right-to-left (the rightmost factor acts first);
   * the commutator is [x, y] = x y x^-1 y^-1 and conjugation is
     x ^ y = x y x^-1.
+
+Every homomorphism is built or checked by the one walk ``_extend_hom``.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from .errors import (
     InternalCheckFailed,
     NotAbelian,
     NotNormal,
+    RelatorNotKilled,
     ValidationError,
 )
 
@@ -175,15 +178,19 @@ class GroupHom:
         return self.images[x]
 
     def is_homomorphism(self) -> bool:
-        """Whether images lists one target element per source element and respects products."""
-        img, tmul = self.images, self.target.mul
+        """Whether images lists one target element per source element and respects products.
+
+        It does exactly when the walk from the images of the source's kept
+        generating sequence, which checks every edge, reproduces images.
+        """
+        img = self.images
         if len(img) != self.source.order or not set(img) <= set(range(self.target.order)):
             return False
-        # row x: (img[xy] for every y) against (img[x] img[y] for every y)
-        lift = operator.itemgetter(*img)  # t -> (t[img[0]], t[img[1]], ...)
-        return all(
-            lift(tmul[img[x]]) == operator.itemgetter(*row)(img) for x, row in enumerate(self.source.mul)
-        )
+        gens = minimal_generating_sequence(self.source)
+        try:
+            return _extend_hom(self.source, self.target, gens, [img[g] for g in gens]) == list(img)
+        except RelatorNotKilled:
+            return False
 
     def is_bijective(self) -> bool:
         """Whether images lists each target element exactly once, one per source element."""
@@ -267,7 +274,9 @@ def validate_table(mul: Sequence[Sequence[int]], inv: Sequence[int]) -> None:
 
 
 def _int_entries(row: Sequence[int], what: str) -> tuple[int, ...]:
-    try:
+    try:  # a bool passes operator.index
+        if any(isinstance(v, bool) for v in row):
+            raise TypeError
         return tuple(operator.index(v) for v in row)
     except TypeError:
         raise ValidationError(f"{what} has a non-integer entry: {row!r}") from None
@@ -647,76 +656,60 @@ def minimal_generating_sequence(G: FiniteGroup) -> list[int]:
     return list(_cached(G, "_minimal_generating_sequence", build))
 
 
-def _extend_partial(
-    G1: FiniteGroup,
-    G2: FiniteGroup,
-    known: dict[int, int],
-    gens: list[int],
-) -> dict[int, int] | None:
-    """Close a partial map under right multiplication by the mapped generators.
+def _extend_hom(
+    source: FiniteGroup, target: FiniteGroup, gens: Sequence[int], images: Sequence[int]
+) -> list[int]:
+    """Extend the images of gens to the subgroup they generate, checking every edge.
 
-    Returns the extended map on the generated subgroup, or None on any
-    conflict or loss of injectivity.
+    One walk from 1 follows each (element, generator) edge once: an edge to
+    a new element sets its image, and every other edge is checked against
+    the image already set, which certifies a homomorphism on the subgroup.
+    Returns the image of every source element, -1 outside the subgroup.
+    Raises RelatorNotKilled naming the first edge that disagrees.
     """
-    out = dict(known)
-    used = set(out.values())
-    if len(used) != len(out):
-        return None
-    queue = list(out.keys())
-    while queue:
-        a = queue.pop(0)
-        fa = out[a]
-        for g in gens:
-            b = G1.mul[a][g]
-            fb = G2.mul[fa][out[g]]
-            prev = out.get(b)
-            if prev is None:
-                if fb in used:
-                    return None
+    out, order = [0] + [-1] * (source.order - 1), [0]
+    for el in order:
+        row, img_row = source.mul[el], target.mul[out[el]]
+        for g, x in enumerate(gens):
+            b, fb = row[x], img_row[images[g]]
+            if out[b] != fb:
+                if out[b] >= 0:
+                    raise RelatorNotKilled(
+                        f"generator images do not extend to a homomorphism (element {el}, generator {g})"
+                    )
                 out[b] = fb
-                used.add(fb)
-                queue.append(b)
-            elif prev != fb:
-                return None
+                order.append(b)
     return out
 
 
 def isomorphisms_iter(G1: FiniteGroup, G2: FiniteGroup) -> Iterator[GroupHom]:
     """Yield isomorphisms G1 -> G2 in deterministic search order.
 
-    Backtracks over images of a greedy generating sequence, pruning by
-    element order and partial-map consistency.
+    Backtracks over images of a greedy generating sequence, of matching
+    element orders. A node runs the walk of ``_extend_hom`` on the images
+    chosen so far and is pruned unless every edge checks and the images of
+    the subgroup reached are distinct; at a leaf that subgroup is G1.
     """
-    if G1.order != G2.order:
-        return
-    if G1.order_multiset() != G2.order_multiset():
-        return
-    if G1.order == 1:
-        yield GroupHom(G1, G2, (0,))
+    if G1.order != G2.order or G1.order_multiset() != G2.order_multiset():
         return
     gens = minimal_generating_sequence(G1)
-    orders1 = [G1.element_order(g) for g in gens]
-    candidates = [
-        [y for y in range(G2.order) if G2.element_order(y) == o] for o in orders1
-    ]
+    candidates = [[y for y in range(G2.order) if G2.element_order(y) == G1.element_order(g)] for g in gens]
 
-    def rec(i: int, known: dict[int, int]) -> Iterator[GroupHom]:
-        if i == len(gens):
-            if len(known) == G1.order:
-                images = tuple(known[x] for x in range(G1.order))
-                hom = GroupHom(G1, G2, images)
-                if hom.is_homomorphism() and hom.is_bijective():
-                    yield hom
+    def rec(chosen: list[int]) -> Iterator[GroupHom]:
+        try:
+            images = _extend_hom(G1, G2, gens[: len(chosen)], chosen)
+        except RelatorNotKilled:
             return
-        for y in candidates[i]:
-            trial = dict(known)
-            trial[gens[i]] = y
-            ext = _extend_partial(G1, G2, trial, gens[: i + 1])
-            if ext is None:
-                continue
-            yield from rec(i + 1, ext)
+        reached = [v for v in images if v >= 0]
+        if len(set(reached)) != len(reached):
+            return
+        if len(chosen) == len(gens):
+            yield GroupHom(G1, G2, tuple(images))
+            return
+        for y in candidates[len(chosen)]:
+            yield from rec(chosen + [y])
 
-    yield from rec(0, {0: 0})
+    yield from rec([])
 
 
 def find_isomorphism(G1: FiniteGroup, G2: FiniteGroup) -> GroupHom | None:

@@ -52,7 +52,7 @@ from .groups import (
     GroupHom,
     Subgroup,
     _cached,
-    _extend_partial,
+    _extend_hom,
     center,
     commutator_table,
     derived_subgroup,
@@ -120,9 +120,10 @@ def _derive_beta(G1: FiniteGroup, G2: FiniteGroup, image: np.ndarray) -> dict[in
     """Map forced on commutators by compatibility, extended to the closure.
 
     ``image[x, y]`` is the commutator in G2 of the lifts of x and y. Returns
-    the injective map on the first derived subgroup the forced values
-    generate, or None when a commutator is sent to two values or the
-    extension conflicts; ``verify_witness`` checks the rest.
+    the injective map on the first derived subgroup that the walk of
+    ``groups._extend_hom`` builds from the forced values, or None when a
+    commutator is sent to two values, an edge of the walk disagrees or two
+    elements share an image; ``verify_witness`` checks the rest.
     """
     comm1 = commutator_table(G1)
     forced = np.zeros(G1.order, dtype=image.dtype)
@@ -130,7 +131,12 @@ def _derive_beta(G1: FiniteGroup, G2: FiniteGroup, image: np.ndarray) -> dict[in
     if not np.array_equal(forced[comm1], image):  # [x, y] is sent to two values
         return None
     values = np.unique(comm1).tolist()
-    return _extend_partial(G1, G2, dict(zip(values, forced[values].tolist())), values)
+    try:
+        images = _extend_hom(G1, G2, values, forced[values].tolist())
+    except RelatorNotKilled:
+        return None
+    beta = {x: y for x, y in enumerate(images) if y >= 0}
+    return beta if len(set(beta.values())) == len(beta) else None
 
 
 def are_isoclinic(G1: FiniteGroup, G2: FiniteGroup) -> IsoclinismWitness | None:

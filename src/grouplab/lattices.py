@@ -240,16 +240,16 @@ class SparseRows:
         return self.take(np.arange(self.shape[0])).astype(dtype or np.int64, copy=False)
 
 
-def snf_mod(rows: np.ndarray | SparseRows, k: int, m: int) -> tuple[list[int], np.ndarray | SparseRows]:
+def snf_mod(rows: SparseRows, k: int, m: int) -> tuple[list[int], SparseRows]:
     """Diagonalise the lattice <rows> + m*Z^k by row and column operations.
 
-    rows is an (R, k) array or a SparseRows. Returns (diag, W). diag has
-    length k; entry i is the order of the quotient in coordinate i (a
-    divisor of m, with the implicit m*Z^k folded in, so a zero physical
-    pivot reads as m). W accumulates the inverses of the column operations,
-    so the lattice is the row space of diag(diag) @ W plus m*Z^k, and W is
-    invertible modulo m. W comes back as a SparseRows when rows was one. No
-    divisibility chain is enforced; see groups.invariant_factors_from_orders.
+    rows is an R x k SparseRows. Returns (diag, W). diag has length k;
+    entry i is the order of the quotient in coordinate i (a divisor of m,
+    with the implicit m*Z^k folded in, so a zero physical pivot reads as m).
+    W, a k x k SparseRows, accumulates the inverses of the column
+    operations, so the lattice is the row space of diag(diag) @ W plus
+    m*Z^k, and W is invertible modulo m. No divisibility chain is enforced;
+    see groups.invariant_factors_from_orders.
 
     Step t pivots on the row-major first smallest nonzero entry of the
     submatrix from (t, t) on, after swapping that entry's row and column
@@ -262,10 +262,6 @@ def snf_mod(rows: np.ndarray | SparseRows, k: int, m: int) -> tuple[list[int], n
     the dense block alone, in position order. That reproduces the dense run
     step for step.
     """
-    sparse = isinstance(rows, SparseRows)
-    if not sparse:
-        A = np.asarray(rows, dtype=np.int64).reshape(-1, k)
-        rows = SparseRows(A.shape, np.zeros((0, 2), dtype=np.int64), np.arange(A.shape[0]), np.arange(k), A)
     B = rows.block % m
     R = rows.shape[0]
     pos, at = list(range(R)), list(range(R))  # row -> position, position -> row
@@ -329,8 +325,7 @@ def snf_mod(rows: np.ndarray | SparseRows, k: int, m: int) -> tuple[list[int], n
     in_block = np.zeros(k, dtype=bool)
     in_block[rows.cols] = True
     free = np.flatnonzero(~in_block[cat])
-    out = SparseRows((k, k), np.column_stack([free, cat[free]]), np.array(cpos)[rows.cols], rows.cols, W)
-    return diag, out if sparse else np.asarray(out)
+    return diag, SparseRows((k, k), np.column_stack([free, cat[free]]), np.array(cpos)[rows.cols], rows.cols, W)
 
 
 def _relations(H: np.ndarray, m: int) -> np.ndarray:

@@ -73,6 +73,7 @@ from .groups import (
     GroupHom,
     Subgroup,
     _check_indices,
+    _extend_hom,
     abelian_invariants,
     commutator_table,
     derived_subgroup,
@@ -190,11 +191,12 @@ def _distinct(rows: np.ndarray, num_letters: int) -> np.ndarray:
     return out
 
 
-def _hook(equations: np.ndarray, num_letters: int) -> tuple[np.ndarray, np.ndarray]:
+def _hook(equations: np.ndarray, num_letters: int) -> np.ndarray:
     """One union step on distinct equation rows in lexicographic order.
 
-    Returns the signed root of every node after the step, and the
-    equations that the step did not apply.
+    Returns the signed root of every node after the step. In the new roots
+    an equation that the step applied reads r r^-1, or is empty, so the
+    next ``_reduce_rows`` drops it.
     """
     # Each equation row x or x z says x = y, with y = 1 (node 0) or
     # y = z^-1. With x = u^a and y = v^b, u = v^(ab): hi = lo^s.
@@ -206,10 +208,9 @@ def _hook(equations: np.ndarray, num_letters: int) -> tuple[np.ndarray, np.ndarr
     root = np.arange(num_letters + 1, dtype=np.int32)
     sign = np.ones(num_letters + 1, dtype=np.int32)
     root[hi[hook]], sign[hi[hook]] = lo[hook], s[hook]
-    unapplied = equations[(root[hi] != lo) | (sign[hi] != s)]
     while np.any(root[root] != root):
         sign, root = sign * sign[root], root[root]
-    return sign * root, unapplied
+    return sign * root
 
 
 def _eliminate(blocks: Iterable[np.ndarray], num_letters: int) -> tuple[np.ndarray, np.ndarray]:
@@ -226,11 +227,12 @@ def _eliminate(blocks: Iterable[np.ndarray], num_letters: int) -> tuple[np.ndarr
     ``_BLOCK_ROWS``. After a pass, every root with an equation to a smaller
     root is hooked under the smallest such root (0 for the dead classes),
     and the first such equation in lexicographic order sets the sign. The
-    next pass reads the carried rows and the unapplied equations in the new
-    roots. So every pass sees the distinct rows that a pass over all raw
-    rows would, apart from those that vanish: the result depends neither on
-    the order or blocking of the rows, nor on whether the letters that a
-    first pass would kill were mapped to 0 beforehand.
+    next pass reads the carried rows and every equation in the new roots,
+    where the applied equations vanish. So every pass sees the distinct
+    rows that a pass over all raw rows would, apart from those that vanish:
+    the result depends neither on the order or blocking of the rows, nor on
+    whether the letters that a first pass would kill were mapped to 0
+    beforehand.
 
     Returns the signed root letter of every node (0 for dead nodes) and the
     distinct reduced rows that still carry information, in root letters and
@@ -251,7 +253,7 @@ def _eliminate(blocks: Iterable[np.ndarray], num_letters: int) -> tuple[np.ndarr
         rows = _distinct(rows, num_letters)
         if not len(rows):
             return letters, _distinct(np.concatenate(carried), num_letters)
-        step, rows = _hook(rows, num_letters)
+        step = _hook(rows, num_letters)
         if sum(map(len, carried)) + len(rows) <= _BLOCK_ROWS:  # the rows have collapsed
             carried = [np.concatenate(carried + [rows])]
         else:
@@ -366,31 +368,20 @@ def hom_from_generator_images(
 ) -> GroupHom:
     """Extend generator images to the whole realized group, verifying edges.
 
-    One walk from the identity follows each (element, generator) edge once:
-    an edge to a new element sets its image, and every other edge is checked
-    against the image already set, which certifies a homomorphism. Raises
-    ValidationError unless the images, one per generator, reach every element.
+    The walk of ``groups._extend_hom`` follows each (element, generator)
+    edge once and checks every edge that does not set an image, which
+    certifies a homomorphism; it raises RelatorNotKilled at the first edge
+    that disagrees. Raises ValidationError unless the images, one per
+    generator, reach every element.
     """
     grp = realization.group
     gens = realization.gen_images
     if len(gen_images) != len(gens):
         raise ValidationError(f"{len(gen_images)} generator images for {len(gens)} generators")
     _check_indices(gen_images, target.order, "generator image")
-    images, order = [0] + [-1] * (grp.order - 1), [0]
-    for el in order:
-        row, img_row = grp.mul[el], target.mul[images[el]]
-        for g, rg in enumerate(gens):
-            if images[row[rg]] != img_row[gen_images[g]]:
-                y = row[rg]
-                if images[y] >= 0:
-                    raise RelatorNotKilled(
-                        f"generator images do not extend to a homomorphism "
-                        f"(element {el}, generator {g})"
-                    )
-                images[y] = img_row[gen_images[g]]
-                order.append(y)
-    if len(order) != grp.order:
-        raise ValidationError(f"the images reach {len(order)} of the {grp.order} elements of {grp.label}")
+    images = _extend_hom(grp, target, gens, gen_images)
+    if -1 in images:
+        raise ValidationError(f"the images reach {grp.order - images.count(-1)} of the {grp.order} elements of {grp.label}")
     return GroupHom(grp, target, tuple(images))
 
 

@@ -280,6 +280,8 @@ class TestCli:
             ({"kind": "cayley", "data": {"table": [[0, 1], [1, 0.5]]}}, ValidationError),
             ({"kind": "perm", "data": {"generators": [[1, 0, "x"]]}}, ValidationError),
             ({"kind": "perm", "data": {"generators": [[1.0, 0, 2]]}}, ValidationError),
+            ({"kind": "cayley", "data": {"table": [[0, True], [True, 0]]}}, ValidationError),
+            ({"kind": "perm", "data": {"generators": [[True, False]]}}, ValidationError),
             ({"kind": "perm", "data": {"generators": [], "degree": "x"}}, ParseError),
             ({"kind": "cayley", "data": {"table": [[0]], "element_names": 5}}, ParseError),
             ({"kind": "cayley", "data": 5}, ParseError),
@@ -297,6 +299,7 @@ class TestCli:
             "no-param", "non-integer-param", "extra-param", "missing-param", "spec-no-param",
             "spec-params-not-a-list", "empty-factor", "factor-without-family",
             "short-row", "string-entry", "float-entry", "string-point", "float-point",
+            "boolean-entry", "boolean-point",
             "string-degree", "names-not-a-list", "data-not-an-object",
             "boolean-param", "boolean-degree", "non-string-name",
             "name-leaves-the-directory", "name-with-a-slash", "huge-prime", "huge-exponent", "5000-digit-param",

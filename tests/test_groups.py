@@ -12,11 +12,13 @@ from grouplab.errors import (
     EmptyGeneratorList,
     NotAbelian,
     NotNormal,
+    RelatorNotKilled,
     ValidationError,
 )
 from grouplab.groups import (
     GroupHom,
     Subgroup,
+    _extend_hom,
     abelian_invariants,
     abelian_subgroups,
     build_from_permutations,
@@ -362,6 +364,147 @@ class TestFindIsomorphism:
                 found += 1
                 if found >= 6:
                     break
+
+
+# --- references for the generator-edge walk ------------------------------------
+
+# The groups of the benchmark's three workload pools (perfbench/workloads.py).
+BENCHMARK_POOL = (
+    ("direct_product", (("dihedral", 4), ("dihedral", 4))),
+    ("direct_product", (("alternating", 4), ("cyclic", 4))),
+    ("dihedral", (16,)),
+    ("direct_product", (("dihedral", 4), ("cyclic", 4))),
+    ("direct_product", (("quaternion8",), ("cyclic", 4))),
+    ("symmetric", (4,)),
+    ("dicyclic", (6,)),
+    ("dihedral", (4,)),
+    ("quaternion8", ()),
+    ("alternating", (4,)),
+    ("dihedral", (6,)),
+    ("dicyclic", (3,)),
+    ("dihedral", (8,)),
+    ("dicyclic", (4,)),
+    ("direct_product", (("dihedral", 4), ("cyclic", 2))),
+    ("direct_product", (("quaternion8",), ("cyclic", 2))),
+    ("elementary", (2, 4)),
+    ("direct_product", (("cyclic", 4), ("cyclic", 4))),
+    ("dihedral", (9,)),
+    ("dihedral", (10,)),
+    ("dicyclic", (5,)),
+    ("dihedral", (12,)),
+    ("direct_product", (("alternating", 4), ("cyclic", 2))),
+    ("symmetric", (3,)),
+    ("dihedral", (5,)),
+    ("dihedral", (7,)),
+)
+
+
+def reference_extend_partial(G1, G2, known, gens):
+    """Reference: the closure of a partial map under the mapped generators, as the search once ran it.
+
+    Returns the extended map on the generated subgroup, or None on any
+    conflict or loss of injectivity.
+    """
+    out = dict(known)
+    used = set(out.values())
+    if len(used) != len(out):
+        return None
+    queue = list(out.keys())
+    while queue:
+        a = queue.pop(0)
+        fa = out[a]
+        for g in gens:
+            b = G1.mul[a][g]
+            fb = G2.mul[fa][out[g]]
+            prev = out.get(b)
+            if prev is None:
+                if fb in used:
+                    return None
+                out[b] = fb
+                used.add(fb)
+                queue.append(b)
+            elif prev != fb:
+                return None
+    return out
+
+
+def reference_is_homomorphism(hom):
+    """Reference: one target element per source element, and all |G|^2 products compared."""
+    img, tmul = hom.images, hom.target.mul
+    if len(img) != hom.source.order or not set(img) <= set(range(hom.target.order)):
+        return False
+    return all(img[xy] == tmul[img[x]][img[y]] for x, row in enumerate(hom.source.mul) for y, xy in enumerate(row))
+
+
+def reference_isomorphisms(G1, G2):
+    """Reference: the search over partial maps, with the product check at each leaf."""
+    if G1.order != G2.order or G1.order_multiset() != G2.order_multiset():
+        return
+    if G1.order == 1:
+        yield GroupHom(G1, G2, (0,))
+        return
+    gens = minimal_generating_sequence(G1)
+    candidates = [[y for y in range(G2.order) if G2.element_order(y) == G1.element_order(g)] for g in gens]
+
+    def rec(i, known):
+        if i == len(gens):
+            if len(known) == G1.order:
+                hom = GroupHom(G1, G2, tuple(known[x] for x in range(G1.order)))
+                if reference_is_homomorphism(hom) and hom.is_bijective():
+                    yield hom
+            return
+        for y in candidates[i]:
+            ext = reference_extend_partial(G1, G2, {**known, gens[i]: y}, gens[: i + 1])
+            if ext is not None:
+                yield from rec(i + 1, ext)
+
+    yield from rec(0, {0: 0})
+
+
+class TestOneWalk:
+    """The generator-edge walk against the partial-map search and the product table."""
+
+    def test_search_matches_the_reference_on_the_benchmark_central_quotients(self):
+        rng = random.Random(23)
+        quotients = {}
+        for family, params in BENCHMARK_POOL:
+            G = builtin(family, params)
+            Q, _ = quotient(G, center(G))
+            quotients.setdefault(Q.mul, Q)
+        assert len(quotients) == 13
+        searched = 0
+        for Q in quotients.values():
+            R1, R2 = (relabeled(Q, [0] + rng.sample(range(1, Q.order), Q.order - 1)) for _ in range(2))
+            for G1, G2 in ((Q, Q), (Q, R1), (R1, R2)):
+                got = [hom.images for hom in isomorphisms_iter(G1, G2)]
+                assert got == [hom.images for hom in reference_isomorphisms(G1, G2)], (Q.label, G1.label, G2.label)
+                searched += len(got)
+        assert searched > 3 * 20160  # GL(4, 2), the automorphisms of the central quotient of D4 x D4
+
+    def test_is_homomorphism_matches_the_product_table_on_every_single_entry_corruption(self):
+        _, proj = quotient(D4, derived_subgroup(D4))
+        corrupted = 0
+        for hom in (proj, GroupHom(Q8, Q8, tuple(range(8))), GroupHom(S3, S3, tuple(range(6)))):
+            assert hom.is_homomorphism() and reference_is_homomorphism(hom)
+            for x, v in itertools.product(range(hom.source.order), range(hom.target.order)):
+                if v != hom.images[x]:
+                    bad = GroupHom(hom.source, hom.target, hom.images[:x] + (v,) + hom.images[x + 1 :])
+                    assert bad.is_homomorphism() == reference_is_homomorphism(bad), (hom.source.label, x, v)
+                    corrupted += 1
+        assert corrupted == 8 * 3 + 8 * 7 + 6 * 5
+
+    def test_walk_names_the_first_edge_that_disagrees(self):
+        # 1 -> 1 and 2 -> 3 set the images of 1 and 2 from the identity; the
+        # edge from 1 along the generator 1 then reaches 2 with the image 2
+        Z4 = cyclic(4)
+        with pytest.raises(RelatorNotKilled, match=r"\(element 1, generator 0\)"):
+            _extend_hom(Z4, Z4, [1, 2], [1, 3])
+        assert _extend_hom(Z4, Z4, [1, 2], [1, 2]) == [0, 1, 2, 3]
+
+    def test_walk_leaves_the_rest_of_the_source_unmapped(self):
+        Z2 = cyclic(2)
+        assert _extend_hom(V4, Z2, [1], [1]) == [0, 1, -1, -1]
+        assert _extend_hom(V4, Z2, [], []) == [0, -1, -1, -1]
 
 
 class TestValidation:

@@ -157,7 +157,7 @@ class TestDeriveBeta:
         def no_extension(*args):
             raise AssertionError("a two-valued candidate reached the extension")
 
-        monkeypatch.setattr(isoclinism, "_extend_partial", no_extension)
+        monkeypatch.setattr(isoclinism, "_extend_hom", no_extension)
         two_valued = 0
         for alpha in isomorphisms_iter(Q, Q):
             image = isoclinism._pair_table(comm, isoclinism._coset_images(G, alpha), section)

@@ -14,6 +14,7 @@ from grouplab.errors import ValidationError
 from grouplab.groups import invariant_factors_from_orders
 from grouplab.lattices import (
     LatticeSolver,
+    SparseRows,
     _combine,
     _egcd,
     _reduce,
@@ -27,6 +28,13 @@ from grouplab.lattices import (
     quotient_structure,
     snf_mod,
 )
+
+
+def dense_snf(rows, k, m):
+    """snf_mod of a dense matrix, wrapped as a SparseRows without unit rows, with W read back dense."""
+    A = np.asarray(rows, dtype=np.int64).reshape(-1, k)
+    diag, W = snf_mod(SparseRows(A.shape, np.zeros((0, 2), dtype=np.int64), np.arange(len(A)), np.arange(k), A), k, m)
+    return diag, np.asarray(W)
 
 
 def brute_span(rows, k, m):
@@ -231,7 +239,7 @@ def test_reduction_splits_vectors(case):
 @pytest.mark.parametrize("case", list(wider_cases(40, seed=93)))
 def test_snf_transforms(case):
     k, m, rows = case
-    diag, W = snf_mod(rows, k, m)
+    diag, W = dense_snf(rows, k, m)
     assert lattice_index(hnf_from_rows(W, k, m), m) == 1
     # the lattice is rowspace(D @ W) + m*Z^k, which pins W down
     rebuilt = (np.array(diag)[:, None] * W) % m
@@ -575,7 +583,7 @@ def test_quotient_and_solver_match_the_dense_reference(case):
     ref_diag, ref_gens = dense_quotient_structure(sub_D, sup_D, m)
     assert diag == ref_diag and np.array_equal(gens, ref_gens)
     ref = dense_quotient_relations(sub_D, sup_D, m)
-    ref_diag, W = snf_mod(ref, k, m)
+    ref_diag, W = dense_snf(ref, k, m)
     keep = [i for i, d in enumerate(ref_diag) if d > 1]
     assert diag == [ref_diag[i] for i in keep]
     assert np.array_equal(gens, (W[keep] @ sup_D) % m)
@@ -776,7 +784,7 @@ def test_snf_pivot_search_matches_the_loop(monkeypatch):
     assert len(cases) == 302 + len(ORACLE_SMALL)
     monkeypatch.undo()
     for rows, k, m in cases:
-        diag, W = snf_mod(rows, k, m)
+        diag, W = dense_snf(rows, k, m)
         old_diag, old_W = full_scan_snf_mod(rows, k, m)
         assert diag == old_diag
         assert np.array_equal(W, old_W)
@@ -925,7 +933,7 @@ def test_snf_diagonal_divides_modulus():
             [[rng.randrange(m) for _ in range(k)] for _ in range(rng.randint(1, 4))],
             dtype=np.int64,
         )
-        diag, _ = snf_mod(rows, k, m)
+        diag, _ = dense_snf(rows, k, m)
         assert len(diag) == k
         assert all(m % d == 0 for d in diag)
 

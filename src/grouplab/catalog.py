@@ -33,6 +33,7 @@ from .groups import (
     DEFAULT_ORDER_CAP,
     FiniteGroup,
     _factorise,
+    _tabulate,
     abelian_invariants,
     build_from_permutations,
     center,
@@ -54,14 +55,8 @@ SCHEMA_VERSION = 1
 # --- builtin families ---------------------------------------------------------
 
 
-def _from_rule(elems: list, mul, label: str) -> FiniteGroup:
-    """The group on elems under mul, each element numbered by its list position."""
-    idx = {e: k for k, e in enumerate(elems)}
-    return from_mul_table([[idx[mul(a, b)] for b in elems] for a in elems], label=label, validate=False)
-
-
 def _cyclic(n: int) -> FiniteGroup:
-    return _from_rule(list(range(n)), lambda a, b: (a + b) % n, f"Z{n}")
+    return _tabulate(list(range(n)), lambda a, b: (a + b) % n, f"Z{n}")
 
 
 def _dihedral(n: int) -> FiniteGroup:
@@ -71,7 +66,7 @@ def _dihedral(n: int) -> FiniteGroup:
         i2, j2 = e2
         return ((i1 + (i2 if j1 == 0 else -i2)) % n, (j1 + j2) % 2)
 
-    return _from_rule([(i, j) for j in range(2) for i in range(n)], mul, f"D{n}")
+    return _tabulate([(i, j) for j in range(2) for i in range(n)], mul, f"D{n}")
 
 
 def _dicyclic(n: int) -> FiniteGroup:
@@ -86,7 +81,7 @@ def _dicyclic(n: int) -> FiniteGroup:
             i = (i + n) % nn
         return (i, (j1 + j2) % 2)
 
-    return _from_rule([(i, j) for j in range(2) for i in range(nn)], mul, f"Dic{n}")
+    return _tabulate([(i, j) for j in range(2) for i in range(nn)], mul, f"Dic{n}")
 
 
 def _symmetric(n: int) -> FiniteGroup:
@@ -111,7 +106,7 @@ def _elementary(p: int, k: int) -> FiniteGroup:
     G = _cyclic(p)
     for _ in range(k - 1):
         G = direct_product(G, _cyclic(p))
-    return from_mul_table(G.mul, label=f"E{p}^{k}", validate=False)
+    return replace(G, label=f"E{p}^{k}")
 
 
 def _extraspecial(p: int, exponent_type: str) -> FiniteGroup:
@@ -125,7 +120,7 @@ def _extraspecial(p: int, exponent_type: str) -> FiniteGroup:
                 (e1[2] + e2[2] + e1[0] * e2[1]) % p,
             )
 
-        return _from_rule([(a, b, c) for a in range(p) for b in range(p) for c in range(p)], mul, f"ES{p}^3+")
+        return _tabulate([(a, b, c) for a in range(p) for b in range(p) for c in range(p)], mul, f"ES{p}^3+")
     if exponent_type in ("p2", "p^2"):
         pp = p * p
         powers = [pow(1 + p, j, pp) for j in range(p)]
@@ -133,7 +128,7 @@ def _extraspecial(p: int, exponent_type: str) -> FiniteGroup:
         def mul(e1, e2):
             return ((e1[0] + e2[0] * powers[e1[1]]) % pp, (e1[1] + e2[1]) % p)
 
-        return _from_rule([(i, j) for i in range(pp) for j in range(p)], mul, f"ES{p}^3-")
+        return _tabulate([(i, j) for i in range(pp) for j in range(p)], mul, f"ES{p}^3-")
     raise ParamOutOfRange(f"extraspecial exponent type must be 'p' or 'p2', got {exponent_type!r}")
 
 

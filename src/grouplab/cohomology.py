@@ -331,29 +331,28 @@ def multiplier_order_oracle(G: FiniteGroup, cap: int = DEFAULT_ORACLE_CAP) -> in
     return q
 
 
-def restriction_matrix(
-    space: CocycleSpace, A: Subgroup, cap: int = DEFAULT_ORACLE_CAP
-) -> tuple[CocycleSpace, np.ndarray]:
+def restriction_matrix(space: CocycleSpace, A: Subgroup) -> tuple[CocycleSpace, np.ndarray]:
     """Matrix of the restriction map on basis classes, rows indexed by basis.
 
     The basis tables' entries on A x A are gathered at once and solved as
     one block against A's space, which is computed on the group that
     ``A.as_group()`` keeps on ``A``, so later calls with the same ``A``
-    reuse it.
+    reuse it. A is no larger than the space's group, which has already
+    passed the oracle cap, so A's space is admitted under that group's order.
     """
     if A.parent.mul != space.group.mul:
         raise ValidationError("subgroup does not belong to the space's group")
     sub, members = A.as_group()
     # sub is A's own group object, which never holds G's spaces; for A = G
     # reuse G's
-    space_A = space if sub.mul == space.group.mul else cocycle_space(sub, space.modulus, cap)
+    space_A = space if sub.mul == space.group.mul else cocycle_space(sub, space.modulus, space.group.order)
     idx = np.array(members)
     return space_A, space_A._coords(space.basis[:, idx[:, None], idx])
 
 
-def restrict(c: H2Class, A: Subgroup, cap: int = DEFAULT_ORACLE_CAP) -> H2Class:
+def restrict(c: H2Class, A: Subgroup) -> H2Class:
     """Restriction of a class along an inclusion of a subgroup."""
-    space_A, mat = restriction_matrix(c.space, A, cap)
+    space_A, mat = restriction_matrix(c.space, A)
     return space_A.class_from_coords(np.asarray(c.coords, dtype=np.int64) @ mat)
 
 
@@ -378,7 +377,7 @@ def b0_lower_bound(
     # column j of A's matrix, times m / (order of A's generator j), is one row
     constraint_rows: list[np.ndarray] = []
     for A in subgroups:
-        space_A, mat = restriction_matrix(space, A, cap=cap)
+        space_A, mat = restriction_matrix(space, A)
         constraint_rows.extend((mat * (m // np.array(space_A.basis_orders, dtype=np.int64))).T)
     kernel_H = orth_complement(np.array(constraint_rows, dtype=np.int64), s, m)
     sub_rows = np.diag(np.array(space.basis_orders, dtype=np.int64))
@@ -404,7 +403,7 @@ def cocycle_dump(G: FiniteGroup, m: int, cap: int = DEFAULT_ORACLE_CAP) -> dict:
         "restrictions": [],
     }
     for A in abelian_subgroups(G, maximal_only=True):
-        space_A, mat = restriction_matrix(space, A, cap=cap)
+        space_A, mat = restriction_matrix(space, A)
         doc["restrictions"].append(
             {
                 "subgroup_members": list(A.members),

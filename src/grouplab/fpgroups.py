@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import CosetLimitExceeded, TableNotClosed, ValidationError
-from .groups import FiniteGroup, _check_indices, from_mul_table
+from .groups import FiniteGroup, _check_indices
 
 DEFAULT_MAX_COSETS = 1_000_000
 
@@ -360,8 +360,8 @@ def realize(pres: Presentation, table: CosetTable) -> Realization:
                 order.append(b)
     if len(order) != len(rows):
         raise TableNotClosed("coset action is not transitive")
-    mul = list(zip(*(cols[b] for b in range(len(rows)))))
-    grp = from_mul_table(mul, label=f"{pres.label}!", validate=False)
+    mul = tuple(zip(*(cols[b] for b in range(len(rows)))))
+    grp = FiniteGroup(len(rows), mul, tuple(row.index(0) for row in mul), f"{pres.label}!")
     gen_images = tuple(rows[0][letter_column(g + 1)] for g in range(pres.num_generators))
     return Realization(group=grp, gen_images=gen_images)
 

@@ -6,7 +6,10 @@ Conventions, fixed globally:
   * the commutator is [x, y] = x y x^-1 y^-1 and conjugation is
     x ^ y = x y x^-1.
 
-Every homomorphism is built or checked by the one walk ``_extend_hom``.
+Every homomorphism is built or checked by the one walk ``_extend_hom``, and
+every group built from elements and a product rule is numbered and tabulated
+by ``_tabulate``; ``from_mul_table`` is for tables from outside and checks
+every axiom.
 """
 
 from __future__ import annotations
@@ -149,20 +152,12 @@ class Subgroup:
         if 0 not in self._member_set:
             raise ValidationError("subgroup members must contain the identity 0")
         members = tuple(sorted(self.members))
-        pos = {x: i for i, x in enumerate(members)}
-        pm = self.parent.mul
+        G, pm = self.parent, self.parent.mul
+        names = [G.name_of(x) for x in members]
         try:
-            mul = tuple(tuple(pos[pm[x][y]] for y in members) for x in members)
-        except KeyError:
+            grp = _tabulate(members, lambda x, y: pm[x][y], f"{G.label}-sub{len(members)}", names)
+        except KeyError:  # a product outside the members
             raise ValidationError("subgroup members are not closed under multiplication") from None
-        inv = tuple(pos[self.parent.inv[x]] for x in members)
-        grp = FiniteGroup(
-            order=len(members),
-            mul=mul,
-            inv=inv,
-            label=f"{self.parent.label}-sub{len(members)}",
-            element_names=tuple(self.parent.name_of(x) for x in members),
-        )
         return grp, members
 
 
@@ -286,17 +281,34 @@ def from_mul_table(
     mul: Sequence[Sequence[int]],
     label: str = "G",
     element_names: Sequence[str] | None = None,
-    validate: bool = True,
 ) -> FiniteGroup:
+    """The group of a multiplication table from outside the library, after checking every axiom.
+
+    Raises ValidationError naming the first violation.
+    """
     n = len(mul)
     table = tuple(_int_entries(row, "table row") for row in mul)
     inv = [row.index(0) if 0 in row else 0 for row in table]
-    if validate:
-        validate_table(table, inv)
+    validate_table(table, inv)
     names = tuple(element_names) if element_names is not None else None
     if names is not None and len(names) != n:
         raise ValidationError("element_names length mismatch")
     return FiniteGroup(order=n, mul=table, inv=tuple(inv), label=label, element_names=names)
+
+
+def _tabulate(
+    elems: Sequence[_T], mul: Callable[[_T, _T], _T], label: str, element_names: Sequence[str] | None = None
+) -> FiniteGroup:
+    """The group on elems under the product rule mul, each element numbered by its position.
+
+    elems[0] is the identity. The library calls it only on elements and a
+    rule that already form a group, so nothing is checked; a product outside
+    elems raises KeyError.
+    """
+    idx = {e: k for k, e in enumerate(elems)}
+    table = tuple(tuple(idx[mul(a, b)] for b in elems) for a in elems)
+    names = tuple(element_names) if element_names is not None else None
+    return FiniteGroup(len(elems), table, tuple(row.index(0) for row in table), label, names)
 
 
 def _compose_perm(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
@@ -337,13 +349,7 @@ def build_from_permutations(
                 index[new] = len(elems)
                 elems.append(new)
                 queue.append(new)
-    n = len(elems)
-    mul = [[0] * n for _ in range(n)]
-    for i, a in enumerate(elems):
-        for j, b in enumerate(elems):
-            mul[i][j] = index[_compose_perm(a, b)]
-    names = tuple(_cycle_notation(p) for p in elems)
-    return from_mul_table(mul, label=label, element_names=names, validate=False)
+    return _tabulate(elems, _compose_perm, label, [_cycle_notation(p) for p in elems])
 
 
 def _cycle_notation(perm: tuple[int, ...]) -> str:
@@ -365,17 +371,10 @@ def _cycle_notation(perm: tuple[int, ...]) -> str:
 
 
 def direct_product(g1: FiniteGroup, g2: FiniteGroup, label: str | None = None) -> FiniteGroup:
-    n1, n2 = g1.order, g2.order
-    n = n1 * n2
-    mul = [[0] * n for _ in range(n)]
-    for a1 in range(n1):
-        for b1 in range(n2):
-            i = a1 * n2 + b1
-            for a2 in range(n1):
-                row1 = g1.mul[a1]
-                for b2 in range(n2):
-                    mul[i][a2 * n2 + b2] = row1[a2] * n2 + g2.mul[b1][b2]
-    return from_mul_table(mul, label=label or f"{g1.label}x{g2.label}", validate=False)
+    """G1 x G2, with (a, b) numbered a |G2| + b."""
+    m1, m2 = g1.mul, g2.mul
+    elems = [(a, b) for a in range(g1.order) for b in range(g2.order)]
+    return _tabulate(elems, lambda x, y: (m1[x[0]][y[0]], m2[x[1]][y[1]]), label or f"{g1.label}x{g2.label}")
 
 
 def relabeled(G: FiniteGroup, sigma: Sequence[int], label: str | None = None) -> FiniteGroup:
@@ -385,11 +384,9 @@ def relabeled(G: FiniteGroup, sigma: Sequence[int], label: str | None = None) ->
         raise ValidationError("relabeling is not a permutation")
     if sigma[0] != 0:
         raise ValidationError("relabeling must fix the identity label 0")
-    mul = [[0] * n for _ in range(n)]
-    for x in range(n):
-        for y in range(n):
-            mul[sigma[x]][sigma[y]] = sigma[G.mul[x][y]]
-    return from_mul_table(mul, label=label or f"{G.label}~", validate=False)
+    old = sorted(range(n), key=lambda x: sigma[x])  # the old elements in new-label order
+    m = G.mul
+    return _tabulate(old, lambda x, y: m[x][y], label or f"{G.label}~")
 
 
 # --- element helpers ----------------------------------------------------------
@@ -484,24 +481,16 @@ def quotient(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, GroupHom]:
     if not N.is_normal():
         raise NotNormal(f"{len(N)}-element subgroup is not normal in {G.label}")
     n = G.order
+    m = G.mul
     coset_rep = [-1] * n
-    reps = []
+    reps = []  # x runs upward, so each coset is first met at its minimum
     for x in range(n):
-        if coset_rep[x] >= 0:
-            continue
-        members = sorted(G.mul[x][h] for h in N.members)
-        rep = members[0]
-        for y in members:
-            coset_rep[y] = rep
-        reps.append(rep)
-    reps.sort()
+        if coset_rep[x] < 0:
+            for h in N.members:
+                coset_rep[m[x][h]] = x
+            reps.append(x)
+    quot = _tabulate(reps, lambda r, s: coset_rep[m[r][s]], f"{G.label}/{len(N)}")
     rep_index = {r: i for i, r in enumerate(reps)}
-    q = len(reps)
-    mul = [[0] * q for _ in range(q)]
-    for i, r in enumerate(reps):
-        for j, s in enumerate(reps):
-            mul[i][j] = rep_index[coset_rep[G.mul[r][s]]]
-    quot = from_mul_table(mul, label=f"{G.label}/{len(N)}", validate=False)
     proj = GroupHom(G, quot, tuple(rep_index[coset_rep[x]] for x in range(n)))
     return quot, proj
 

@@ -5,7 +5,7 @@ and some isomorphism of their derived subgroups intertwine the commutator
 maps. The search backtracks over central-quotient isomorphisms and derives
 the derived-subgroup map from each candidate: the compatibility condition
 pins it down on commutator values, and a candidate whose forced map is not
-single-valued or does not extend injectively is dropped.
+single-valued or does not extend to a homomorphism is dropped.
 
 A witness is just that pair, alpha and beta. Each group's structure
 (center, central quotient, projection and section of coset minima, derived
@@ -120,10 +120,13 @@ def _derive_beta(G1: FiniteGroup, G2: FiniteGroup, image: np.ndarray) -> dict[in
     """Map forced on commutators by compatibility, extended to the closure.
 
     ``image[x, y]`` is the commutator in G2 of the lifts of x and y. Returns
-    the injective map on the first derived subgroup that the walk of
+    the map on the first derived subgroup that the walk of
     ``groups._extend_hom`` builds from the forced values, or None when a
-    commutator is sent to two values, an edge of the walk disagrees or two
-    elements share an image; ``verify_witness`` checks the rest.
+    commutator is sent to two values or an edge of the walk disagrees;
+    ``verify_witness`` checks the rest, bijectivity among it. The map needs
+    no injectivity test: ``are_isoclinic`` matched signatures, so |G1'| =
+    |G2'|, and alpha is onto, so ``image`` holds every commutator of G2 and
+    the map is onto G2', hence injective.
     """
     comm1 = commutator_table(G1)
     forced = np.zeros(G1.order, dtype=image.dtype)
@@ -135,8 +138,7 @@ def _derive_beta(G1: FiniteGroup, G2: FiniteGroup, image: np.ndarray) -> dict[in
         images = _extend_hom(G1, G2, values, forced[values].tolist())
     except RelatorNotKilled:
         return None
-    beta = {x: y for x, y in enumerate(images) if y >= 0}
-    return beta if len(set(beta.values())) == len(beta) else None
+    return {x: y for x, y in enumerate(images) if y >= 0}
 
 
 def are_isoclinic(G1: FiniteGroup, G2: FiniteGroup) -> IsoclinismWitness | None:

@@ -413,6 +413,20 @@ class TestRestriction:
         with pytest.raises(ValidationError, match="does not belong"):
             restrict(cocycle_space(D4, 4).zero(), Subgroup(Q8, (0,)))
 
+    def test_subgroup_is_admitted_with_its_group(self):
+        # D4xZ8 passes a cap of 64, and restricting to its abelian subgroup
+        # of order 32 raised GroupTooLargeForOracle against the default cap
+        G = builtin("direct_product", [["dihedral", 4], ["cyclic", 8]])
+        space = cocycle_space(G, 2, cap=64)
+        A = max(abelian_subgroups(G, maximal_only=True), key=len)
+        assert len(A) == 32 > cohomology.DEFAULT_ORACLE_CAP
+        members = A.as_group()[1]
+        for i in range(space.rank):
+            cls = space.class_from_coords(tuple(int(j == i) for j in range(space.rank)))
+            small = [[cls.table()[a][b] for b in members] for a in members]
+            via_map = restrict(cls, A)
+            assert via_map.coords == via_map.space.class_from_table(small).coords
+
     @pytest.mark.parametrize("table", [[[0]], [[0] * 5] * 4, [[[0] * 4] * 4] * 2, [[0, 1], [0]]])
     def test_wrongly_shaped_table_is_rejected(self, table):
         space = cocycle_space(V4, 2)

@@ -38,6 +38,7 @@ from grouplab.groups import (
     table_arrays,
     validate_table,
 )
+import table_reference
 
 
 def cyclic(n):
@@ -505,6 +506,56 @@ class TestOneWalk:
         Z2 = cyclic(2)
         assert _extend_hom(V4, Z2, [1], [1]) == [0, 1, -1, -1]
         assert _extend_hom(V4, Z2, [], []) == [0, -1, -1, -1]
+
+
+def table_fields(G):
+    return G.mul, G.inv, G.label, G.element_names
+
+
+class TestOneTabulator:
+    """Every constructor's tabulated group against the loop that filled its table by hand."""
+
+    S4 = builtin("symmetric", (4,))
+
+    @pytest.mark.parametrize(
+        "factors", [(D4, S3), (builtin("dihedral", (16,)), builtin("dihedral", (8,)))], ids=["D4xS3", "D16xD8"]
+    )
+    def test_direct_product(self, factors):
+        G = direct_product(*factors)
+        assert table_fields(G) == table_fields(table_reference.loop_direct_product(*factors))
+
+    def test_relabeled(self):
+        sigma = [0] + random.Random(24).sample(range(1, 24), 23)
+        G = relabeled(self.S4, sigma)
+        assert G.mul != self.S4.mul
+        assert table_fields(G) == table_fields(table_reference.loop_relabeled(self.S4, sigma))
+
+    def test_quotient(self):
+        A4 = derived_subgroup(self.S4)
+        V4 = Subgroup(self.S4, tuple(x for x in A4.members if self.S4.element_order(x) <= 2))
+        D8 = builtin("dihedral", (8,))
+        for G, N in ((self.S4, V4), (D8, center(D8))):
+            Q, proj = quotient(G, N)
+            ref_Q, ref_proj = table_reference.loop_quotient(G, N)
+            assert Q.order == G.order // len(N)
+            assert table_fields(Q) == table_fields(ref_Q)
+            assert proj.images == ref_proj.images
+
+    def test_subgroup_as_group(self):
+        G = direct_product(builtin("alternating", (4,)), cyclic(2))
+        D = derived_subgroup(G)
+        assert len(D) == 4
+        grp, members = D.as_group()
+        ref_grp, ref_members = table_reference.loop_as_group(D)
+        assert members == ref_members
+        assert table_fields(grp) == table_fields(ref_grp)
+
+    def test_build_from_permutations(self):
+        three_cycles = [p for p in itertools.permutations(range(4)) if sum(p[i] != i for i in range(4)) == 3]
+        assert len(three_cycles) == 8
+        G = build_from_permutations(three_cycles, label="A4")
+        assert G.order == 12
+        assert table_fields(G) == table_fields(table_reference.loop_permutations(three_cycles, label="A4"))
 
 
 class TestValidation:

@@ -28,13 +28,13 @@ A verified witness induces an isomorphism between the CURLY pairing
 realizations of the two groups. Its pair table is a pairing exactly when it
 extends to a homomorphism from the first realization (Moravec), so the
 extension that builds gamma is also the pairing check. The commuting square
-against both commutator surjections and a fuzz of the coset
-representatives are checked here too.
+against both commutator surjections is checked here too, and so is the
+independence of gamma from the coset representatives, exactly: the second
+realization's pair table must be constant on every block of central cosets.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -58,7 +58,6 @@ from .groups import (
     derived_subgroup,
     isomorphisms_iter,
     quotient,
-    table_arrays,
 )
 # check_pairing is not called here; perfbench/spans.py wraps it under this module's name
 from .wedge import WedgeRealization, WedgeVariant, check_pairing, hom_from_generator_images
@@ -306,28 +305,20 @@ def well_definedness_fuzz(
     trials: int = 100,
     seed: int = 0,
 ) -> bool:
-    """Perturb coset representatives by central elements; gamma must not move.
+    """Whether gamma's pair table is the same for every choice of coset representatives.
 
-    Raises ValidationError when trials < 1, since a check with no draws
-    cannot fail, and checks its inputs as build_gamma does, before the
-    trivial-center shortcut.
+    The check is exact: wedge2's pair table must equal its own entries at the
+    kept section lifts, that is be constant on every (central coset x central
+    coset) block of the target. alpha is onto the target's central quotient,
+    so every such block is the lift of a pair of source cosets, and no choice
+    of lifts can move gamma's table. Inputs are checked as build_gamma checks
+    them. ``trials`` and ``seed`` are accepted and ignored: they set the
+    sample of the random check this one replaced, and callers written for
+    it still pass them.
     """
-    if trials < 1:
-        raise ValidationError(f"fuzz trials must be at least 1, got {trials}")
     _check_inputs(w, wedge1, wedge2)
-    Z2 = sorted(center(w.target).members)
-    if len(Z2) == 1:  # every perturbation is the identity
-        return True
-    mul2, sec2 = table_arrays(w.target)[0], _central_data(w.target)[3]
-    pairs2, coset = wedge2.pair_table(), _coset_images(w.source, w.alpha)
-    baseline = _pair_table(pairs2, coset, sec2)
-    rng = random.Random(seed)
-    for start in range(0, trials, 100):  # 100 trials at a time bound the memory
-        draws = [rng.choice(Z2) for _ in range(min(100, trials - start) * len(sec2))]
-        perturbed = mul2[sec2, np.reshape(draws, (-1, len(sec2)))]
-        if not np.all(_pair_table(pairs2, coset, perturbed) == baseline):
-            return False
-    return True
+    pairs2, (_, proj2, _, section2) = wedge2.pair_table(), _central_data(w.target)
+    return bool(np.array_equal(pairs2, _pair_table(pairs2, proj2.images, section2)))
 
 
 def _signature(G: FiniteGroup) -> tuple:

@@ -348,6 +348,40 @@ class TestCli:
         assert capsys.readouterr().out == ""
         assert json.loads(out.read_text())["num_generators"] == 4
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["compute", "builtin:cyclic:3", "--bogus"], "unrecognized arguments: --bogus"),
+            (["compute", "builtin:cyclic:3", "--max-group-order", "abc"], "invalid int value: 'abc'"),
+            (["verify-theorem", "catalog", "--fuzz-trials", "5"], "unrecognized arguments: --fuzz-trials"),
+            ([], "the following arguments are required: command"),
+        ],
+        ids=["unknown-flag", "non-integer-cap", "removed-flag", "no-command"],
+    )
+    def test_usage_error_exits_1(self, capsys, argv, message):
+        # 2 is kept for a configured cap, so argparse's own exit code is not passed on
+        assert main(argv) == 1
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--help", "--version"])
+    def test_help_and_version_exit_0(self, capsys, flag):
+        assert main([flag]) == 0
+        assert "grouplab" in capsys.readouterr().out
+
+    def test_dump_to_a_missing_directory_is_an_input_error(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.json"
+        assert main(["dump-cocycles", "builtin:cyclic:2", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "No such file or directory" in err and str(out) in err
+
+    def test_out_directory_that_is_a_file_is_an_input_error(self, tmp_path, capsys):
+        out = tmp_path / "taken"
+        out.write_text("")
+        assert main(["compute", "builtin:cyclic:2", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "File exists" in err and str(out) in err
+        assert out.read_text() == ""
+
     def test_catalog_compute_with_jobs(self, tmp_path):
         cat = tmp_path / "cat"
         cat.mkdir()
@@ -397,18 +431,6 @@ class TestCli:
         fams = sorted(f["members"] for f in doc["families"])
         assert fams == [["d4", "q8"], ["s3", "s3xz2"], ["v4", "z4"]]
         assert (tmp_path / "vt" / "witnesses" / "d4__q8.json").is_file()
-
-    def test_verify_theorem_rejects_fuzz_trials_below_one(self, tmp_path, capsys):
-        cat = tmp_path / "cat"
-        cat.mkdir()
-        for name, fam in (("d4", "dihedral"), ("q8", "quaternion8")):
-            params = [4] if fam == "dihedral" else []
-            (cat / f"{name}.json").write_text(
-                json.dumps({"name": name, "kind": "builtin", "data": {"family": fam, "params": params}})
-            )
-        rc = main(["verify-theorem", str(cat), "--out", str(tmp_path / "vt"), "--fuzz-trials", "-5"])
-        assert rc == 1
-        assert "fuzz trials must be at least 1" in capsys.readouterr().err
 
     def test_verify_theorem_single_group(self, tmp_path):
         cat = tmp_path / "cat"

@@ -31,6 +31,8 @@ from grouplab.isoclinism import (
 )
 from grouplab.wedge import WedgeVariant, compute_wedge
 
+from fuzz_reference import sampled_fuzz
+
 
 def cyclic(n):
     return from_mul_table([[(i + j) % n for j in range(n)] for i in range(n)], label=f"Z{n}")
@@ -364,16 +366,11 @@ class TestFuzz:
         w2 = compute_wedge(V4, WedgeVariant.CURLY)
         assert well_definedness_fuzz(w, w1, w2, trials=100)
 
-    def test_trials_below_one_are_rejected(self):
-        # checked before the trivial-center shortcut, which would return True
-        S3r = relabeled(S3, [0, 2, 4, 1, 5, 3])
-        for G1, G2 in ((D4, Q8), (S3, S3r)):
-            w = are_isoclinic(G1, G2)
-            w1 = compute_wedge(G1, WedgeVariant.CURLY)
-            w2 = compute_wedge(G2, WedgeVariant.CURLY)
-            for trials in (0, -5):
-                with pytest.raises(ValidationError, match="at least 1"):
-                    well_definedness_fuzz(w, w1, w2, trials=trials)
+    def test_trials_and_seed_are_ignored(self):
+        # kept for callers of the sampled check; a check with no draws is now no weaker
+        w, w1, w2 = self.d4_q8()
+        for trials, seed in ((0, 0), (-5, 7), (1, -1)):
+            assert well_definedness_fuzz(w, w1, w2, trials=trials, seed=seed)
 
     @staticmethod
     def d4_q8():
@@ -412,17 +409,13 @@ class TestFuzz:
         with pytest.raises(WitnessInvalid):
             well_definedness_fuzz(dataclasses.replace(w, alpha=constant), w1, w2)
 
-    def test_trivial_center_needs_no_draws(self, monkeypatch):
-        S3r = relabeled(S3, [0, 2, 4, 1, 5, 3])
-        w = are_isoclinic(S3, S3r)
-        w1 = compute_wedge(S3, WedgeVariant.CURLY)
-        w2 = compute_wedge(S3r, WedgeVariant.CURLY)
-
-        def no_draws(seed):
-            raise AssertionError("drew perturbations for a trivial center")
-
-        monkeypatch.setattr(isoclinism.random, "Random", no_draws)
-        assert well_definedness_fuzz(w, w1, w2, trials=100, seed=0)
+    def test_trivial_center_and_abelian_pairs_are_stable(self):
+        # a trivial center makes every block one entry; an abelian target is one block
+        for G1, G2 in ((S3, relabeled(S3, [0, 2, 4, 1, 5, 3])), (Z4, V4)):
+            w = are_isoclinic(G1, G2)
+            w1 = compute_wedge(G1, WedgeVariant.CURLY)
+            w2 = compute_wedge(G2, WedgeVariant.CURLY)
+            assert well_definedness_fuzz(w, w1, w2), (G1.label, G2.label)
 
 
 class TestCorruptedPairImages:
@@ -448,6 +441,32 @@ class TestCorruptedPairImages:
         bad = self._changed(w2, m, n)
         build_gamma(w, w1, bad)  # gamma reads section pairs only
         assert not well_definedness_fuzz(w, w1, bad, seed=0)
+
+    @pytest.mark.parametrize(
+        "G1,G2,mutants,blind",
+        [
+            (D4, Q8, 48, 8),
+            (builtin("dihedral", (8,)), builtin("dicyclic", (4,)), 192, 16),
+            (D4, builtin("direct_product", (("dihedral", 4), ("cyclic", 2))), 240, 48),
+        ],
+        ids=["D4~Q8", "D8~Dic4", "D4~D4xZ2"],
+    )
+    def test_every_off_section_change_fails_the_exact_check(self, G1, G2, mutants, blind):
+        """The exact check rejects each mutant; the sampled one misses exactly the (s·z, s·z') pairs."""
+        w = are_isoclinic(G1, G2)
+        w1 = compute_wedge(G1, WedgeVariant.CURLY)
+        w2 = compute_wedge(G2, WedgeVariant.CURLY)
+        _, proj2, _, section2 = isoclinism._central_data(G2)
+        off = [(m, n) for m in range(G2.order) for n in range(G2.order) if not {m, n} <= set(section2)]
+        assert len(off) == mutants
+        missed = set()
+        for m, n in off:
+            bad = self._changed(w2, m, n)
+            assert not well_definedness_fuzz(w, w1, bad), (m, n)
+            if sampled_fuzz(w, w1, bad, trials=100, seed=0):
+                missed.add((m, n))
+        same_coset = {(m, n) for m, n in off if m != n and proj2.images[m] == proj2.images[n]}
+        assert missed == same_coset and len(missed) == blind
 
     def test_section_change_fails_the_pairing_check(self):
         w = are_isoclinic(D4, Q8)

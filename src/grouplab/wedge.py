@@ -28,9 +28,34 @@ the letters that single raw relators kill, the collapsed pairs and the
 pairs (1, y) and (y, 1), are sent to the identity before the elimination,
 which skips the pass that would only have found them.
 
-Neither step holds all raw rows at once. They are built as int32 blocks,
+The CURLY elimination reads fewer rows. Let S be a union of conjugacy
+classes that contains 1 and generates G. Then the crossed relators with m'
+in S or with n' in S, together with the collapsing ones, define the same
+group as all raw relators. Proof for the left relators, writing ^m x for
+m^x = m x m^-1, by induction on the length of m' as a word over S (the
+right ones are alike): length 0 or 1
+means m' is in S. For m' = s t', with s in S and t' shorter, the relator at
+(ms, t', n) and then the one at (m, s, n) give
+
+    (m s t', n) = (^(ms)t', ^(ms)n) (^m s, ^m n) (m, n),
+
+and the relator at (^m s, ^m t', ^m n) turns the first two factors into
+(^m s ^m t', ^m n) = (^m m', ^m n). Since S is closed under conjugation,
+^m t' is again a word over S of the length of t', so that relator holds by
+induction. As 1 is in S, the single rows that kill the pairs with 1 are
+still read. ``_generating_classes`` picks S greedily from the smallest
+classes. So the elimination runs on these rows, while the certificate,
+``trace_relators_through_commutators``, ``check_pairing``, the raw counts
+and ``raw_presentation()`` still read all 2|G|^3 crossed rows: the
+certificate proves that the realization is G ⋏ G whichever rows the
+elimination read. EXTERIOR keeps all rows. It collapses only the pairs
+(x, x), and on the 32 corpus groups of order at most 16 the rows over S
+left 192 generators and 1,543 relators in place of 71 and 816, which made
+``compute_wedge`` slower (55 ms in place of 42 ms for all 32).
+
+Neither step holds all of its rows at once. They are built as int32 blocks,
 each holding the relators (m, m', n), (m, n, n') and (m, n) of a range of
-about ``_BLOCK_ROWS`` / (2|G|^2) elements m. Every elimination pass drops
+about ``_BLOCK_ROWS`` / (2|G||S|) elements m. Every elimination pass drops
 repeated rows block by block, by sorting one int64 key per row, and carries
 only the rows that still say something. The certificate evaluates one block
 at a time and stops at the first block in which a relator survives.
@@ -40,7 +65,8 @@ blocked evaluator runs its rows against the lifted pair images, against
 the commutator table of G, and, in ``check_pairing``, against any pair
 table phi : G x G -> L, where the raw CURLY rows are the pairing axioms.
 No rows are kept between calls. ``WedgeRealization.pair_table()`` gives a
-realization's pair images as one |G| x |G| array.
+realization's pair images as one read-only |G| x |G| array, built at the
+first call and kept on the realization.
 """
 
 from __future__ import annotations
@@ -72,11 +98,13 @@ from .groups import (
     FiniteGroup,
     GroupHom,
     Subgroup,
+    _cached,
     _check_indices,
     _extend_hom,
     abelian_invariants,
     commutator_table,
     derived_subgroup,
+    subgroup_closure,
     table_arrays,
 )
 
@@ -106,24 +134,30 @@ def _collapsed_letters(G: FiniteGroup, variant: WedgeVariant, ms: range) -> np.n
     return np.arange(ms.start, ms.stop) * (n + 1) + 1
 
 
-def _raw_relator_rows(G: FiniteGroup, variant: WedgeVariant, ms: range) -> np.ndarray:
+def _raw_relator_rows(
+    G: FiniteGroup, variant: WedgeVariant, ms: range, S: Sequence[int] | None = None
+) -> np.ndarray:
     """The raw relators of the elements m in ms, as int32 rows of three signed 1-based pair letters.
 
     The pair (m, n) is letter m * |G| + n + 1; a 0 pads the one-letter
     collapsing relators. Rows come in the order crossed-left (m, m', n),
-    then crossed-right (m, n, n'), |ms| * |G|^2 rows each, then collapsing
-    (m, n). With ms = range(|G|) these are all the raw relators.
+    then crossed-right (m, n, n'), then collapsing (m, n). An element set S
+    keeps the crossed rows with m' in S (left) and n' in S (right), |ms| *
+    |S| * |G| rows each; without S, m' and n' run over G, and with ms =
+    range(|G|) these are all the raw relators.
     """
     n = G.order
     mul, _, conj = table_arrays(G)
     a = np.arange(n, dtype=np.int32)
+    s = a if S is None else np.asarray(S, dtype=np.int32)
     i = np.arange(ms.start, ms.stop, dtype=np.int32)[:, None, None]
-    j, k = a[None, :, None], a[None, None, :]
     # (mm', n)^-1 (m^m', m^n) (m, n) with (m, m', n) = (i, j, k)
+    j, k = s[None, :, None], a[None, None, :]
     left = np.stack(np.broadcast_arrays(
         -(mul[i, j] * n + k + 1), conj[i, j] * n + conj[i, k] + 1, i * n + k + 1
     ), axis=-1).reshape(-1, 3)
     # (m, nn')^-1 (m, n) (n^m, n^n') with (m, n, n') = (i, j, k)
+    j, k = a[None, :, None], s[None, None, :]
     right = np.stack(np.broadcast_arrays(
         -(i * n + mul[j, k] + 1), i * n + j + 1, conj[j, i] * n + conj[j, k] + 1
     ), axis=-1).reshape(-1, 3)
@@ -133,11 +167,32 @@ def _raw_relator_rows(G: FiniteGroup, variant: WedgeVariant, ms: range) -> np.nd
     return np.concatenate([left, right, collapsing])
 
 
-def _relator_blocks(G: FiniteGroup, variant: WedgeVariant) -> Iterator[np.ndarray]:
-    """All raw relator rows, one block of elements m at a time."""
-    step = max(1, _BLOCK_ROWS // (2 * G.order**2))
+def _relator_blocks(
+    G: FiniteGroup, variant: WedgeVariant, S: Sequence[int] | None = None
+) -> Iterator[np.ndarray]:
+    """The raw relator rows over S (all raw rows without S), one block of elements m at a time."""
+    step = max(1, _BLOCK_ROWS // (2 * G.order * (G.order if S is None else len(S))))
     for m in range(0, G.order, step):
-        yield _raw_relator_rows(G, variant, range(m, min(m + step, G.order)))
+        yield _raw_relator_rows(G, variant, range(m, min(m + step, G.order)), S)
+
+
+def _generating_classes(G: FiniteGroup) -> list[int]:
+    """A union S of conjugacy classes of G that contains 1 and generates G, sorted.
+
+    Classes are taken in ascending (size, sorted members); a class that
+    already lies in the subgroup generated so far is skipped, and the walk
+    stops once that subgroup is G.
+    """
+    conj = table_arrays(G)[2]
+    classes = sorted({tuple(np.unique(conj[:, x]).tolist()) for x in range(G.order)}, key=lambda c: (len(c), c))
+    S, reached = [0], {0}
+    for c in classes:
+        if len(reached) == G.order:
+            break
+        if not reached.issuperset(c):
+            S += c
+            reached = set(subgroup_closure(G, S).members)
+    return sorted(S)
 
 
 def _reduce_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -310,7 +365,8 @@ def build_wedge_presentation(
     dead = np.arange(G.order**2 + 1, dtype=np.int32)  # sends the letters single raw relators kill to 0
     dead[collapsed] = 0
     dead[1:G.order + 1] = dead[1::G.order] = 0  # the pairs (1, y) and (y, 1)
-    blocks = (np.sign(rows) * dead[np.abs(rows)] for rows in _relator_blocks(G, variant))
+    S = _generating_classes(G) if variant is WedgeVariant.CURLY else None
+    blocks = (np.sign(rows) * dead[np.abs(rows)] for rows in _relator_blocks(G, variant, S))
     letters, kept = _eliminate(blocks, G.order**2)
     roots = np.flatnonzero(letters == dead)[1:]  # live own roots: _eliminate never sees a dead node
     renumber = np.zeros(len(letters), dtype=np.int32)
@@ -401,8 +457,9 @@ class WedgeRealization:
         return self.realization.gen_images[self.presentation.pair_generator(m, n)]
 
     def pair_table(self) -> np.ndarray:
-        """The |G| x |G| array whose (m, n) entry is the image of the pair (m, n)."""
-        return np.reshape(self.realization.gen_images, (self.base.order, self.base.order))
+        """The read-only |G| x |G| array whose (m, n) entry is the image of the pair (m, n), kept on the realization."""
+        n = self.base.order
+        return _cached(self, "_pair_table", lambda: np.reshape(self.realization.gen_images, (n, n)))
 
     @property
     def order(self) -> int:

@@ -14,11 +14,19 @@ P = B64 x Z2 is isoclinic to B64 (an abelian direct factor changes neither
 G/Z nor G'), so by the theorem its kernel is Z/2 as well, and a witness in
 either direction must induce an isomorphism of the kernels. P and its curly
 realization (order 128, so ``group_cap=128``) are built once for the module.
+
+B243 and its twin T243 are subgroups of S27 of order 243, closed from two
+permutations each. They share |Z| = 3, |G'| = 27 and G/G' = (3, 3), again
+from the permutation closure. The curly kernel of B243 is Z/3 and that of
+T243 is trivial; the two values come from grouplab alone, so they are
+cross-checks of the route at an odd prime, not hand-made references. Both
+realizations run with ``group_cap=243``.
 """
 
+import functools
 import random
 import tracemalloc
-from math import prod
+from math import log, prod
 
 import pytest
 
@@ -52,11 +60,20 @@ N_CYCLES = (
     "(1 3)(2 4)(7 8)(11 12)(25 27)(26 28)",
     "(23 24)(29 32 30 31)",
 )
+B243_CYCLES = (
+    "(1 27 11 2 25 12 3 26 10)(4 20 13 5 21 14 6 19 15)(7 23 17 8 24 18 9 22 16)",
+    "(1 19 13 3 21 15 2 20 14)(4 23 16 6 22 18 5 24 17)(7 27 11 9 26 10 8 25 12)",
+)
+T243_CYCLES = (
+    "(1 20 14)(2 21 15)(3 19 13)(4 23 16)(5 24 17)(6 22 18)(7 27 11)(8 25 12)(9 26 10)",
+    "(1 21 16 2 19 17 3 20 18)(4 24 10 5 22 11 6 23 12)(7 25 14 8 26 15 9 27 13)",
+)
+DEGREE_243 = 27
 
 
-def perm(cycles: str) -> tuple[int, ...]:
+def perm(cycles: str, degree: int = DEGREE) -> tuple[int, ...]:
     """0-based image tuple of a product of disjoint 1-based cycles."""
-    image = list(range(DEGREE))
+    image = list(range(degree))
     for cycle in cycles.strip("()").split(")("):
         points = [int(p) - 1 for p in cycle.split()]
         for a, b in zip(points, points[1:] + points[:1]):
@@ -77,7 +94,7 @@ def inverse(a):
 
 
 def closure(gens):
-    ident = tuple(range(DEGREE))
+    ident = tuple(range(len(gens[0])))
     seen, frontier = {ident}, [ident]
     while frontier:
         frontier = [c for c in {compose(x, g) for x in frontier for g in gens} if c not in seen]
@@ -85,18 +102,19 @@ def closure(gens):
     return seen
 
 
-def reference_data(cycles):
-    """|G|, |Z|, |G'| and the invariant factors of G/G', by permutations alone."""
-    gens = [perm(c) for c in cycles]
+def reference_data(cycles, p=2, degree=DEGREE):
+    """|G|, |Z|, |G'| and the invariant factors of G/G', by permutations alone; G/G' must have exponent p."""
+    gens = [perm(c, degree) for c in cycles]
     elements = closure(gens)
     z = [x for x in elements if all(compose(x, g) == compose(g, x) for g in gens)]
     comms = {compose(compose(x, y), compose(inverse(x), inverse(y))) for x in elements for y in elements}
     derived = closure(list(comms))
     index = len(elements) // len(derived)
-    # G/G' is elementary abelian exactly when every square lies in G'; its rank is log2(index)
-    squares_in_derived = all(compose(x, x) in derived for x in elements)
-    assert squares_in_derived and index & (index - 1) == 0
-    return len(elements), len(z), len(derived), (2,) * (index.bit_length() - 1)
+    # G/G' is elementary abelian exactly when every p-th power lies in G'; its rank is log_p(index)
+    rank = round(log(index, p))
+    powers_in_derived = all(functools.reduce(compose, [x] * p) in derived for x in elements)
+    assert powers_in_derived and p**rank == index
+    return len(elements), len(z), len(derived), (p,) * rank
 
 
 def grouplab_data(G):
@@ -129,6 +147,18 @@ def p128_wedge(p128):
     return compute_wedge(p128, WedgeVariant.CURLY, group_cap=128)
 
 
+@pytest.fixture(scope="module")
+def b243():
+    gens = [perm(c, DEGREE_243) for c in B243_CYCLES]
+    return build_from_permutations(gens, cap=243, degree=DEGREE_243, label="B243")
+
+
+@pytest.fixture(scope="module")
+def t243():
+    gens = [perm(c, DEGREE_243) for c in T243_CYCLES]
+    return build_from_permutations(gens, cap=243, degree=DEGREE_243, label="T243")
+
+
 class TestGroupData:
     def test_reference_values(self):
         assert reference_data(B64_CYCLES) == reference_data(N_CYCLES) == (64, 4, 8, (2, 2, 2))
@@ -137,6 +167,24 @@ class TestGroupData:
         assert grouplab_data(b64) == reference_data(B64_CYCLES)
         assert grouplab_data(n64) == reference_data(N_CYCLES)
         assert b64.order_multiset() == n64.order_multiset()
+
+
+class TestOddPrime:
+    def test_reference_values(self):
+        expected = (243, 3, 27, (3, 3))
+        assert reference_data(B243_CYCLES, 3, DEGREE_243) == reference_data(T243_CYCLES, 3, DEGREE_243) == expected
+
+    def test_grouplab_agrees_with_the_closure(self, b243, t243):
+        assert grouplab_data(b243) == reference_data(B243_CYCLES, 3, DEGREE_243)
+        assert grouplab_data(t243) == reference_data(T243_CYCLES, 3, DEGREE_243)
+
+    def test_b243_kernel_is_z3(self, b243):
+        # measured 2.2 s and 122 MB resident in a fresh process
+        assert compute_wedge(b243, WedgeVariant.CURLY, group_cap=243).kernel_invariants().factors == (3,)
+
+    def test_t243_kernel_is_trivial_and_t243_is_not_isoclinic_to_b243(self, b243, t243):
+        assert compute_wedge(t243, WedgeVariant.CURLY, group_cap=243).kernel_invariants().factors == ()
+        assert are_isoclinic(b243, t243) is None
 
 
 class TestKernel:

@@ -9,14 +9,17 @@ import pytest
 
 from grouplab import wedge
 from grouplab.catalog import builtin, shipped_corpus
-from grouplab.errors import GroupTooLarge, NotAPairing, RelatorNotKilled, ValidationError
+from grouplab.errors import CosetLimitExceeded, GroupTooLarge, NotAPairing, RelatorNotKilled, ValidationError
 from grouplab.fpgroups import Presentation, preprocess_relators, realize, todd_coxeter
 from grouplab.groups import (
+    Subgroup,
+    abelian_invariants,
     commutator_table,
     derived_subgroup,
     direct_product,
     from_mul_table,
     relabeled,
+    subgroup_closure,
     table_arrays,
 )
 from grouplab.wedge import (
@@ -281,6 +284,7 @@ class TestCorpusWide:
             wr = curly_wedges[G.label]
             table = wr.pair_table()
             assert table.shape == (G.order, G.order)
+            assert wr.pair_table() is table and not table.flags.writeable  # kept, and shared read-only
             for m in range(G.order):
                 for n in range(G.order):
                     assert table[m, n] == wr.pair_image(m, n)
@@ -449,9 +453,9 @@ def whole_array_eliminate(rows, num_letters):
         letters = np.sign(letters) * sign[np.abs(letters)] * root[np.abs(letters)]
 
 
-def whole_array_presentation(G, variant):
-    """Reference: build_wedge_presentation on all raw rows at once, with whole_array_eliminate."""
-    letters, kept = whole_array_eliminate(wedge._raw_relator_rows(G, variant, range(G.order)), G.order**2)
+def whole_array_presentation(G, variant, S=None):
+    """Reference: the rows over S (all raw rows without S) eliminated at once by whole_array_eliminate."""
+    letters, kept = whole_array_eliminate(wedge._raw_relator_rows(G, variant, range(G.order), S), G.order**2)
     roots = np.flatnonzero(letters == np.arange(len(letters)))[1:]
     renumber = np.zeros(len(letters), dtype=np.int64)
     renumber[roots] = np.arange(1, len(roots) + 1)
@@ -517,7 +521,9 @@ class TestBlockedElimination:
             for G in copies:
                 for variant in WedgeVariant:
                     wp = build_wedge_presentation(G, variant, group_cap=64)
-                    ref = whole_array_presentation(G, variant)
+                    # the elimination reads the CURLY rows over the generating classes only
+                    S = wedge._generating_classes(G) if variant is WedgeVariant.CURLY else None
+                    ref = whole_array_presentation(G, variant, S)
                     assert wp.presentation.relators == ref.presentation.relators, G.label
                     assert wp.presentation.num_generators == ref.presentation.num_generators
                     # the sign rule is unchanged, so signs agree too, also on
@@ -534,13 +540,15 @@ class TestBlockedElimination:
             if G.order > variant.default_cap:
                 continue
             n = G.order
-            rows, length = wedge._reduce_rows(wedge._raw_relator_rows(G, variant, range(n)))
-            killed = set(np.abs(rows[length == 1, 0]).tolist())
             seeded = set(wedge._collapsed_letters(G, variant, range(n)).tolist())
             seeded |= set(range(1, n + 1)) | set(range(1, n * n + 1, n))  # the letters of (1, y) and (y, 1)
-            assert killed == seeded, G.label
-            # and no raw row identifies two letters or vanishes
-            assert set(length.tolist()) <= {1, 3}, G.label
+            # on all raw rows, and on the rows over the generating classes, which hold 1
+            for S in (None, wedge._generating_classes(G)):
+                rows, length = wedge._reduce_rows(wedge._raw_relator_rows(G, variant, range(n), S))
+                killed = set(np.abs(rows[length == 1, 0]).tolist())
+                assert killed == seeded, G.label
+                # and no raw row identifies two letters or vanishes
+                assert set(length.tolist()) <= {1, 3}, G.label
 
     @pytest.mark.parametrize("variant", list(WedgeVariant))
     def test_order_and_blocking_do_not_matter(self, monkeypatch, variant):
@@ -585,11 +593,73 @@ class TestBlockedElimination:
             certificate_peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the whole-array elimination peaked at 66.6 MiB and its certificate at 37.7 MiB
-        assert build_peak <= 33 * 2**20
+        # measured 3.1 MiB; the elimination over all raw rows peaked at 9.6 MiB, and
+        # the whole-array one at 66.6 MiB with its certificate at 37.7 MiB
+        assert build_peak <= 4 * 2**20
         assert certificate_peak <= 8 * 2**20
-        assert wp.presentation.num_generators == 3
-        assert len(wp.presentation.relators) == 11
+        assert wp.presentation.num_generators == 6
+        assert len(wp.presentation.relators) == 34
+
+
+def two_relabelings_each(groups, seed):
+    """Each group with two relabeled copies, one group per multiplication table."""
+    rng, seen, out = random.Random(seed), set(), []
+    for G0 in groups:
+        if G0.mul in seen:
+            continue
+        seen.add(G0.mul)
+        out.append(G0)
+        for _ in range(2):
+            sigma = list(range(1, G0.order))
+            rng.shuffle(sigma)
+            out.append(relabeled(G0, [0] + sigma, label=G0.label))
+    return out
+
+
+@pytest.fixture(scope="module")
+def corpus_and_pool_copies():
+    return two_relabelings_each(shipped_corpus() + list(CURLY_LARGE_POOL + OTHER_BENCHMARK_GROUPS), 26)
+
+
+class TestGeneratingClasses:
+    """The CURLY elimination reads the crossed rows over S; the certificate reads all rows."""
+
+    def test_s_is_a_generating_union_of_classes_with_1(self, corpus_and_pool_copies):
+        for G in corpus_and_pool_copies:
+            S = wedge._generating_classes(G)
+            assert S[0] == 0 and S == sorted(set(S)), G.label
+            assert set(table_arrays(G)[2][:, S].ravel().tolist()) == set(S), G.label  # every g s g^-1 is in S
+            assert len(subgroup_closure(G, S)) == G.order, G.label
+
+    def test_realization_matches_the_all_rows_elimination(self, corpus_and_pool_copies):
+        for G in corpus_and_pool_copies:
+            wr = compute_wedge(G, WedgeVariant.CURLY, group_cap=64)
+            real = realized_pairs(whole_array_presentation(G, WedgeVariant.CURLY))
+            kappa = hom_from_generator_images(real, G, commutator_table(G).ravel().tolist())
+            kernel = Subgroup(real.group, tuple(x for x in range(real.group.order) if kappa.images[x] == 0))
+            assert real.group.order == wr.order, G.label
+            assert abelian_invariants(kernel) == wr.kernel_invariants(), G.label
+
+    # On every group tried, an S that generates G but is not conjugation-closed
+    # still gave G ⋏ G. Both sets below generate proper subgroups: in D16, two
+    # reflections whose normal closure has index 2; in S4, 1 and the double
+    # transpositions (a normal Klein four-group).
+    @pytest.mark.parametrize(
+        "G, S, error",
+        [
+            (POOL_UP_TO_32[0], [0, 17, 21], RelatorNotKilled),
+            (S4, [0] + [x for x in derived_subgroup(S4).members if S4.element_order(x) == 2], CosetLimitExceeded),
+        ],
+        ids=["D16-not-conjugation-closed", "S4-proper-subgroup"],
+    )
+    def test_a_wrong_s_never_returns(self, monkeypatch, G, S, error):
+        closed = set(table_arrays(G)[2][:, S].ravel().tolist()) == set(S)
+        assert closed == (error is CosetLimitExceeded)
+        assert len(subgroup_closure(G, S)) < G.order
+        assert compute_wedge(G, WedgeVariant.CURLY, max_cosets=3000).order < 3000
+        monkeypatch.setattr(wedge, "_generating_classes", lambda H: S)
+        with pytest.raises(error):
+            compute_wedge(G, WedgeVariant.CURLY, max_cosets=3000)
 
 
 class TestBlockedCertificate:

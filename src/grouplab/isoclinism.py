@@ -262,18 +262,14 @@ def build_gamma(
 ) -> GammaMap:
     """Construct, verify and package the induced map and its kernel part.
 
-    The extension that builds gamma is also the pairing check of the
-    induced table phi. ``compute_wedge`` certified that every raw CURLY
-    relator of the source, that is every pairing axiom, dies in wedge1's
-    realization. Once every edge of the extension checks, gamma is a
-    homomorphism sending the pair (m, n) to phi[m][n], so each axiom's value
-    on phi is gamma of the identity. A failed extension raises
+    As in ``wedge.pairing_to_hom``, the extension that builds gamma is also
+    the pairing check of the induced table phi; a failed one raises
     PairingAxiomFailed. kappa1 rests on the same certificate.
     """
     _check_inputs(w, wedge1, wedge2)
     phi = _pair_table(wedge2.pair_table(), _coset_images(w.source, w.alpha), _central_data(w.target)[3])
     try:
-        gamma = hom_from_generator_images(wedge1.realization, wedge2.realization.group, phi.ravel().tolist())
+        gamma = hom_from_generator_images(wedge1, wedge2.realization.group, phi)
     except RelatorNotKilled as exc:
         raise PairingAxiomFailed("induced pair table violates a pairing axiom") from exc
     if not gamma.is_bijective():

@@ -20,8 +20,9 @@ enumeration, and kappa is rebuilt and verified rather than assumed.
 The raw presentation has |G|^2 generators and about 2|G|^3 relators, most
 of them redundant. They are built as numpy index arrays and reduced by
 Tietze elimination (a signed union-find run to a fixpoint) before
-enumeration. The realization of the surviving classes is lifted back to one
-image per pair, and evaluating every raw relator in it certifies the
+enumeration, which realizes the group on its k surviving letters alone. A
+pair's image is its letter's (inverted for a negative letter, 1 for a dead
+pair), and evaluating every raw relator on the pair images certifies the
 reduction. A crossed relator cancels to one letter exactly when one of m,
 m', n, n' is 1, and that letter is a pair with 1; none cancels to two. So
 the letters that single raw relators kill, the collapsed pairs and the
@@ -61,18 +62,19 @@ only the rows that still say something. The certificate evaluates one block
 at a time and stops at the first block in which a relator survives.
 
 ``_raw_relator_rows`` is the only spelling of the relations. The same
-blocked evaluator runs its rows against the lifted pair images, against
-the commutator table of G, and, in ``check_pairing``, against any pair
-table phi : G x G -> L, where the raw CURLY rows are the pairing axioms.
-No rows are kept between calls. ``WedgeRealization.pair_table()`` gives a
-realization's pair images as one read-only |G| x |G| array, built at the
-first call and kept on the realization.
+blocked evaluator runs its rows against a realization's pair images,
+against the commutator table of G, and, in ``check_pairing``, against any
+pair table phi : G x G -> L, where the raw CURLY rows are the pairing
+axioms. No rows are kept between calls. ``WedgeRealization.pair_table()``
+is the only pair view of a realization: one read-only |G| x |G| array,
+built at the first call and kept on the realization.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -336,10 +338,6 @@ class WedgePresentation:
     r2_count: int
     r3_count: int
 
-    def pair_generator(self, m: int, n: int) -> int:
-        """0-based index of the pair (m, n) among the |G|^2 pair symbols."""
-        return m * self.base.order + n
-
     def raw_presentation(self) -> Presentation:
         """The presentation on all |G|^2 pair letters, relators normalized."""
         rows = _raw_relator_rows(self.base, self.variant, range(self.base.order))
@@ -409,57 +407,71 @@ def raw_relators_die(
     return all(_relators_die(rows, target, images) for rows in _relator_blocks(wp.base, wp.variant))
 
 
-def _lift_to_pairs(wp: WedgePresentation, real: Realization) -> Realization:
-    """The realization on the pair letters: pair p gets the image of its letter ``wp.pair_letters[p]``."""
-    letters = np.array(wp.pair_letters, dtype=np.int64)
-    images = np.array((0,) + real.gen_images, dtype=np.int64)[np.abs(letters)]
-    images = np.where(letters < 0, table_arrays(real.group)[1][images], images)
-    return Realization(group=real.group, gen_images=tuple(images.tolist()))
+def _pair_array(phi: Sequence[Sequence[int]] | np.ndarray, G: FiniteGroup, L: FiniteGroup) -> np.ndarray:
+    """phi as a |G| x |G| integer array of elements of L; ValidationError for any other table, a ragged one too."""
+    table = phi if isinstance(phi, np.ndarray) else np.array(phi, dtype=object)
+    if table.shape != (G.order, G.order):
+        raise ValidationError(f"a pair table of {G.label} has shape {(G.order, G.order)}, not {table.shape}")
+    if table.dtype == object:  # entry by entry, so that a bool, float or str is no element index
+        _check_indices(table.ravel().tolist(), L.order, "pair image")
+    elif table.dtype.kind not in "iu" or table.min() < 0 or table.max() >= L.order:
+        raise ValidationError(f"a pair image is not an integer or lies outside [0, {L.order})")
+    return np.asarray(table, dtype=np.int64)
 
 
 def hom_from_generator_images(
-    realization: Realization,
-    target: FiniteGroup,
-    gen_images: Sequence[int],
+    source: WedgeRealization, target: FiniteGroup, table: Sequence[Sequence[int]] | np.ndarray
 ) -> GroupHom:
-    """Extend generator images to the whole realized group, verifying edges.
+    """The homomorphism on source's realized group sending each pair (m, n) to table[m][n].
 
-    The walk of ``groups._extend_hom`` follows each (element, generator)
-    edge once and checks every edge that does not set an image, which
-    certifies a homomorphism; it raises RelatorNotKilled at the first edge
-    that disagrees. Raises ValidationError unless the images, one per
-    generator, reach every element.
+    Each letter goes to the entry at its root pair, the first pair carrying
+    it with a positive sign; the walk of ``groups._extend_hom`` extends
+    these k images, checking every edge, and one array comparison checks
+    every pair. Such a homomorphism exists exactly when both pass, else
+    RelatorNotKilled names the first edge or pair that fails. A malformed
+    table, or letters that do not reach every element, raise ValidationError.
     """
-    grp = realization.group
-    gens = realization.gen_images
-    if len(gen_images) != len(gens):
-        raise ValidationError(f"{len(gen_images)} generator images for {len(gens)} generators")
-    _check_indices(gen_images, target.order, "generator image")
-    images = _extend_hom(grp, target, gens, gen_images)
+    table = _pair_array(table, source.base, target)
+    grp, wp = source.realization.group, source.presentation
+    # with negative letters read as 0, letter i > 0 first occurs at its root, and 0 first at the dead pair (1, 1)
+    roots = _cached(wp, "_root_pairs", lambda: np.unique(np.maximum(wp.pair_letters, 0), return_index=True)[1][1:])
+    images = _extend_hom(grp, target, source.realization.gen_images, table.ravel()[roots].tolist())
     if -1 in images:
-        raise ValidationError(f"the images reach {grp.order - images.count(-1)} of the {grp.order} elements of {grp.label}")
+        raise ValidationError(f"the letters reach {grp.order - images.count(-1)} of the {grp.order} elements of {grp.label}")
+    bad = np.array(images)[source.pair_table()] != table
+    if bad.any():
+        raise RelatorNotKilled(f"the extension differs from the table at the pair {tuple(np.argwhere(bad)[0].tolist())}")
     return GroupHom(grp, target, tuple(images))
 
 
 @dataclass(frozen=True)
 class WedgeRealization:
-    """A realized pairing group with its verified commutator surjection."""
+    """A realized pairing group: one image per letter of the reduced presentation, read per pair by ``pair_table()``."""
 
     variant: WedgeVariant
     base: FiniteGroup
     presentation: WedgePresentation
     realization: Realization
-    kappa: GroupHom
-    kernel: Subgroup
-
-    def pair_image(self, m: int, n: int) -> int:
-        """Element of the realized group representing the pair (m, n)."""
-        return self.realization.gen_images[self.presentation.pair_generator(m, n)]
 
     def pair_table(self) -> np.ndarray:
-        """The read-only |G| x |G| array whose (m, n) entry is the image of the pair (m, n), kept on the realization."""
-        n = self.base.order
-        return _cached(self, "_pair_table", lambda: np.reshape(self.realization.gen_images, (n, n)))
+        """The read-only |G| x |G| array of pair images (see the module docstring), kept on the realization."""
+
+        def build() -> np.ndarray:
+            letters = np.reshape(self.presentation.pair_letters, (-1, self.base.order))
+            images = np.array((0,) + self.realization.gen_images)[np.abs(letters)]
+            return np.where(letters < 0, table_arrays(self.realization.group)[1][images], images)
+
+        return _cached(self, "_pair_table", build)
+
+    @cached_property
+    def kappa(self) -> GroupHom:
+        """The commutator map, pair (m, n) to [m, n]: built at first use and kept, as is its kernel; ``compute_wedge`` verifies both."""
+        return hom_from_generator_images(self, self.base, commutator_table(self.base))
+
+    @cached_property
+    def kernel(self) -> Subgroup:
+        """The kernel of kappa."""
+        return Subgroup(self.realization.group, tuple(x for x, y in enumerate(self.kappa.images) if y == 0))
 
     @property
     def order(self) -> int:
@@ -478,17 +490,17 @@ def compute_wedge(
     """Realize the pairing group and extract kappa and its kernel.
 
     Only the reduced presentation is enumerated. Evaluating every raw
-    relator on the lifted pair images certifies the reduction.
+    relator on the realization's pair table certifies the reduction.
     """
     wp = build_wedge_presentation(G, variant, group_cap)
     table = todd_coxeter(wp.presentation, (), max_cosets=max_cosets)
-    real = _lift_to_pairs(wp, realize(wp.presentation, table))
-    if not raw_relators_die(wp, real.group, real.gen_images):
+    wr = WedgeRealization(variant=variant, base=G, presentation=wp, realization=realize(wp.presentation, table))
+    if not raw_relators_die(wp, wr.realization.group, wr.pair_table().ravel()):
         raise RelatorNotKilled(
             f"a raw {variant.value} relator of {G.label} survives in the realized group"
         )
     try:
-        kappa = hom_from_generator_images(real, G, commutator_table(G).ravel().tolist())
+        kappa = wr.kappa
     except RelatorNotKilled as exc:
         raise KappaRelatorViolation(
             f"commutator images of {G.label} violate a pairing relator: {exc}"
@@ -498,23 +510,14 @@ def compute_wedge(
         raise KappaRelatorViolation(
             f"kappa image differs from the derived subgroup of {G.label}"
         )
-    kernel_members = tuple(x for x in range(real.group.order) if kappa.images[x] == 0)
-    kernel = Subgroup(real.group, kernel_members)
-    if real.group.order != len(kernel_members) * len(derived):
+    if wr.order != len(wr.kernel) * len(derived):
         raise InternalCheckFailed(
             f"exactness fails for {G.label} {variant.value}: "
-            f"{real.group.order} != {len(kernel_members)} * {len(derived)}"
+            f"{wr.order} != {len(wr.kernel)} * {len(derived)}"
         )
-    if variant is WedgeVariant.CURLY and not kernel.is_abelian():
+    if variant is WedgeVariant.CURLY and not wr.kernel.is_abelian():
         raise InternalCheckFailed(f"curly kernel of {G.label} is not abelian")
-    return WedgeRealization(
-        variant=variant,
-        base=G,
-        presentation=wp,
-        realization=real,
-        kappa=kappa,
-        kernel=kernel,
-    )
+    return wr
 
 
 def bogomolov_kernel(
@@ -547,14 +550,10 @@ def check_pairing(G: FiniteGroup, L: FiniteGroup, phi: Sequence[Sequence[int]]) 
     time, and none is kept.
     """
     try:
-        table = np.asarray(phi)
-    except ValueError:  # ragged rows
+        table = _pair_array(phi, G, L).ravel()
+    except ValidationError:
         return False
-    if table.shape != (G.order, G.order) or table.dtype.kind not in "iu":
-        return False
-    in_range = bool(np.all((table >= 0) & (table < L.order)))
-    blocks = _relator_blocks(G, WedgeVariant.CURLY)
-    return in_range and all(_relators_die(rows, L, table.ravel()) for rows in blocks)
+    return all(_relators_die(rows, L, table) for rows in _relator_blocks(G, WedgeVariant.CURLY))
 
 
 def pairing_to_hom(
@@ -563,14 +562,20 @@ def pairing_to_hom(
     phi: Sequence[Sequence[int]],
     wedge: WedgeRealization,
 ) -> GroupHom:
-    """The unique map on the CURLY realization sending pair (m, n) to phi[m][n]."""
+    """The unique map on the CURLY realization sending pair (m, n) to phi[m][n]; NotAPairing unless phi is a pairing.
+
+    ``compute_wedge`` certified that every pairing axiom, a raw CURLY
+    relator, dies in the realization. So once phi extends, each axiom's value
+    on phi is the image of 1, and the extension is the pairing check.
+    """
     if wedge.variant is not WedgeVariant.CURLY:
         raise NotAPairing("pairing extension is defined on the CURLY realization")
     if wedge.base.mul != G.mul:
         raise NotAPairing("wedge realization does not belong to this group")
-    if not check_pairing(G, L, phi):
-        raise NotAPairing(f"table violates a pairing axiom for {G.label}")
-    return hom_from_generator_images(wedge.realization, L, np.ravel(phi).tolist())
+    try:
+        return hom_from_generator_images(wedge, L, phi)
+    except (ValidationError, RelatorNotKilled) as exc:
+        raise NotAPairing(f"table is not a pairing of {G.label}: {exc}") from exc
 
 
 def commutator_pairing_table(G: FiniteGroup) -> list[list[int]]:
@@ -590,17 +595,16 @@ def trace_relators_through_commutators(G: FiniteGroup, wp: WedgePresentation) ->
 def exterior_to_curly_surjection(
     ext: WedgeRealization, cur: WedgeRealization
 ) -> GroupHom:
-    """The map induced by matching pair generators; total on the EXTERIOR side.
+    """The map sending each exterior pair to its curly image; total on the EXTERIOR side.
 
-    The CURLY relator set contains the EXTERIOR one, so sending each
-    exterior pair symbol to its curly image kills all exterior relators.
+    The CURLY relator set contains the EXTERIOR one, so the curly pair
+    table extends to the exterior realization.
     """
     if ext.variant is not WedgeVariant.EXTERIOR or cur.variant is not WedgeVariant.CURLY:
         raise InternalCheckFailed("surjection runs from EXTERIOR onto CURLY")
     if ext.base.mul != cur.base.mul:
         raise InternalCheckFailed("realizations built from different base groups")
-    gen_images = list(cur.realization.gen_images)
-    hom = hom_from_generator_images(ext.realization, cur.realization.group, gen_images)
+    hom = hom_from_generator_images(ext, cur.realization.group, cur.pair_table())
     if len(set(hom.images)) != cur.realization.group.order:
         raise InternalCheckFailed("exterior-to-curly map is not surjective")
     return hom

@@ -1,6 +1,7 @@
 """Coset enumeration, realization, and word handling."""
 
 import copy
+import dataclasses
 
 import pytest
 
@@ -21,7 +22,7 @@ from grouplab.fpgroups import (
     word_columns,
 )
 from grouplab.groups import find_isomorphism
-from grouplab.wedge import WedgeVariant, build_wedge_presentation, hom_from_generator_images
+from grouplab.wedge import WedgeVariant, build_wedge_presentation, compute_wedge, hom_from_generator_images
 from word_reference import two_pass_finish, unfinished_table, word_realize
 
 Z3 = Presentation(1, ((1, 1, 1),), label="z3")
@@ -181,10 +182,11 @@ class TestRealize:
             Realization(group=group, gen_images=images)
 
     def test_images_that_do_not_generate_are_rejected(self):
-        real = realize(S3P, todd_coxeter(S3P))
-        partial = Realization(group=real.group, gen_images=real.gen_images[:1] * 2)
-        with pytest.raises(ValidationError, match="reach 2 of the 6"):
-            hom_from_generator_images(partial, real.group, partial.gen_images)
+        wr = compute_wedge(builtin("symmetric", (4,)), WedgeVariant.CURLY)  # 7 letters, order 12
+        real = wr.realization
+        partial = dataclasses.replace(wr, realization=Realization(group=real.group, gen_images=real.gen_images[:1] * 7))
+        with pytest.raises(ValidationError, match="reach 3 of the 12"):
+            hom_from_generator_images(partial, real.group, partial.pair_table())
 
 
 class TestWalksMatchWords:

@@ -1,5 +1,6 @@
 """Witness search, verification, the induced realization map, and families."""
 
+import copy
 import dataclasses
 
 import pytest
@@ -423,12 +424,12 @@ class TestCorruptedPairImages:
 
     @staticmethod
     def _changed(wr, m, n):
-        images = list(wr.realization.gen_images)
-        p = m * wr.base.order + n
-        images[p] = (images[p] + 1) % wr.order
-        return dataclasses.replace(
-            wr, realization=dataclasses.replace(wr.realization, gen_images=tuple(images))
-        )
+        """A copy of wr, with its kept kappa and kernel, whose pair table differs at (m, n)."""
+        table = wr.pair_table().copy()
+        table[m, n] = (table[m, n] + 1) % wr.order
+        bad = copy.copy(wr)
+        object.__setattr__(bad, "pair_table", lambda: table)
+        return bad
 
     def test_off_section_change_fails_the_fuzz(self):
         w = are_isoclinic(D4, Q8)

@@ -15,15 +15,19 @@ G/Z nor G'), so by the theorem its kernel is Z/2 as well, and a witness in
 either direction must induce an isomorphism of the kernels. P and its curly
 realization (order 128, so ``group_cap=128``) are built once for the module.
 
-B243 and its twin T243 are subgroups of S27 of order 243, closed from two
-permutations each. They share |Z| = 3, |G'| = 27 and G/G' = (3, 3), again
-from the permutation closure. The curly kernel of B243 is Z/3 and that of
-T243 is trivial; the two values come from grouplab alone, so they are
-cross-checks of the route at an odd prime, not hand-made references. Both
-realizations run with ``group_cap=243``.
+B243, B243b, B243c and their twin T243 are subgroups of S27 of order 243,
+closed from two permutations each. They share |Z| = 3, |G'| = 27 and
+G/G' = (3, 3), again from the permutation closure. The curly kernels of
+the first three are Z/3 and that of T243 is trivial; the values come from
+grouplab alone, so they are cross-checks of the route at an odd prime, not
+hand-made references. The first three are isoclinic, so the theorem is
+checked on each ordered pair of them; none is isoclinic to T243. All
+realizations run with ``group_cap=243``, and those of the first three are
+built once for the module.
 """
 
 import functools
+import itertools
 import random
 import tracemalloc
 from math import log, prod
@@ -63,6 +67,14 @@ N_CYCLES = (
 B243_CYCLES = (
     "(1 27 11 2 25 12 3 26 10)(4 20 13 5 21 14 6 19 15)(7 23 17 8 24 18 9 22 16)",
     "(1 19 13 3 21 15 2 20 14)(4 23 16 6 22 18 5 24 17)(7 27 11 9 26 10 8 25 12)",
+)
+B243B_CYCLES = (
+    "(1 27 13)(2 25 14)(3 26 15)(4 20 18)(5 21 16)(6 19 17)(7 23 10)(8 24 11)(9 22 12)",
+    "(1 25 18 3 27 17 2 26 16)(4 19 12 6 21 11 5 20 10)(7 23 13 9 22 15 8 24 14)",
+)
+B243C_CYCLES = (
+    "(1 23 18 3 22 17 2 24 16)(4 25 11 6 27 10 5 26 12)(7 19 13 9 21 15 8 20 14)",
+    "(1 25 10 3 27 12 2 26 11)(4 21 15 6 20 14 5 19 13)(7 22 18 9 24 17 8 23 16)",
 )
 T243_CYCLES = (
     "(1 20 14)(2 21 15)(3 19 13)(4 23 16)(5 24 17)(6 22 18)(7 27 11)(8 25 12)(9 26 10)",
@@ -147,16 +159,25 @@ def p128_wedge(p128):
     return compute_wedge(p128, WedgeVariant.CURLY, group_cap=128)
 
 
+def group_243(cycles, label):
+    return build_from_permutations([perm(c, DEGREE_243) for c in cycles], cap=243, degree=DEGREE_243, label=label)
+
+
 @pytest.fixture(scope="module")
 def b243():
-    gens = [perm(c, DEGREE_243) for c in B243_CYCLES]
-    return build_from_permutations(gens, cap=243, degree=DEGREE_243, label="B243")
+    return group_243(B243_CYCLES, "B243")
 
 
 @pytest.fixture(scope="module")
 def t243():
-    gens = [perm(c, DEGREE_243) for c in T243_CYCLES]
-    return build_from_permutations(gens, cap=243, degree=DEGREE_243, label="T243")
+    return group_243(T243_CYCLES, "T243")
+
+
+@pytest.fixture(scope="module")
+def odd_b0_wedges(b243):
+    """The curly realizations of B243, B243b and B243c, by label."""
+    groups = (b243, group_243(B243B_CYCLES, "B243b"), group_243(B243C_CYCLES, "B243c"))
+    return {G.label: compute_wedge(G, WedgeVariant.CURLY, group_cap=243) for G in groups}
 
 
 class TestGroupData:
@@ -171,16 +192,31 @@ class TestGroupData:
 
 class TestOddPrime:
     def test_reference_values(self):
-        expected = (243, 3, 27, (3, 3))
-        assert reference_data(B243_CYCLES, 3, DEGREE_243) == reference_data(T243_CYCLES, 3, DEGREE_243) == expected
+        for cycles in (B243_CYCLES, B243B_CYCLES, B243C_CYCLES, T243_CYCLES):
+            assert reference_data(cycles, 3, DEGREE_243) == (243, 3, 27, (3, 3))
 
-    def test_grouplab_agrees_with_the_closure(self, b243, t243):
-        assert grouplab_data(b243) == reference_data(B243_CYCLES, 3, DEGREE_243)
+    def test_grouplab_agrees_with_the_closure(self, odd_b0_wedges, t243):
+        for label, cycles in (("B243", B243_CYCLES), ("B243b", B243B_CYCLES), ("B243c", B243C_CYCLES)):
+            assert grouplab_data(odd_b0_wedges[label].base) == reference_data(cycles, 3, DEGREE_243)
         assert grouplab_data(t243) == reference_data(T243_CYCLES, 3, DEGREE_243)
 
-    def test_b243_kernel_is_z3(self, b243):
-        # measured 2.2 s and 122 MB resident in a fresh process
-        assert compute_wedge(b243, WedgeVariant.CURLY, group_cap=243).kernel_invariants().factors == (3,)
+    def test_b243_kernel_is_z3(self, odd_b0_wedges):
+        assert odd_b0_wedges["B243"].kernel_invariants().factors == (3,)
+
+    def test_b243b_and_b243c_kernels_are_z3_and_not_isoclinic_to_t243(self, odd_b0_wedges, t243):
+        for label in ("B243b", "B243c"):
+            assert odd_b0_wedges[label].kernel_invariants().factors == (3,)
+            assert are_isoclinic(odd_b0_wedges[label].base, t243) is None
+
+    @pytest.mark.parametrize("source, target", list(itertools.permutations(("B243", "B243b", "B243c"), 2)))
+    def test_witness_induces_an_isomorphism_of_the_kernels(self, odd_b0_wedges, source, target):
+        wedge1, wedge2 = odd_b0_wedges[source], odd_b0_wedges[target]
+        w = are_isoclinic(wedge1.base, wedge2.base)
+        assert w is not None and verify_witness(w)
+        g = build_gamma(w, wedge1, wedge2)
+        assert g.gamma.is_bijective()
+        assert g.gamma_tilde.is_homomorphism() and g.gamma_tilde.is_bijective()
+        assert len(g.kernel1_members) == len(g.kernel2_members) == 3
 
     def test_t243_kernel_is_trivial_and_t243_is_not_isoclinic_to_b243(self, b243, t243):
         assert compute_wedge(t243, WedgeVariant.CURLY, group_cap=243).kernel_invariants().factors == ()
@@ -258,15 +294,14 @@ def test_walks_match_the_word_references(monkeypatch, b64, b64_wedge, p128, p128
     for G, wr in ((b64, b64_wedge), (p128, p128_wedge)):
         real, words[G.label] = walked_and_worded(monkeypatch, wr.presentation)
         assert real == wr.realization
-        kappa = commutator_table(G).ravel().tolist()
-        assert wr.kappa.images == word_fold_hom(words[G.label], real, G, kappa)
+        assert wr.kappa.images == word_fold_hom(words[G.label], wr, G, commutator_table(G).tolist())
     for (G1, wedge1), (G2, wedge2) in (((b64, b64_wedge), (p128, p128_wedge)), ((p128, p128_wedge), (b64, b64_wedge))):
         seen = []
         extend = isoclinism.hom_from_generator_images
 
-        def recorded(realization, target, gen_images):
-            seen.append(word_fold_hom(words[G1.label], realization, target, gen_images))
-            return extend(realization, target, gen_images)
+        def recorded(source, target, table):
+            seen.append(word_fold_hom(words[G1.label], source, target, table))
+            return extend(source, target, table)
 
         with monkeypatch.context() as mp:
             mp.setattr(isoclinism, "hom_from_generator_images", recorded)

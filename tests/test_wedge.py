@@ -2,18 +2,23 @@
 
 import dataclasses
 import random
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from grouplab import wedge
+from grouplab import isoclinism, wedge
 from grouplab.catalog import builtin, shipped_corpus
-from grouplab.errors import CosetLimitExceeded, GroupTooLarge, NotAPairing, RelatorNotKilled, ValidationError
+from grouplab.errors import (
+    CosetLimitExceeded,
+    GroupTooLarge,
+    NotAPairing,
+    PairingAxiomFailed,
+    RelatorNotKilled,
+)
 from grouplab.fpgroups import Presentation, preprocess_relators, realize, todd_coxeter
 from grouplab.groups import (
-    Subgroup,
-    abelian_invariants,
     commutator_table,
     derived_subgroup,
     direct_product,
@@ -36,6 +41,7 @@ from grouplab.wedge import (
     raw_relators_die,
     trace_relators_through_commutators,
 )
+from grouplab.isoclinism import build_gamma, identity_witness, verify_witness
 from word_reference import walked_and_worded, word_fold_hom
 
 
@@ -159,7 +165,7 @@ class TestPresentation:
             wp = build_wedge_presentation(S3, variant)
             values = [S3.comm(m, n) for m in range(6) for n in range(6)]
             assert raw_relators_die(wp, S3, values)
-            values[wp.pair_generator(1, 2)] = S3.mul[values[wp.pair_generator(1, 2)]][1]
+            values[1 * 6 + 2] = S3.mul[values[1 * 6 + 2]][1]
             assert not raw_relators_die(wp, S3, values)
 
     def test_relator_trace_reads_raw_relators(self):
@@ -178,7 +184,7 @@ class TestPresentation:
         for x in range(24):
             for y in range(24):
                 if S4.comm(x, y) == 0:
-                    assert wp.pair_letters[wp.pair_generator(x, y)] == 0
+                    assert wp.pair_letters[x * 24 + y] == 0
         used = {abs(ltr) for ltr in wp.pair_letters}
         assert used == set(range(8))
 
@@ -187,8 +193,8 @@ class TestPresentation:
             for variant in WedgeVariant:
                 wp = build_wedge_presentation(G, variant)
                 for x in range(G.order):
-                    assert wp.pair_letters[wp.pair_generator(0, x)] == 0
-                    assert wp.pair_letters[wp.pair_generator(x, 0)] == 0
+                    assert wp.pair_letters[x] == 0  # the pair (1, x)
+                    assert wp.pair_letters[x * G.order] == 0  # the pair (x, 1)
 
 
 class TestComputeWedge:
@@ -213,16 +219,16 @@ class TestComputeWedge:
         assert set(wr.kappa.images) == {0}
 
     def test_identity_pair_images_trivial(self):
-        wr = compute_wedge(S3, WedgeVariant.CURLY)
+        table = compute_wedge(S3, WedgeVariant.CURLY).pair_table()
         for x in range(S3.order):
-            assert wr.pair_image(0, x) == 0
-            assert wr.pair_image(x, 0) == 0
+            assert table[0, x] == 0
+            assert table[x, 0] == 0
 
     def test_kappa_on_pairs_is_commutator(self):
         wr = compute_wedge(D4, WedgeVariant.CURLY)
         for m in range(D4.order):
             for n in range(D4.order):
-                assert wr.kappa.images[wr.pair_image(m, n)] == D4.comm(m, n)
+                assert wr.kappa.images[wr.pair_table()[m, n]] == D4.comm(m, n)
 
     def test_exactness(self):
         for G in (S3, D4, Q8):
@@ -279,22 +285,24 @@ class TestCorpusWide:
             hom = exterior_to_curly_surjection(ext, cur)
             assert set(hom.images) == set(range(cur.order)), G.label
 
-    def test_pair_table_reads_pair_images(self, corpus, curly_wedges):
+    def test_pair_table_reads_pair_images(self, corpus, curly_wedges, exterior_wedges):
         for G in corpus:
-            wr = curly_wedges[G.label]
-            table = wr.pair_table()
-            assert table.shape == (G.order, G.order)
-            assert wr.pair_table() is table and not table.flags.writeable  # kept, and shared read-only
-            for m in range(G.order):
-                for n in range(G.order):
-                    assert table[m, n] == wr.pair_image(m, n)
+            for wr in (curly_wedges[G.label], exterior_wedges[G.label]):
+                assert len(wr.realization.gen_images) == wr.presentation.presentation.num_generators
+                table = wr.pair_table()
+                assert table.shape == (G.order, G.order)
+                assert wr.pair_table() is table and not table.flags.writeable  # kept, and shared read-only
+                for m in range(G.order):
+                    for n in range(G.order):
+                        letter = wr.presentation.pair_letters[m * G.order + n]
+                        assert table[m, n] == wr.realization.evaluate((letter,) if letter else ())
 
     def test_identity_pair_images_trivial_everywhere(self, corpus, curly_wedges):
         for G in corpus:
-            wr = curly_wedges[G.label]
+            table = curly_wedges[G.label].pair_table()
             for x in range(G.order):
-                assert wr.pair_image(0, x) == 0
-                assert wr.pair_image(x, 0) == 0
+                assert table[0, x] == 0
+                assert table[x, 0] == 0
 
     def test_curly_kernel_abelian(self, corpus, curly_wedges):
         for G in corpus:
@@ -354,8 +362,7 @@ class TestPairings:
 
     def test_pair_image_map_is_pairing(self):
         wr = compute_wedge(S3, WedgeVariant.CURLY)
-        phi = [[wr.pair_image(m, n) for n in range(6)] for m in range(6)]
-        assert check_pairing(S3, wr.realization.group, phi)
+        assert check_pairing(S3, wr.realization.group, wr.pair_table().tolist())
 
     def test_abelian_multiplication_is_not_pairing(self):
         phi = [[Z4.mul[a][b] for b in range(4)] for a in range(4)]
@@ -363,8 +370,7 @@ class TestPairings:
 
     def test_pairing_to_hom_identity(self):
         wr = compute_wedge(S3, WedgeVariant.CURLY)
-        phi = [[wr.pair_image(m, n) for n in range(6)] for m in range(6)]
-        hom = pairing_to_hom(S3, wr.realization.group, phi, wr)
+        hom = pairing_to_hom(S3, wr.realization.group, wr.pair_table().tolist(), wr)
         assert hom.images == tuple(range(wr.order))
 
     def test_pairing_to_hom_commutator_recovers_kappa(self):
@@ -426,6 +432,54 @@ class TestPairings:
             pairing_to_hom(Z4, Z4, phi, wr)
 
 
+def first_pair(wp, kind):
+    """The first pair (m, n) that carries a positive letter but is not its root pair, a negative letter, or is dead off the identity."""
+    n, seen = wp.base.order, set()
+    for p, ltr in enumerate(wp.pair_letters):
+        if {"positive": ltr > 0 and ltr in seen, "negative": ltr < 0, "dead": ltr == 0 and p // n and p % n}[kind]:
+            return divmod(p, n)
+        seen.add(ltr)
+
+
+class TestPairComparison:
+    """Every map out of a realization compares its extension with the table at every pair.
+
+    Each table below is wrong at one pair that no letter's image is read
+    from, so the walk over the letters passes and only that comparison
+    can fail.
+    """
+
+    @pytest.mark.parametrize("kind", ["positive", "negative", "dead"])
+    @pytest.mark.parametrize("G", [D4, S4], ids=["D4", "S4"])
+    def test_a_wrong_entry_off_the_root_pairs_is_caught(self, monkeypatch, G, kind):
+        wr = compute_wedge(G, WedgeVariant.CURLY)
+        m, n = first_pair(wr.presentation, kind)
+        message = rf"differs from the table at the pair \({m}, {n}\)"
+
+        def corrupt(table, order):
+            bad = np.array(table)
+            bad[m, n] = (bad[m, n] + 1) % order
+            return bad
+
+        # kappa, built afresh on a copy from a corrupted commutator table
+        monkeypatch.setattr(wedge, "commutator_table", lambda K: corrupt(commutator_table(K), K.order))
+        with pytest.raises(RelatorNotKilled, match=message):
+            dataclasses.replace(wr).kappa
+        monkeypatch.undo()
+        with pytest.raises(NotAPairing, match=message):
+            pairing_to_hom(G, wr.realization.group, corrupt(wr.pair_table(), wr.order), wr)
+        # gamma of the identity witness, whose induced table is the pair table itself
+        w = identity_witness(G)
+        assert build_gamma(w, wr, wr).gamma.images == tuple(range(wr.order))
+        induced = isoclinism._pair_table  # the witness's verdict is kept, so only gamma's table is corrupted
+        monkeypatch.setattr(isoclinism, "_pair_table", lambda *args: corrupt(induced(*args), wr.order))
+        assert verify_witness(w)
+        with pytest.raises(PairingAxiomFailed) as failed:
+            build_gamma(w, wr, wr)
+        assert isinstance(failed.value.__cause__, RelatorNotKilled)
+        assert re.search(message, str(failed.value.__cause__))
+
+
 def whole_array_eliminate(rows, num_letters):
     """Reference: _eliminate as it was when every round mapped and sorted all raw rows at once."""
     letters = np.arange(num_letters + 1, dtype=np.int64)
@@ -469,8 +523,9 @@ def whole_array_presentation(G, variant, S=None):
     return wedge.WedgePresentation(variant, G, pres, tuple(letters[1:].tolist()), 0, 0, 0)
 
 
-def realized_pairs(wp):
-    return wedge._lift_to_pairs(wp, realize(wp.presentation, todd_coxeter(wp.presentation, ())))
+def realized(wp):
+    """The realization of wp, with kappa and its kernel built at first use and not verified."""
+    return wedge.WedgeRealization(wp.variant, wp.base, wp, realize(wp.presentation, todd_coxeter(wp.presentation, ())))
 
 
 # the curly-large benchmark pool up to order 32
@@ -529,7 +584,7 @@ class TestBlockedElimination:
                     # the sign rule is unchanged, so signs agree too, also on
                     # classes identified with their own inverse
                     assert wp.pair_letters == ref.pair_letters, G.label
-                    assert realized_pairs(wp) == realized_pairs(ref), G.label
+                    assert realized(wp).realization == realized(ref).realization, G.label
 
     @pytest.mark.parametrize("variant", list(WedgeVariant))
     def test_single_raw_relators_kill_exactly_the_seeded_letters(self, variant):
@@ -634,11 +689,9 @@ class TestGeneratingClasses:
     def test_realization_matches_the_all_rows_elimination(self, corpus_and_pool_copies):
         for G in corpus_and_pool_copies:
             wr = compute_wedge(G, WedgeVariant.CURLY, group_cap=64)
-            real = realized_pairs(whole_array_presentation(G, WedgeVariant.CURLY))
-            kappa = hom_from_generator_images(real, G, commutator_table(G).ravel().tolist())
-            kernel = Subgroup(real.group, tuple(x for x in range(real.group.order) if kappa.images[x] == 0))
-            assert real.group.order == wr.order, G.label
-            assert abelian_invariants(kernel) == wr.kernel_invariants(), G.label
+            ref = realized(whole_array_presentation(G, WedgeVariant.CURLY))
+            assert ref.order == wr.order, G.label
+            assert ref.kernel_invariants() == wr.kernel_invariants(), G.label
 
     # On every group tried, an S that generates G but is not conjugation-closed
     # still gave G ⋏ G. Both sets below generate proper subgroups: in D16, two
@@ -683,7 +736,7 @@ class TestBlockedCertificate:
         n = G.order
         for m in (0, n // 2, n - 1):  # first, middle and last block
             values = commutator_table(G).ravel().copy()
-            p = wp.pair_generator(m, 1)
+            p = m * n + 1
             values[p] = G.mul[values[p]][n - 1]
             calls.clear()
             assert not raw_relators_die(wp, G, values)
@@ -704,18 +757,16 @@ class TestBlockedCertificate:
     def test_compute_wedge_rejects_corrupted_realization(self, monkeypatch, variant):
         G = D4xZ2
         one_m_per_block(monkeypatch, G)
-        lift = wedge._lift_to_pairs
+        pair_table = wedge.WedgeRealization.pair_table
         n = G.order
         for m in (0, n // 2, n - 1):
-            p = m * n + 1
 
-            def corrupted(wp, real, p=p):
-                out = lift(wp, real)
-                images = list(out.gen_images)
-                images[p] = out.group.mul[images[p]][out.group.order - 1]
-                return dataclasses.replace(out, gen_images=tuple(images))
+            def corrupted(wr, m=m):
+                out = pair_table(wr).copy()
+                out[m, 1] = wr.realization.group.mul[out[m, 1]][wr.order - 1]
+                return out
 
-            monkeypatch.setattr(wedge, "_lift_to_pairs", corrupted)
+            monkeypatch.setattr(wedge.WedgeRealization, "pair_table", corrupted)
             with pytest.raises(RelatorNotKilled, match=f"raw {variant.value} relator"):
                 compute_wedge(G, variant)
 
@@ -757,8 +808,8 @@ class TestWalksMatchWords:
     def check(monkeypatch, wr):
         real, words = walked_and_worded(monkeypatch, wr.presentation)
         assert real == wr.realization
-        kappa = commutator_table(wr.base).ravel().tolist()
-        assert wr.kappa.images == word_fold_hom(words, real, wr.base, kappa)
+        assert len(real.gen_images) == wr.presentation.presentation.num_generators  # one image per letter
+        assert wr.kappa.images == word_fold_hom(words, wr, wr.base, commutator_table(wr.base).tolist())
         return words
 
     def test_corpus(self, monkeypatch, corpus, curly_wedges, exterior_wedges):
@@ -766,8 +817,7 @@ class TestWalksMatchWords:
             cur, ext = curly_wedges[G.label], exterior_wedges[G.label]
             self.check(monkeypatch, cur)
             words = self.check(monkeypatch, ext)
-            images = list(cur.realization.gen_images)
-            expected = word_fold_hom(words, ext.realization, cur.realization.group, images)
+            expected = word_fold_hom(words, ext, cur.realization.group, cur.pair_table().tolist())
             assert exterior_to_curly_surjection(ext, cur).images == expected, G.label
 
     def test_curly_large_pool(self, monkeypatch):
@@ -780,28 +830,35 @@ class TestWalksMatchWords:
         _, words = walked_and_worded(monkeypatch, wr.presentation)
         n = G.order
         for m in (1, n // 2, n - 1):
-            kappa = commutator_table(G).ravel().tolist()
-            kappa[m * n + 1] = G.mul[kappa[m * n + 1]][n - 1]
-            message = r"do not extend to a homomorphism \(element \d+, generator \d+\)"
+            kappa = commutator_table(G).tolist()
+            kappa[m][1] = G.mul[kappa[m][1]][n - 1]
+            # at a root pair the walk fails at an edge, elsewhere the pair comparison fails
+            message = r"do not extend to a homomorphism \(element \d+, generator \d+\)|differs from the table at the pair"
             with pytest.raises(RelatorNotKilled, match=message):
-                hom_from_generator_images(wr.realization, G, kappa)
+                hom_from_generator_images(wr, G, kappa)
             with pytest.raises(RelatorNotKilled):
-                word_fold_hom(words, wr.realization, G, kappa)
+                word_fold_hom(words, wr, G, kappa)
 
     @pytest.mark.parametrize(
         "change, match",
         [
-            (lambda k: k + [0], "37 generator images for 36"),  # surplus: was ignored
-            (lambda k: k[:-1], "35 generator images for 36"),
-            (lambda k: [-1] + k[1:], "outside"),  # negative: was read from the end of a row
-            (lambda k: k[:-1] + [6], "outside"),
-            (lambda k: k[:-1] + [1.0], "not an integer"),  # float: raised a bare TypeError
-            (lambda k: k[:-1] + ["1"], "not an integer"),  # str: raised a bare TypeError from min
-            (lambda k: k[:-1] + [True], "not an integer"),  # bool: was read as 1
+            (lambda k: k + [[0] * 6], r"shape \(6, 6\), not \(7, 6\)"),  # surplus row
+            (lambda k: k[:-1], r"shape \(6, 6\), not \(5, 6\)"),
+            (lambda k: [[-1] + k[0][1:]] + k[1:], "outside"),  # negative: indexing would wrap it
+            (lambda k: k[:-1] + [k[-1][:-1] + [3]], "outside"),
+            (lambda k: k[:-1] + [k[-1][:-1] + [1.0]], "not an integer"),
+            (lambda k: k[:-1] + [k[-1][:-1] + ["1"]], "not an integer"),
+            (lambda k: k[:-1] + [k[-1][:-1] + [True]], "not an integer"),  # bool: NumPy reads it as 1
+            (lambda k: k[:-1] + [k[-1][:-1]], r"not \(6,\)"),  # ragged: a short last row
+            (lambda k: [x for row in k for x in row], r"not \(36,\)"),  # one image per pair, flat
         ],
-        ids=["surplus", "missing", "negative", "out-of-range", "float", "str", "bool"],
+        ids=["surplus", "missing", "negative", "out-of-range", "float", "str", "bool", "ragged", "shape"],
     )
     def test_malformed_images_are_rejected(self, change, match):
+        """A malformed pair table is no pairing, and pairing_to_hom names why."""
         wr = compute_wedge(S3, WedgeVariant.CURLY)
-        with pytest.raises(ValidationError, match=match):
-            hom_from_generator_images(wr.realization, S3, change(commutator_table(S3).ravel().tolist()))
+        L = cyclic(3)
+        phi = change([[0] * 6 for _ in range(6)])
+        assert not check_pairing(S3, L, phi)
+        with pytest.raises(NotAPairing, match=match):
+            pairing_to_hom(S3, L, phi, wr)

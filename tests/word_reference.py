@@ -1,18 +1,15 @@
 """Word-based references for the breadth-first walks of fpgroups and wedge.
 
-These are the routines the walks replaced, kept as they were: a coset table
-finished in two passes (compress, then standardize), a realization that
-spells a defining word for every element and traces each word from every
-coset, the lift of those words to pair letters, and the extension of
-generator images that folds each word and then checks every edge. The
-tests compare the walks against them; nothing here is library code.
+These are the routines the walks replaced: a coset table finished in two
+passes (compress, then standardize), a realization that spells a defining
+word for every element and traces each word from every coset, and the map
+of a pair table that folds each word over the letter images at the root
+pairs, then checks every edge and every pair one by one. The tests compare
+the walks against them; nothing here is library code.
 """
 
 import copy
 
-import numpy as np
-
-from grouplab import wedge
 from grouplab.errors import RelatorNotKilled
 from grouplab.fpgroups import CosetTable, letter_column, realize, todd_coxeter, word_columns
 
@@ -72,16 +69,20 @@ def word_realize(pres, table):
     return mul, gen_images, tuple(words)
 
 
-def pair_words(wp, words):
-    """Defining words spelled with one representative pair letter per reduced letter."""
-    letters = np.array(wp.pair_letters, dtype=np.int64)
-    values, first = np.unique(letters, return_index=True)
-    rep = dict(zip(values.tolist(), (first + 1).tolist()))
-    return tuple(tuple(rep[x] if x > 0 else -rep[-x] for x in w) for w in words)
+def word_fold_hom(words, wr, target, table):
+    """Images of the map on wr's realization sending each pair (m, n) to table[m][n].
 
-
-def word_fold_hom(words, realization, target, gen_images):
-    """Images of a homomorphism: each defining word folded, then every (element, generator) edge checked."""
+    Each letter takes the entry at the first pair that carries it with a
+    positive sign. Each defining word is folded over these images, then
+    every (element, letter) edge is checked, and then every pair: the
+    element its letter spells in the realization must go to its entry.
+    """
+    realization, flat = wr.realization, [x for row in table for x in row]
+    roots = {}
+    for p, ltr in enumerate(wr.presentation.pair_letters):
+        if ltr > 0:
+            roots.setdefault(ltr, p)
+    gen_images = [flat[roots[ltr]] for ltr in range(1, len(realization.gen_images) + 1)]
     images = []
     for w in words:
         el = 0
@@ -95,11 +96,14 @@ def word_fold_hom(words, realization, target, gen_images):
         for g, rg in enumerate(realization.gen_images):
             if images[row[rg]] != target.mul[img_el][gen_images[g]]:
                 raise RelatorNotKilled(f"(element {el}, generator {g})")
+    for p, ltr in enumerate(wr.presentation.pair_letters):
+        if images[realization.evaluate((ltr,) if ltr else ())] != flat[p]:
+            raise RelatorNotKilled(f"pair {p}")
     return tuple(images)
 
 
 def walked_and_worded(monkeypatch, wp):
-    """Realize a wedge presentation by the walks and by words; return the lifted realization and its pair words.
+    """Realize a wedge presentation by the walks and by words; return the realization and its defining words.
 
     Asserts that both finish the enumerated table alike and realize the
     same group with the same generator images.
@@ -112,4 +116,4 @@ def walked_and_worded(monkeypatch, wp):
     mul, gen_images, words = word_realize(pres, table)
     real = realize(pres, table)
     assert real.group.mul == mul and real.gen_images == gen_images
-    return wedge._lift_to_pairs(wp, real), pair_words(wp, words)
+    return real, words

@@ -41,10 +41,12 @@ entries on the subgroup and one block solve against the subgroup's space.
 
 Since the rationals-mod-integers coefficients of the classical restriction
 intersection are not finitely representable, this oracle fixes coefficients
-Z/m with default m = |G|, which every element order divides. The
-intersection of restriction kernels over maximal abelian subgroups is then
-a lower bound for the Bogomolov kernel order, with equality observed and
-reported per group rather than assumed.
+Z/m, and the reports take m = |G|. The intersection of restriction kernels
+over maximal abelian subgroups is a lower bound for the Bogomolov kernel
+order only when the exponent of G divides m, as it does at m = |G|; there
+equality is observed and reported per group rather than assumed. At other
+m the intersection can be larger than B0(G) (on Q8 at m = 2 it has order
+4, and B0(Q8) = 0).
 """
 
 from __future__ import annotations
@@ -356,27 +358,23 @@ def restrict(c: H2Class, A: Subgroup) -> H2Class:
     return space_A.class_from_coords(np.asarray(c.coords, dtype=np.int64) @ mat)
 
 
-def b0_lower_bound(
-    G: FiniteGroup,
-    m: int,
-    cap: int = DEFAULT_ORACLE_CAP,
-    subgroups: Sequence[Subgroup] | None = None,
-) -> tuple[int, AbelianInvariants]:
-    """Order and invariants of the intersection of restriction kernels.
+def b0_lower_bound(G: FiniteGroup, m: int, cap: int = DEFAULT_ORACLE_CAP) -> tuple[int, AbelianInvariants]:
+    """Order and invariants of the intersection of restriction kernels in H^2(G, Z/m).
 
     The intersection runs over the maximal abelian subgroups (restriction
-    factors through inclusions, so smaller abelian subgroups add nothing);
-    a different stack can be supplied for experiments.
+    factors through inclusions, so smaller abelian subgroups add nothing).
+    It is a lower bound for B0(G) only when the exponent of G divides m, as
+    at the m = |G| of the reports, where it has held on every group tried.
+    At other m it can exceed B0(G): b0_lower_bound(Q8, 2) is (4, (2, 2)),
+    but B0(Q8) = 0.
     """
     space = cocycle_space(G, m, cap)
     s = space.rank
     if s == 0:
         return 1, AbelianInvariants(())
-    if subgroups is None:
-        subgroups = abelian_subgroups(G, maximal_only=True)
     # column j of A's matrix, times m / (order of A's generator j), is one row
     constraint_rows: list[np.ndarray] = []
-    for A in subgroups:
+    for A in abelian_subgroups(G):
         space_A, mat = restriction_matrix(space, A)
         constraint_rows.extend((mat * (m // np.array(space_A.basis_orders, dtype=np.int64))).T)
     kernel_H = orth_complement(np.array(constraint_rows, dtype=np.int64), s, m)
@@ -402,7 +400,7 @@ def cocycle_dump(G: FiniteGroup, m: int, cap: int = DEFAULT_ORACLE_CAP) -> dict:
         "basis_tables": space.basis.tolist(),
         "restrictions": [],
     }
-    for A in abelian_subgroups(G, maximal_only=True):
+    for A in abelian_subgroups(G):
         space_A, mat = restriction_matrix(space, A)
         doc["restrictions"].append(
             {

@@ -143,7 +143,7 @@ class Subgroup:
         The result is kept on this Subgroup, so repeated calls return the
         same group object and share its cocycle spaces. Raises
         ValidationError when the members are not integers in range, miss the
-        identity or are not closed under multiplication.
+        identity, repeat a member or are not closed under multiplication.
         """
         return _cached(self, "_standalone", self._standalone_group)
 
@@ -152,6 +152,9 @@ class Subgroup:
         if 0 not in self._member_set:
             raise ValidationError("subgroup members must contain the identity 0")
         members = tuple(sorted(self.members))
+        for x, y in zip(members, members[1:]):
+            if x == y:
+                raise ValidationError(f"subgroup member {x} is repeated")
         G, pm = self.parent, self.parent.mul
         names = [G.name_of(x) for x in members]
         try:
@@ -435,9 +438,8 @@ def center(G: FiniteGroup) -> Subgroup:
     """The center Z(G), computed once and kept on G."""
 
     def build() -> Subgroup:
-        m = G.mul
-        n = G.order
-        return Subgroup(G, tuple(z for z in range(n) if all(m[z][g] == m[g][z] for g in range(n))))
+        _, central = _commuting_block(G, range(G.order))
+        return Subgroup(G, tuple(np.flatnonzero(central).tolist()))
 
     return _cached(G, "_center", build)
 
@@ -461,6 +463,13 @@ def commutator_table(G: FiniteGroup) -> np.ndarray:
         return mul[conj, inv[None, :]]
 
     return _cached(G, "_commutator_table", build)
+
+
+def _commuting_block(G: FiniteGroup, H: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Whether x and y commute, for x and y in H, and the mask of the x that commute with all of H."""
+    idx = np.asarray(H)
+    block = commutator_table(G)[idx[:, None], idx] == 0
+    return block, block.all(axis=1)
 
 
 def derived_subgroup(G: FiniteGroup) -> Subgroup:
@@ -495,43 +504,29 @@ def quotient(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, GroupHom]:
     return quot, proj
 
 
-def abelian_subgroups(G: FiniteGroup, maximal_only: bool = False) -> list[Subgroup]:
-    """All abelian subgroups, or only the maximal ones under inclusion.
+def abelian_subgroups(G: FiniteGroup) -> list[Subgroup]:
+    """The maximal abelian subgroups of G, sorted by (size, members).
 
-    Breadth-first closure over commuting extensions; order is deterministic
-    by (size, sorted members).
+    A descent through centralizers. In a nonabelian H every maximal abelian
+    subgroup contains some x outside Z(H) and is maximal abelian in C_H(x);
+    conversely a maximal abelian subgroup of C_H(x) contains x, so it is
+    maximal abelian in H. Stepping from G into C_H(x) for every noncentral
+    x, each H visited once, therefore ends exactly at the maximal abelian
+    subgroups of G. Each C_H(x) is a row of H's block of the commuting matrix.
     """
-    n = G.order
-    found: dict[frozenset[int], tuple[int, ...]] = {}
-    trivial = (0,)
-    found[frozenset(trivial)] = trivial
-    frontier = [trivial]
-    while frontier:
-        nxt = []
-        for members in frontier:
-            mset = set(members)
-            for x in range(1, n):
-                if x in mset:
-                    continue
-                if any(G.mul[x][h] != G.mul[h][x] for h in members):
-                    continue
-                # members is a subgroup and x centralises it, so the closure
-                # stays abelian.
-                ext = subgroup_closure(G, members + (x,))
-                key = frozenset(ext.members)
-                if key not in found:
-                    found[key] = ext.members
-                    nxt.append(ext.members)
-        frontier = nxt
-    all_subs = sorted(found.values(), key=lambda t: (len(t), t))
-    if not maximal_only:
-        return [Subgroup(G, t) for t in all_subs]
-    sets = [frozenset(t) for t in all_subs]
-    keep = []
-    for i, s in enumerate(sets):
-        if not any(i != j and s < sets[j] for j in range(len(sets))):
-            keep.append(all_subs[i])
-    return [Subgroup(G, t) for t in keep]
+    whole = tuple(range(G.order))
+    seen, todo, maximal = {whole}, [whole], []
+    while todo:
+        H = todo.pop()
+        block, central = _commuting_block(G, H)
+        if central.all():
+            maximal.append(H)
+        for row in block[~central]:
+            C = tuple(np.compress(row, H).tolist())
+            if C not in seen:
+                seen.add(C)
+                todo.append(C)
+    return [Subgroup(G, H) for H in sorted(maximal, key=lambda t: (len(t), t))]
 
 
 def _factorise(n: int) -> dict[int, int]:

@@ -38,7 +38,19 @@ from grouplab.groups import (
     table_arrays,
     validate_table,
 )
+import subgroup_reference
 import table_reference
+from test_nontrivial_b0 import (
+    B64_CYCLES,
+    B243_CYCLES,
+    B243B_CYCLES,
+    B243C_CYCLES,
+    DEGREE,
+    N_CYCLES,
+    T243_CYCLES,
+    group_243,
+    perm,
+)
 
 
 def cyclic(n):
@@ -239,30 +251,37 @@ class TestQuotient:
             quotient(S3, H)
 
 
+def brute_force_maximal_abelian(G):
+    """Exhaustive subset oracle: the maximal abelian subgroups of G, each a sorted member list."""
+    subgroups = []
+    for r in range(1, G.order + 1):
+        for cand in itertools.combinations(range(G.order), r):
+            if 0 not in cand:
+                continue
+            cset = set(cand)
+            if all(G.mul[a][b] in cset and G.inv[a] in cset for a in cand for b in cand):
+                subgroups.append(cset)
+    abelian = [s for s in subgroups if all(G.mul[a][b] == G.mul[b][a] for a in s for b in s)]
+    return sorted(sorted(s) for s in abelian if not any(s < t for t in abelian))
+
+
 class TestAbelianSubgroups:
     def test_abelian_maximal_is_whole_group(self):
         Z6 = cyclic(6)
-        maxi = abelian_subgroups(Z6, maximal_only=True)
+        maxi = abelian_subgroups(Z6)
         assert len(maxi) == 1 and len(maxi[0]) == 6
 
     def test_s3_maximal_via_brute_force(self):
-        # exhaustive subset oracle at order 6
-        all_subgroups = []
-        for r in range(1, 7):
-            for cand in itertools.combinations(range(6), r):
-                if 0 not in cand:
-                    continue
-                cset = set(cand)
-                if all(S3.mul[a][b] in cset and S3.inv[a] in cset for a in cand for b in cand):
-                    all_subgroups.append(cset)
-        abelian = [
-            s for s in all_subgroups
-            if all(S3.mul[a][b] == S3.mul[b][a] for a in s for b in s)
-        ]
-        maximal = [s for s in abelian if not any(s < t for t in abelian)]
-        got = abelian_subgroups(S3, maximal_only=True)
-        assert sorted(map(sorted, maximal)) == sorted(sorted(g.members) for g in got)
+        got = abelian_subgroups(S3)
+        assert brute_force_maximal_abelian(S3) == sorted(sorted(g.members) for g in got)
         assert sorted(len(g) for g in got) == [2, 2, 2, 3]
+
+    @pytest.mark.parametrize("G", [D4, Q8], ids=["D4", "Q8"])
+    def test_maximal_via_brute_force(self, G):
+        # three subgroups of order 4, each containing the center
+        got = abelian_subgroups(G)
+        assert brute_force_maximal_abelian(G) == sorted(sorted(g.members) for g in got)
+        assert [len(g) for g in got] == [4, 4, 4]
 
     def test_trivial_group(self):
         Z1 = cyclic(1)
@@ -508,6 +527,44 @@ class TestOneWalk:
         assert _extend_hom(V4, Z2, [], []) == [0, -1, -1, -1]
 
 
+class TestCentralizerDescent:
+    """abelian_subgroups and center against the BFS and loop references of subgroup_reference."""
+
+    @staticmethod
+    def check(G):
+        got = [A.members for A in abelian_subgroups(G)]
+        assert got == subgroup_reference.maximal_abelian_subgroups(G), G.label
+        assert center(G).members == subgroup_reference.loop_center(G), G.label
+
+    def test_corpus(self, corpus):
+        assert len(corpus) == 35
+        for G in corpus:
+            self.check(G)
+
+    def test_benchmark_pools_relabeled(self):
+        rng = random.Random(28)
+        for family, params in BENCHMARK_POOL:
+            G = builtin(family, params)
+            for _ in range(2):
+                self.check(relabeled(G, [0] + rng.sample(range(1, G.order), G.order - 1)))
+
+    def test_groups_of_order_64_to_243(self):
+        D4xD4 = direct_product(D4, D4)
+        B64 = build_from_permutations([perm(c) for c in B64_CYCLES], cap=64, degree=DEGREE, label="B64")
+        larger = [
+            direct_product(D4xD4, cyclic(2), label="D4xD4xZ2"),
+            B64,
+            build_from_permutations([perm(c) for c in N_CYCLES], cap=64, degree=DEGREE, label="N"),
+            direct_product(B64, cyclic(2), label="B64xZ2"),
+            group_243(B243_CYCLES, "B243"),
+            group_243(B243B_CYCLES, "B243b"),
+            group_243(B243C_CYCLES, "B243c"),
+            group_243(T243_CYCLES, "T243"),
+        ]
+        for G in larger:
+            self.check(G)
+
+
 def table_fields(G):
     return G.mul, G.inv, G.label, G.element_names
 
@@ -597,13 +654,22 @@ class TestValidation:
 
     @pytest.mark.parametrize(
         "members, match",
-        [((), "identity"), ((0, 99), "99"), ((0, -1), "-1"), ((0.0,), "0.0"), ((0, True), "True")],
+        [
+            ((), "identity"),
+            ((0, 99), "99"),
+            ((0, -1), "-1"),
+            ((0.0,), "0.0"),
+            ((0, True), "True"),
+            ((0, 0, 4), "member 0 is repeated"),
+        ],
     )
     def test_subgroup_members_must_be_element_indices(self, members, match):
         # () gave a group of order 0, 99 a bare IndexError, -1 the last
-        # element and 0.0 a TypeError
+        # element, 0.0 a TypeError and a repeat a bare ValueError from tuple.index
         with pytest.raises(ValidationError, match=match):
             Subgroup(D4, members).as_group()
+        with pytest.raises(ValidationError, match=match):
+            abelian_invariants(Subgroup(D4, members))
 
     @pytest.mark.parametrize("seed", [[-1], [True], [6], [2.0], [2, "2"]])
     def test_closure_seed_must_be_element_indices(self, seed):

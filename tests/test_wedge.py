@@ -407,24 +407,6 @@ class TestPairings:
                     outcomes.add(expected)
         assert outcomes == {True, False}
 
-    @pytest.mark.parametrize(
-        "phi",
-        [
-            [[0] * 6 for _ in range(5)],  # five rows
-            [[0] * 5 for _ in range(6)],  # five columns
-            [[0] * 6 for _ in range(5)] + [[0] * 5],  # ragged
-            [[0] * 6 for _ in range(5)] + [[0] * 5 + [3]],  # entry outside L
-            [[0] * 6 for _ in range(5)] + [[0] * 5 + [-3]],  # negative entry; indexing would wrap it to 0
-            [[0.0] * 6 for _ in range(6)],  # not integers
-        ],
-        ids=["rows", "columns", "ragged", "out-of-range", "negative", "float"],
-    )
-    def test_malformed_table_is_not_a_pairing(self, phi):
-        L = cyclic(3)
-        assert not check_pairing(S3, L, phi)
-        with pytest.raises(NotAPairing):
-            pairing_to_hom(S3, L, phi, compute_wedge(S3, WedgeVariant.CURLY))
-
     def test_non_pairing_rejected(self):
         wr = compute_wedge(Z4, WedgeVariant.CURLY)
         phi = [[Z4.mul[a][b] for b in range(4)] for a in range(4)]
@@ -851,8 +833,9 @@ class TestWalksMatchWords:
             (lambda k: k[:-1] + [k[-1][:-1] + [True]], "not an integer"),  # bool: NumPy reads it as 1
             (lambda k: k[:-1] + [k[-1][:-1]], r"not \(6,\)"),  # ragged: a short last row
             (lambda k: [x for row in k for x in row], r"not \(36,\)"),  # one image per pair, flat
+            (lambda k: [row[:-1] for row in k], r"shape \(6, 6\), not \(6, 5\)"),  # six rows of five
         ],
-        ids=["surplus", "missing", "negative", "out-of-range", "float", "str", "bool", "ragged", "shape"],
+        ids=["surplus", "missing", "negative", "out-of-range", "float", "str", "bool", "ragged", "shape", "columns"],
     )
     def test_malformed_images_are_rejected(self, change, match):
         """A malformed pair table is no pairing, and pairing_to_hom names why."""

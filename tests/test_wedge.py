@@ -407,6 +407,23 @@ class TestPairings:
                     outcomes.add(expected)
         assert outcomes == {True, False}
 
+    @pytest.mark.parametrize(
+        "phi",
+        [
+            [[0] * 6 for _ in range(5)],  # five rows
+            [[0] * 6 for _ in range(5)] + [[0] * 5],  # ragged
+            [[0] * 6 for _ in range(5)] + [[0] * 5 + [3]],  # entry outside L
+            [[0] * 6 for _ in range(5)] + [[0] * 5 + [-3]],  # negative entry; indexing would wrap it to 0
+            [[0.0] * 6 for _ in range(6)],  # not integers
+        ],
+        ids=["rows", "ragged", "out-of-range", "negative", "float"],
+    )
+    def test_malformed_table_is_not_a_pairing(self, phi):
+        L = cyclic(3)
+        assert not check_pairing(S3, L, phi)
+        with pytest.raises(NotAPairing):
+            pairing_to_hom(S3, L, phi, compute_wedge(S3, WedgeVariant.CURLY))
+
     def test_non_pairing_rejected(self):
         wr = compute_wedge(Z4, WedgeVariant.CURLY)
         phi = [[Z4.mul[a][b] for b in range(4)] for a in range(4)]

@@ -51,7 +51,7 @@ m the intersection can be larger than B0(G) (on Q8 at m = 2 it has order
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from math import prod
 from typing import Sequence
 
@@ -242,6 +242,9 @@ def cocycle_space(G: FiniteGroup, m: int, cap: int = DEFAULT_ORACLE_CAP) -> Cocy
 
     Later calls with the same group object reuse the space, which is freed
     together with the group. Equality, hashing and repr of ``G`` ignore it.
+    A new group object starts with none, except that ``restriction_matrix``
+    gives a subgroup's group a copy of the space of an earlier subgroup of
+    the same parent whose table is equal.
     Each lattice on the k = (|G| - 1)^2 table entries is kept as the rows of
     its Hermite form with pivot below m (see lattices): on B64, of order
     64, 60 to 66 rows of k = 3,969.
@@ -337,17 +340,27 @@ def restriction_matrix(space: CocycleSpace, A: Subgroup) -> tuple[CocycleSpace, 
     """Matrix of the restriction map on basis classes, rows indexed by basis.
 
     The basis tables' entries on A x A are gathered at once and solved as
-    one block against A's space, which is computed on the group that
-    ``A.as_group()`` keeps on ``A``, so later calls with the same ``A``
-    reuse it. A is no larger than the space's group, which has already
-    passed the oracle cap, so A's space is admitted under that group's order.
+    one block against A's space, which is kept on the group that
+    ``A.as_group()`` keeps on ``A``. It is computed once per distinct table
+    and modulus of the space's group: a later subgroup with an equal table,
+    a twin, gets a copy of the first space with its own group, sharing the
+    read-only basis and solver. A is no larger than the space's group, which
+    has already passed the oracle cap, so A's space is admitted under that
+    group's order.
     """
     if A.parent.mul != space.group.mul:
         raise ValidationError("subgroup does not belong to the space's group")
     sub, members = A.as_group()
-    # sub is A's own group object, which never holds G's spaces; for A = G
-    # reuse G's
-    space_A = space if sub.mul == space.group.mul else cocycle_space(sub, space.modulus, space.group.order)
+    m = space.modulus
+    space_A = space  # A = G: reuse G's space
+    if sub.mul != space.group.mul:
+        # keyed on the full table, so a twin's basis is the one its own run would give
+        firsts = _cached(space.group, "_subgroup_spaces", dict)
+        own = _cached(sub, "_cocycle_spaces", dict)
+        if m not in own and (sub.mul, m) in firsts:
+            own[m] = replace(firsts[sub.mul, m], group=sub)
+        space_A = cocycle_space(sub, m, space.group.order)
+        firsts.setdefault((sub.mul, m), space_A)
     idx = np.array(members)
     return space_A, space_A._coords(space.basis[:, idx[:, None], idx])
 

@@ -475,7 +475,7 @@ def _commuting_block(G: FiniteGroup, H: Sequence[int]) -> tuple[np.ndarray, np.n
 def derived_subgroup(G: FiniteGroup) -> Subgroup:
     """The derived subgroup G', computed once and kept on G."""
     return _cached(
-        G, "_derived_subgroup", lambda: subgroup_closure(G, np.unique(commutator_table(G)).tolist())
+        G, "_derived_subgroup", lambda: subgroup_closure(G, np.flatnonzero(np.bincount(commutator_table(G).ravel())).tolist())
     )
 
 

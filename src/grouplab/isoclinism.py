@@ -132,7 +132,7 @@ def _derive_beta(G1: FiniteGroup, G2: FiniteGroup, image: np.ndarray) -> dict[in
     forced[comm1] = image
     if not np.array_equal(forced[comm1], image):  # [x, y] is sent to two values
         return None
-    values = np.unique(comm1).tolist()
+    values = np.flatnonzero(np.bincount(comm1.ravel())).tolist()
     try:
         images = _extend_hom(G1, G2, values, forced[values].tolist())
     except RelatorNotKilled:

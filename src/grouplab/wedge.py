@@ -186,7 +186,7 @@ def _generating_classes(G: FiniteGroup) -> list[int]:
     stops once that subgroup is G.
     """
     conj = table_arrays(G)[2]
-    classes = sorted({tuple(np.unique(conj[:, x]).tolist()) for x in range(G.order)}, key=lambda c: (len(c), c))
+    classes = sorted({tuple(np.flatnonzero(np.bincount(conj[:, x])).tolist()) for x in range(G.order)}, key=lambda c: (len(c), c))
     S, reached = [0], {0}
     for c in classes:
         if len(reached) == G.order:

@@ -2,7 +2,10 @@
 
 import hashlib
 import json
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -567,3 +570,36 @@ class TestCli:
     def test_resolve_group_rejects_garbage(self):
         with pytest.raises(ValidationError):
             resolve_group("nonsense")
+
+
+NO_MASKED_ARRAYS = """
+import contextlib, io, sys
+import numpy
+if "numpy.ma" in sys.modules:
+    sys.exit(3)
+from grouplab import cli
+from grouplab.catalog import builtin
+from grouplab.isoclinism import are_isoclinic
+from grouplab.wedge import WedgeVariant, compute_wedge
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["compute", "builtin:symmetric:4", "--oracle"]) == 0
+compute_wedge(builtin("dihedral", (4,)), WedgeVariant.CURLY)
+assert are_isoclinic(builtin("dihedral", (4,)), builtin("quaternion8")) is not None
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_a_report_realization_and_witness_leave_numpy_ma_unloaded():
+    # numpy's plain unique and setdiff1d import numpy.ma at first use (about
+    # 16 ms); the library reads element sets off a bincount instead
+    run = subprocess.run(
+        [sys.executable, "-c", NO_MASKED_ARRAYS],
+        env={**os.environ, "PYTHONPATH": str(REPO / "src")},
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    if run.returncode == 3:
+        pytest.skip("numpy imports numpy.ma at import")
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "False"

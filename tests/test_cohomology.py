@@ -37,6 +37,7 @@ from grouplab.groups import (
 )
 from grouplab.lattices import _reduce, hnf_from_rows, lattice_index, orth_complement
 import subgroup_reference
+from test_lattices import ORACLE_SMALL
 
 
 def cyclic(n):
@@ -337,6 +338,19 @@ class TestMultiplierOracle:
         assert multiplier_order_oracle(V4) == 2
 
 
+def counting_edge_systems(monkeypatch):
+    """The group tables that cohomology._edge_system is called on from now on, one per space built."""
+    tables = []
+    original = cohomology._edge_system
+
+    def counting(H, m):
+        tables.append(H.mul)
+        return original(H, m)
+
+    monkeypatch.setattr(cohomology, "_edge_system", counting)
+    return tables
+
+
 class TestRestriction:
     def test_restrict_to_trivial_is_zero(self):
         space = cocycle_space(V4, 4)
@@ -351,16 +365,11 @@ class TestRestriction:
             assert restrict(c, full).coords == c.coords
 
     def test_additivity(self, monkeypatch):
-        spaces_built = []
-        original = cohomology._edge_system
-
-        def counting(H, m):
-            spaces_built.append(H.mul)
-            return original(H, m)
-
-        monkeypatch.setattr(cohomology, "_edge_system", counting)
-        space = cocycle_space(D4, 4)
-        subs = abelian_subgroups(D4)
+        spaces_built = counting_edge_systems(monkeypatch)
+        # a new group object, so no earlier test's spaces are kept on it
+        G = from_mul_table(D4.mul, label="D4")
+        space = cocycle_space(G, 4)
+        subs = abelian_subgroups(G)
         cs = [
             space.class_from_coords(tuple(1 if j == i else 0 for j in range(space.rank)))
             for i in range(space.rank)
@@ -371,8 +380,9 @@ class TestRestriction:
                     left = restrict(c1 + c2, A)
                     right = restrict(c1, A) + restrict(c2, A)
                     assert left.coords == right.coords
-        # repeated restrictions to one Subgroup share the space of its group
-        assert len(spaces_built) <= 1 + len(subs)
+        # D4 at m = 4, and one space per distinct table of its three maximal
+        # abelian subgroups: Z4, and the two Klein four-groups share one
+        assert len(subs) == 3 and len(spaces_built) == 1 + 2
 
     @staticmethod
     def check_against_table_slicing(G, m):
@@ -496,16 +506,59 @@ class TestSpaceLifetime:
 
     def test_report_builds_one_full_table_space(self, monkeypatch):
         G = from_mul_table(V4.mul, label="V4")
-        tables = []
-        original = cohomology._edge_system
-
-        def counting(H, m):
-            tables.append(H.mul)
-            return original(H, m)
-
-        monkeypatch.setattr(cohomology, "_edge_system", counting)
+        tables = counting_edge_systems(monkeypatch)
         compute_report(G, PipelineConfig(oracle=True))
         assert tables.count(G.mul) == 1
+
+
+TWIN_CASES = [(builtin(family, params), None) for family, params in ORACLE_SMALL] + [
+    (G, 2) for G in (builtin("symmetric", (4,)), D4, Q8)
+]
+
+
+class TestTwinSpaces:
+    """A subgroup whose table equals an earlier one's reuses that space, with its own group."""
+
+    @pytest.mark.parametrize("G, m", TWIN_CASES, ids=lambda case: getattr(case, "label", f"m={case}"))
+    def test_shared_space_equals_a_fresh_one(self, G, m):
+        m = m or G.order
+        space = cocycle_space(from_mul_table(G.mul, label=G.label), m)
+        for A in abelian_subgroups(space.group):
+            space_A, mat = cohomology.restriction_matrix(space, A)
+            sub, members = A.as_group()
+            if sub.mul == G.mul:  # an abelian G is its one maximal abelian subgroup
+                assert space_A is space
+            else:
+                assert space_A.group is sub and cocycle_space(sub, m) is space_A
+            assert restrict(space.zero(), A).space is space_A
+            fresh = cocycle_space(Subgroup(space.group, A.members).as_group()[0], m)
+            assert space_A.basis.tobytes() == fresh.basis.tobytes()
+            assert space_A.basis.shape == fresh.basis.shape
+            assert space_A.basis_orders == fresh.basis_orders
+            assert space_A.h2_invariants == fresh.h2_invariants
+            idx = np.array(members)
+            assert np.array_equal(mat, fresh._coords(space.basis[:, idx[:, None], idx]))
+
+    def test_s4_builds_one_space_per_distinct_table(self, monkeypatch):
+        S4 = builtin("symmetric", (4,))
+        tables = counting_edge_systems(monkeypatch)
+        space = cocycle_space(S4, 24)
+        subs = abelian_subgroups(S4)
+        spaces = [cohomology.restriction_matrix(space, A)[0] for A in subs]
+        # 11 maximal abelian subgroups with 4 distinct tables
+        assert len(subs) == 11 and len(tables) == 1 + 4
+        assert len({id(s) for s in spaces}) == 11
+        assert len({id(s._solver) for s in spaces}) == 4
+        # new Subgroup objects of the same parent build no more
+        again = [cohomology.restriction_matrix(space, A)[0] for A in abelian_subgroups(S4)]
+        assert len(tables) == 1 + 4 and not {id(s) for s in again} & {id(s) for s in spaces}
+
+    def test_twins_of_different_parents_are_not_shared(self, monkeypatch):
+        tables = counting_edge_systems(monkeypatch)
+        for _ in range(2):
+            b0_lower_bound(from_mul_table(D4.mul), 8)
+        # D4 at m = 8 and each of its two distinct subgroup tables, once per parent object
+        assert tables.count(D4.mul) == 2 and len(tables) == 2 * (1 + 2)
 
 
 class TestLowerBound:

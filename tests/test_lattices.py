@@ -11,7 +11,7 @@ import pytest
 from grouplab import cohomology, lattices
 from grouplab.catalog import builtin
 from grouplab.errors import ValidationError
-from grouplab.groups import invariant_factors_from_orders
+from grouplab.groups import Subgroup, abelian_subgroups, invariant_factors_from_orders
 from grouplab.lattices import (
     LatticeSolver,
     SparseRows,
@@ -827,6 +827,12 @@ def oracle_inputs():
     b0_lower_bound itself takes. "hnf" holds the (rows, k, m) inputs of
     hnf_from_rows, the solvers' included, and "space" each group's
     top-level cocycle space with the generators of its solver.
+
+    b0_lower_bound solves one space per distinct subgroup table, and a twin
+    subgroup, whose table equals one already solved, reuses that space. So
+    each twin is also solved here, on a new Subgroup, and the inputs are
+    those of one space per subgroup. "shared" holds the quotient and hnf
+    inputs that b0_lower_bound took before that.
     """
     seen = {"quotient": [], "hnf": [], "space": []}
     solver_gens = {}
@@ -850,11 +856,19 @@ def oracle_inputs():
         patch.setattr(cohomology, "hnf_from_rows", recording_hnf)
         patch.setattr(lattices, "hnf_from_rows", recording_hnf)
         patch.setattr(cohomology, "LatticeSolver", recording_solver)
-        for family, params in ORACLE_SMALL:
-            G = builtin(family, params)
+        groups = [builtin(family, params) for family, params in ORACLE_SMALL]
+        for G in groups:
             cohomology.b0_lower_bound(G, G.order)
             space = cohomology.cocycle_space(G, G.order)
             seen["space"].append((space, solver_gens[id(space._solver)]))
+        seen["shared"] = {key: list(seen[key]) for key in ("quotient", "hnf")}
+        for G in groups:
+            tables = set()
+            for A in abelian_subgroups(G):
+                sub = Subgroup(G, A.members).as_group()[0]
+                if sub.mul in tables:
+                    cohomology.cocycle_space(sub, G.order, G.order)
+                tables.add(sub.mul)
     return seen
 
 
@@ -886,6 +900,14 @@ def test_hnf_matches_the_dense_run_on_the_oracle_inputs(oracle_inputs):
             solver_calls += 1
             assert not ((H[:, k:] @ rows[:, :k] - H[:, :k]) % m).any()
     assert len(calls) == 650 and solver_calls == 97
+
+
+def test_twin_subgroups_share_one_space(oracle_inputs):
+    # 48 of the 82 maximal abelian subgroups have a table equal to one
+    # already solved for the same group, and none of them is solved again
+    shared = oracle_inputs["shared"]
+    solver_calls = sum(rows.shape[1] > k for rows, k, _ in shared["hnf"])
+    assert (len(shared["quotient"]), len(shared["hnf"]), solver_calls) == (66, 362, 49)
 
 
 def test_class_coordinates_match_the_insert_only_solver(oracle_inputs):

@@ -6,10 +6,10 @@ Conventions, fixed globally:
   * the commutator is [x, y] = x y x^-1 y^-1 and conjugation is
     x ^ y = x y x^-1.
 
-Every homomorphism is built or checked by the one walk ``_extend_hom``, and
-every group built from elements and a product rule is numbered and tabulated
-by ``_tabulate``; ``from_mul_table`` is for tables from outside and checks
-every axiom.
+Every homomorphism and subgroup closure comes from the one walk ``_extend_hom``
+and every group built from elements and a product rule from ``_tabulate``;
+element orders, commutation and conjugation are read off arrays kept on the
+group. ``from_mul_table`` is for tables from outside and checks every axiom.
 """
 
 from __future__ import annotations
@@ -79,23 +79,13 @@ class FiniteGroup:
         return m[m[m[x][y]][self.inv[x]]][self.inv[y]]
 
     def element_order(self, x: int) -> int:
-        n = 1
-        acc = x
-        while acc != 0:
-            acc = self.mul[acc][x]
-            n += 1
-        return n
+        return int(_element_orders(self)[x])
 
     def order_multiset(self) -> tuple[int, ...]:
-        return _cached(
-            self,
-            "_order_multiset",
-            lambda: tuple(sorted(self.element_order(x) for x in range(self.order))),
-        )
+        return _cached(self, "_order_multiset", lambda: tuple(np.sort(_element_orders(self)).tolist()))
 
     def is_abelian(self) -> bool:
-        m = self.mul
-        return all(m[x][y] == m[y][x] for x in range(self.order) for y in range(x))
+        return not commutator_table(self).any()
 
     def name_of(self, x: int) -> str:
         if self.element_names is not None:
@@ -124,16 +114,13 @@ class Subgroup:
         return len(self.members)
 
     def is_normal(self) -> bool:
-        G = self.parent
-        for g in range(G.order):
-            for x in self.members:
-                if G.conj(g, x) not in self._member_set:
-                    return False
-        return True
+        members = list(self.as_group()[1])  # as_group validates them; NumPy would wrap a member of -1
+        inside = np.zeros(self.parent.order, dtype=bool)
+        inside[members] = True
+        return bool(inside[table_arrays(self.parent)[2][:, members]].all())
 
     def is_abelian(self) -> bool:
-        m = self.parent.mul
-        return all(m[x][y] == m[y][x] for x in self.members for y in self.members)
+        return self.as_group()[0].is_abelian()
 
     def as_group(self) -> tuple[FiniteGroup, tuple[int, ...]]:
         """Return the subgroup as a standalone group plus its member list.
@@ -242,7 +229,11 @@ class AbelianInvariants:
 
 
 def validate_table(mul: Sequence[Sequence[int]], inv: Sequence[int]) -> None:
-    """Check the full group axioms; raise ValidationError naming the violation."""
+    """Check the full group axioms; raise ValidationError naming the first violation.
+
+    Past the row checks the table is an index array; associativity compares
+    (xy)z with x(yz) for all y and z one x at a time.
+    """
     n = len(mul)
     if n == 0:
         raise ValidationError("empty multiplication table")
@@ -251,24 +242,24 @@ def validate_table(mul: Sequence[Sequence[int]], inv: Sequence[int]) -> None:
             raise ValidationError(f"row {i} has length {len(row)}, expected {n}")
         if sorted(row) != list(range(n)):
             raise ValidationError(f"row {i} is not a permutation (Latin square violated)")
-    for j in range(n):
-        col = [mul[i][j] for i in range(n)]
-        if sorted(col) != list(range(n)):
-            raise ValidationError(f"column {j} is not a permutation (Latin square violated)")
-    for x in range(n):
-        if mul[0][x] != x or mul[x][0] != x:
-            raise ValidationError("element 0 is not a two-sided identity")
+    M, ids = np.array(mul, dtype=np.intp), np.arange(n)
+    bad = np.flatnonzero((np.sort(M, axis=0) != ids[:, None]).any(axis=0))
+    if bad.size:
+        raise ValidationError(f"column {bad[0]} is not a permutation (Latin square violated)")
+    if (M[0] != ids).any() or (M[:, 0] != ids).any():
+        raise ValidationError("element 0 is not a two-sided identity")
     if len(inv) != n:
         raise ValidationError("inverse table length mismatch")
+    _check_indices(inv, n, "inverse entry")
+    inv_arr = np.array(inv, dtype=np.intp)
+    bad = np.flatnonzero((M[ids, inv_arr] != 0) | (M[inv_arr, ids] != 0))
+    if bad.size:
+        raise ValidationError(f"inv[{bad[0]}] is not a two-sided inverse")
     for x in range(n):
-        if mul[x][inv[x]] != 0 or mul[inv[x]][x] != 0:
-            raise ValidationError(f"inv[{x}] is not a two-sided inverse")
-    for x in range(n):
-        for y in range(n):
-            xy = mul[x][y]
-            for z in range(n):
-                if mul[xy][z] != mul[x][mul[y][z]]:
-                    raise ValidationError(f"associativity fails at ({x}, {y}, {z})")
+        differ = M[M[x]] != M[x][M]
+        if differ.any():
+            y, z = divmod(int(differ.argmax()), n)
+            raise ValidationError(f"associativity fails at ({x}, {y}, {z})")
 
 
 def _int_entries(row: Sequence[int], what: str) -> tuple[int, ...]:
@@ -418,20 +409,10 @@ def subgroup_closure(G: FiniteGroup, seed: Sequence[int]) -> Subgroup:
     """Smallest subgroup containing the seed elements.
 
     In a finite group the products of seed elements already form it (an
-    inverse is a positive power), so one walk from 1 multiplies by the seed.
+    inverse is a positive power): what the ``_extend_hom`` walk reaches.
     """
     _check_indices(seed, G.order, "seed element")
-    gens = sorted(set(seed))
-    have = {0}
-    queue = [0]
-    for x in queue:
-        row = G.mul[x]
-        for g in gens:
-            y = row[g]
-            if y not in have:
-                have.add(y)
-                queue.append(y)
-    return Subgroup(G, tuple(sorted(have)))
+    return Subgroup(G, tuple(x for x, y in enumerate(_extend_hom(G, G, seed, seed)) if y >= 0))
 
 
 def center(G: FiniteGroup) -> Subgroup:
@@ -453,6 +434,21 @@ def table_arrays(G: FiniteGroup) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return mul, inv, mul[mul, inv[:, None]]
 
     return _cached(G, "_table_arrays", build)
+
+
+def _element_orders(G: FiniteGroup) -> np.ndarray:
+    """Read-only int64 array of the order of every element of G, kept on G; an element stops counting at 1."""
+
+    def build() -> np.ndarray:
+        mul, orders = table_arrays(G)[0], np.ones(G.order, dtype=np.int64)
+        todo = power = np.arange(1, G.order)
+        while todo.size:
+            orders[todo] += 1
+            power = mul[power, todo]
+            todo, power = todo[power != 0], power[power != 0]
+        return orders
+
+    return _cached(G, "_element_orders", build)
 
 
 def commutator_table(G: FiniteGroup) -> np.ndarray:
@@ -569,7 +565,8 @@ def invariant_factors_from_orders(orders: Sequence[int]) -> tuple[int, ...]:
 def abelian_invariants(H: Subgroup | FiniteGroup) -> AbelianInvariants:
     """Invariant factors of a finite abelian group, by element-order census.
 
-    For each prime p, counting solutions of x^(p^k) = 1 determines the
+    For each prime p with p^e exactly dividing |H|, the counts of solutions of
+    x^(p^k) = 1 for k = 0..e, read off the kept element orders, determine the
     p-primary type; invariant_factors_from_orders interleaves the primes.
     """
     if isinstance(H, Subgroup):
@@ -579,32 +576,18 @@ def abelian_invariants(H: Subgroup | FiniteGroup) -> AbelianInvariants:
     if not grp.is_abelian():
         raise NotAbelian(f"{grp.label} is not abelian")
     n = grp.order
-    if n == 1:
-        return AbelianInvariants(())
-    orders = [grp.element_order(x) for x in range(n)]
+    orders = _element_orders(grp)
     prime_powers: list[int] = []
-    for p in _factorise(n):
+    for p, e in _factorise(n).items():
         # s_k = log_p #{x : x^(p^k) = 1}; r_k = s_k - s_(k-1) counts cyclic
         # factors of exponent >= k, so the type is the conjugate partition.
-        s = [0]
-        k = 1
-        while True:
-            count = sum(1 for o in orders if pow(p, k) % o == 0)
-            sk = 0
-            c = count
-            while c > 1:
-                c //= p
-                sk += 1
-            if p**sk != count:
-                raise InternalCheckFailed("census count is not a prime power")
-            if sk == s[-1]:
-                break
-            s.append(sk)
-            k += 1
-        r = [s[i] - s[i - 1] for i in range(1, len(s))]
-        for k0 in range(1, len(r) + 1):
-            mult = r[k0 - 1] - (r[k0] if k0 < len(r) else 0)
-            prime_powers.extend([p**k0] * mult)
+        counts = np.array([np.count_nonzero(p**k % orders == 0) for k in range(e + 1)])
+        s = np.rint(np.log(counts) / np.log(p)).astype(np.int64)
+        if (p**s != counts).any():
+            raise InternalCheckFailed("census count is not a prime power")
+        r = np.append(np.diff(s), 0)
+        for k in range(1, e + 1):
+            prime_powers.extend([p**k] * int(r[k - 1] - r[k]))
     factors = invariant_factors_from_orders(prime_powers)
     result = AbelianInvariants(factors)
     if result.group_order != n:
@@ -677,7 +660,8 @@ def isomorphisms_iter(G1: FiniteGroup, G2: FiniteGroup) -> Iterator[GroupHom]:
     if G1.order != G2.order or G1.order_multiset() != G2.order_multiset():
         return
     gens = minimal_generating_sequence(G1)
-    candidates = [[y for y in range(G2.order) if G2.element_order(y) == G1.element_order(g)] for g in gens]
+    orders1, orders2 = _element_orders(G1), _element_orders(G2)
+    candidates = [np.flatnonzero(orders2 == orders1[g]).tolist() for g in gens]
 
     def rec(chosen: list[int]) -> Iterator[GroupHom]:
         try:

@@ -1,13 +1,25 @@
-"""Hand-filled references for the groups the tabulator builds.
+"""Loop references for the groups the tabulator builds and for what is read off a group's kept tables.
 
-These are the constructors as they were before ``groups._tabulate``, kept
-as they were: each numbers the elements and fills the n x n table in its
-own loop. The tests compare the tabulated groups against them; nothing
-here is library code.
+The constructors are as they were before ``groups._tabulate``: each numbers
+the elements and fills the n x n table in its own loop. The table axioms,
+element orders, abelian and normal tests, subgroup closure and invariant
+census are as they were before the library read them off the arrays kept on
+a group: each walks the product table in Python. The tests compare the
+library against them; nothing here is library code.
 """
 
-from grouplab.errors import ClosureExceedsCap, ValidationError
-from grouplab.groups import DEFAULT_ORDER_CAP, FiniteGroup, GroupHom, _compose_perm, _cycle_notation
+from grouplab.errors import ClosureExceedsCap, InternalCheckFailed, NotAbelian, ValidationError
+from grouplab.groups import (
+    DEFAULT_ORDER_CAP,
+    AbelianInvariants,
+    FiniteGroup,
+    GroupHom,
+    Subgroup,
+    _compose_perm,
+    _cycle_notation,
+    _factorise,
+    invariant_factors_from_orders,
+)
 
 
 def unchecked(mul, label, element_names=None):
@@ -105,3 +117,113 @@ def loop_as_group(S):
         element_names=tuple(S.parent.name_of(x) for x in members),
     )
     return grp, members
+
+
+def loop_validate_table(mul, inv):
+    """Check the full group axioms; raise ValidationError naming the violation."""
+    n = len(mul)
+    if n == 0:
+        raise ValidationError("empty multiplication table")
+    for i, row in enumerate(mul):
+        if len(row) != n:
+            raise ValidationError(f"row {i} has length {len(row)}, expected {n}")
+        if sorted(row) != list(range(n)):
+            raise ValidationError(f"row {i} is not a permutation (Latin square violated)")
+    for j in range(n):
+        col = [mul[i][j] for i in range(n)]
+        if sorted(col) != list(range(n)):
+            raise ValidationError(f"column {j} is not a permutation (Latin square violated)")
+    for x in range(n):
+        if mul[0][x] != x or mul[x][0] != x:
+            raise ValidationError("element 0 is not a two-sided identity")
+    if len(inv) != n:
+        raise ValidationError("inverse table length mismatch")
+    for x in range(n):
+        if mul[x][inv[x]] != 0 or mul[inv[x]][x] != 0:
+            raise ValidationError(f"inv[{x}] is not a two-sided inverse")
+    for x in range(n):
+        for y in range(n):
+            xy = mul[x][y]
+            for z in range(n):
+                if mul[xy][z] != mul[x][mul[y][z]]:
+                    raise ValidationError(f"associativity fails at ({x}, {y}, {z})")
+
+
+def loop_element_order(G, x):
+    n = 1
+    acc = x
+    while acc != 0:
+        acc = G.mul[acc][x]
+        n += 1
+    return n
+
+
+def loop_is_abelian(G):
+    m = G.mul
+    return all(m[x][y] == m[y][x] for x in range(G.order) for y in range(x))
+
+
+def loop_subgroup_is_abelian(S):
+    m = S.parent.mul
+    return all(m[x][y] == m[y][x] for x in S.members for y in S.members)
+
+
+def loop_is_normal(S):
+    G = S.parent
+    for g in range(G.order):
+        for x in S.members:
+            if G.conj(g, x) not in S:
+                return False
+    return True
+
+
+def bfs_closure(G, seed):
+    """The subgroup reached from 1 by right multiplication by the seed, breadth first."""
+    gens = sorted(set(seed))
+    have = {0}
+    queue = [0]
+    for x in queue:
+        row = G.mul[x]
+        for g in gens:
+            y = row[g]
+            if y not in have:
+                have.add(y)
+                queue.append(y)
+    return Subgroup(G, tuple(sorted(have)))
+
+
+def census_invariants(H):
+    """Invariant factors of a finite abelian group, counting x^(p^k) = 1 for k = 1, 2, ... until the count stops growing."""
+    grp = H.as_group()[0] if isinstance(H, Subgroup) else H
+    if not loop_is_abelian(grp):
+        raise NotAbelian(f"{grp.label} is not abelian")
+    n = grp.order
+    if n == 1:
+        return AbelianInvariants(())
+    orders = [loop_element_order(grp, x) for x in range(n)]
+    prime_powers = []
+    for p in _factorise(n):
+        s = [0]
+        k = 1
+        while True:
+            count = sum(1 for o in orders if pow(p, k) % o == 0)
+            sk = 0
+            c = count
+            while c > 1:
+                c //= p
+                sk += 1
+            if p**sk != count:
+                raise InternalCheckFailed("census count is not a prime power")
+            if sk == s[-1]:
+                break
+            s.append(sk)
+            k += 1
+        r = [s[i] - s[i - 1] for i in range(1, len(s))]
+        for k0 in range(1, len(r) + 1):
+            mult = r[k0 - 1] - (r[k0] if k0 < len(r) else 0)
+            prime_powers.extend([p**k0] * mult)
+    factors = invariant_factors_from_orders(prime_powers)
+    result = AbelianInvariants(factors)
+    if result.group_order != n:
+        raise InternalCheckFailed(f"invariant factors {factors} do not multiply to {n}")
+    return result

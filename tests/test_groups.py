@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 
 import numpy as np
 import pytest
@@ -694,3 +695,175 @@ class TestValidation:
     def test_numpy_integer_members_are_accepted(self):
         sub, members = Subgroup(D4, tuple(np.arange(4))).as_group()
         assert sub.order == 4 and members == (0, 1, 2, 3)
+
+    @pytest.mark.parametrize(
+        "members, match",
+        [((0, 7), "member 7"), ((0, -1), "member -1"), ((1, 2), "identity"), ((0, 1, 3, 4), "not closed")],
+    )
+    def test_quotient_rejects_members_that_are_not_a_subgroup(self, members, match):
+        # 7 raised a bare IndexError, -1 was read as element 5 and (1, 2) gave NotNormal;
+        # 1 and the three involutions are closed under conjugation and gave a "group" of order 3
+        S3 = builtin("symmetric", (3,))
+        with pytest.raises(ValidationError, match=match):
+            quotient(S3, Subgroup(S3, members))
+
+
+def validation_message(check, mul, inv):
+    try:
+        check(mul, inv)
+    except ValidationError as exc:
+        return str(exc)
+    return None
+
+
+def seeded_corruptions(G, rng):
+    """(mul, inv) pairs that break one axiom of G's table each, with inv read off the rows as from_mul_table does."""
+    n, base = G.order, [list(row) for row in G.mul]
+
+    def case(mul, inv=None):
+        mul = [tuple(row) for row in mul]
+        return mul, inv if inv is not None else [row.index(0) if 0 in row else 0 for row in mul]
+
+    i, j, k = rng.randrange(n), *rng.sample(range(n), 2)
+    row = [list(r) for r in base]
+    row[i][j] = rng.choice([v for v in range(-1, n + 1) if v != base[i][j]])
+    yield case(row)  # a repeated or foreign entry in a row
+    ragged = [list(r) for r in base]
+    ragged[i] = ragged[i][:-1]
+    yield case(ragged)
+    ragged[0][0] = 1  # a bad row before the short one is named first
+    yield case(ragged)
+    column = [list(r) for r in base]
+    column[i][j], column[i][k] = column[i][k], column[i][j]
+    yield case(column)
+    rows = [list(r) for r in base]
+    rows[j], rows[k] = rows[k], rows[j]
+    yield case(rows)  # a Latin square whose row 0 or column 0 is not the identity
+    inv = list(G.inv)
+    inv[j] = rng.choice([v for v in range(n) if v != G.inv[j]])
+    yield case(base, inv)
+    yield case(base, inv[:-1])
+    # an intercalate ab = dc, ac = db away from 0: swapping it keeps a Latin loop with the same inverses
+    row_of = {(v, c): d for d, r in enumerate(base) for c, v in enumerate(r)}
+    blocks = [
+        (a, b, c, d)
+        for a in range(1, n)
+        for b in range(1, n)
+        for c in range(b + 1, n)
+        for d in [row_of[base[a][b], c]]
+        if d != 0 and base[d][b] == base[a][c] and 0 not in (base[a][b], base[a][c])
+    ]
+    if blocks:
+        a, b, c, d = rng.choice(blocks)
+        loop = [list(r) for r in base]
+        loop[a][b], loop[a][c], loop[d][b], loop[d][c] = loop[a][c], loop[a][b], loop[d][c], loop[d][b]
+        yield case(loop)
+
+
+class TestValidateTableInArrays:
+    """validate_table against the Python loop of table_reference on seeded corruptions of the corpus tables."""
+
+    def test_seeded_corruptions_raise_the_loop_message(self, corpus):
+        rng = random.Random(30)
+        seen = set()
+        for G in corpus:
+            assert validate_table(G.mul, G.inv) is None
+            if G.order < 3:
+                continue
+            for mul, inv in seeded_corruptions(G, rng):
+                got = validation_message(validate_table, mul, inv)
+                assert got == validation_message(table_reference.loop_validate_table, mul, inv), G.label
+                if got is not None:
+                    seen.add(re.sub(r"-?\d+", "#", got))
+        assert seen == {
+            "row # is not a permutation (Latin square violated)",
+            "row # has length #, expected #",
+            "column # is not a permutation (Latin square violated)",
+            "element # is not a two-sided identity",
+            "inverse table length mismatch",
+            "inv[#] is not a two-sided inverse",
+            "associativity fails at (#, #, #)",
+        }
+
+    @pytest.mark.parametrize("x, entry", [(1, True), (2, -1), (2, 5.0), (2, 6)])
+    def test_inverse_entries_must_be_element_indices(self, x, entry):
+        # True and -1 were read as the inverses 1 and 5 and accepted, 5.0 raised a bare
+        # TypeError in the loop and was cast to 5 by an array, 6 raised a bare IndexError
+        S3 = builtin("symmetric", (3,))
+        inv = list(S3.inv)
+        inv[x] = entry
+        with pytest.raises(ValidationError, match="inverse entry"):
+            validate_table(S3.mul, inv)
+
+
+def groups_for_table_reads():
+    """B64, N, D4 x D4 x Z2 and the four order-243 groups of test_nontrivial_b0."""
+    B64 = build_from_permutations([perm(c) for c in B64_CYCLES], cap=64, degree=DEGREE, label="B64")
+    return [
+        B64,
+        build_from_permutations([perm(c) for c in N_CYCLES], cap=64, degree=DEGREE, label="N"),
+        direct_product(direct_product(D4, D4), cyclic(2), label="D4xD4xZ2"),
+        group_243(B243_CYCLES, "B243"),
+        group_243(B243B_CYCLES, "B243b"),
+        group_243(B243C_CYCLES, "B243c"),
+        group_243(T243_CYCLES, "T243"),
+    ]
+
+
+class TestTableReads:
+    """Element orders, abelian and normal tests, closures and the invariant census against the loops of table_reference."""
+
+    @staticmethod
+    def check(G, subgroups, rng):
+        """Compare every read on G and on each member tuple; return how many of them are not normal."""
+        orders = [table_reference.loop_element_order(G, x) for x in range(G.order)]
+        assert [G.element_order(x) for x in range(G.order)] == orders, G.label
+        assert G.order_multiset() == tuple(sorted(orders)), G.label
+        assert G.is_abelian() == table_reference.loop_is_abelian(G), G.label
+        if G.is_abelian():
+            assert abelian_invariants(G) == table_reference.census_invariants(G), G.label
+        for size in (0, 1, 2, 3):
+            seed = [rng.randrange(G.order) for _ in range(size)]
+            assert subgroup_closure(G, seed) == table_reference.bfs_closure(G, seed), (G.label, seed)
+        not_normal = 0
+        for members in subgroups:
+            S = Subgroup(G, members)
+            abelian = table_reference.loop_subgroup_is_abelian(S)
+            assert S.is_abelian() == abelian, (G.label, members)
+            normal = table_reference.loop_is_normal(S)
+            assert S.is_normal() == normal, (G.label, members)
+            not_normal += not normal
+            if abelian:
+                assert abelian_invariants(S) == table_reference.census_invariants(S), (G.label, members)
+        return not_normal
+
+    def test_corpus_and_every_abelian_subgroup(self, corpus):
+        rng = random.Random(301)
+        not_normal = 0
+        for G in corpus:
+            subs = set(subgroup_reference.all_abelian_subgroups(G))
+            subs |= {derived_subgroup(G).members, tuple(range(G.order))}
+            not_normal += self.check(G, sorted(subs), rng)
+        assert not_normal >= 60
+
+    def test_benchmark_pools_relabeled(self):
+        rng = random.Random(302)
+        not_normal = 0
+        for family, params in BENCHMARK_POOL:
+            G = builtin(family, params)
+            for _ in range(2):
+                R = relabeled(G, [0] + rng.sample(range(1, G.order), G.order - 1))
+                subs = {A.members for A in abelian_subgroups(R)} | {subgroup_closure(R, [x]).members for x in range(R.order)}
+                subs |= {center(R).members, derived_subgroup(R).members, tuple(range(R.order))}
+                not_normal += self.check(R, sorted(subs), rng)
+        assert not_normal >= 400
+
+    def test_groups_of_order_64_to_243(self):
+        rng = random.Random(303)
+        not_normal = 0
+        for G in groups_for_table_reads():
+            subs = {A.members for A in abelian_subgroups(G)}
+            subs |= {subgroup_closure(G, [x]).members for x in rng.sample(range(G.order), 12)}
+            subs |= {center(G).members, derived_subgroup(G).members, tuple(range(G.order))}
+            not_normal += self.check(G, sorted(subs), rng)
+        assert not_normal >= 150

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from math import gcd
 from typing import Callable, Iterator, Sequence, TypeVar
 
 import numpy as np
@@ -79,6 +80,7 @@ class FiniteGroup:
         return m[m[m[x][y]][self.inv[x]]][self.inv[y]]
 
     def element_order(self, x: int) -> int:
+        _check_indices((x,), self.order, "element")
         return int(_element_orders(self)[x])
 
     def order_multiset(self) -> tuple[int, ...]:
@@ -332,9 +334,7 @@ def build_from_permutations(
     ident = tuple(range(deg))
     elems: list[tuple[int, ...]] = [ident]
     index = {ident: 0}
-    queue = [ident]
-    while queue:
-        cur = queue.pop(0)
+    for cur in elems:
         for g in gens:
             new = _compose_perm(cur, g)
             if new not in index:
@@ -342,7 +342,6 @@ def build_from_permutations(
                     raise ClosureExceedsCap(f"closure exceeds cap {cap}")
                 index[new] = len(elems)
                 elems.append(new)
-                queue.append(new)
     return _tabulate(elems, _compose_perm, label, [_cycle_notation(p) for p in elems])
 
 
@@ -540,26 +539,18 @@ def _factorise(n: int) -> dict[int, int]:
 
 
 def invariant_factors_from_orders(orders: Sequence[int]) -> tuple[int, ...]:
-    """Canonical divisibility chain of a direct sum of cyclic groups."""
-    per_prime: dict[int, list[int]] = {}
-    for v in orders:
-        if v <= 1:
-            continue
-        for p, e in _factorise(v).items():
-            per_prime.setdefault(p, []).append(e)
-    if not per_prime:
-        return ()
-    for exps in per_prime.values():
-        exps.sort(reverse=True)
-    width = max(len(v) for v in per_prime.values())
-    desc = []
-    for i in range(width):
-        d = 1
-        for p, exps in per_prime.items():
-            if i < len(exps):
-                d *= p ** exps[i]
-        desc.append(d)
-    return tuple(reversed(desc))
+    """Canonical divisibility chain of a direct sum of cyclic groups; orders below 2 are dropped.
+
+    Z/a + Z/b is Z/gcd(a, b) + Z/lcm(a, b). Applied to each entry against
+    every later one, it leaves each entry dividing all later ones; the 1s
+    lead and are dropped.
+    """
+    d = [v for v in orders if v > 1]
+    for i in range(len(d)):
+        for j in range(i + 1, len(d)):
+            g = gcd(d[i], d[j])
+            d[i], d[j] = g, d[i] * d[j] // g
+    return tuple(v for v in d if v > 1)
 
 
 def abelian_invariants(H: Subgroup | FiniteGroup) -> AbelianInvariants:
@@ -567,7 +558,7 @@ def abelian_invariants(H: Subgroup | FiniteGroup) -> AbelianInvariants:
 
     For each prime p with p^e exactly dividing |H|, the counts of solutions of
     x^(p^k) = 1 for k = 0..e, read off the kept element orders, determine the
-    p-primary type; invariant_factors_from_orders interleaves the primes.
+    p-primary type; invariant_factors_from_orders merges the primes into one chain.
     """
     if isinstance(H, Subgroup):
         grp, _ = H.as_group()
@@ -610,10 +601,12 @@ def minimal_generating_sequence(G: FiniteGroup) -> list[int]:
         current = {0}
         while len(current) < G.order:
             best_x, best_size, best_members = -1, -1, None
+            covered = set(current)  # an x in an earlier <gens, y> cannot beat that y
             for x in range(1, G.order):
-                if x in current:
+                if x in covered:
                     continue
                 ext = subgroup_closure(G, gens + [x])
+                covered.update(ext.members)
                 if len(ext) > best_size:
                     best_x, best_size, best_members = x, len(ext), set(ext.members)
             gens.append(best_x)

@@ -330,32 +330,21 @@ def _signature(G: FiniteGroup) -> tuple:
 def partition_into_families(catalog: Sequence[FiniteGroup]) -> list[list[int]]:
     """Partition catalog indices into isoclinism families.
 
-    Pairwise searches are pruned by cheap invariants of the central quotient
-    and derived subgroup; the union-find merge order is deterministic.
+    Each group joins the first family whose first member shares its
+    ``_signature`` and is isoclinic to it, else starts a new one. Isoclinism
+    is an equivalence relation, so one comparison per family decides;
+    families are ordered by first member, members ascending.
     """
-    n = len(catalog)
-    parent = list(range(n))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
     sigs = [_signature(G) for G in catalog]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if sigs[i] != sigs[j]:
-                continue
-            ri, rj = find(i), find(j)
-            if ri == rj:
-                continue
-            if are_isoclinic(catalog[i], catalog[j]) is not None:
-                parent[max(ri, rj)] = min(ri, rj)
-    families: dict[int, list[int]] = {}
-    for i in range(n):
-        families.setdefault(find(i), []).append(i)
-    return [sorted(members) for _, members in sorted(families.items())]
+    families: list[list[int]] = []
+    for j, G in enumerate(catalog):
+        for fam in families:
+            if sigs[fam[0]] == sigs[j] and are_isoclinic(catalog[fam[0]], G) is not None:
+                fam.append(j)
+                break
+        else:
+            families.append([j])
+    return families
 
 
 def witness_to_json(w: IsoclinismWitness) -> dict:

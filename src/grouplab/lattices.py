@@ -40,7 +40,7 @@ Provided primitives:
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
+from bisect import bisect_left
 from math import gcd, prod
 from typing import Sequence
 
@@ -261,6 +261,13 @@ def snf_mod(rows: SparseRows, k: int, m: int) -> tuple[list[int], SparseRows]:
     index lists, and row and column operations, both by _combine, run on
     the dense block alone, in position order. That reproduces the dense run
     step for step.
+
+    A unit row never moves before its own pivot: while one sits at position
+    t, every live block row sits further down, so the key (1, t) wins and
+    step t pivots it in place, and no pivot swap displaces a unit row. So
+    units only ever loses its head. Clearing ends once the pivot row has no
+    other entry, as the row operations leave the gcd, nonzero, at (b, s)
+    and zeros in the rest of column s.
     """
     B = rows.block % m
     R = rows.shape[0]
@@ -277,10 +284,6 @@ def snf_mod(rows: SparseRows, k: int, m: int) -> tuple[list[int], SparseRows]:
         # row positions t and p, column positions t and q
         x, y = at[t], at[p]
         at[t], at[p], pos[x], pos[y] = y, x, p, t
-        if x != y and x in lone:
-            # x sat at t, the first position in units
-            units.pop(0)
-            insort(units, p)
         a, c = cat[t], cat[q]
         cat[t], cat[q], cpos[a], cpos[c] = c, a, q, t
 
@@ -293,9 +296,7 @@ def snf_mod(rows: SparseRows, k: int, m: int) -> tuple[list[int], SparseRows]:
                     _combine(B[b], B[h], m, s)
             others = sorted((j for j in np.flatnonzero(B[b]).tolist() if j != s), key=lambda j: cpos[slot[j]])
             if not others:
-                if np.count_nonzero(B[:, s]) == 1:
-                    return
-                continue
+                return
             for j in others:
                 x, y, z, w = _combine(B[:, s], B[:, j], m, b)
                 W[s], W[j] = (w * W[s] - z * W[j]) % m, (x * W[j] - y * W[s]) % m

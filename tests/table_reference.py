@@ -4,8 +4,10 @@ The constructors are as they were before ``groups._tabulate``: each numbers
 the elements and fills the n x n table in its own loop. The table axioms,
 element orders, abelian and normal tests, subgroup closure and invariant
 census are as they were before the library read them off the arrays kept on
-a group: each walks the product table in Python. The tests compare the
-library against them; nothing here is library code.
+a group: each walks the product table in Python. The invariant-factor chain
+is the per-prime one the library used before its gcd and lcm rule, and the
+greedy generating sequence computes every closure of a step. The tests
+compare the library against them; nothing here is library code.
 """
 
 from grouplab.errors import ClosureExceedsCap, InternalCheckFailed, NotAbelian, ValidationError
@@ -18,7 +20,7 @@ from grouplab.groups import (
     _compose_perm,
     _cycle_notation,
     _factorise,
-    invariant_factors_from_orders,
+    subgroup_closure,
 )
 
 
@@ -222,8 +224,48 @@ def census_invariants(H):
         for k0 in range(1, len(r) + 1):
             mult = r[k0 - 1] - (r[k0] if k0 < len(r) else 0)
             prime_powers.extend([p**k0] * mult)
-    factors = invariant_factors_from_orders(prime_powers)
+    factors = factorised_chain(prime_powers)
     result = AbelianInvariants(factors)
     if result.group_order != n:
         raise InternalCheckFailed(f"invariant factors {factors} do not multiply to {n}")
     return result
+
+
+def factorised_chain(orders):
+    """The divisibility chain of a direct sum of cyclic groups, by interleaving the prime-power exponents."""
+    per_prime = {}
+    for v in orders:
+        if v <= 1:
+            continue
+        for p, e in _factorise(v).items():
+            per_prime.setdefault(p, []).append(e)
+    if not per_prime:
+        return ()
+    for exps in per_prime.values():
+        exps.sort(reverse=True)
+    width = max(len(v) for v in per_prime.values())
+    desc = []
+    for i in range(width):
+        d = 1
+        for p, exps in per_prime.items():
+            if i < len(exps):
+                d *= p ** exps[i]
+        desc.append(d)
+    return tuple(reversed(desc))
+
+
+def loop_minimal_generating_sequence(G):
+    """The greedy generating sequence, with the closure of every candidate outside the current subgroup computed."""
+    gens = []
+    current = {0}
+    while len(current) < G.order:
+        best_x, best_size, best_members = -1, -1, None
+        for x in range(1, G.order):
+            if x in current:
+                continue
+            ext = subgroup_closure(G, gens + [x])
+            if len(ext) > best_size:
+                best_x, best_size, best_members = x, len(ext), set(ext.members)
+        gens.append(best_x)
+        current = best_members
+    return gens

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -603,3 +604,109 @@ def test_a_report_realization_and_witness_leave_numpy_ma_unloaded():
         pytest.skip("numpy imports numpy.ma at import")
     assert run.returncode == 0, run.stderr
     assert run.stdout.strip() == "False"
+
+
+def _spec_file(tmp_path):
+    path = tmp_path / "S3.json"
+    path.write_text(json.dumps({"name": "S3", "kind": "builtin", "data": {"family": "symmetric", "params": [3]}}))
+    return path
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        pytest.param(
+            lambda tmp: builtin("extraspecial", (2, "p")),
+            ParamOutOfRange,
+            "extraspecial family supports p in {3, 5}, got 2",
+            id="extraspecial p=2",
+        ),
+        pytest.param(
+            lambda tmp: builtin("extraspecial", (7, "p2")),
+            ParamOutOfRange,
+            "extraspecial family supports p in {3, 5}, got 7",
+            id="extraspecial p=7",
+        ),
+        pytest.param(
+            lambda tmp: builtin("extraspecial", ("x", "p")),
+            ParamOutOfRange,
+            "extraspecial parameters must be integers, got ['x']",
+            id="extraspecial p not an integer",
+        ),
+        pytest.param(
+            lambda tmp: builtin("extraspecial", (3, "q")),
+            ParamOutOfRange,
+            "extraspecial exponent type must be 'p' or 'p2', got 'q'",
+            id="extraspecial exponent type",
+        ),
+        pytest.param(
+            lambda tmp: builtin("extraspecial", (3,)),
+            ParamOutOfRange,
+            "extraspecial takes 2 parameter(s), got 1",
+            id="extraspecial parameter count",
+        ),
+        pytest.param(
+            lambda tmp: builtin("direct_product", (("cyclic", 2),)),
+            ParamOutOfRange,
+            "direct_product needs at least two factor descriptors",
+            id="direct product of one",
+        ),
+        pytest.param(
+            lambda tmp: builtin("direct_product", ()),
+            ParamOutOfRange,
+            "direct_product needs at least two factor descriptors",
+            id="direct product of none",
+        ),
+        pytest.param(
+            lambda tmp: builtin("direct_product", (("cyclic", 32), ("cyclic", 32))),
+            ParamOutOfRange,
+            "direct product order 1024 exceeds the core cap 512",
+            id="direct product over 512",
+        ),
+        pytest.param(
+            lambda tmp: group_from_spec_dict({"name": "G", "kind": "cayley"}),
+            ParseError,
+            "missing field 'data'",
+            id="spec without data",
+        ),
+        pytest.param(
+            lambda tmp: group_from_spec_dict({"kind": "cayley", "data": {}}),
+            ParseError,
+            "missing field 'name'",
+            id="spec without name",
+        ),
+        pytest.param(
+            lambda tmp: group_from_spec_dict({"name": "G", "kind": "cayley", "data": {"table": "0"}}),
+            ParseError,
+            "cayley data needs a 'table' array",
+            id="cayley table not a list",
+        ),
+        pytest.param(
+            lambda tmp: group_from_spec_dict({"name": "G", "kind": "perm", "data": {"generators": "(1 2)"}}),
+            ParseError,
+            "perm data needs a 'generators' array",
+            id="perm generators not a list",
+        ),
+        pytest.param(
+            lambda tmp: group_from_spec_dict({"name": "G", "kind": "builtin", "data": {"family": ["cyclic"]}}),
+            ParseError,
+            "builtin data needs a 'family' name",
+            id="builtin family not a string",
+        ),
+        pytest.param(
+            lambda tmp: group_from_spec_dict({"name": "G", "kind": "matrix", "data": {}}),
+            ParseError,
+            "unknown group kind 'matrix'",
+            id="unknown kind",
+        ),
+        pytest.param(
+            lambda tmp: load_catalog(_spec_file(tmp)),
+            ParseError,
+            "catalog path is not a directory",
+            id="catalog path is a file",
+        ),
+    ],
+)
+def test_catalog_input_checks(tmp_path, build, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        build(tmp_path)

@@ -4,6 +4,7 @@ import gc
 import hashlib
 import itertools
 import random
+import re
 import weakref
 from math import gcd
 
@@ -615,3 +616,12 @@ def test_cocycle_dump_bytes_are_pinned(name, m):
     """
     text = dump_json(cocycle_dump(DUMP_GROUPS[name](), m))
     assert hashlib.sha256(text.encode()).hexdigest() == DUMP_SHA256[name, m]
+
+
+@pytest.mark.parametrize("entry", [(0, 1), (2, 0), (0, 0)])
+def test_cohomology_input_checks(entry):
+    space = cocycle_space(builtin("symmetric", (3,)), 6)
+    table = np.zeros((6, 6), dtype=np.int64)
+    table[entry] = 1
+    with pytest.raises(ValidationError, match=re.escape("table is not normalized (identity row/column nonzero)")):
+        space.class_from_table(table)

@@ -235,3 +235,10 @@ class TestPresentationJson:
         for count in (1.5, True, "2"):
             with pytest.raises(ValidationError, match="integer"):
                 Presentation(count, ())
+
+
+@pytest.mark.parametrize("max_cosets", [0, -1])
+def test_fpgroups_input_checks(max_cosets):
+    pres = build_wedge_presentation(builtin("symmetric", (3,)), WedgeVariant.CURLY).presentation
+    with pytest.raises(ValidationError, match="max_cosets must be positive"):
+        todd_coxeter(pres, (), max_cosets=max_cosets)

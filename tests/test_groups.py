@@ -17,6 +17,7 @@ from grouplab.errors import (
     ValidationError,
 )
 from grouplab.groups import (
+    AbelianInvariants,
     GroupHom,
     Subgroup,
     _extend_hom,
@@ -31,6 +32,7 @@ from grouplab.groups import (
     direct_product,
     find_isomorphism,
     from_mul_table,
+    invariant_factors_from_orders,
     isomorphisms_iter,
     minimal_generating_sequence,
     quotient,
@@ -867,3 +869,101 @@ class TestTableReads:
             subs |= {center(G).members, derived_subgroup(G).members, tuple(range(G.order))}
             not_normal += self.check(G, sorted(subs), rng)
         assert not_normal >= 150
+
+
+class TestElementOrderChecksItsArgument:
+    @pytest.mark.parametrize("x", [-1, 6, True, 2.0, "1"])
+    def test_non_elements_are_rejected(self, x):
+        # at the parent -1 read element 5 through NumPy's wrap-around, 6 raised a bare
+        # IndexError and True a bare TypeError
+        S3 = builtin("symmetric", (3,))
+        with pytest.raises(ValidationError, match="element .* is not an integer or lies outside"):
+            S3.element_order(x)
+
+    def test_numpy_integers_are_elements(self):
+        S3 = builtin("symmetric", (3,))
+        assert [S3.element_order(np.int64(x)) for x in range(6)] == [S3.element_order(x) for x in range(6)]
+
+
+class TestInvariantFactorsByGcdAndLcm:
+    """invariant_factors_from_orders against the per-prime chain of table_reference."""
+
+    def test_seeded_random_order_lists(self):
+        rng = random.Random(311)
+        # small primes and their powers make long chains; the values up to 5000 bring other primes
+        values = [1, 2, 3, 4, 5, 6, 8, 9, 12, 16, 18, 24, 25, 27, 32, 36, 49, 64, 81, 97, 100, 243, 720, 1001]
+        for _ in range(20000):
+            orders = [rng.choice(values) if rng.random() < 0.8 else rng.randrange(1, 5000) for _ in range(rng.randrange(9))]
+            if rng.random() < 0.2:
+                orders.append(rng.randrange(-3, 2))  # orders below 2 are dropped by both
+            assert invariant_factors_from_orders(orders) == table_reference.factorised_chain(orders), orders
+
+
+class TestMinimalGeneratingSequenceSkipsCoveredCandidates:
+    """The greedy sequence against table_reference's loop, which computes every candidate's closure."""
+
+    def test_corpus(self, corpus):
+        for G in corpus:
+            assert minimal_generating_sequence(G) == table_reference.loop_minimal_generating_sequence(G), G.label
+
+    def test_benchmark_pools_relabeled(self):
+        rng = random.Random(313)
+        for family, params in BENCHMARK_POOL:
+            G = builtin(family, params)
+            R = relabeled(G, [0] + rng.sample(range(1, G.order), G.order - 1))
+            for H in (G, R):
+                assert minimal_generating_sequence(H) == table_reference.loop_minimal_generating_sequence(H), H.label
+
+    def test_groups_of_order_64_to_243(self):
+        for G in groups_for_table_reads():
+            assert minimal_generating_sequence(G) == table_reference.loop_minimal_generating_sequence(G), G.label
+
+    def test_fewer_closures(self, monkeypatch):
+        import grouplab.groups as groups_module
+
+        G = groups_for_table_reads()[3]  # B243
+        counts = {}
+        for module in (groups_module, table_reference):
+            real = module.subgroup_closure
+            calls = counts[module.__name__] = []
+            monkeypatch.setattr(module, "subgroup_closure", lambda H, seed, real=real, calls=calls: calls.append(1) or real(H, seed))
+        assert minimal_generating_sequence(G) == table_reference.loop_minimal_generating_sequence(G)
+        assert 5 * len(counts["grouplab.groups"]) < len(counts["table_reference"])
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            pytest.param(lambda: from_mul_table([]), "empty multiplication table", id="empty table"),
+            pytest.param(
+                lambda: from_mul_table([[0, 1], [1, 0]], element_names=["a"]),
+                "element_names length mismatch",
+                id="names length",
+            ),
+            pytest.param(
+                lambda: relabeled(builtin("symmetric", (3,)), [0, 1, 1, 2, 3, 4]),
+                "relabeling is not a permutation",
+                id="relabeling repeats",
+            ),
+            pytest.param(
+                lambda: relabeled(builtin("symmetric", (3,)), [0, 1, 2]),
+                "relabeling is not a permutation",
+                id="relabeling too short",
+            ),
+            pytest.param(
+                lambda: quotient(builtin("symmetric", (3,)), center(builtin("dihedral", (4,)))),
+                "subgroup does not belong to this group",
+                id="quotient by another group's subgroup",
+            ),
+            pytest.param(
+                lambda: AbelianInvariants((4, 2)),
+                re.escape("invariant factors (4, 2) not a divisibility chain"),
+                id="factors not a chain",
+            ),
+            pytest.param(lambda: AbelianInvariants((1,)), "invariant factors must all exceed 1", id="factor 1"),
+        ],
+    )
+    def test_rejected_with_its_message(self, build, message):
+        with pytest.raises(ValidationError, match=message):
+            build()

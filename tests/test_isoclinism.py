@@ -2,11 +2,13 @@
 
 import copy
 import dataclasses
+import random
+from pathlib import Path
 
 import pytest
 
 from grouplab import isoclinism
-from grouplab.catalog import builtin
+from grouplab.catalog import builtin, load_catalog
 from grouplab.errors import PairingAxiomFailed, ValidationError, WitnessInvalid
 from grouplab.groups import (
     GroupHom,
@@ -33,6 +35,7 @@ from grouplab.isoclinism import (
 from grouplab.wedge import WedgeVariant, compute_wedge
 
 from fuzz_reference import sampled_fuzz
+from partition_reference import union_find_partition
 
 
 def cyclic(n):
@@ -490,3 +493,66 @@ class TestFamilies:
 
     def test_empty(self):
         assert partition_into_families([]) == []
+
+
+# The families-dense benchmark pool (perfbench/workloads.py): a builtin group and its number of copies.
+FAMILIES_DENSE_POOL = (
+    (("symmetric", (3,)), 40),
+    (("dihedral", (6,)), 4),
+    (("dicyclic", (3,)), 4),
+    (("dihedral", (4,)), 8),
+    (("quaternion8", ()), 8),
+    (("direct_product", (("dihedral", 4), ("cyclic", 2))), 1),
+    (("direct_product", (("quaternion8",), ("cyclic", 2))), 1),
+    (("dihedral", (8,)), 1),
+    (("dicyclic", (4,)), 1),
+    (("dihedral", (5,)), 3),
+    (("alternating", (4,)), 1),
+    (("dihedral", (7,)), 1),
+)
+
+
+class TestFamiliesByRepresentative:
+    """partition_into_families against the union-find partition of partition_reference, counting are_isoclinic calls."""
+
+    @staticmethod
+    def counted(monkeypatch, partition, groups):
+        """The partition, and the (first, second) catalog indices of every are_isoclinic call it made."""
+        index = {id(G): i for i, G in enumerate(groups)}
+        calls = []
+        real = isoclinism.are_isoclinic
+
+        def counting(G1, G2):
+            calls.append((index[id(G1)], index[id(G2)]))
+            return real(G1, G2)
+
+        monkeypatch.setattr(isoclinism, "are_isoclinic", counting)
+        families = partition(groups)
+        monkeypatch.setattr(isoclinism, "are_isoclinic", real)
+        return families, calls
+
+    def check(self, monkeypatch, groups):
+        want, ref_calls = self.counted(monkeypatch, union_find_partition, groups)
+        got, calls = self.counted(monkeypatch, partition_into_families, groups)
+        assert got == want
+        assert len(calls) == len(ref_calls)
+        assert all(i < j for i, j in calls)
+        return got, calls
+
+    @pytest.mark.parametrize("seed, shuffled", [(321, False), (322, True)])
+    def test_families_dense_pool_relabeled(self, monkeypatch, seed, shuffled):
+        rng = random.Random(seed)
+        groups = []
+        for (family, params), copies in FAMILIES_DENSE_POOL:
+            G = builtin(family, params)
+            groups += [relabeled(G, [0] + rng.sample(range(1, G.order), G.order - 1)) for _ in range(copies)]
+        if shuffled:  # families interleave
+            rng.shuffle(groups)
+        families, calls = self.check(monkeypatch, groups)
+        assert sorted(len(f) for f in families) == [1, 1, 2, 3, 18, 48]
+        assert len(calls) == len(groups) - len(families) == 67
+
+    def test_catalog(self, monkeypatch):
+        groups = load_catalog(Path(__file__).resolve().parent.parent / "catalog")
+        families, calls = self.check(monkeypatch, groups)
+        assert len(families) == 5 and len(calls) == 30

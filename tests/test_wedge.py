@@ -13,9 +13,11 @@ from grouplab.catalog import builtin, shipped_corpus
 from grouplab.errors import (
     CosetLimitExceeded,
     GroupTooLarge,
+    InternalCheckFailed,
     NotAPairing,
     PairingAxiomFailed,
     RelatorNotKilled,
+    ValidationError,
 )
 from grouplab.fpgroups import Presentation, preprocess_relators, realize, todd_coxeter
 from grouplab.groups import (
@@ -862,3 +864,44 @@ class TestWalksMatchWords:
         assert not check_pairing(S3, L, phi)
         with pytest.raises(NotAPairing, match=match):
             pairing_to_hom(S3, L, phi, wr)
+
+
+@pytest.fixture(scope="module")
+def wedge_input_cases():
+    S3, D4 = builtin("symmetric", (3,)), builtin("dihedral", (4,))
+    cur, ext = compute_wedge(S3, WedgeVariant.CURLY), compute_wedge(S3, WedgeVariant.EXTERIOR)
+    ext_d4 = compute_wedge(D4, WedgeVariant.EXTERIOR)
+    high = np.zeros((6, 6), dtype=np.int64)
+    high[1, 2] = 6  # an element index one past S3
+    zero = np.zeros((6, 6), dtype=np.int64)
+    return {
+        "entry past the target": (lambda: hom_from_generator_images(cur, S3, high), ValidationError,
+                                  "a pair image is not an integer or lies outside [0, 6)"),
+        "pairing entry past the target": (lambda: pairing_to_hom(S3, S3, high, cur), NotAPairing,
+                                          "table is not a pairing of S3: a pair image is not an integer or lies outside [0, 6)"),
+        "pairing on EXTERIOR": (lambda: pairing_to_hom(S3, S3, zero, ext), NotAPairing,
+                                "pairing extension is defined on the CURLY realization"),
+        "pairing on another group's realization": (lambda: pairing_to_hom(D4, D4, np.zeros((8, 8), dtype=np.int64), cur),
+                                                   NotAPairing, "wedge realization does not belong to this group"),
+        "surjection with swapped variants": (lambda: exterior_to_curly_surjection(cur, ext), InternalCheckFailed,
+                                             "surjection runs from EXTERIOR onto CURLY"),
+        "surjection across base groups": (lambda: exterior_to_curly_surjection(ext_d4, cur), InternalCheckFailed,
+                                          "realizations built from different base groups"),
+    }
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        "entry past the target",
+        "pairing entry past the target",
+        "pairing on EXTERIOR",
+        "pairing on another group's realization",
+        "surjection with swapped variants",
+        "surjection across base groups",
+    ],
+)
+def test_wedge_input_checks(wedge_input_cases, case):
+    build, error, message = wedge_input_cases[case]
+    with pytest.raises(error, match=re.escape(message)):
+        build()

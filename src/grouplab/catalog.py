@@ -215,11 +215,13 @@ def _path_is(test: Callable[[Path], bool], path: str | Path) -> bool:
 
 
 def group_from_spec_dict(doc: dict, origin: str = "<spec>") -> FiniteGroup:
+    if not isinstance(doc, dict):
+        raise ParseError("spec must be a JSON object", path=origin)
     try:
         name = str(doc["name"])
         kind = str(doc["kind"])
         data = doc["data"]
-    except (KeyError, TypeError) as exc:
+    except KeyError as exc:
         raise ParseError(f"missing field {exc}", path=origin) from exc
     _check_plain_name(name, origin)
     if not isinstance(data, dict):

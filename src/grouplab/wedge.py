@@ -47,27 +47,33 @@ induction. As 1 is in S, the single rows that kill the pairs with 1 are
 still read. ``_generating_classes`` picks S greedily from the smallest
 classes. So the elimination runs on these rows, while the certificate,
 ``trace_relators_through_commutators``, ``check_pairing``, the raw counts
-and ``raw_presentation()`` still read all 2|G|^3 crossed rows: the
+and ``raw_presentation()`` still read all 2|G|^3 crossed relators: the
 certificate proves that the realization is G ⋏ G whichever rows the
 elimination read. EXTERIOR keeps all rows. It collapses only the pairs
 (x, x), and on the 32 corpus groups of order at most 16 the rows over S
 left 192 generators and 1,543 relators in place of 71 and 816, which made
 ``compute_wedge`` slower (55 ms in place of 42 ms for all 32).
 
-Neither step holds all of its rows at once. They are built as int32 blocks,
+Neither step holds all of its relators at once. Both read them in blocks,
 each holding the relators (m, m', n), (m, n, n') and (m, n) of a range of
-about ``_BLOCK_ROWS`` / (2|G||S|) elements m. Every elimination pass drops
-repeated rows block by block, by sorting one int64 key per row, and carries
-only the rows that still say something. The certificate evaluates one block
-at a time and stops at the first block in which a relator survives.
+about ``_BLOCK_ROWS`` / (2|G||S|) elements m (S = G for the certificate).
+The elimination builds each block as int32 rows; every pass drops repeated
+rows block by block, by sorting one int64 key per row, and carries only the
+rows that still say something. The certificate checks one block at a time
+and stops at the first block in which a relator fails.
 
-``_raw_relator_rows`` is the only spelling of the relations. The same
-blocked evaluator runs its rows against a realization's pair images,
-against the commutator table of G, and, in ``check_pairing``, against any
-pair table phi : G x G -> L, where the raw CURLY rows are the pairing
-axioms. No rows are kept between calls. ``WedgeRealization.pair_table()``
-is the only pair view of a realization: one read-only |G| x |G| array,
-built at the first call and kept on the realization.
+The relations have two spellings. ``_raw_relator_rows`` writes them as rows
+of signed pair letters, for the elimination and ``raw_presentation()``.
+``_axioms_hold`` reads them as the identities above on a pair table
+P : G x G -> L, with P = 1 on the collapsed pairs. In a group a row
+x^-1 u v is 1 exactly when u v = x, so the two accept the same tables and
+fail at the same block; ``TestTableCertificate`` in ``tests/test_wedge.py``
+compares them on every single-entry corruption of the corpus tables. The
+certificate checks a realization's pair table, the commutator table of G,
+and, in ``check_pairing``, any pair table phi, where the raw CURLY
+relations are the pairing axioms; nothing is kept between calls.
+``WedgeRealization.pair_table()`` is the only pair view of a realization:
+one read-only |G| x |G| array, built at the first call and kept on it.
 """
 
 from __future__ import annotations
@@ -169,13 +175,17 @@ def _raw_relator_rows(
     return np.concatenate([left, right, collapsing])
 
 
+def _m_blocks(G: FiniteGroup, S: Sequence[int] | None = None) -> Iterator[range]:
+    """The ranges of elements m whose raw rows over S (all raw rows without S) make one block each."""
+    step = max(1, _BLOCK_ROWS // (2 * G.order * (G.order if S is None else len(S))))
+    return (range(m, min(m + step, G.order)) for m in range(0, G.order, step))
+
+
 def _relator_blocks(
     G: FiniteGroup, variant: WedgeVariant, S: Sequence[int] | None = None
 ) -> Iterator[np.ndarray]:
     """The raw relator rows over S (all raw rows without S), one block of elements m at a time."""
-    step = max(1, _BLOCK_ROWS // (2 * G.order * (G.order if S is None else len(S))))
-    for m in range(0, G.order, step):
-        yield _raw_relator_rows(G, variant, range(m, min(m + step, G.order)), S)
+    return (_raw_relator_rows(G, variant, ms, S) for ms in _m_blocks(G, S))
 
 
 def _generating_classes(G: FiniteGroup) -> list[int]:
@@ -386,13 +396,17 @@ def build_wedge_presentation(
     )
 
 
-def _relators_die(rows: np.ndarray, target: FiniteGroup, pair_images: Sequence[int]) -> bool:
-    """Whether every relator row is the identity of target with pair p read as pair_images[p]."""
-    mul, inv, _ = table_arrays(target)
-    images = np.concatenate([[0], np.asarray(pair_images, dtype=np.int32)])  # letter 0 pads
-    vals = images[np.abs(rows)]
-    vals = np.where(rows < 0, inv[vals], vals)
-    return bool(np.all(mul[mul[vals[:, 0], vals[:, 1]], vals[:, 2]] == 0))
+def _axioms_hold(G: FiniteGroup, variant: WedgeVariant, L: FiniteGroup, P: np.ndarray, ms: range) -> bool:
+    """Whether the raw relators of the elements m in ms are the identity of L with pair (m, n) read as P[m, n].
+
+    Each row of ``_raw_relator_rows(G, variant, ms)`` is read as the identity it states on P (see the module docstring).
+    """
+    mul, _, conj = table_arrays(G)
+    lmul, i = table_arrays(L)[0], np.arange(ms.start, ms.stop)
+    c, d, row = conj[i], conj[:, i].T, P[i]  # c[., x] = m^x and d[., x] = x^m, for m in ms
+    left = P[mul[i]] == lmul[P[c[:, :, None], c[:, None, :]], row[:, None, :]]  # at (m, m', n)
+    right = row[:, mul] == lmul[row[:, :, None], P[d[:, :, None], conj]]  # at (m, n, n')
+    return bool(left.all() and right.all() and not P.ravel()[_collapsed_letters(G, variant, ms) - 1].any())
 
 
 def raw_relators_die(
@@ -400,11 +414,11 @@ def raw_relators_die(
 ) -> bool:
     """Whether every raw relator is the identity of target with pair p read as pair_images[p].
 
-    The rows are built and evaluated one block at a time; the first block
-    with a surviving relator settles the answer.
+    ``_axioms_hold`` checks them on the |G| x |G| pair table, building no
+    rows, one block of elements m at a time; the first failing block settles it.
     """
-    images = np.asarray(pair_images, dtype=np.int32)  # converted once, not per block
-    return all(_relators_die(rows, target, images) for rows in _relator_blocks(wp.base, wp.variant))
+    P = np.reshape(pair_images, (wp.base.order, wp.base.order))
+    return all(_axioms_hold(wp.base, wp.variant, target, P, ms) for ms in _m_blocks(wp.base))
 
 
 def _pair_array(phi: Sequence[Sequence[int]] | np.ndarray, G: FiniteGroup, L: FiniteGroup) -> np.ndarray:
@@ -544,16 +558,16 @@ def check_pairing(G: FiniteGroup, L: FiniteGroup, phi: Sequence[Sequence[int]]) 
     """Whether phi : G x G -> L satisfies the pairing axioms.
 
     The axioms are the raw CURLY relators of G, the rows the presentation
-    is built from, evaluated with the pair (m, n) read as phi[m][n]. A phi
-    that is not a |G| x |G| table of elements of L is not a pairing. As in
-    ``raw_relators_die``, the rows are built and evaluated one block at a
-    time, and none is kept.
+    is built from, with the pair (m, n) read as phi[m][n]. A phi that is
+    not a |G| x |G| table of elements of L is not a pairing. As in
+    ``raw_relators_die``, they are checked on the table one block of
+    elements m at a time, and nothing is kept.
     """
     try:
-        table = _pair_array(phi, G, L).ravel()
+        P = _pair_array(phi, G, L)
     except ValidationError:
         return False
-    return all(_relators_die(rows, L, table) for rows in _relator_blocks(G, WedgeVariant.CURLY))
+    return all(_axioms_hold(G, WedgeVariant.CURLY, L, P, ms) for ms in _m_blocks(G))
 
 
 def pairing_to_hom(

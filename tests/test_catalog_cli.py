@@ -710,3 +710,18 @@ def _spec_file(tmp_path):
 def test_catalog_input_checks(tmp_path, build, error, message):
     with pytest.raises(error, match=re.escape(message)):
         build(tmp_path)
+
+
+@pytest.mark.parametrize("doc", [[], "x", 3, None], ids=["list", "string", "number", "null"])
+def test_spec_that_is_not_an_object_is_a_parse_error(doc):
+    # each read as a missing field whose name was a TypeError's text
+    with pytest.raises(ParseError, match=r"^<spec>: spec must be a JSON object$"):
+        group_from_spec_dict(doc)
+
+
+def test_spec_file_holding_a_list_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "g.json"
+    path.write_text("[]")
+    assert main(["compute", str(path), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {path}: spec must be a JSON object\n"

@@ -44,6 +44,8 @@ from grouplab.wedge import (
     trace_relators_through_commutators,
 )
 from grouplab.isoclinism import build_gamma, identity_witness, verify_witness
+from grouplab.lattices import orth_complement
+from certificate_reference import first_failing_block, rows_die
 from word_reference import walked_and_worded, word_fold_hom
 
 
@@ -561,6 +563,19 @@ def one_m_per_block(monkeypatch, G):
     monkeypatch.setattr(wedge, "_BLOCK_ROWS", 2 * G.order**2)
 
 
+def counting_blocks(monkeypatch):
+    """The list that records the range of elements m of each block ``wedge._axioms_hold`` reads from now on."""
+    calls = []
+    original = wedge._axioms_hold
+
+    def counting(G, variant, L, P, ms):
+        calls.append(ms)
+        return original(G, variant, L, P, ms)
+
+    monkeypatch.setattr(wedge, "_axioms_hold", counting)
+    return calls
+
+
 class TestBlockedElimination:
     """The streamed int32 elimination against the whole-array one it replaced."""
 
@@ -724,14 +739,7 @@ class TestBlockedCertificate:
     def test_corrupted_pair_image_fails(self, monkeypatch, G, variant):
         one_m_per_block(monkeypatch, G)
         wp = build_wedge_presentation(G, variant)
-        calls = []
-        original = wedge._relators_die
-
-        def counting(rows, target, pair_images):
-            calls.append(len(rows))
-            return original(rows, target, pair_images)
-
-        monkeypatch.setattr(wedge, "_relators_die", counting)
+        calls = counting_blocks(monkeypatch)
         assert raw_relators_die(wp, G, commutator_table(G).ravel())
         assert len(calls) == G.order  # every block is evaluated
         n = G.order
@@ -741,7 +749,9 @@ class TestBlockedCertificate:
             values[p] = G.mul[values[p]][n - 1]
             calls.clear()
             assert not raw_relators_die(wp, G, values)
-            assert len(calls) < G.order  # stopped at the first failing block
+            assert len(calls) < G.order
+            # stopped at the first failing block: the first in which a raw row survives
+            assert len(calls) == first_failing_block(wedge._relator_blocks(G, variant), G, values) + 1
             # the same corruption through the commutator route: H is a copy of G
             # whose commutator table alone reads the corrupted values
             H = dataclasses.replace(G)
@@ -785,21 +795,90 @@ class TestBlockedCertificate:
             tracemalloc.stop()
         # keeping the raw rows left 0.76 MiB here; numpy's own caches keep about 1.5 KiB
         assert after - before <= 16 * 2**10
-        calls = []
-        original = wedge._relators_die
-
-        def counting(rows, target, pair_images):
-            calls.append(len(rows))
-            return original(rows, target, pair_images)
-
-        monkeypatch.setattr(wedge, "_relators_die", counting)
+        calls = counting_blocks(monkeypatch)
         assert check_pairing(G, G, phi)
         assert len(calls) == G.order  # every block is evaluated
         n = G.order
         bad = [list(row) for row in phi]
         bad[n - 1][1] = G.mul[bad[n - 1][1]][n - 1]  # a pair (m, 1) of the last block
         assert not loop_check_pairing(G, G, bad)
+        calls.clear()
         assert not check_pairing(G, G, bad)
+        assert len(calls) == first_failing_block(wedge._relator_blocks(G, WedgeVariant.CURLY), G, np.ravel(bad)) + 1
+
+
+def solutions_mod_2(rows, k):
+    """Hermite rows of the tables u in (Z/2)^k on which every relator row, read additively mod 2, vanishes."""
+    coefficients = np.zeros((len(rows), k), dtype=np.int64)
+    for col in rows.T:
+        live = np.flatnonzero(col)
+        np.add.at(coefficients, (live, np.abs(col[live]) - 1), 1)
+    return orth_complement(coefficients % 2, k, 2)
+
+
+def span_mod_2(basis):
+    """Every vector of the span of the basis rows over Z/2."""
+    picks = (np.arange(2 ** len(basis))[:, None] >> np.arange(len(basis))) & 1
+    return picks @ basis % 2
+
+
+class TestTableCertificate:
+    """``wedge._axioms_hold`` against the row evaluator it replaced, and each relation family at work."""
+
+    @pytest.mark.parametrize("variant", list(WedgeVariant))
+    def test_agrees_with_the_rows(self, monkeypatch, corpus, curly_wedges, exterior_wedges, variant):
+        wedges = curly_wedges if variant is WedgeVariant.CURLY else exterior_wedges
+        calls = counting_blocks(monkeypatch)
+        rejected = 0
+        for G in corpus:  # every corpus group has order at most 32
+            one_m_per_block(monkeypatch, G)
+            wr, n = wedges[G.label], G.order
+            blocks = list(wedge._relator_blocks(G, variant))
+            # the realization's pair table, the commutator table, and every single-entry corruption of each
+            for L, table in ((wr.realization.group, wr.pair_table().ravel()), (G, commutator_table(G).ravel())):
+                tables = [table]
+                for p in range(n * n if L.order > 1 else 0):
+                    tables.append(table.copy())
+                    tables[-1][p] = L.mul[table[p]][L.order - 1]
+                for values in tables:
+                    expected = first_failing_block(blocks, L, values)
+                    calls.clear()
+                    assert raw_relators_die(wr.presentation, L, values) == (expected is None), G.label
+                    assert len(calls) == (n if expected is None else expected + 1), G.label
+                    rejected += expected is not None
+        assert rejected > 0
+
+    @pytest.mark.parametrize("variant", list(WedgeVariant))
+    @pytest.mark.parametrize("G", [S3, D4], ids=["S3", "D4"])
+    def test_one_sided_tables_are_rejected(self, G, variant):
+        # the tables into Z/2 that satisfy some of the relation families: the certificate
+        # must accept exactly those that satisfy all of them, so each family is load-bearing
+        n = G.order
+        rows = wedge._raw_relator_rows(G, variant, range(n))
+        left, right, collapsing = rows[:n**3], rows[n**3:2 * n**3], rows[2 * n**3:]
+        full = {tuple(u) for u in span_mod_2(solutions_mod_2(rows, n * n))}
+        wp = build_wedge_presentation(G, variant)
+        for families in ((left, collapsing), (right, collapsing), (left, right)):
+            basis = solutions_mod_2(np.concatenate(families), n * n)
+            assert 2 ** len(basis) > len(full)
+            if G is S3 and variant is WedgeVariant.CURLY and families[1] is collapsing:
+                assert len(basis) == 3 and full == {(0,) * n * n}
+            for u in span_mod_2(basis):
+                holds = tuple(u) in full
+                assert rows_die(rows, Z2, u) == holds
+                assert raw_relators_die(wp, Z2, u) == holds
+                if variant is WedgeVariant.CURLY:
+                    assert check_pairing(G, Z2, u.reshape(n, n)) == holds
+
+    @pytest.mark.parametrize("variant", list(WedgeVariant))
+    def test_a_negative_image_is_no_element(self, variant):
+        # the row evaluator read -4 as element 2 of S3 by wrapping, and so accepted this table
+        wp = build_wedge_presentation(S3, variant)
+        values = commutator_table(S3).ravel().astype(np.int64)
+        assert raw_relators_die(wp, S3, values)
+        values[values == 2] -= S3.order
+        assert rows_die(wedge._raw_relator_rows(S3, variant, range(S3.order)), S3, values)
+        assert not raw_relators_die(wp, S3, values)
 
 
 class TestWalksMatchWords:

@@ -19,8 +19,6 @@ from .groups import (  # noqa: E402
     abelian_subgroups,
     build_from_permutations,
     center,
-    commutator,
-    conjugate,
     derived_subgroup,
     direct_product,
     find_isomorphism,
@@ -32,7 +30,6 @@ from .fpgroups import (  # noqa: E402
     CosetTable,
     Presentation,
     Realization,
-    evaluate_word,
     presentation_from_json,
     presentation_to_json,
     realize,

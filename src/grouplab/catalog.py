@@ -13,7 +13,6 @@ import functools
 import hashlib
 import json
 import math
-import operator
 import time
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
@@ -32,6 +31,7 @@ from .fpgroups import DEFAULT_MAX_COSETS
 from .groups import (
     DEFAULT_ORDER_CAP,
     FiniteGroup,
+    _check_integers,
     _factorise,
     _tabulate,
     abelian_invariants,
@@ -149,12 +149,12 @@ def _int_params(family: str, params: Sequence, count: int) -> list[int]:
     """The family's parameters as integers; ParamOutOfRange on a wrong count or type."""
     if len(params) != count:
         raise ParamOutOfRange(f"{family} takes {count} parameter(s), got {len(params)}")
-    try:
-        if any(isinstance(p, bool) for p in params):
-            raise TypeError
-        return [int(p) if isinstance(p, str) else operator.index(p) for p in params]
-    except (TypeError, ValueError):
+    try:  # a string such as "3" comes from the command line
+        ints = [int(p) if isinstance(p, str) else p for p in params]
+        _check_integers(ints, "parameter", lo=None)
+    except (ValueError, ValidationError):
         raise ParamOutOfRange(f"{family} parameters must be integers, got {list(params)!r}") from None
+    return [int(p) for p in ints]
 
 
 def builtin(family: str, params: Sequence = ()) -> FiniteGroup:
@@ -237,8 +237,10 @@ def group_from_spec_dict(doc: dict, origin: str = "<spec>") -> FiniteGroup:
         gens, degree = data.get("generators"), data.get("degree")
         if not isinstance(gens, list):
             raise ParseError("perm data needs a 'generators' array", path=origin)
-        if degree is not None and (isinstance(degree, bool) or not isinstance(degree, int)):
-            raise ParseError("perm 'degree' must be an integer", path=origin)
+        try:
+            _check_integers(() if degree is None else (degree,), "degree", lo=None)
+        except ValidationError:
+            raise ParseError("perm 'degree' must be an integer", path=origin) from None
         return build_from_permutations(gens, degree=degree, label=name)
     if kind == "builtin":
         fam = data.get("family")

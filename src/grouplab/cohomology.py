@@ -69,6 +69,7 @@ from .groups import (
     FiniteGroup,
     Subgroup,
     _cached,
+    _check_integers,
     abelian_subgroups,
     derived_subgroup,
     invariant_factors_from_orders,
@@ -113,8 +114,7 @@ class CocycleSpace:
     def class_from_coords(self, coords: Sequence[int]) -> "H2Class":
         if len(coords) != self.rank:
             raise ValidationError("coordinate length does not match basis rank")
-        if any(isinstance(c, bool) or not isinstance(c, (int, np.integer)) for c in coords):
-            raise ValidationError(f"coordinates must be integers, got {tuple(coords)!r}")
+        _check_integers(coords, "coordinate", lo=None)
         normal = tuple(int(c) % d for c, d in zip(coords, self.basis_orders))
         return H2Class(self, normal)
 
@@ -256,11 +256,9 @@ def cocycle_space(G: FiniteGroup, m: int, cap: int = DEFAULT_ORACLE_CAP) -> Cocy
     matrix products Hs @ E, gens @ sup_H and representative_table sum at
     most k of them.
     """
-    if isinstance(m, bool) or not isinstance(m, (int, np.integer)):
-        raise ValidationError(f"modulus must be an integer, got {m!r}")
+    _check_integers((m,), "modulus", lo=1)
+    _check_integers((cap,), "oracle cap")
     m = int(m)
-    if m < 1:
-        raise ValidationError("modulus must be at least 1")
     if G.order > cap:
         raise GroupTooLargeForOracle(
             f"|{G.label}| = {G.order} exceeds the oracle cap {cap}"

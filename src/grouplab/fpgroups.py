@@ -15,12 +15,11 @@ multiplication table off the element a second walk reached it from.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import CosetLimitExceeded, TableNotClosed, ValidationError
-from .groups import FiniteGroup, _check_indices
+from .groups import FiniteGroup, _check_integers
 
 DEFAULT_MAX_COSETS = 1_000_000
 
@@ -36,21 +35,19 @@ class Presentation:
     label: str = "P"
 
     def __post_init__(self):
-        if isinstance(self.num_generators, bool) or not isinstance(self.num_generators, numbers.Integral):
-            raise ValidationError(f"generator count must be an integer, got {self.num_generators!r}")
-        if self.num_generators < 0:
-            raise ValidationError(f"negative generator count {self.num_generators}")
+        _check_integers((self.num_generators,), "generator count")
         _check_letters(self.relators, self.num_generators, "relator")
 
 
 def _check_letters(words: Sequence[Sequence[int]], num_generators: int, kind: str) -> None:
     """Raise ValidationError unless every letter is an integer g or -g, 1 <= g <= num_generators."""
     for w in words:
-        for ltr in w:
-            if isinstance(ltr, bool) or not isinstance(ltr, numbers.Integral):
-                raise ValidationError(f"letter {ltr!r} in {kind} {w} is not an integer")
-            if ltr == 0 or abs(ltr) > num_generators:
-                raise ValidationError(f"letter {ltr} out of range in {kind} {w}")
+        try:
+            _check_integers(w, "letter", -num_generators, num_generators + 1)
+            if 0 in w:
+                raise ValidationError("letter 0 is out of range")
+        except ValidationError as exc:  # the word is named only once a letter fails
+            raise ValidationError(f"{kind} {w}: {exc}") from None
 
 
 def free_reduce(word: Sequence[int]) -> Word:
@@ -236,8 +233,6 @@ class CosetTable:
                 table[b][word_cols[i] ^ 1] = f
                 return
             self.define(f, word_cols[i])
-            if self.p[a] != a:
-                return  # a died during a cascade; caller re-checks liveness
 
     # -- finishing ------------------------------------------------------
 
@@ -284,8 +279,7 @@ def todd_coxeter(
     Returns a closed, standardized table. With no subgroup words the
     number of cosets is the order of the presented group.
     """
-    if max_cosets <= 0:
-        raise ValidationError("max_cosets must be positive")
+    _check_integers((max_cosets,), "max_cosets", lo=1)
     _check_letters(subgroup_words, pres.num_generators, "subgroup word")
     relator_cols = sorted((word_columns(w) for w in pres.relators), key=lambda t: (len(t), t))
     sub_words = tuple(free_reduce(w) for w in subgroup_words)
@@ -325,9 +319,10 @@ class Realization:
     gen_images: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        _check_indices(self.gen_images, self.group.order, "generator image")
+        _check_integers(self.gen_images, "generator image", 0, self.group.order)
 
     def evaluate(self, word: Sequence[int]) -> int:
+        """Product of generator images along a word."""
         _check_letters((word,), len(self.gen_images), "word")
         el = 0
         grp = self.group
@@ -364,8 +359,3 @@ def realize(pres: Presentation, table: CosetTable) -> Realization:
     grp = FiniteGroup(len(rows), mul, tuple(row.index(0) for row in mul), f"{pres.label}!")
     gen_images = tuple(rows[0][letter_column(g + 1)] for g in range(pres.num_generators))
     return Realization(group=grp, gen_images=gen_images)
-
-
-def evaluate_word(realization: Realization, word: Sequence[int]) -> int:
-    """Product of generator images along a word."""
-    return realization.evaluate(word)

@@ -14,10 +14,9 @@ group. ``from_mul_table`` is for tables from outside and checks every axiom.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from math import gcd
-from typing import Callable, Iterator, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
@@ -80,7 +79,7 @@ class FiniteGroup:
         return m[m[m[x][y]][self.inv[x]]][self.inv[y]]
 
     def element_order(self, x: int) -> int:
-        _check_indices((x,), self.order, "element")
+        _check_integers((x,), "element", 0, self.order)
         return int(_element_orders(self)[x])
 
     def order_multiset(self) -> tuple[int, ...]:
@@ -137,7 +136,7 @@ class Subgroup:
         return _cached(self, "_standalone", self._standalone_group)
 
     def _standalone_group(self) -> tuple[FiniteGroup, tuple[int, ...]]:
-        _check_indices(self.members, self.parent.order, "subgroup member")
+        _check_integers(self.members, "subgroup member", 0, self.parent.order)
         if 0 not in self._member_set:
             raise ValidationError("subgroup members must contain the identity 0")
         members = tuple(sorted(self.members))
@@ -170,13 +169,11 @@ class GroupHom:
         It does exactly when the walk from the images of the source's kept
         generating sequence, which checks every edge, reproduces images.
         """
-        img = self.images
-        if len(img) != self.source.order or not set(img) <= set(range(self.target.order)):
-            return False
-        gens = minimal_generating_sequence(self.source)
+        img, gens = self.images, minimal_generating_sequence(self.source)
         try:
-            return _extend_hom(self.source, self.target, gens, [img[g] for g in gens]) == list(img)
-        except RelatorNotKilled:
+            _check_integers(img, "image", 0, self.target.order)
+            return len(img) == self.source.order and _extend_hom(self.source, self.target, gens, [img[g] for g in gens]) == list(img)
+        except (ValidationError, RelatorNotKilled):
             return False
 
     def is_bijective(self) -> bool:
@@ -252,7 +249,7 @@ def validate_table(mul: Sequence[Sequence[int]], inv: Sequence[int]) -> None:
         raise ValidationError("element 0 is not a two-sided identity")
     if len(inv) != n:
         raise ValidationError("inverse table length mismatch")
-    _check_indices(inv, n, "inverse entry")
+    _check_integers(inv, "inverse entry", 0, n)
     inv_arr = np.array(inv, dtype=np.intp)
     bad = np.flatnonzero((M[ids, inv_arr] != 0) | (M[inv_arr, ids] != 0))
     if bad.size:
@@ -265,12 +262,11 @@ def validate_table(mul: Sequence[Sequence[int]], inv: Sequence[int]) -> None:
 
 
 def _int_entries(row: Sequence[int], what: str) -> tuple[int, ...]:
-    try:  # a bool passes operator.index
-        if any(isinstance(v, bool) for v in row):
-            raise TypeError
-        return tuple(operator.index(v) for v in row)
-    except TypeError:
+    try:
+        _check_integers(row, "entry", lo=None)
+    except (TypeError, ValidationError):  # TypeError: row is not a sequence
         raise ValidationError(f"{what} has a non-integer entry: {row!r}") from None
+    return tuple(map(int, row))
 
 
 def from_mul_table(
@@ -325,6 +321,8 @@ def build_from_permutations(
     generator order, which fixes the element numbering deterministically.
     """
     gens = [_int_entries(g, "permutation") for g in generators]
+    _check_integers((cap,), "cap")
+    _check_integers(() if degree is None else (degree,), "degree")
     if not gens and degree is None:
         raise EmptyGeneratorList("no generators given and no point count to act on")
     deg = degree if degree is not None else len(gens[0])
@@ -373,6 +371,7 @@ def direct_product(g1: FiniteGroup, g2: FiniteGroup, label: str | None = None) -
 def relabeled(G: FiniteGroup, sigma: Sequence[int], label: str | None = None) -> FiniteGroup:
     """Rename elements by the permutation sigma; sigma must keep 0 at 0."""
     n = G.order
+    _check_integers(sigma, "relabeling entry", 0, n)
     if sorted(sigma) != list(range(n)):
         raise ValidationError("relabeling is not a permutation")
     if sigma[0] != 0:
@@ -382,26 +381,19 @@ def relabeled(G: FiniteGroup, sigma: Sequence[int], label: str | None = None) ->
     return _tabulate(old, lambda x, y: m[x][y], label or f"{G.label}~")
 
 
-# --- element helpers ----------------------------------------------------------
-
-
-def commutator(G: FiniteGroup, x: int, y: int) -> int:
-    return G.comm(x, y)
-
-
-def conjugate(G: FiniteGroup, x: int, y: int) -> int:
-    return G.conj(x, y)
-
-
 # --- structural subroutines ---------------------------------------------------
 
 
-def _check_indices(xs: Sequence[int], n: int, what: str) -> None:
-    """Raise ValidationError unless every x is an integer element index in [0, n)."""
+def _check_integers(xs: Iterable[int], what: str, lo: int | None = 0, hi: int | None = None) -> None:
+    """Raise ValidationError unless every x is an int or a NumPy integer, never a bool, with lo <= x < hi; None is no bound.
+
+    Every integer the library is given, an index, letter, count, modulus or cap, is read by this one rule.
+    """
     for x in xs:
         # type(x) is int turns bool away and costs a fifth of isinstance(x, (int, np.integer))
-        if not (type(x) is int or isinstance(x, np.integer)) or not 0 <= x < n:
-            raise ValidationError(f"{what} {x!r} is not an integer or lies outside [0, {n})")
+        if not (type(x) is int or isinstance(x, np.integer)) or (lo is not None and x < lo) or (hi is not None and x >= hi):
+            bound = "" if lo is None else f" or lies below {lo}" if hi is None else f" or lies outside [{lo}, {hi})"
+            raise ValidationError(f"{what} {x!r} is not an integer{bound}")
 
 
 def subgroup_closure(G: FiniteGroup, seed: Sequence[int]) -> Subgroup:
@@ -410,7 +402,7 @@ def subgroup_closure(G: FiniteGroup, seed: Sequence[int]) -> Subgroup:
     In a finite group the products of seed elements already form it (an
     inverse is a positive power): what the ``_extend_hom`` walk reaches.
     """
-    _check_indices(seed, G.order, "seed element")
+    _check_integers(seed, "seed element", 0, G.order)
     return Subgroup(G, tuple(x for x, y in enumerate(_extend_hom(G, G, seed, seed)) if y >= 0))
 
 

@@ -107,7 +107,7 @@ from .groups import (
     GroupHom,
     Subgroup,
     _cached,
-    _check_indices,
+    _check_integers,
     _extend_hom,
     abelian_invariants,
     commutator_table,
@@ -365,6 +365,7 @@ def build_wedge_presentation(
 ) -> WedgePresentation:
     """Tietze-reduced presentation of the pairing group on |G|^2 pair symbols."""
     cap = group_cap if group_cap is not None else variant.default_cap
+    _check_integers((cap,), "group cap")
     if G.order > cap:
         raise GroupTooLarge(
             f"|{G.label}| = {G.order} exceeds the {variant.value} cap {cap}"
@@ -409,16 +410,25 @@ def _axioms_hold(G: FiniteGroup, variant: WedgeVariant, L: FiniteGroup, P: np.nd
     return bool(left.all() and right.all() and not P.ravel()[_collapsed_letters(G, variant, ms) - 1].any())
 
 
+def _relators_hold(G: FiniteGroup, variant: WedgeVariant, L: FiniteGroup, table: Sequence | np.ndarray) -> bool:
+    """Whether ``_pair_array`` reads table and every block of ``_axioms_hold`` holds on it; the first failing block settles it."""
+    try:
+        P = _pair_array(table, G, L)
+    except ValidationError:
+        return False
+    return all(_axioms_hold(G, variant, L, P, ms) for ms in _m_blocks(G))
+
+
 def raw_relators_die(
     wp: WedgePresentation, target: FiniteGroup, pair_images: Sequence[int]
 ) -> bool:
-    """Whether every raw relator is the identity of target with pair p read as pair_images[p].
+    """Whether pair_images, |G|^2 elements of target, send every raw relator to 1, with pair p read as pair_images[p].
 
-    ``_axioms_hold`` checks them on the |G| x |G| pair table, building no
-    rows, one block of elements m at a time; the first failing block settles it.
+    A list keeps its entries as objects, so that True or 1.0 is no element index.
     """
-    P = np.reshape(pair_images, (wp.base.order, wp.base.order))
-    return all(_axioms_hold(wp.base, wp.variant, target, P, ms) for ms in _m_blocks(wp.base))
+    n = wp.base.order
+    flat = pair_images if isinstance(pair_images, np.ndarray) else np.array(pair_images, dtype=object)
+    return _relators_hold(wp.base, wp.variant, target, flat.reshape(n, n) if flat.shape == (n * n,) else flat)
 
 
 def _pair_array(phi: Sequence[Sequence[int]] | np.ndarray, G: FiniteGroup, L: FiniteGroup) -> np.ndarray:
@@ -427,7 +437,7 @@ def _pair_array(phi: Sequence[Sequence[int]] | np.ndarray, G: FiniteGroup, L: Fi
     if table.shape != (G.order, G.order):
         raise ValidationError(f"a pair table of {G.label} has shape {(G.order, G.order)}, not {table.shape}")
     if table.dtype == object:  # entry by entry, so that a bool, float or str is no element index
-        _check_indices(table.ravel().tolist(), L.order, "pair image")
+        _check_integers(table.ravel().tolist(), "pair image", 0, L.order)
     elif table.dtype.kind not in "iu" or table.min() < 0 or table.max() >= L.order:
         raise ValidationError(f"a pair image is not an integer or lies outside [0, {L.order})")
     return np.asarray(table, dtype=np.int64)
@@ -563,11 +573,7 @@ def check_pairing(G: FiniteGroup, L: FiniteGroup, phi: Sequence[Sequence[int]]) 
     ``raw_relators_die``, they are checked on the table one block of
     elements m at a time, and nothing is kept.
     """
-    try:
-        P = _pair_array(phi, G, L)
-    except ValidationError:
-        return False
-    return all(_axioms_hold(G, WedgeVariant.CURLY, L, P, ms) for ms in _m_blocks(G))
+    return _relators_hold(G, WedgeVariant.CURLY, L, phi)
 
 
 def pairing_to_hom(
@@ -590,11 +596,6 @@ def pairing_to_hom(
         return hom_from_generator_images(wedge, L, phi)
     except (ValidationError, RelatorNotKilled) as exc:
         raise NotAPairing(f"table is not a pairing of {G.label}: {exc}") from exc
-
-
-def commutator_pairing_table(G: FiniteGroup) -> list[list[int]]:
-    """The commutator map as a pair table into G itself."""
-    return commutator_table(G).tolist()
 
 
 def trace_relators_through_commutators(G: FiniteGroup, wp: WedgePresentation) -> bool:

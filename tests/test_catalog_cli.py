@@ -1,5 +1,6 @@
 """Builtin families, catalog files, reports, and the command surface."""
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -11,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from grouplab import catalog
+from grouplab import catalog, cli
 from grouplab.catalog import (
     InvariantReport,
     PipelineConfig,
@@ -25,7 +26,7 @@ from grouplab.catalog import (
 )
 from grouplab.cli import build_parser, main, resolve_group
 from grouplab.cohomology import DEFAULT_ORACLE_CAP
-from grouplab.errors import ParamOutOfRange, ParseError, UnknownFamily, ValidationError
+from grouplab.errors import InternalCheckFailed, ParamOutOfRange, ParseError, UnknownFamily, ValidationError
 from grouplab.groups import center, derived_subgroup
 from grouplab.wedge import DEFAULT_CURLY_CAP, DEFAULT_EXTERIOR_CAP
 
@@ -52,6 +53,11 @@ class TestBuiltins:
         assert builtin("symmetric", (4,)).order == 24
         assert builtin("alternating", (4,)).order == 12
         assert builtin("alternating", (5,)).order == 60
+
+    @pytest.mark.parametrize("family, params", [("symmetric", (1,)), ("alternating", (1,)), ("alternating", (2,))])
+    def test_symmetric_and_alternating_groups_on_few_points_are_trivial(self, family, params):
+        G = builtin(family, params)
+        assert (G.order, G.mul, G.label) == (1, ((0,),), "Z1")
 
     def test_elementary(self):
         G = builtin("elementary", (3, 2))
@@ -164,6 +170,13 @@ class TestCatalogFiles:
         mem = shipped_corpus()
         assert [g.label for g in disk] == [g.label for g in mem]
         assert all(a.mul == b.mul for a, b in zip(disk, mem))
+
+    def test_shipped_catalog_is_the_written_corpus(self, tmp_path):
+        """CORPUS_SPECS and the shipped catalog/ directory cannot drift apart."""
+        written = write_corpus_catalog(tmp_path)
+        assert sorted(p.name for p in REPO_CATALOG.iterdir()) == sorted(p.name for p in written)
+        for path in written:
+            assert (REPO_CATALOG / path.name).read_bytes() == path.read_bytes(), path.name
 
 
 class TestReports:
@@ -561,7 +574,7 @@ class TestCli:
     def test_dump_cocycles_rejects_modulus_zero(self, capsys):
         rc = main(["dump-cocycles", "builtin:elementary:2:2", "--modulus", "0"])
         assert rc == 1
-        assert capsys.readouterr().err == "error: modulus must be at least 1\n"
+        assert capsys.readouterr().err == "error: modulus 0 is not an integer or lies below 1\n"
 
     def test_dump_cocycles_rejects_a_modulus_too_large_for_int64(self, capsys):
         rc = main(["dump-cocycles", "builtin:elementary:2:2", "--modulus", "12884901888"])
@@ -725,3 +738,66 @@ def test_spec_file_holding_a_list_is_an_input_error(tmp_path, capsys):
     assert main(["compute", str(path), "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert err == f"error: {path}: spec must be a JSON object\n"
+
+
+def _builtin_catalog(root, members):
+    """A catalog directory of builtin-kind spec files, one per (name, family, params)."""
+    root.mkdir()
+    for name, fam, params in members:
+        (root / f"{name}.json").write_text(
+            json.dumps({"name": name, "kind": "builtin", "data": {"family": fam, "params": params}})
+        )
+    return root
+
+
+class TestCliFailurePaths:
+    """The verdicts that a correct library never reaches, forced by patching what the commands call."""
+
+    def verify(self, tmp_path):
+        cat = _builtin_catalog(tmp_path / "cat", (("d4", "dihedral", [4]), ("q8", "quaternion8", [])))
+        rc = main(["verify-theorem", str(cat), "--out", str(tmp_path / "vt")])
+        return rc, json.loads((tmp_path / "vt" / "verify_theorem.json").read_text())
+
+    def test_verify_theorem_without_a_witness_fails_the_pair(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "are_isoclinic", lambda G1, G2: None)
+        rc, doc = self.verify(tmp_path)
+        assert rc == 1 and doc["all_pass"] is False
+        assert doc["pairs"] == [{"family_id": 0, "pair": ["d4", "q8"], "witness_found": False, "pass": False}]
+        assert capsys.readouterr().out.splitlines() == ["FAIL  d4 ~ q8 (family 0)", "verify-theorem: FAILURES PRESENT"]
+
+    def test_verify_theorem_when_gamma_fails_records_the_error(self, tmp_path, monkeypatch):
+        def build_gamma(witness, w1, w2):
+            raise InternalCheckFailed("induced map between realizations is not bijective")
+
+        monkeypatch.setattr(cli, "build_gamma", build_gamma)
+        rc, doc = self.verify(tmp_path)
+        (row,) = doc["pairs"]
+        assert rc == 1 and doc["all_pass"] is False and row["pass"] is False
+        assert [row[k] for k in ("gamma_bijective", "gamma_tilde_bijective", "diagram_commutes")] == [False] * 3
+        assert row["error"] == "induced map between realizations is not bijective"
+        assert row["witness_valid"] and row["invariants_equal"] and row["fuzz_stable"]
+
+    def test_oracle_counts_a_multiplier_disagreement(self, tmp_path, monkeypatch, capsys):
+        def disagreeing(G, config):
+            rep = compute_report(G, config)
+            mult = rep.oracle["multiplier_order"] + 1
+            return dataclasses.replace(rep, oracle={**rep.oracle, "multiplier_order": mult, "multiplier_agrees": False})
+
+        monkeypatch.setattr(cli, "compute_report", disagreeing)
+        cat = _builtin_catalog(tmp_path / "cat", (("s3", "symmetric", [3]),))
+        assert main(["oracle", str(cat), "--out", str(tmp_path / "orc")]) == 1
+        doc = json.loads((tmp_path / "orc" / "oracle.json").read_text())
+        assert doc["failures"] == 1 and doc["entries"][0]["multiplier_agrees"] is False
+        assert capsys.readouterr().out == "BAD  s3: mult_wedge=1 mult_oracle=2 b0=1 kernel=1\n"
+
+
+def test_compute_catalog_with_the_oracle_prints_its_figures(tmp_path, capsys):
+    """Every text line of a group within the oracle cap carries the oracle's two figures; the order-27 groups lie past it."""
+    assert main(["compute", str(REPO_CATALOG), "--oracle", "--out", str(tmp_path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 35
+    for line in lines:
+        order = int(re.search(r"\|G\|=(\d+) ", line).group(1))
+        tail = re.search(r"  oracle_mult=\d+ b0_bound=\d+$", line)
+        assert (tail is not None) == (order <= DEFAULT_ORACLE_CAP), line
+    assert sum("oracle_mult=" not in line for line in lines) == 2

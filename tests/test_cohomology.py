@@ -459,9 +459,9 @@ class TestRestriction:
     def test_non_integer_coordinates_are_rejected(self, first):
         # these all became (1, 0, 0) through int(); representative_table truncated 1.5 to 1
         space = cocycle_space(D4, 8)
-        with pytest.raises(ValidationError, match="integers"):
+        with pytest.raises(ValidationError, match="coordinate .* is not an integer"):
             space.class_from_coords((first, 0, 0))
-        with pytest.raises(ValidationError, match="integers"):
+        with pytest.raises(ValidationError, match="coordinate .* is not an integer"):
             space.representative_table((first, 0, 0))
 
     @pytest.mark.parametrize("coords", [(1, 0), (1, 0, 0, 0)])
@@ -625,3 +625,12 @@ def test_cohomology_input_checks(entry):
     table[entry] = 1
     with pytest.raises(ValidationError, match=re.escape("table is not normalized (identity row/column nonzero)")):
         space.class_from_table(table)
+
+
+@pytest.mark.parametrize("cap", [None, 3.5, True, "24"])
+def test_oracle_cap_is_an_integer(cap):
+    # at the parent None and "24" raised a bare TypeError, and 3.5 and True were read as caps
+    with pytest.raises(ValidationError, match=f"oracle cap {cap!r} is not an integer or lies below 0"):
+        cocycle_space(from_mul_table(V4.mul), 2, cap)
+    with pytest.raises(GroupTooLargeForOracle):  # a cap of 0 is still a cap
+        cocycle_space(from_mul_table(V4.mul), 2, 0)

@@ -11,7 +11,6 @@ from grouplab.fpgroups import (
     Presentation,
     Realization,
     cyclic_reduce,
-    evaluate_word,
     free_reduce,
     preprocess_relators,
     presentation_from_json,
@@ -113,7 +112,7 @@ class TestToddCoxeter:
 
     @pytest.mark.parametrize(
         "word, match",
-        [((0,), "out of range"), ((3,), "out of range"), ((1.0,), "not an integer"), ((True,), "not an integer")],
+        [((0,), "out of range"), ((3,), "outside"), ((1.0,), "not an integer"), ((True,), "not an integer")],
     )
     def test_subgroup_words_are_checked_as_relators_are(self, word, match):
         # 0 read column -2 and gave index 2, 3 and 1.0 raised bare IndexError and TypeError, True read letter 1
@@ -150,12 +149,12 @@ class TestRealize:
     def test_relators_evaluate_to_identity(self):
         real = realize(S3P, todd_coxeter(S3P))
         for w in S3P.relators:
-            assert evaluate_word(real, w) == 0
+            assert real.evaluate(w) == 0
 
     def test_empty_and_cancelling_words(self):
         real = realize(Z3, todd_coxeter(Z3))
-        assert evaluate_word(real, ()) == 0
-        assert evaluate_word(real, (1, -1)) == 0
+        assert real.evaluate(()) == 0
+        assert real.evaluate((1, -1)) == 0
         assert real.gen_images[0] != 0
 
     def test_realize_needs_trivial_subgroup(self):
@@ -172,7 +171,7 @@ class TestRealize:
     def test_evaluated_words_are_checked(self, word):
         # letter 0 read the last generator
         with pytest.raises(ValidationError):
-            evaluate_word(realize(Z3, todd_coxeter(Z3)), word)
+            realize(Z3, todd_coxeter(Z3)).evaluate(word)
 
     @pytest.mark.parametrize("images", [(7,), (-1,), (1.0,), ("1",), (True,)])
     def test_realization_checks_its_generator_images(self, images):
@@ -230,7 +229,7 @@ class TestPresentationJson:
         ):
             with pytest.raises(ValidationError):
                 presentation_from_json(doc)
-        with pytest.raises(ValidationError, match="negative"):
+        with pytest.raises(ValidationError, match="generator count -1 is not an integer or lies below 0"):
             Presentation(-1, ())
         for count in (1.5, True, "2"):
             with pytest.raises(ValidationError, match="integer"):
@@ -240,5 +239,12 @@ class TestPresentationJson:
 @pytest.mark.parametrize("max_cosets", [0, -1])
 def test_fpgroups_input_checks(max_cosets):
     pres = build_wedge_presentation(builtin("symmetric", (3,)), WedgeVariant.CURLY).presentation
-    with pytest.raises(ValidationError, match="max_cosets must be positive"):
+    with pytest.raises(ValidationError, match=f"max_cosets {max_cosets} is not an integer or lies below 1"):
         todd_coxeter(pres, (), max_cosets=max_cosets)
+
+
+@pytest.mark.parametrize("max_cosets", [2.5, True, "2", None])
+def test_max_cosets_is_an_integer(max_cosets):
+    # at the parent 2.5 and True were read as caps, "2" and None raised a bare TypeError
+    with pytest.raises(ValidationError, match=f"max_cosets {max_cosets!r} is not an integer or lies below 1"):
+        todd_coxeter(S3P, max_cosets=max_cosets)

@@ -25,9 +25,7 @@ from grouplab.groups import (
     abelian_subgroups,
     build_from_permutations,
     center,
-    commutator,
     commutator_table,
-    conjugate,
     derived_subgroup,
     direct_product,
     find_isomorphism,
@@ -111,25 +109,25 @@ class TestBuildFromPermutations:
 class TestCommutatorConvention:
     def test_equal_arguments(self):
         for x in range(S3.order):
-            assert commutator(S3, x, x) == 0
+            assert S3.comm(x, x) == 0
 
     def test_abelian(self):
         Z6 = cyclic(6)
         for x in range(6):
             for y in range(6):
-                assert commutator(Z6, x, y) == 0
+                assert Z6.comm(x, y) == 0
 
     def test_s3_transpositions_give_three_cycle(self):
         # right-to-left composition: [(1 2), (1 3)] = (1 2 3)
         x = S3.element_names.index("(1 2)")
         y = S3.element_names.index("(1 3)")
-        assert S3.element_names[commutator(S3, x, y)] == "(1 2 3)"
+        assert S3.element_names[S3.comm(x, y)] == "(1 2 3)"
 
     def test_conjugation_matches_definition(self):
         for x in range(S3.order):
             for y in range(S3.order):
                 expected = S3.mul[S3.mul[x][y]][S3.inv[x]]
-                assert conjugate(S3, x, y) == expected
+                assert S3.conj(x, y) == expected
 
 
 class TestCenterAndDerived:
@@ -967,3 +965,38 @@ class TestInputChecks:
     def test_rejected_with_its_message(self, build, message):
         with pytest.raises(ValidationError, match=message):
             build()
+
+
+class TestIntegerArguments:
+    """Each integer argument is an int or a NumPy integer, never a bool, in range."""
+
+    @pytest.mark.parametrize("entry", [1.0, True, -1, 6], ids=["float", "bool", "negative", "past the end"])
+    def test_relabelings_and_images_are_element_indices(self, entry):
+        # at the parent 1.0 and True relabeled S3, and (0, True, 2, 3, 4, 5) was a homomorphism
+        S3 = builtin("symmetric", (3,))
+        images = (0, entry, 2, 3, 4, 5)
+        with pytest.raises(ValidationError, match=re.escape(f"relabeling entry {entry!r} is not an integer or lies outside [0, 6)")):
+            relabeled(S3, images)
+        assert not GroupHom(S3, S3, images).is_homomorphism()
+        assert GroupHom(S3, S3, tuple(np.arange(6))).is_homomorphism()
+
+    @pytest.mark.parametrize(
+        "generators, kwargs, match",
+        [
+            ([], {"degree": -1}, "degree -1 is not an integer or lies below 0"),
+            ([], {"degree": 2.5}, "degree 2.5 is not an integer"),
+            ([], {"degree": True}, "degree True is not an integer"),
+            ([[1, 0]], {"cap": True}, "cap True is not an integer"),
+            ([[1, 0]], {"cap": 2.5}, "cap 2.5 is not an integer"),
+            ([[1, 0]], {"cap": -1}, "cap -1 is not an integer or lies below 0"),
+            ([[1, 0]], {"cap": None}, "cap None is not an integer"),
+        ],
+        ids=["degree -1", "degree 2.5", "degree True", "cap True", "cap 2.5", "cap -1", "cap None"],
+    )
+    def test_build_from_permutations_reads_its_cap_and_degree(self, generators, kwargs, match):
+        # at the parent degree -1 gave an order-1 group, 2.5 a bare TypeError, True was read as 1,
+        # and so was a cap of True
+        with pytest.raises(ValidationError, match=match):
+            build_from_permutations(generators, **kwargs)
+        with pytest.raises(ClosureExceedsCap):  # a cap of 0 is still a cap
+            build_from_permutations([[1, 0]], cap=0)

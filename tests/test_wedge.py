@@ -34,7 +34,6 @@ from grouplab.wedge import (
     bogomolov_kernel,
     build_wedge_presentation,
     check_pairing,
-    commutator_pairing_table,
     compute_wedge,
     exterior_to_curly_surjection,
     hom_from_generator_images,
@@ -362,7 +361,7 @@ class TestPairings:
 
     def test_commutator_map_is_pairing(self):
         for G in (S3, D4, Q8):
-            assert check_pairing(G, G, commutator_pairing_table(G))
+            assert check_pairing(G, G, commutator_table(G).tolist())
 
     def test_pair_image_map_is_pairing(self):
         wr = compute_wedge(S3, WedgeVariant.CURLY)
@@ -379,7 +378,7 @@ class TestPairings:
 
     def test_pairing_to_hom_commutator_recovers_kappa(self):
         wr = compute_wedge(S3, WedgeVariant.CURLY)
-        hom = pairing_to_hom(S3, S3, commutator_pairing_table(S3), wr)
+        hom = pairing_to_hom(S3, S3, commutator_table(S3).tolist(), wr)
         assert hom.images == wr.kappa.images
 
     def test_pairing_to_hom_trivial(self):
@@ -393,7 +392,7 @@ class TestPairings:
         """check_pairing agrees with the entry-by-entry axioms, on pairings and corruptions."""
         outcomes = set()
         for G in (S3, D4, Q8, S3xZ2, D4xZ2):
-            candidates = [(G, commutator_pairing_table(G))]
+            candidates = [(G, commutator_table(G).tolist())]
             # an EXTERIOR pair table breaks only collapsing relators when the multiplier is nontrivial
             for variant in WedgeVariant:
                 wr = compute_wedge(G, variant)
@@ -784,7 +783,7 @@ class TestBlockedCertificate:
     def test_check_pairing_reads_every_block_and_keeps_nothing(self, monkeypatch):
         G = POOL_UP_TO_32[1]  # D4 x Z4, order 32
         one_m_per_block(monkeypatch, G)
-        phi = commutator_pairing_table(G)
+        phi = commutator_table(G).tolist()
         table_arrays(G)  # kept on the group, outside the measured call
         tracemalloc.start()
         try:
@@ -984,3 +983,33 @@ def test_wedge_input_checks(wedge_input_cases, case):
     build, error, message = wedge_input_cases[case]
     with pytest.raises(error, match=re.escape(message)):
         build()
+
+
+@pytest.mark.parametrize("group_cap", [True, 2.5, -1, "64"])
+def test_the_resolved_group_cap_is_an_integer(group_cap):
+    # at the parent True was read as cap 1, and "64" raised a bare TypeError
+    with pytest.raises(ValidationError, match=f"group cap {group_cap!r} is not an integer"):
+        compute_wedge(S3, WedgeVariant.CURLY, group_cap=group_cap)
+    with pytest.raises(GroupTooLarge):  # a cap of 0 is still a cap
+        compute_wedge(S3, WedgeVariant.CURLY, group_cap=0)
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        lambda v, k: v[:k] + [7] + v[k + 1:],
+        lambda v, k: v[:-1],
+        lambda v, k: v[:k] + [1 - 6] + v[k + 1:],  # an index that NumPy would wrap to element 1
+        lambda v, k: v[:k] + [True] + v[k + 1:],  # NumPy would read it as 1
+        lambda v, k: v[:k] + [1.0] + v[k + 1:],
+    ],
+    ids=["7", "short", "negative", "True", "1.0"],
+)
+def test_raw_relators_die_reads_its_table_as_check_pairing_does(change):
+    # at the parent 7 and 1.0 raised a bare IndexError, a short table a bare ValueError, and True
+    # was read as element 1, so the table passed
+    G = relabeled(S3, (0, 2, 1, 3, 4, 5))  # a commutator lands at element 1
+    wp = build_wedge_presentation(G, WedgeVariant.CURLY)
+    values = commutator_table(G).ravel().tolist()
+    assert raw_relators_die(wp, G, values)
+    assert not raw_relators_die(wp, G, change(values, values.index(1)))

@@ -13,6 +13,7 @@ import functools
 import hashlib
 import json
 import math
+import re
 import time
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
@@ -55,33 +56,31 @@ SCHEMA_VERSION = 1
 # --- builtin families ---------------------------------------------------------
 
 
+def _metacyclic(r: int, s: int, k: int, t: int, label: str, i_outer: bool = False) -> FiniteGroup:
+    """<a, b | a^r = 1, b^s = a^t, b a b^-1 = a^k> on the pairs (i, j) = a^i b^j.
+
+    Element j*r + i is a^i b^j, or element i*s + j when i_outer.
+    """
+    powers = [pow(k, j, r) for j in range(s)]
+
+    def mul(e1, e2):
+        (i1, j1), (i2, j2) = e1, e2
+        return ((i1 + powers[j1] * i2 + t * (j1 + j2 >= s)) % r, (j1 + j2) % s)
+
+    pairs = [(i, j) for j in range(s) for i in range(r)]
+    return _tabulate(sorted(pairs) if i_outer else pairs, mul, label)
+
+
 def _cyclic(n: int) -> FiniteGroup:
-    return _tabulate(list(range(n)), lambda a, b: (a + b) % n, f"Z{n}")
+    return _metacyclic(n, 1, 1, 0, f"Z{n}")
 
 
 def _dihedral(n: int) -> FiniteGroup:
-    # elements r^i s^j with s r s = r^-1; index = j*n + i
-    def mul(e1, e2):
-        i1, j1 = e1
-        i2, j2 = e2
-        return ((i1 + (i2 if j1 == 0 else -i2)) % n, (j1 + j2) % 2)
-
-    return _tabulate([(i, j) for j in range(2) for i in range(n)], mul, f"D{n}")
+    return _metacyclic(n, 2, -1, 0, f"D{n}")
 
 
 def _dicyclic(n: int) -> FiniteGroup:
-    # order 4n: a^(2n) = 1, b^2 = a^n, b a b^-1 = a^-1
-    nn = 2 * n
-
-    def mul(e1, e2):
-        i1, j1 = e1
-        i2, j2 = e2
-        i = (i1 + (i2 if j1 == 0 else -i2)) % nn
-        if j1 and j2:
-            i = (i + n) % nn
-        return (i, (j1 + j2) % 2)
-
-    return _tabulate([(i, j) for j in range(2) for i in range(nn)], mul, f"Dic{n}")
+    return _metacyclic(2 * n, 2, -1, n, f"Dic{n}")
 
 
 def _symmetric(n: int) -> FiniteGroup:
@@ -122,13 +121,7 @@ def _extraspecial(p: int, exponent_type: str) -> FiniteGroup:
 
         return _tabulate([(a, b, c) for a in range(p) for b in range(p) for c in range(p)], mul, f"ES{p}^3+")
     if exponent_type in ("p2", "p^2"):
-        pp = p * p
-        powers = [pow(1 + p, j, pp) for j in range(p)]
-
-        def mul(e1, e2):
-            return ((e1[0] + e2[0] * powers[e1[1]]) % pp, (e1[1] + e2[1]) % p)
-
-        return _tabulate([(i, j) for i in range(pp) for j in range(p)], mul, f"ES{p}^3-")
+        return _metacyclic(p * p, p, 1 + p, 0, f"ES{p}^3-", i_outer=True)
     raise ParamOutOfRange(f"extraspecial exponent type must be 'p' or 'p2', got {exponent_type!r}")
 
 
@@ -149,8 +142,8 @@ def _int_params(family: str, params: Sequence, count: int) -> list[int]:
     """The family's parameters as integers; ParamOutOfRange on a wrong count or type."""
     if len(params) != count:
         raise ParamOutOfRange(f"{family} takes {count} parameter(s), got {len(params)}")
-    try:  # a string such as "3" comes from the command line
-        ints = [int(p) if isinstance(p, str) else p for p in params]
+    try:  # a command-line string such as "3" or "-3" is read only when it is decimal digits
+        ints = [int(p) if isinstance(p, str) and re.fullmatch("-?[0-9]+", p) else p for p in params]
         _check_integers(ints, "parameter", lo=None)
     except (ValueError, ValidationError):
         raise ParamOutOfRange(f"{family} parameters must be integers, got {list(params)!r}") from None

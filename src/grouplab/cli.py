@@ -91,6 +91,10 @@ def _dump(doc: dict, out: str | None) -> int:
     return 0
 
 
+def _past_oracle_cap(order: int, config: PipelineConfig) -> str:
+    return f"order {order} exceeds oracle cap {config.oracle_cap}"
+
+
 def _families_doc(groups: list[FiniteGroup], families: list) -> list[dict]:
     return [{"family_id": i, "members": [groups[j].label for j in fam]} for i, fam in enumerate(families)]
 
@@ -111,6 +115,8 @@ def cmd_compute(args: argparse.Namespace) -> int:
         _write(Path(args.out), f"{rep.group}.json", doc)
         if args.format == "json":
             sys.stdout.write(dump_json(doc))
+        elif config.oracle and rep.oracle is None:  # compute_report skips the oracle exactly past its cap
+            print(f"{report_to_text(doc)}  oracle=skipped ({_past_oracle_cap(rep.order, config)})")
         else:
             print(report_to_text(doc))
     return 0
@@ -159,22 +165,13 @@ def cmd_verify_theorem(args: argparse.Namespace) -> int:
                 build_gamma(witness, w1, w2)
             except GroupLabError as exc:
                 row["error"] = str(exc)
-            row["gamma_bijective"] = row["gamma_tilde_bijective"] = row["diagram_commutes"] = "error" not in row
+            gamma = "error" not in row
+            row["gamma_bijective"] = row["gamma_tilde_bijective"] = row["diagram_commutes"] = gamma
             row["fuzz_stable"] = well_definedness_fuzz(witness, w1, w2)
             wdoc = witness_to_json(witness)
             wpath = _write(out_dir / "witnesses", f"{G1.label}__{G2.label}.json", wdoc)
             row["witness_ref"] = str(wpath.name)
-            row["pass"] = all(
-                row[k]
-                for k in (
-                    "witness_valid",
-                    "invariants_equal",
-                    "gamma_bijective",
-                    "gamma_tilde_bijective",
-                    "diagram_commutes",
-                    "fuzz_stable",
-                )
-            )
+            row["pass"] = row["witness_valid"] and row["invariants_equal"] and gamma and row["fuzz_stable"]
     all_pass = all(row["pass"] for row in pair_rows)
     doc = {
         "schema_version": 1,
@@ -196,33 +193,31 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     oracle_config = replace(config, oracle=True)
     groups = load_catalog(args.catalog)
-    entries = []
-    failures = 0
+    shared = ("multiplier_agrees", "b0_lower_bound", "b0_invariants", "b0_le_kernel", "b0_equals_kernel")
+    entries, lines, failures = [], [], 0
     for G in groups:
         if G.order > config.oracle_cap:
-            entries.append(
-                {"group": G.label, "skipped": f"order {G.order} exceeds oracle cap {config.oracle_cap}"}
-            )
+            skipped = _past_oracle_cap(G.order, config)
+            entries.append({"group": G.label, "skipped": skipped})
+            lines.append(f"SKIP  {G.label}: {skipped}")
             continue
         rep = compute_report(G, oracle_config)
-        oracle = rep.oracle
         entry = {
             "group": G.label,
             "order": G.order,
             "kernel_order": rep.kernel_order,
-            "multiplier_order_oracle": oracle["multiplier_order"],
+            "multiplier_order_oracle": rep.oracle["multiplier_order"],
             "multiplier_order_wedge": rep.exterior["multiplier_order"] if rep.exterior else None,
-            "multiplier_agrees": oracle["multiplier_agrees"],
-            "b0_lower_bound": oracle["b0_lower_bound"],
-            "b0_invariants": oracle["b0_invariants"],
-            "b0_le_kernel": oracle["b0_le_kernel"],
-            "b0_equals_kernel": oracle["b0_equals_kernel"],
+            **{k: rep.oracle[k] for k in shared},
         }
-        if entry["multiplier_agrees"] is False:
-            failures += 1
-        if not entry["b0_le_kernel"]:
-            failures += 1
+        # one failure each for a multiplier that disagrees (None: no wedge multiplier) and a bound over the kernel
+        bad = (entry["multiplier_agrees"] is False) + (not entry["b0_le_kernel"])
+        failures += bad
         entries.append(entry)
+        lines.append(
+            f"{'BAD' if bad else 'OK '}  {G.label}: mult_wedge={entry['multiplier_order_wedge']} "
+            f"mult_oracle={entry['multiplier_order_oracle']} b0={entry['b0_lower_bound']} kernel={rep.kernel_order}"
+        )
     doc = {
         "schema_version": 1,
         "tool_version": __version__,
@@ -231,22 +226,14 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         "failures": failures,
     }
     _write(Path(args.out), "oracle.json", doc)
-    for e in entries:
-        if "skipped" in e:
-            print(f"SKIP  {e['group']}: {e['skipped']}")
-        else:
-            mark = "OK " if (e.get("multiplier_agrees") in (True, None) and e["b0_le_kernel"]) else "BAD"
-            print(
-                f"{mark}  {e['group']}: mult_wedge={e['multiplier_order_wedge']} "
-                f"mult_oracle={e['multiplier_order_oracle']} b0={e['b0_lower_bound']} "
-                f"kernel={e['kernel_order']}"
-            )
+    for line in lines:
+        print(line)
     return 1 if failures else 0
 
 
 def cmd_dump_presentation(args: argparse.Namespace) -> int:
     G = resolve_group(args.group)
-    variant = WedgeVariant.CURLY if args.variant == "curly" else WedgeVariant.EXTERIOR
+    variant = WedgeVariant(args.variant)
     cap = args.max_group_order if variant is WedgeVariant.CURLY else args.max_exterior_order
     wp = build_wedge_presentation(G, variant, group_cap=cap)
     doc = presentation_to_json(wp.raw_presentation())
@@ -314,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dump-presentation", help="emit the raw pairing presentation (one generator per pair) as JSON")
     p.add_argument("group")
-    p.add_argument("--variant", choices=("curly", "exterior"), default="curly")
+    p.add_argument("--variant", choices=[v.value for v in WedgeVariant], default="curly")
     _add_options(p, caps=("--max-group-order", "--max-exterior-order"), out_dir=False)
     p.set_defaults(func=cmd_dump_presentation)
 

@@ -80,7 +80,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -487,15 +486,15 @@ class WedgeRealization:
 
         return _cached(self, "_pair_table", build)
 
-    @cached_property
+    @property
     def kappa(self) -> GroupHom:
         """The commutator map, pair (m, n) to [m, n]: built at first use and kept, as is its kernel; ``compute_wedge`` verifies both."""
-        return hom_from_generator_images(self, self.base, commutator_table(self.base))
+        return _cached(self, "_kappa", lambda: hom_from_generator_images(self, self.base, commutator_table(self.base)))
 
-    @cached_property
+    @property
     def kernel(self) -> Subgroup:
         """The kernel of kappa."""
-        return Subgroup(self.realization.group, tuple(x for x, y in enumerate(self.kappa.images) if y == 0))
+        return _cached(self, "_kernel", lambda: self.kappa.kernel())
 
     @property
     def order(self) -> int:

@@ -27,8 +27,8 @@ from grouplab.catalog import (
 from grouplab.cli import build_parser, main, resolve_group
 from grouplab.cohomology import DEFAULT_ORACLE_CAP
 from grouplab.errors import InternalCheckFailed, ParamOutOfRange, ParseError, UnknownFamily, ValidationError
-from grouplab.groups import center, derived_subgroup
-from grouplab.wedge import DEFAULT_CURLY_CAP, DEFAULT_EXTERIOR_CAP
+from grouplab.groups import AbelianInvariants, center, derived_subgroup
+from grouplab.wedge import DEFAULT_CURLY_CAP, DEFAULT_EXTERIOR_CAP, WedgeRealization
 
 REPO = Path(__file__).resolve().parent.parent
 REPO_CATALOG = REPO / "catalog"
@@ -72,6 +72,26 @@ class TestBuiltins:
         assert len(center(a)) == len(center(b)) == 3
         assert max(a.order_multiset()) == 3
         assert max(b.order_multiset()) == 9
+
+    def test_builtin_tables_are_pinned(self):
+        """Table, inverses, label and names of every small metacyclic builtin, byte for byte.
+
+        Witness files, the verify-theorem pin and the benchmark's relabelings
+        all read these element numberings.
+        """
+        specs = (
+            [("cyclic", (n,)) for n in range(1, 65)]
+            + [("dihedral", (n,)) for n in range(1, 65)]
+            + [("dicyclic", (n,)) for n in range(1, 33)]
+            + [("quaternion8", ())]
+            + [("extraspecial", (p, kind)) for p in (3, 5) for kind in ("p", "p2", "p^2")]
+            + [("elementary", (2, 3)), ("elementary", (3, 2)), ("elementary", (5, 2))]
+        )
+        digest = hashlib.sha256()
+        for family, params in specs:
+            G = builtin(family, params)
+            digest.update(repr((G.mul, G.inv, G.label, G.element_names)).encode())
+        assert digest.hexdigest() == "c80b74dd75914b6c46c6654afe80bcf21e9c7726ffa306341dffd75917028207"
 
     def test_direct_product_descriptor(self):
         G = builtin("direct_product", (("cyclic", 2), ("symmetric", 3)))
@@ -310,6 +330,10 @@ class TestCli:
             ("builtin:elementary:1000000000000000003:1", ParamOutOfRange),
             ("builtin:elementary:3:3000000", ParamOutOfRange),
             ("builtin:cyclic:" + "9" * 5000, ParamOutOfRange),
+            ("builtin:cyclic:1_0", ParamOutOfRange),  # int() read these four as 10, 3, 3 and 3
+            ("builtin:cyclic: 3", ParamOutOfRange),
+            ("builtin:cyclic:+3", ParamOutOfRange),
+            ("builtin:cyclic:\u0663", ParamOutOfRange),
             ("x" * 5000, ParseError),  # raised a bare OSError (file name too long)
         ],
         ids=[
@@ -320,6 +344,7 @@ class TestCli:
             "string-degree", "names-not-a-list", "data-not-an-object",
             "boolean-param", "boolean-degree", "non-string-name",
             "name-leaves-the-directory", "name-with-a-slash", "huge-prime", "huge-exponent", "5000-digit-param",
+            "underscore-param", "space-param", "plus-param", "arabic-indic-param",
             "5000-character-path",
         ],
     )
@@ -603,11 +628,13 @@ print("numpy.ma" in sys.modules)
 """
 
 
-def test_a_report_realization_and_witness_leave_numpy_ma_unloaded():
+def test_a_report_realization_and_witness_leave_numpy_ma_unloaded(tmp_path):
     # numpy's plain unique and setdiff1d import numpy.ma at first use (about
-    # 16 ms); the library reads element sets off a bincount instead
+    # 16 ms); the library reads element sets off a bincount instead. The
+    # compute command writes its report under the working directory.
     run = subprocess.run(
         [sys.executable, "-c", NO_MASKED_ARRAYS],
+        cwd=tmp_path,
         env={**os.environ, "PYTHONPATH": str(REPO / "src")},
         capture_output=True,
         text=True,
@@ -777,6 +804,42 @@ class TestCliFailurePaths:
         assert row["error"] == "induced map between realizations is not bijective"
         assert row["witness_valid"] and row["invariants_equal"] and row["fuzz_stable"]
 
+    @pytest.mark.parametrize(
+        "key, patch",
+        [
+            ("witness_valid", lambda mp: mp.setattr(cli, "verify_witness", lambda w: False)),
+            (
+                "invariants_equal",
+                lambda mp: mp.setattr(
+                    WedgeRealization, "kernel_invariants", lambda self: AbelianInvariants((2,) if self.base.label == "d4" else ())
+                ),
+            ),
+            ("fuzz_stable", lambda mp: mp.setattr(cli, "well_definedness_fuzz", lambda w, w1, w2: False)),
+        ],
+        ids=["witness-invalid", "invariants-unequal", "fuzz-unstable"],
+    )
+    def test_verify_theorem_fails_the_pair_on_each_check(self, tmp_path, monkeypatch, capsys, key, patch):
+        patch(monkeypatch)
+        rc, doc = self.verify(tmp_path)
+        (row,) = doc["pairs"]
+        assert rc == 1 and doc["all_pass"] is False and row["pass"] is False
+        checks = ("witness_valid", "invariants_equal", "gamma_bijective", "fuzz_stable")
+        assert {k: row[k] for k in checks} == {k: k != key for k in checks}
+        assert capsys.readouterr().out.splitlines() == ["FAIL  d4 ~ q8 (family 0)", "verify-theorem: FAILURES PRESENT"]
+
+    @pytest.mark.parametrize("agrees, failures", [(True, 1), (False, 2)], ids=["bound-only", "bound-and-multiplier"])
+    def test_oracle_counts_a_bound_above_the_kernel(self, tmp_path, monkeypatch, capsys, agrees, failures):
+        def over_kernel(G, config):
+            rep = compute_report(G, config)
+            return dataclasses.replace(rep, oracle={**rep.oracle, "b0_le_kernel": False, "multiplier_agrees": agrees})
+
+        monkeypatch.setattr(cli, "compute_report", over_kernel)
+        cat = _builtin_catalog(tmp_path / "cat", (("s3", "symmetric", [3]),))
+        assert main(["oracle", str(cat), "--out", str(tmp_path / "orc")]) == 1
+        doc = json.loads((tmp_path / "orc" / "oracle.json").read_text())
+        assert doc["failures"] == failures and doc["entries"][0]["b0_le_kernel"] is False
+        assert capsys.readouterr().out == "BAD  s3: mult_wedge=1 mult_oracle=1 b0=1 kernel=1\n"
+
     def test_oracle_counts_a_multiplier_disagreement(self, tmp_path, monkeypatch, capsys):
         def disagreeing(G, config):
             rep = compute_report(G, config)
@@ -801,3 +864,19 @@ def test_compute_catalog_with_the_oracle_prints_its_figures(tmp_path, capsys):
         tail = re.search(r"  oracle_mult=\d+ b0_bound=\d+$", line)
         assert (tail is not None) == (order <= DEFAULT_ORACLE_CAP), line
     assert sum("oracle_mult=" not in line for line in lines) == 2
+
+
+def test_compute_with_the_oracle_marks_the_groups_past_its_cap(tmp_path, capsys):
+    """A text line of a group past the oracle cap says the oracle was skipped and why; its JSON report is unchanged."""
+    cat = _builtin_catalog(
+        tmp_path / "cat",
+        (("ES27p", "extraspecial", [3, "p"]), ("ES27p2", "extraspecial", [3, "p2"]), ("S3", "symmetric", [3])),
+    )
+    assert main(["compute", str(cat), "--oracle", "--out", str(tmp_path / "out")]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    mark = "  oracle=skipped (order 27 exceeds oracle cap 24)"
+    assert [line.endswith(mark) for line in lines] == [True, True, False]
+    assert lines[2].endswith("  oracle_mult=1 b0_bound=1")
+    assert json.loads((tmp_path / "out" / "ES27p.json").read_text())["oracle"] is None
+    assert main(["compute", str(cat), "--out", str(tmp_path / "out")]) == 0
+    assert "oracle=" not in capsys.readouterr().out

@@ -194,6 +194,13 @@ class TestWalksMatchWords:
     def test_small_presentations(self, monkeypatch, corpus):
         cases = [(pres, ()) for pres in (Z3, S3P, D4P, Q8P, TRIV)]
         cases += [(S3P, [(1,)]), (S3P, [(2,)]), (D4P, [(1, 1)]), (Q8P, [(2,)])]
+        # trivial groups whose enumeration reaches the break after a coset dies mid-scan, the
+        # path compression of CosetTable.rep and the second branch of coincidence, in that order
+        cases += [
+            (Presentation(2, ((2, 1, -2, 1, 2), (-1,))), ()),
+            (Presentation(2, ((-1, -2, -2, -2, 1, 1, -2), (-2, -2, 1, 2, 1), (2,))), ()),
+            (Presentation(3, ((-1, -1, -1), (1, 2), (3,), (1, -2))), ()),
+        ]
         for G in corpus:
             if G.order <= 8:  # the raw pairing presentations, which merge many cosets
                 cases += [(build_wedge_presentation(G, v).raw_presentation(), ()) for v in WedgeVariant]

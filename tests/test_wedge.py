@@ -221,6 +221,19 @@ class TestComputeWedge:
         assert len(wr.kernel) == 2
         assert set(wr.kappa.images) == {0}
 
+    def test_kappa_and_kernel_are_built_once_and_kept(self, monkeypatch):
+        calls = []
+
+        def counting(source, target, table, build=wedge.hom_from_generator_images):
+            calls.append(target)
+            return build(source, target, table)
+
+        monkeypatch.setattr(wedge, "hom_from_generator_images", counting)
+        wr = compute_wedge(D4, WedgeVariant.CURLY)
+        for _ in range(3):
+            assert wr.kappa is wr.kappa and wr.kernel is wr.kernel
+        assert calls == [D4]  # compute_wedge's one read of kappa
+
     def test_identity_pair_images_trivial(self):
         table = compute_wedge(S3, WedgeVariant.CURLY).pair_table()
         for x in range(S3.order):

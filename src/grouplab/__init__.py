@@ -70,5 +70,4 @@ from .catalog import (  # noqa: E402
     compute_report,
     load_catalog,
     save_catalog,
-    shipped_corpus,
 )

@@ -138,12 +138,19 @@ _FAMILIES = {
 }
 
 
+def _decimal(text: str) -> int:
+    """A command-line integer: text read only when it is ASCII decimal digits after an optional minus sign, else ValueError."""
+    if not re.fullmatch("-?[0-9]+", text):
+        raise ValueError(f"not decimal digits: {text!r}")
+    return int(text)
+
+
 def _int_params(family: str, params: Sequence, count: int) -> list[int]:
     """The family's parameters as integers; ParamOutOfRange on a wrong count or type."""
     if len(params) != count:
         raise ParamOutOfRange(f"{family} takes {count} parameter(s), got {len(params)}")
-    try:  # a command-line string such as "3" or "-3" is read only when it is decimal digits
-        ints = [int(p) if isinstance(p, str) and re.fullmatch("-?[0-9]+", p) else p for p in params]
+    try:
+        ints = [_decimal(p) if isinstance(p, str) else p for p in params]
         _check_integers(ints, "parameter", lo=None)
     except (ValueError, ValidationError):
         raise ParamOutOfRange(f"{family} parameters must be integers, got {list(params)!r}") from None
@@ -252,14 +259,6 @@ def _read_spec(path: Path) -> FiniteGroup:
     return group_from_spec_dict(doc, origin=str(path))
 
 
-def _write_spec(root: Path, name: str, kind: str, data: dict) -> Path:
-    _check_plain_name(name, str(root))
-    root.mkdir(parents=True, exist_ok=True)
-    out = root / f"{name}.json"
-    out.write_text(dump_json({"schema_version": SCHEMA_VERSION, "name": name, "kind": kind, "data": data}))
-    return out
-
-
 def load_catalog(path: str | Path) -> list[FiniteGroup]:
     """Load and validate all *.json group specs under a directory, name-sorted."""
     root = Path(path)
@@ -276,70 +275,19 @@ def load_catalog(path: str | Path) -> list[FiniteGroup]:
 
 def save_catalog(groups: Sequence[FiniteGroup], path: str | Path) -> list[Path]:
     """Write groups as cayley-kind spec files, after checking every label; inverse of load_catalog."""
+    root = Path(path)
     for G in groups:
-        _check_plain_name(G.label, str(path))
+        _check_plain_name(G.label, str(root))
     written = []
     for G in groups:
         data = {"table": [list(row) for row in G.mul]}
         if G.element_names is not None:
             data["element_names"] = list(G.element_names)
-        written.append(_write_spec(Path(path), G.label, "cayley", data))
+        root.mkdir(parents=True, exist_ok=True)
+        out = root / f"{G.label}.json"
+        out.write_text(dump_json({"schema_version": SCHEMA_VERSION, "name": G.label, "kind": "cayley", "data": data}))
+        written.append(out)
     return written
-
-
-# --- shipped corpus -----------------------------------------------------------
-
-CORPUS_SPECS: tuple[tuple[str, str, tuple], ...] = (
-    ("A4", "alternating", (4,)),
-    ("D4", "dihedral", (4,)),
-    ("D6", "dihedral", (6,)),
-    ("Dic3", "dicyclic", (3,)),
-    ("ES27p", "extraspecial", (3, "p")),
-    ("ES27p2", "extraspecial", (3, "p2")),
-    ("Q8", "quaternion8", ()),
-    ("S3", "symmetric", (3,)),
-    ("S3xZ2", "direct_product", (("symmetric", 3), ("cyclic", 2))),
-    ("S3xZ4", "direct_product", (("symmetric", 3), ("cyclic", 4))),
-    ("Z1", "cyclic", (1,)),
-    ("Z2", "cyclic", (2,)),
-    ("Z3", "cyclic", (3,)),
-    ("Z4", "cyclic", (4,)),
-    ("Z5", "cyclic", (5,)),
-    ("Z6", "cyclic", (6,)),
-    ("Z7", "cyclic", (7,)),
-    ("Z8", "cyclic", (8,)),
-    ("Z9", "cyclic", (9,)),
-    ("Z10", "cyclic", (10,)),
-    ("Z11", "cyclic", (11,)),
-    ("Z12", "cyclic", (12,)),
-    ("Z13", "cyclic", (13,)),
-    ("Z14", "cyclic", (14,)),
-    ("Z15", "cyclic", (15,)),
-    ("Z16", "cyclic", (16,)),
-    ("Z2xZ2", "direct_product", (("cyclic", 2), ("cyclic", 2))),
-    ("Z4xZ2", "direct_product", (("cyclic", 4), ("cyclic", 2))),
-    ("Z2xZ2xZ2", "direct_product", (("cyclic", 2), ("cyclic", 2), ("cyclic", 2))),
-    ("Z3xZ3", "direct_product", (("cyclic", 3), ("cyclic", 3))),
-    ("Z6xZ2", "direct_product", (("cyclic", 6), ("cyclic", 2))),
-    ("Z8xZ2", "direct_product", (("cyclic", 8), ("cyclic", 2))),
-    ("Z4xZ4", "direct_product", (("cyclic", 4), ("cyclic", 4))),
-    ("Z4xZ2xZ2", "direct_product", (("cyclic", 4), ("cyclic", 2), ("cyclic", 2))),
-    ("Z2xZ2xZ2xZ2", "direct_product", (("cyclic", 2),) * 4),
-)
-
-
-def shipped_corpus() -> list[FiniteGroup]:
-    """The groups the acceptance suite runs over, in name order."""
-    out = [replace(builtin(family, params), label=name) for name, family, params in CORPUS_SPECS]
-    return sorted(out, key=lambda g: g.label)
-
-
-def write_corpus_catalog(path: str | Path) -> list[Path]:
-    """Materialize the shipped corpus as builtin-kind spec files."""
-    return [
-        _write_spec(Path(path), name, "builtin", {"family": family, "params": params})
-        for name, family, params in sorted(CORPUS_SPECS)
-    ]
 
 
 # --- configuration and reports -------------------------------------------------

@@ -18,6 +18,7 @@ from typing import Sequence
 from . import __version__
 from .catalog import (
     PipelineConfig,
+    _decimal,
     _path_is,
     _read_spec,
     builtin,
@@ -62,7 +63,7 @@ def _config_from_args(args: argparse.Namespace) -> PipelineConfig:
     if max_cosets is None:
         raw = os.environ.get("GROUPLAB_MAX_COSETS", str(DEFAULT_MAX_COSETS))
         try:
-            max_cosets = int(raw)
+            max_cosets = _decimal(raw)
         except ValueError:
             raise ValidationError(f"GROUPLAB_MAX_COSETS is not an integer: {raw!r}") from None
     return PipelineConfig(
@@ -108,7 +109,7 @@ def cmd_compute(args: argparse.Namespace) -> int:
     if args.jobs <= 1 or len(groups) <= 1:
         reports = [compute_report(G, config) for G in groups]
     else:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(args.jobs, len(groups))) as pool:  # a fork pool starts all its workers at once
             reports = list(pool.map(compute_report, groups, repeat(config)))
     for rep in reports:
         doc = rep.to_json_dict()
@@ -310,6 +311,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--modulus", type=int, default=None)
     _add_options(p, caps=("--oracle-cap",), out_dir=False)
     p.set_defaults(func=cmd_dump_cocycles)
+
+    for p in sub.choices.values():  # every type=int option is read as _decimal, and still named int in a usage error
+        p.register("type", int, _decimal)
 
     return parser
 

@@ -45,11 +45,10 @@ and the relator at (^m s, ^m t', ^m n) turns the first two factors into
 ^m t' is again a word over S of the length of t', so that relator holds by
 induction. As 1 is in S, the single rows that kill the pairs with 1 are
 still read. ``_generating_classes`` picks S greedily from the smallest
-classes. So the elimination runs on these rows, while the certificate,
-``trace_relators_through_commutators``, ``check_pairing``, the raw counts
-and ``raw_presentation()`` still read all 2|G|^3 crossed relators: the
-certificate proves that the realization is G ⋏ G whichever rows the
-elimination read. EXTERIOR keeps all rows. It collapses only the pairs
+classes. So the elimination runs on these rows, while the certificate
+``check_pairing``, the raw counts and ``raw_presentation()`` still read all
+2|G|^3 crossed relators: the certificate proves that the realization is
+G ⋏ G whichever rows the elimination read. EXTERIOR keeps all rows. It collapses only the pairs
 (x, x), and on the 32 corpus groups of order at most 16 the rows over S
 left 192 generators and 1,543 relators in place of 71 and 816, which made
 ``compute_wedge`` slower (55 ms in place of 42 ms for all 32).
@@ -69,9 +68,10 @@ P : G x G -> L, with P = 1 on the collapsed pairs. In a group a row
 x^-1 u v is 1 exactly when u v = x, so the two accept the same tables and
 fail at the same block; ``TestTableCertificate`` in ``tests/test_wedge.py``
 compares them on every single-entry corruption of the corpus tables. The
-certificate checks a realization's pair table, the commutator table of G,
-and, in ``check_pairing``, any pair table phi, where the raw CURLY
-relations are the pairing axioms; nothing is kept between calls.
+certificate, ``check_pairing``, checks a realization's pair table in
+``compute_wedge`` and any other pair table phi, such as the commutator
+table of G; the raw CURLY relations are the pairing axioms. Nothing is kept
+between calls.
 ``WedgeRealization.pair_table()`` is the only pair view of a realization:
 one read-only |G| x |G| array, built at the first call and kept on it.
 """
@@ -409,25 +409,21 @@ def _axioms_hold(G: FiniteGroup, variant: WedgeVariant, L: FiniteGroup, P: np.nd
     return bool(left.all() and right.all() and not P.ravel()[_collapsed_letters(G, variant, ms) - 1].any())
 
 
-def _relators_hold(G: FiniteGroup, variant: WedgeVariant, L: FiniteGroup, table: Sequence | np.ndarray) -> bool:
-    """Whether ``_pair_array`` reads table and every block of ``_axioms_hold`` holds on it; the first failing block settles it."""
+def check_pairing(
+    G: FiniteGroup, L: FiniteGroup, phi: Sequence[Sequence[int]] | np.ndarray, variant: WedgeVariant = WedgeVariant.CURLY
+) -> bool:
+    """Whether phi : G x G -> L sends every raw relator of the variant to 1, with the pair (m, n) read as phi[m][n].
+
+    With CURLY these are the pairing axioms. A phi that ``_pair_array``
+    does not read as a |G| x |G| table of elements of L fails. The
+    relators are checked one block of elements m at a time, the first
+    failing block settles it, and nothing is kept.
+    """
     try:
-        P = _pair_array(table, G, L)
+        P = _pair_array(phi, G, L)
     except ValidationError:
         return False
     return all(_axioms_hold(G, variant, L, P, ms) for ms in _m_blocks(G))
-
-
-def raw_relators_die(
-    wp: WedgePresentation, target: FiniteGroup, pair_images: Sequence[int]
-) -> bool:
-    """Whether pair_images, |G|^2 elements of target, send every raw relator to 1, with pair p read as pair_images[p].
-
-    A list keeps its entries as objects, so that True or 1.0 is no element index.
-    """
-    n = wp.base.order
-    flat = pair_images if isinstance(pair_images, np.ndarray) else np.array(pair_images, dtype=object)
-    return _relators_hold(wp.base, wp.variant, target, flat.reshape(n, n) if flat.shape == (n * n,) else flat)
 
 
 def _pair_array(phi: Sequence[Sequence[int]] | np.ndarray, G: FiniteGroup, L: FiniteGroup) -> np.ndarray:
@@ -518,7 +514,7 @@ def compute_wedge(
     wp = build_wedge_presentation(G, variant, group_cap)
     table = todd_coxeter(wp.presentation, (), max_cosets=max_cosets)
     wr = WedgeRealization(variant=variant, base=G, presentation=wp, realization=realize(wp.presentation, table))
-    if not raw_relators_die(wp, wr.realization.group, wr.pair_table().ravel()):
+    if not check_pairing(G, wr.realization.group, wr.pair_table(), variant):
         raise RelatorNotKilled(
             f"a raw {variant.value} relator of {G.label} survives in the realized group"
         )
@@ -563,18 +559,6 @@ def multiplier_order(
     return len(wr.kernel)
 
 
-def check_pairing(G: FiniteGroup, L: FiniteGroup, phi: Sequence[Sequence[int]]) -> bool:
-    """Whether phi : G x G -> L satisfies the pairing axioms.
-
-    The axioms are the raw CURLY relators of G, the rows the presentation
-    is built from, with the pair (m, n) read as phi[m][n]. A phi that is
-    not a |G| x |G| table of elements of L is not a pairing. As in
-    ``raw_relators_die``, they are checked on the table one block of
-    elements m at a time, and nothing is kept.
-    """
-    return _relators_hold(G, WedgeVariant.CURLY, L, phi)
-
-
 def pairing_to_hom(
     G: FiniteGroup,
     L: FiniteGroup,
@@ -595,15 +579,6 @@ def pairing_to_hom(
         return hom_from_generator_images(wedge, L, phi)
     except (ValidationError, RelatorNotKilled) as exc:
         raise NotAPairing(f"table is not a pairing of {G.label}: {exc}") from exc
-
-
-def trace_relators_through_commutators(G: FiniteGroup, wp: WedgePresentation) -> bool:
-    """Evaluate every raw relator with (m, n) read as [m, n] in G.
-
-    All products must come out at the identity; this is the well-definedness
-    of kappa checked directly in the base group.
-    """
-    return raw_relators_die(wp, G, commutator_table(G).ravel())
 
 
 def exterior_to_curly_surjection(

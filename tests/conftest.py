@@ -1,15 +1,17 @@
-"""Shared fixtures: the shipped corpus and cached pairing realizations."""
+"""Shared fixtures: the shipped corpus (the catalog/ directory) and cached pairing realizations."""
+
+from pathlib import Path
 
 import pytest
 
-from grouplab.catalog import shipped_corpus
+from grouplab.catalog import load_catalog
 from grouplab.isoclinism import are_isoclinic, partition_into_families
 from grouplab.wedge import WedgeVariant, compute_wedge
 
 
 @pytest.fixture(scope="session")
 def corpus():
-    return shipped_corpus()
+    return load_catalog(Path(__file__).resolve().parent.parent / "catalog")
 
 
 @pytest.fixture(scope="session")

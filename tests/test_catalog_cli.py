@@ -21,8 +21,6 @@ from grouplab.catalog import (
     group_from_spec_dict,
     load_catalog,
     save_catalog,
-    shipped_corpus,
-    write_corpus_catalog,
 )
 from grouplab.cli import build_parser, main, resolve_group
 from grouplab.cohomology import DEFAULT_ORACLE_CAP
@@ -183,20 +181,6 @@ class TestCatalogFiles:
         }
         G = group_from_spec_dict(doc)
         assert G.order == 6 and G.label == "s3perm"
-
-    def test_corpus_catalog_matches_shipped(self, tmp_path):
-        write_corpus_catalog(tmp_path)
-        disk = load_catalog(tmp_path)
-        mem = shipped_corpus()
-        assert [g.label for g in disk] == [g.label for g in mem]
-        assert all(a.mul == b.mul for a, b in zip(disk, mem))
-
-    def test_shipped_catalog_is_the_written_corpus(self, tmp_path):
-        """CORPUS_SPECS and the shipped catalog/ directory cannot drift apart."""
-        written = write_corpus_catalog(tmp_path)
-        assert sorted(p.name for p in REPO_CATALOG.iterdir()) == sorted(p.name for p in written)
-        for path in written:
-            assert (REPO_CATALOG / path.name).read_bytes() == path.read_bytes(), path.name
 
 
 class TestReports:
@@ -374,6 +358,11 @@ class TestCli:
         assert rc == 1
         assert capsys.readouterr().err == "error: GROUPLAB_MAX_COSETS is not an integer: 'abc'\n"
 
+    def test_env_var_cap_is_decimal_digits(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("GROUPLAB_MAX_COSETS", " 0_1")  # int() reads it as 1
+        assert main(["compute", "builtin:symmetric:3", "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == "error: GROUPLAB_MAX_COSETS is not an integer: ' 0_1'\n"
+
     def test_env_var_is_read_only_where_max_cosets_exists(self, tmp_path, monkeypatch):
         # families takes no cap, so a malformed GROUPLAB_MAX_COSETS made it exit 1
         cat = tmp_path / "cat"
@@ -397,11 +386,22 @@ class TestCli:
             (["compute", "builtin:cyclic:3", "--max-group-order", "abc"], "invalid int value: 'abc'"),
             (["verify-theorem", "catalog", "--fuzz-trials", "5"], "unrecognized arguments: --fuzz-trials"),
             ([], "the following arguments are required: command"),
+            # int() reads each of these: 1_0 as 10, +16 as 16, " 24" as 24 and the Arabic-Indic digits as their values
+            (["compute", "builtin:symmetric:3", "--max-group-order", "1_0"], "invalid int value: '1_0'"),
+            (["compute", "builtin:symmetric:3", "--max-exterior-order", "+16"], "invalid int value: '+16'"),
+            (["compute", "builtin:symmetric:3", "--oracle-cap", " 24"], "invalid int value: ' 24'"),
+            (["compute", "builtin:symmetric:3", "--max-cosets", "\u0660_\u0661"], "invalid int value: '\u0660_\u0661'"),
+            (["compute", "builtin:symmetric:3", "--jobs", "\u0662"], "invalid int value: '\u0662'"),
+            (["dump-cocycles", "builtin:symmetric:3", "--modulus", "\u0662"], "invalid int value: '\u0662'"),
         ],
-        ids=["unknown-flag", "non-integer-cap", "removed-flag", "no-command"],
+        ids=[
+            "unknown-flag", "non-integer-cap", "removed-flag", "no-command", "underscore-cap", "plus-cap",
+            "space-cap", "arabic-indic-cap", "arabic-indic-jobs", "arabic-indic-modulus",
+        ],
     )
-    def test_usage_error_exits_1(self, capsys, argv, message):
+    def test_usage_error_exits_1(self, tmp_path, monkeypatch, capsys, argv, message):
         # 2 is kept for a configured cap, so argparse's own exit code is not passed on
+        monkeypatch.chdir(tmp_path)  # a command that ran would write its default --out here
         assert main(argv) == 1
         assert message in capsys.readouterr().err
 
@@ -437,6 +437,32 @@ class TestCli:
         assert main(["compute", str(cat), "--out", str(out2), "--jobs", "2"]) == 0
         for f in sorted(out1.glob("*.json")):
             assert f.read_bytes() == (out2 / f.name).read_bytes()
+
+    def test_jobs_start_no_more_workers_than_groups(self, tmp_path, monkeypatch):
+        # a fork pool starts all max_workers processes at its first submit, so this one only records them
+        started = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+        cat = tmp_path / "cat"
+        cat.mkdir()
+        for name, n in (("z2", 2), ("z3", 3)):
+            (cat / f"{name}.json").write_text(json.dumps({"name": name, "kind": "builtin", "data": {"family": "cyclic", "params": [n]}}))
+        assert main(["compute", str(cat), "--out", str(tmp_path / "out"), "--jobs", "1000"]) == 0
+        assert started == [2]
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["z2.json", "z3.json"]
 
     def test_families_command(self, tmp_path):
         cat = tmp_path / "cat"
@@ -600,6 +626,11 @@ class TestCli:
         rc = main(["dump-cocycles", "builtin:elementary:2:2", "--modulus", "0"])
         assert rc == 1
         assert capsys.readouterr().err == "error: modulus 0 is not an integer or lies below 1\n"
+
+    def test_dump_cocycles_rejects_a_negative_modulus(self, capsys):
+        # a minus sign is decimal digits, so -1 reaches the range check
+        assert main(["dump-cocycles", "builtin:elementary:2:2", "--modulus", "-1"]) == 1
+        assert capsys.readouterr().err == "error: modulus -1 is not an integer or lies below 1\n"
 
     def test_dump_cocycles_rejects_a_modulus_too_large_for_int64(self, capsys):
         rc = main(["dump-cocycles", "builtin:elementary:2:2", "--modulus", "12884901888"])

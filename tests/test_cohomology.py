@@ -7,12 +7,13 @@ import random
 import re
 import weakref
 from math import gcd
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from grouplab import cohomology
-from grouplab.catalog import PipelineConfig, builtin, compute_report, dump_json, shipped_corpus
+from grouplab.catalog import PipelineConfig, builtin, compute_report, dump_json, load_catalog
 from grouplab.cohomology import (
     b0_lower_bound,
     cocycle_dump,
@@ -134,7 +135,7 @@ def h2_order_from_rows(G, rows, m):
 
 
 def _row_groups():
-    small = [G for G in shipped_corpus() if 1 < G.order <= 16]
+    small = [G for G in load_catalog(Path(__file__).resolve().parent.parent / "catalog") if 1 < G.order <= 16]
     big = [
         builtin("symmetric", (4,)),
         builtin("dihedral", (12,)),

@@ -49,7 +49,7 @@ from grouplab.groups import (
 )
 from grouplab import isoclinism, wedge
 from grouplab.isoclinism import are_isoclinic, build_gamma, verify_witness, well_definedness_fuzz
-from grouplab.wedge import WedgeVariant, compute_wedge, raw_relators_die
+from grouplab.wedge import WedgeVariant, check_pairing, compute_wedge
 from word_reference import walked_and_worded, word_fold_hom
 
 DEGREE = 32
@@ -207,10 +207,10 @@ class TestOddPrime:
         wr = odd_b0_wedges["B243"]
         n, L = wr.base.order, wr.realization.group
         assert [len(ms) for ms in wedge._m_blocks(wr.base)] == [1] * n  # each block holds one m
-        values = wr.pair_table().ravel().copy()
-        assert raw_relators_die(wr.presentation, L, values)
-        values[(n - 1) * n + 1] = L.mul[values[(n - 1) * n + 1]][L.order - 1]  # the pair (m, 1) of the last block
-        assert not raw_relators_die(wr.presentation, L, values)
+        values = wr.pair_table().copy()
+        assert check_pairing(wr.base, L, values)
+        values[n - 1, 1] = L.mul[values[n - 1, 1]][L.order - 1]  # the pair (m, 1) of the last block
+        assert not check_pairing(wr.base, L, values)
 
     def test_b243b_and_b243c_kernels_are_z3_and_not_isoclinic_to_t243(self, odd_b0_wedges, t243):
         for label in ("B243b", "B243c"):

@@ -4,12 +4,13 @@ import dataclasses
 import random
 import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from grouplab import isoclinism, wedge
-from grouplab.catalog import builtin, shipped_corpus
+from grouplab.catalog import builtin, load_catalog
 from grouplab.errors import (
     CosetLimitExceeded,
     GroupTooLarge,
@@ -39,8 +40,6 @@ from grouplab.wedge import (
     hom_from_generator_images,
     multiplier_order,
     pairing_to_hom,
-    raw_relators_die,
-    trace_relators_through_commutators,
 )
 from grouplab.isoclinism import build_gamma, identity_witness, verify_witness
 from grouplab.lattices import orth_complement
@@ -63,6 +62,7 @@ Q8 = builtin("quaternion8")
 S4 = builtin("symmetric", (4,))
 S3xZ2 = builtin("direct_product", (("symmetric", 3), ("cyclic", 2)))
 D4xZ2 = builtin("direct_product", (("dihedral", 4), ("cyclic", 2)))
+CORPUS = load_catalog(Path(__file__).resolve().parent.parent / "catalog")
 
 
 def loop_raw_relators(G, variant):
@@ -160,24 +160,21 @@ class TestPresentation:
     def test_relator_trace_through_commutators(self):
         for G in (S3, D4, Q8, V4):
             for variant in WedgeVariant:
-                wp = build_wedge_presentation(G, variant)
-                assert trace_relators_through_commutators(G, wp)
+                assert check_pairing(G, G, commutator_table(G), variant)
 
     def test_relator_trace_rejects_corrupted_commutator(self):
         for variant in WedgeVariant:
-            wp = build_wedge_presentation(S3, variant)
-            values = [S3.comm(m, n) for m in range(6) for n in range(6)]
-            assert raw_relators_die(wp, S3, values)
-            values[1 * 6 + 2] = S3.mul[values[1 * 6 + 2]][1]
-            assert not raw_relators_die(wp, S3, values)
+            values = [[S3.comm(m, n) for n in range(6)] for m in range(6)]
+            assert check_pairing(S3, S3, values, variant)
+            values[1][2] = S3.mul[values[1][2]][1]
+            assert not check_pairing(S3, S3, values, variant)
 
     def test_relator_trace_reads_raw_relators(self):
-        # relators built for relabeled copies speak of other elements
+        # the relators of relabeled copies speak of other elements
         for G in (S3, D4):
             perm = [0] + list(range(2, G.order)) + [1]
             for variant in WedgeVariant:
-                wp = build_wedge_presentation(relabeled(G, perm), variant)
-                assert not trace_relators_through_commutators(G, wp)
+                assert not check_pairing(relabeled(G, perm), G, commutator_table(G), variant)
 
     def test_reduction_eliminates_pairs(self):
         wp = build_wedge_presentation(S4, WedgeVariant.CURLY)
@@ -379,6 +376,15 @@ class TestPairings:
     def test_pair_image_map_is_pairing(self):
         wr = compute_wedge(S3, WedgeVariant.CURLY)
         assert check_pairing(S3, wr.realization.group, wr.pair_table().tolist())
+
+    def test_the_variant_picks_the_collapsing_relators(self):
+        # M(D4) = Z/2 while B0(D4) = 0: the exterior pair table sends a commuting pair off 1
+        ext, cur = compute_wedge(D4, WedgeVariant.EXTERIOR), compute_wedge(D4, WedgeVariant.CURLY)
+        assert check_pairing(D4, ext.realization.group, ext.pair_table(), WedgeVariant.EXTERIOR)
+        assert not check_pairing(D4, ext.realization.group, ext.pair_table(), WedgeVariant.CURLY)
+        assert not check_pairing(D4, ext.realization.group, ext.pair_table())  # CURLY by default
+        for variant in WedgeVariant:
+            assert check_pairing(D4, cur.realization.group, cur.pair_table(), variant)
 
     def test_abelian_multiplication_is_not_pairing(self):
         phi = [[Z4.mul[a][b] for b in range(4)] for a in range(4)]
@@ -594,7 +600,7 @@ class TestBlockedElimination:
     def test_matches_whole_array_elimination(self):
         rng = random.Random(10)
         # two relabelings each up to order 32, and one of D4xD4 and A4xZ4
-        cases = [(G, 2) for G in shipped_corpus() + list(POOL_UP_TO_32)] + [(D4xD4, 1), (A4xZ4, 1)]
+        cases = [(G, 2) for G in CORPUS + list(POOL_UP_TO_32)] + [(D4xD4, 1), (A4xZ4, 1)]
         for G0, relabelings in cases:
             copies = [G0]
             for _ in range(relabelings):
@@ -619,7 +625,7 @@ class TestBlockedElimination:
         # build_wedge_presentation sends the collapsed pairs and the pairs with
         # the identity to 0 before the elimination, in place of a first pass
         # over the raw rows; that is exact only if this pass would find just them
-        for G in shipped_corpus() + list(CURLY_LARGE_POOL + OTHER_BENCHMARK_GROUPS):
+        for G in CORPUS + list(CURLY_LARGE_POOL + OTHER_BENCHMARK_GROUPS):
             if G.order > variant.default_cap:
                 continue
             n = G.order
@@ -672,7 +678,7 @@ class TestBlockedElimination:
             wp = build_wedge_presentation(D4xD4, WedgeVariant.CURLY)
             build_peak = tracemalloc.get_traced_memory()[1]
             tracemalloc.reset_peak()
-            assert trace_relators_through_commutators(D4xD4, wp)
+            assert check_pairing(D4xD4, D4xD4, commutator_table(D4xD4))
             certificate_peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -701,7 +707,7 @@ def two_relabelings_each(groups, seed):
 
 @pytest.fixture(scope="module")
 def corpus_and_pool_copies():
-    return two_relabelings_each(shipped_corpus() + list(CURLY_LARGE_POOL + OTHER_BENCHMARK_GROUPS), 26)
+    return two_relabelings_each(CORPUS + list(CURLY_LARGE_POOL + OTHER_BENCHMARK_GROUPS), 26)
 
 
 class TestGeneratingClasses:
@@ -750,31 +756,18 @@ class TestBlockedCertificate:
     @pytest.mark.parametrize("G", [S3, D4], ids=["S3", "D4"])
     def test_corrupted_pair_image_fails(self, monkeypatch, G, variant):
         one_m_per_block(monkeypatch, G)
-        wp = build_wedge_presentation(G, variant)
         calls = counting_blocks(monkeypatch)
-        assert raw_relators_die(wp, G, commutator_table(G).ravel())
+        assert check_pairing(G, G, commutator_table(G), variant)
         assert len(calls) == G.order  # every block is evaluated
         n = G.order
         for m in (0, n // 2, n - 1):  # first, middle and last block
-            values = commutator_table(G).ravel().copy()
-            p = m * n + 1
-            values[p] = G.mul[values[p]][n - 1]
+            values = commutator_table(G).copy()
+            values[m, 1] = G.mul[values[m, 1]][n - 1]
             calls.clear()
-            assert not raw_relators_die(wp, G, values)
+            assert not check_pairing(G, G, values, variant)
             assert len(calls) < G.order
             # stopped at the first failing block: the first in which a raw row survives
-            assert len(calls) == first_failing_block(wedge._relator_blocks(G, variant), G, values) + 1
-            # the same corruption through the commutator route: H is a copy of G
-            # whose commutator table alone reads the corrupted values
-            H = dataclasses.replace(G)
-            monkeypatch.setattr(
-                wedge,
-                "commutator_table",
-                lambda K, H=H, values=values: values.reshape(n, n) if K is H else commutator_table(K),
-            )
-            assert not trace_relators_through_commutators(H, wp)
-            monkeypatch.setattr(wedge, "commutator_table", commutator_table)
-            assert trace_relators_through_commutators(G, wp)
+            assert len(calls) == first_failing_block(wedge._relator_blocks(G, variant), G, values.ravel()) + 1
 
     @pytest.mark.parametrize("variant", list(WedgeVariant))
     def test_compute_wedge_rejects_corrupted_realization(self, monkeypatch, variant):
@@ -855,7 +848,7 @@ class TestTableCertificate:
                 for values in tables:
                     expected = first_failing_block(blocks, L, values)
                     calls.clear()
-                    assert raw_relators_die(wr.presentation, L, values) == (expected is None), G.label
+                    assert check_pairing(G, L, values.reshape(n, n), variant) == (expected is None), G.label
                     assert len(calls) == (n if expected is None else expected + 1), G.label
                     rejected += expected is not None
         assert rejected > 0
@@ -869,7 +862,6 @@ class TestTableCertificate:
         rows = wedge._raw_relator_rows(G, variant, range(n))
         left, right, collapsing = rows[:n**3], rows[n**3:2 * n**3], rows[2 * n**3:]
         full = {tuple(u) for u in span_mod_2(solutions_mod_2(rows, n * n))}
-        wp = build_wedge_presentation(G, variant)
         for families in ((left, collapsing), (right, collapsing), (left, right)):
             basis = solutions_mod_2(np.concatenate(families), n * n)
             assert 2 ** len(basis) > len(full)
@@ -878,19 +870,16 @@ class TestTableCertificate:
             for u in span_mod_2(basis):
                 holds = tuple(u) in full
                 assert rows_die(rows, Z2, u) == holds
-                assert raw_relators_die(wp, Z2, u) == holds
-                if variant is WedgeVariant.CURLY:
-                    assert check_pairing(G, Z2, u.reshape(n, n)) == holds
+                assert check_pairing(G, Z2, u.reshape(n, n), variant) == holds
 
     @pytest.mark.parametrize("variant", list(WedgeVariant))
     def test_a_negative_image_is_no_element(self, variant):
         # the row evaluator read -4 as element 2 of S3 by wrapping, and so accepted this table
-        wp = build_wedge_presentation(S3, variant)
-        values = commutator_table(S3).ravel().astype(np.int64)
-        assert raw_relators_die(wp, S3, values)
+        values = commutator_table(S3).astype(np.int64)
+        assert check_pairing(S3, S3, values, variant)
         values[values == 2] -= S3.order
-        assert rows_die(wedge._raw_relator_rows(S3, variant, range(S3.order)), S3, values)
-        assert not raw_relators_die(wp, S3, values)
+        assert rows_die(wedge._raw_relator_rows(S3, variant, range(S3.order)), S3, values.ravel())
+        assert not check_pairing(S3, S3, values, variant)
 
 
 class TestWalksMatchWords:
@@ -1007,22 +996,17 @@ def test_the_resolved_group_cap_is_an_integer(group_cap):
         compute_wedge(S3, WedgeVariant.CURLY, group_cap=0)
 
 
-@pytest.mark.parametrize(
-    "change",
-    [
-        lambda v, k: v[:k] + [7] + v[k + 1:],
-        lambda v, k: v[:-1],
-        lambda v, k: v[:k] + [1 - 6] + v[k + 1:],  # an index that NumPy would wrap to element 1
-        lambda v, k: v[:k] + [True] + v[k + 1:],  # NumPy would read it as 1
-        lambda v, k: v[:k] + [1.0] + v[k + 1:],
-    ],
-    ids=["7", "short", "negative", "True", "1.0"],
-)
-def test_raw_relators_die_reads_its_table_as_check_pairing_does(change):
-    # at the parent 7 and 1.0 raised a bare IndexError, a short table a bare ValueError, and True
-    # was read as element 1, so the table passed
+@pytest.mark.parametrize("entry", [7, None, 1 - 6, True, 1.0], ids=["7", "short", "negative", "True", "1.0"])
+def test_raw_relators_die_reads_its_table_as_check_pairing_does(entry):
+    # a commutator table with one entry that is no element index of G is no pairing: 7 and 1.0 are
+    # outside or not integers, a short last row makes the table ragged, NumPy would wrap 1 - 6 to
+    # element 1 and read True as 1
     G = relabeled(S3, (0, 2, 1, 3, 4, 5))  # a commutator lands at element 1
-    wp = build_wedge_presentation(G, WedgeVariant.CURLY)
-    values = commutator_table(G).ravel().tolist()
-    assert raw_relators_die(wp, G, values)
-    assert not raw_relators_die(wp, G, change(values, values.index(1)))
+    table = commutator_table(G).tolist()
+    assert check_pairing(G, G, table)
+    if entry is None:
+        table[-1] = table[-1][:-1]
+    else:
+        i = next(i for i, row in enumerate(table) if 1 in row)
+        table[i][table[i].index(1)] = entry
+    assert not check_pairing(G, G, table)

@@ -302,6 +302,11 @@ class PipelineConfig:
     oracle: bool = False
     timings: bool = False
 
+    def __post_init__(self) -> None:  # refused here, before compute_report compares an order with a cap
+        _check_integers((self.max_cosets,), "max_cosets", lo=1)
+        _check_integers((self.curly_cap, self.exterior_cap), "group cap")
+        _check_integers((self.oracle_cap,), "oracle cap")
+
     def config_hash(self) -> str:
         payload = {k: v for k, v in asdict(self).items() if k != "timings"}
         return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()[:16]

@@ -30,7 +30,7 @@ from .catalog import (
 from .cohomology import DEFAULT_ORACLE_CAP, cocycle_dump
 from .errors import CapExceeded, GroupLabError, ValidationError
 from .fpgroups import DEFAULT_MAX_COSETS, presentation_to_json
-from .groups import FiniteGroup
+from .groups import FiniteGroup, _check_integers
 from .isoclinism import (
     are_isoclinic,
     build_gamma,
@@ -101,12 +101,13 @@ def _families_doc(groups: list[FiniteGroup], families: list) -> list[dict]:
 
 
 def cmd_compute(args: argparse.Namespace) -> int:
+    _check_integers((args.jobs,), "jobs", lo=1)
     config = _config_from_args(args)
     if not args.group.startswith("builtin:") and _path_is(Path.is_dir, args.group):
         groups = load_catalog(args.group)
     else:
         groups = [resolve_group(args.group)]
-    if args.jobs <= 1 or len(groups) <= 1:
+    if args.jobs == 1 or len(groups) <= 1:
         reports = [compute_report(G, config) for G in groups]
     else:
         with ProcessPoolExecutor(max_workers=min(args.jobs, len(groups))) as pool:  # a fork pool starts all its workers at once

@@ -18,21 +18,22 @@ All row and column work goes through three steps:
   * hnf_insert       - fold one row into a basis
   * _reduce          - triangular reduction of rows against a basis
 
-quotient_structure diagonalises the relations of L2/L1 with snf_mod on a
-SparseRows: each implicit row of the sup basis contributes the unit
-relation row e_j, and the rest is one small dense block (at most 26 x 24
-on the benchmark's oracle groups, where b0_lower_bound takes 66
-quotients, against 1,058 x 529 dense). Rows and columns sit where the
-dense k x k run put them, and snf_mod tracks where that run would have
-moved every row and column, so it makes the same pivots, and the kept rows
-of W, hence the basis tables, come out byte for byte.
+quotient_structure diagonalises the relations of L2/L1 with snf_mod: each
+implicit row of the sup basis contributes the unit relation row e_j, passed
+as a (row, j) pair, and the rest is one small dense block (at most 26 x 24
+on the benchmark's oracle groups, where b0_lower_bound takes 66 quotients,
+against 1,058 x 529 dense). Rows and columns sit where the dense k x k run
+put them, and snf_mod tracks where that run would have moved every row and
+column, so it makes the same pivots. A unit row outranks an exhausted
+block, so every unit row is pivoted, with diagonal 1, before the run stops:
+a diagonal entry above 1 sits at a block column, and W, returned on the
+block's columns alone, gives the basis tables byte for byte.
 
 Provided primitives:
   * hnf_from_rows    - canonical basis from a generating set
   * lattice_index    - [Z^k : L] as an exact integer
   * member_residual  - triangular membership reduction, of one vector or a block
-  * SparseRows       - a matrix of unit rows and one dense block
-  * snf_mod          - diagonalisation, with the inverse column transform
+  * snf_mod          - diagonalise a block plus unit rows; W on the block's columns
   * orth_complement  - {u : <l, u> = 0 mod m for all l in L}, off L's transposed basis
   * quotient_structure - invariants and generators of L2/L1, by one diagonalisation
   * LatticeSolver    - express vectors over a generating set, mod m
@@ -209,47 +210,21 @@ def member_residual(H: np.ndarray, v: np.ndarray, m: int) -> np.ndarray:
     return r.reshape(v.shape)
 
 
-class SparseRows:
-    """An R x k integer matrix kept as unit rows and one dense block.
+def snf_mod(
+    block: np.ndarray, rows: np.ndarray, cols: np.ndarray, unit: np.ndarray, k: int, m: int
+) -> tuple[list[int], np.ndarray]:
+    """Diagonalise a lattice <rows> + m*Z^k by row and column operations.
 
-    Each pair (r, c) of unit says that row r is e_c; no block row is nonzero
-    in column c. block holds the entries of the rows `rows` in the columns
-    `cols`; every other entry is zero. np.asarray(...) gives the dense
-    matrix.
-    """
-
-    def __init__(
-        self, shape: tuple[int, int], unit: np.ndarray, rows: np.ndarray, cols: np.ndarray, block: np.ndarray
-    ):
-        self.shape, self.unit, self.rows, self.cols, self.block = shape, unit, rows, cols, block
-
-    def take(self, idx: Sequence[int] | np.ndarray) -> np.ndarray:
-        """The dense rows idx, in that order."""
-        idx = np.asarray(idx, dtype=np.intp)
-        where = np.full(self.shape[0], -1)
-        where[idx] = np.arange(idx.size)
-        out = np.zeros((idx.size, self.shape[1]), dtype=np.int64)
-        r, c = self.unit.T
-        hit = where[r] >= 0
-        out[where[r[hit]], c[hit]] = 1
-        hit = where[self.rows] >= 0
-        out[np.ix_(where[self.rows[hit]], self.cols)] = self.block[hit]
-        return out
-
-    def __array__(self, dtype=None, copy=None) -> np.ndarray:
-        return self.take(np.arange(self.shape[0])).astype(dtype or np.int64, copy=False)
-
-
-def snf_mod(rows: SparseRows, k: int, m: int) -> tuple[list[int], SparseRows]:
-    """Diagonalise the lattice <rows> + m*Z^k by row and column operations.
-
-    rows is an R x k SparseRows. Returns (diag, W). diag has length k;
-    entry i is the order of the quotient in coordinate i (a divisor of m,
-    with the implicit m*Z^k folded in, so a zero physical pivot reads as m).
-    W, a k x k SparseRows, accumulates the inverses of the column
-    operations, so the lattice is the row space of diag(diag) @ W plus
-    m*Z^k, and W is invertible modulo m. No divisibility chain is enforced;
-    see groups.invariant_factors_from_orders.
+    The rows are block, at the row positions rows and in the columns cols,
+    and a row e_c at position r for each pair (r, c) of unit, with no block
+    row nonzero in column c. Returns (diag, W). diag has length k; entry t
+    is the order of the quotient in coordinate t (a divisor of m, with the
+    implicit m*Z^k folded in, so a zero physical pivot reads as m). The
+    inverses of the column operations make a k x k transform T, invertible
+    modulo m, such that the lattice is the row space of diag(diag) @ T plus
+    m*Z^k. W, k x len(cols), is T on the columns cols: row t of T is e_c
+    where a unit column c ends at position t, and zero off cols elsewhere.
+    No divisibility chain is enforced; see groups.invariant_factors_from_orders.
 
     Step t pivots on the row-major first smallest nonzero entry of the
     submatrix from (t, t) on, after swapping that entry's row and column
@@ -269,13 +244,13 @@ def snf_mod(rows: SparseRows, k: int, m: int) -> tuple[list[int], SparseRows]:
     other entry, as the row operations leave the gcd, nonzero, at (b, s)
     and zeros in the rest of column s.
     """
-    B = rows.block % m
-    R = rows.shape[0]
+    B = block % m
+    brow, slot = rows.tolist(), cols.tolist()
+    lone = dict(unit.tolist())  # unit row -> its column
+    units = sorted(lone)  # positions of the unit rows not yet pivoted
+    R = 1 + max([*brow, *lone], default=-1)  # every later row is zero, so never a pivot
     pos, at = list(range(R)), list(range(R))  # row -> position, position -> row
     cpos, cat = list(range(k)), list(range(k))  # the same for columns
-    lone = dict(rows.unit.tolist())  # unit row -> its column
-    units = sorted(lone)  # positions of the unit rows not yet pivoted
-    brow, slot = rows.rows.tolist(), rows.cols.tolist()
     W = np.eye(len(slot), dtype=np.int64)
     live = list(range(len(brow)))
     bmin = np.where(B == 0, m, B).min(axis=1, initial=m).tolist()
@@ -322,11 +297,9 @@ def snf_mod(rows: SparseRows, k: int, m: int) -> tuple[list[int], SparseRows]:
         live.remove(b)
         bmin = np.where(B == 0, m, B).min(axis=1, initial=m).tolist()
 
-    cat = np.array(cat, dtype=np.int64)
-    in_block = np.zeros(k, dtype=bool)
-    in_block[rows.cols] = True
-    free = np.flatnonzero(~in_block[cat])
-    return diag, SparseRows((k, k), np.column_stack([free, cat[free]]), np.array(cpos)[rows.cols], rows.cols, W)
+    out = np.zeros((k, len(slot)), dtype=np.int64)
+    out[np.array(cpos)[cols]] = W
+    return diag, out
 
 
 def _relations(H: np.ndarray, m: int) -> np.ndarray:
@@ -400,16 +373,10 @@ def quotient_structure(
     if R.any():
         raise ValidationError("sub lattice is not contained in the sup lattice")
     slack = hnf_from_rows(_relations(sup_H, m), J.size, m)
-    rel = SparseRows(
-        (2 * k, k),
-        np.column_stack([k + unit, unit]),
-        np.concatenate([_pivots(sub_H), k + J[_pivots(slack)]]),
-        J,
-        np.vstack([Q, slack]),
-    )
-    diag, W = snf_mod(rel, k, m)
+    rows = np.concatenate([_pivots(sub_H), k + J[_pivots(slack)]])
+    diag, W = snf_mod(np.vstack([Q, slack]), rows, J, np.column_stack([k + unit, unit]), k, m)
     keep = [i for i, d in enumerate(diag) if d > 1]
-    return [diag[i] for i in keep], (W.take(keep)[:, J] @ sup_H) % m
+    return [diag[i] for i in keep], (W[keep] @ sup_H) % m
 
 
 class LatticeSolver:

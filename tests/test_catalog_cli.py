@@ -215,8 +215,14 @@ class TestReports:
         with pytest.raises(Exception):
             rep.to_json_dict()
 
+    def test_a_negative_cap_is_refused_where_the_config_is_built(self):
+        # compute_report compared the order with the cap and skipped the oracle
+        with pytest.raises(ValidationError, match="oracle cap -1 is not an integer or lies below 0"):
+            PipelineConfig(oracle_cap=-1)
+
 
 class TestCli:
+    COMMANDS = ("compute", "oracle", "verify-theorem")
     ALL_CAPS = ("max_cosets", "max_group_order", "max_exterior_order", "oracle_cap")
 
     @pytest.mark.parametrize(
@@ -404,6 +410,28 @@ class TestCli:
         monkeypatch.chdir(tmp_path)  # a command that ran would write its default --out here
         assert main(argv) == 1
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command,flags,message",
+        [
+            ("compute", ["--jobs", "0"], "jobs 0 is not an integer or lies below 1"),
+            ("compute", ["--jobs", "-3"], "jobs -3 is not an integer or lies below 1"),
+            *((c, ["--oracle-cap", "-5"], "oracle cap -5 is not an integer or lies below 0") for c in COMMANDS),
+            *((c, ["--max-exterior-order", "-1"], "group cap -1 is not an integer or lies below 0") for c in COMMANDS),
+        ],
+        ids=[
+            "compute-jobs-0", "compute-jobs-negative",
+            *(f"{c}-oracle-cap" for c in COMMANDS), *(f"{c}-exterior-cap" for c in COMMANDS),
+        ],
+    )
+    def test_a_count_below_its_range_exits_1(self, tmp_path, capsys, command, flags, message):
+        # each ran: --jobs below 2 serially, and a negative cap skipped its step
+        cat = tmp_path / "cat"
+        cat.mkdir()
+        (cat / "z2.json").write_text(json.dumps({"name": "z2", "kind": "builtin", "data": {"family": "cyclic", "params": [2]}}))
+        group = ["builtin:cyclic:2", "--oracle"] if command == "compute" else [str(cat)]
+        assert main([command, *group, *flags, "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     @pytest.mark.parametrize("flag", ["--help", "--version"])
     def test_help_and_version_exit_0(self, capsys, flag):

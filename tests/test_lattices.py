@@ -14,7 +14,6 @@ from grouplab.errors import ValidationError
 from grouplab.groups import Subgroup, abelian_subgroups, invariant_factors_from_orders
 from grouplab.lattices import (
     LatticeSolver,
-    SparseRows,
     _combine,
     _egcd,
     _reduce,
@@ -31,10 +30,9 @@ from grouplab.lattices import (
 
 
 def dense_snf(rows, k, m):
-    """snf_mod of a dense matrix, wrapped as a SparseRows without unit rows, with W read back dense."""
+    """snf_mod of a dense matrix, passed as a block on every row and column with no unit rows."""
     A = np.asarray(rows, dtype=np.int64).reshape(-1, k)
-    diag, W = snf_mod(SparseRows(A.shape, np.zeros((0, 2), dtype=np.int64), np.arange(len(A)), np.arange(k), A), k, m)
-    return diag, np.asarray(W)
+    return snf_mod(A, np.arange(len(A)), np.arange(k), np.zeros((0, 2), dtype=np.int64), k, m)
 
 
 def brute_span(rows, k, m):
@@ -773,9 +771,12 @@ def test_snf_pivot_search_matches_the_loop(monkeypatch):
     # the relation matrix of each top-level cocycle space of the workload
     original = lattices.snf_mod
 
-    def recording(rows, k, m):
-        cases.append((np.array(rows), k, m))
-        return original(rows, k, m)
+    def recording(block, rows, cols, unit, k, m):
+        A = np.zeros((2 * k, k), dtype=np.int64)  # the dense relation matrix quotient_structure passes in parts
+        A[np.ix_(rows, cols)] = block
+        A[tuple(unit.T)] = 1
+        cases.append((A, k, m))
+        return original(block, rows, cols, unit, k, m)
 
     monkeypatch.setattr(lattices, "snf_mod", recording)
     for family, params in ORACLE_SMALL:

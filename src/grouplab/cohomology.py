@@ -36,8 +36,9 @@ become lattices between m*Z^k and Z^k on k = (|G|-1)^2 table entries. The
 canonical basis of the cocycle lattice comes from the full tables of the
 edge solutions, and the quotient's invariants and basis tables come from
 one diagonalisation of its relations. The basis is kept as one array of
-tables, and restriction to a subgroup is one gather of every basis table's
-entries on the subgroup and one block solve against the subgroup's space.
+tables. Restriction to a subgroup gathers every basis table's entries on it
+and solves them against its space; the restriction kernels that
+b0_lower_bound intersects need only each subgroup's coboundaries.
 
 Since the rationals-mod-integers coefficients of the classical restriction
 intersection are not finitely representable, this oracle fixes coefficients
@@ -52,8 +53,9 @@ m the intersection can be larger than B0(G) (on Q8 at m = 2 it has order
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cache
 from math import prod
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -102,7 +104,7 @@ class CocycleSpace:
     basis_orders: tuple[int, ...]
     h2_order: int
     h2_invariants: AbelianInvariants
-    _solver: LatticeSolver | None = field(repr=False, default=None)
+    _solver: Callable[[], LatticeSolver] | None = field(repr=False, default=None)
 
     @property
     def rank(self) -> int:
@@ -139,7 +141,7 @@ class CocycleSpace:
             raise ValidationError("table is not normalized (identity row/column nonzero)")
         if self._solver is None:  # n = 1 or m = 1: every normalized table is zero
             return np.zeros((len(t), 0), dtype=np.int64)
-        sol = self._solver.solve(t[:, 1:, 1:].reshape(len(t), (n - 1) ** 2))
+        sol = self._solver().solve(t[:, 1:, 1:].reshape(len(t), (n - 1) ** 2))
         if sol is None:
             raise ValidationError("table is not a cocycle modulo m")
         return sol[:, : self.rank] % np.array(self.basis_orders, dtype=np.int64)
@@ -222,6 +224,14 @@ def _check_cocycle(G: FiniteGroup, m: int, tables: np.ndarray | Sequence) -> boo
     return True
 
 
+def _coboundary_rows(mul: np.ndarray, members: np.ndarray, m: int) -> np.ndarray:
+    """Normalized coboundaries [x=g] + [y=g] - [xy=g] of a subgroup, g in members[1:], on (x, y) in members[1:]^2."""
+    g = members[1:]
+    e = (g[:, None] == g).astype(np.int64)
+    full = e[:, :, None] + e[:, None, :] - (g[:, None, None] == mul[g[:, None], g])
+    return full.reshape(len(g), -1) % m
+
+
 def _cocycle_lattice(G: FiniteGroup, m: int) -> np.ndarray:
     """Canonical basis of the normalized cocycles, on the (n-1)^2 table entries.
 
@@ -278,10 +288,7 @@ def cocycle_space(G: FiniteGroup, m: int, cap: int = DEFAULT_ORACLE_CAP) -> Cocy
     k = (n - 1) * (n - 1)
     Hz = _cocycle_lattice(G, m)
 
-    # row g - 1 is the coboundary of the indicator of g: [x=g] + [y=g] - [xy=g]
-    e = np.eye(n, dtype=np.int64)
-    full = e[:, :, None] + e[:, None, :] - e[:, table_arrays(G)[0]]
-    cob_rows = full[1:, 1:, 1:].reshape(n - 1, k) % m
+    cob_rows = _coboundary_rows(table_arrays(G)[0], np.arange(n), m)
     Hb = hnf_from_rows(cob_rows, k, m)
     if member_residual(Hz, cob_rows, m).any():
         raise InternalCheckFailed("a coboundary failed the cocycle conditions")
@@ -305,7 +312,8 @@ def cocycle_space(G: FiniteGroup, m: int, cap: int = DEFAULT_ORACLE_CAP) -> Cocy
         basis_orders=tuple(diag),
         h2_order=order,
         h2_invariants=AbelianInvariants(invariant_factors_from_orders(diag)),
-        _solver=LatticeSolver(np.vstack([gens, Hb]), k, m),
+        # built at the first class lookup, which no report makes; a twin's copy shares this call
+        _solver=cache(lambda: LatticeSolver(np.vstack([gens, Hb]), k, m)),
     )
     spaces[m] = space
     return space
@@ -378,19 +386,27 @@ def b0_lower_bound(G: FiniteGroup, m: int, cap: int = DEFAULT_ORACLE_CAP) -> tup
     at the m = |G| of the reports, where it has held on every group tried.
     At other m it can exceed B0(G): b0_lower_bound(Q8, 2) is (4, (2, 2)),
     but B0(Q8) = 0.
+
+    No subgroup space is built: the class u restricts to zero on A exactly
+    when sum_i u_i * basis[i] on A x A is a normalized coboundary of A plus
+    m*Z. So the Hermite form on W + s columns (W the sum of (|A| - 1)^2, s
+    the rank) of the rows [basis[i] on each A x A | e_i] and A's coboundaries
+    in A's block has the kernel's basis in its rows with pivot >= W, cut to
+    their last s columns: by triangularity they span its members (0, u).
     """
     space = cocycle_space(G, m, cap)
     s = space.rank
     if s == 0:
         return 1, AbelianInvariants(())
-    # column j of A's matrix, times m / (order of A's generator j), is one row
-    constraint_rows: list[np.ndarray] = []
-    for A in abelian_subgroups(G):
-        space_A, mat = restriction_matrix(space, A)
-        constraint_rows.extend((mat * (m // np.array(space_A.basis_orders, dtype=np.int64))).T)
-    kernel_H = orth_complement(np.array(constraint_rows, dtype=np.int64), s, m)
-    sub_rows = np.diag(np.array(space.basis_orders, dtype=np.int64))
-    sub_H = hnf_from_rows(sub_rows, s, m)
+    subs = [np.array(A.members) for A in abelian_subgroups(G)]
+    cobs = [_coboundary_rows(table_arrays(G)[0], a, m) for a in subs]
+    ends = np.cumsum([c.shape[1] for c in cobs]).tolist()
+    W = ends[-1]
+    rows = [np.hstack([space.basis[:, a[1:, None], a[1:]].reshape(s, -1) for a in subs] + [np.eye(s, dtype=np.int64)])]
+    rows += [np.pad(c, ((0, 0), (end - c.shape[1], W + s - end))) for c, end in zip(cobs, ends)]
+    H = hnf_from_rows(np.vstack(rows), W + s, m)
+    kernel_H = H[~H[:, :W].any(axis=1), W:]
+    sub_H = hnf_from_rows(np.diag(np.array(space.basis_orders, dtype=np.int64)), s, m)
     if member_residual(kernel_H, sub_H, m).any():
         raise InternalCheckFailed("coboundary relations escaped the kernel stack")
     diag, _ = quotient_structure(sub_H, kernel_H, m)

@@ -21,10 +21,9 @@ All row and column work goes through three steps:
 quotient_structure diagonalises the relations of L2/L1 with snf_mod: each
 implicit row of the sup basis contributes the unit relation row e_j, passed
 as a (row, j) pair, and the rest is one small dense block (at most 26 x 24
-on the benchmark's oracle groups, where b0_lower_bound takes 66 quotients,
-against 1,058 x 529 dense). Rows and columns sit where the dense k x k run
-put them, and snf_mod tracks where that run would have moved every row and
-column, so it makes the same pivots. A unit row outranks an exhausted
+on the benchmark's oracle groups, against 1,058 x 529 dense). Rows and
+columns sit where the dense k x k run put them, and snf_mod tracks where
+that run would have moved every row and column, so it makes the same pivots. A unit row outranks an exhausted
 block, so every unit row is pivoted, with diagonal 1, before the run stops:
 a diagonal entry above 1 sits at a block column, and W, returned on the
 block's columns alone, gives the basis tables byte for byte.

@@ -10,11 +10,11 @@ import pytest
 from grouplab import cohomology, groups, isoclinism, wedge
 from grouplab.catalog import builtin
 from grouplab.errors import InconsistentOrders, InternalCheckFailed, KappaRelatorViolation
-from grouplab.groups import GroupHom, Subgroup, abelian_invariants, build_from_permutations
+from grouplab.groups import GroupHom, Subgroup, abelian_invariants
 from grouplab.isoclinism import build_gamma, identity_witness
 from grouplab.wedge import WedgeVariant, compute_wedge, exterior_to_curly_surjection
 
-from test_nontrivial_b0 import B64_CYCLES, DEGREE, perm
+from test_nontrivial_b0 import b0_group
 
 
 def S3():
@@ -24,7 +24,7 @@ def S3():
 
 def B64():
     """The order-64 group with B0 = Z/2: its CURLY kernel has two elements."""
-    return build_from_permutations([perm(c) for c in B64_CYCLES], cap=64, degree=DEGREE, label="B64")
+    return b0_group("B64")
 
 
 def wrap_images(monkeypatch, module, change):

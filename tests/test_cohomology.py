@@ -29,6 +29,7 @@ from grouplab.errors import (
     ValidationError,
 )
 from grouplab.groups import (
+    AbelianInvariants,
     Subgroup,
     abelian_subgroups,
     direct_product,
@@ -39,7 +40,9 @@ from grouplab.groups import (
 )
 from grouplab.lattices import _reduce, hnf_from_rows, lattice_index, orth_complement
 import subgroup_reference
+from b0_reference import b0_by_restriction_matrices
 from test_lattices import ORACLE_SMALL
+from test_nontrivial_b0 import b0_group
 
 
 def cyclic(n):
@@ -254,8 +257,14 @@ class TestCertificatesFire:
         G = from_mul_table(V4.mul)
         space = cocycle_space(G, 4)
         assert any(d < 4 for d in space.basis_orders)
-        # the kernel stack shrinks to zero, which an order-2 basis class leaves
-        monkeypatch.setattr(cohomology, "orth_complement", _zero_lattice)
+        # the kernel stack shrinks to zero, which an order-2 basis class leaves:
+        # the Hermite form on the subgroup blocks and the class columns loses every row
+        original = cohomology.hnf_from_rows
+        monkeypatch.setattr(
+            cohomology,
+            "hnf_from_rows",
+            lambda rows, k, m: _zero_lattice(rows, k, m) if k > space.rank else original(rows, k, m),
+        )
         with pytest.raises(InternalCheckFailed, match="escaped the kernel"):
             b0_lower_bound(G, 4)
 
@@ -558,7 +567,7 @@ class TestTwinSpaces:
     def test_twins_of_different_parents_are_not_shared(self, monkeypatch):
         tables = counting_edge_systems(monkeypatch)
         for _ in range(2):
-            b0_lower_bound(from_mul_table(D4.mul), 8)
+            cocycle_dump(from_mul_table(D4.mul), 8)
         # D4 at m = 8 and each of its two distinct subgroup tables, once per parent object
         assert tables.count(D4.mul) == 2 and len(tables) == 2 * (1 + 2)
 
@@ -574,6 +583,34 @@ class TestLowerBound:
 
     def test_d4(self):
         assert b0_lower_bound(D4, 8)[0] == 1
+
+
+class TestLowerBoundAgainstRestrictionMatrices:
+    """b0_lower_bound gives the (order, invariants) of the route through every subgroup's space."""
+
+    @staticmethod
+    def check(G, moduli, cap):
+        for m in moduli:
+            assert b0_lower_bound(G, m, cap) == b0_by_restriction_matrices(G, m, cap), (G.label, m)
+
+    @pytest.mark.parametrize(
+        "G", [G for G in load_catalog(Path(__file__).resolve().parent.parent / "catalog") if G.order <= 27],
+        ids=lambda G: G.label,
+    )
+    def test_catalog(self, G):
+        self.check(from_mul_table(G.mul, label=G.label), sorted({2, 3, 4, G.order}), 27)
+
+    @pytest.mark.parametrize("G", [builtin(family, params) for family, params in ORACLE_SMALL], ids=lambda G: G.label)
+    def test_oracle_pool_and_two_relabelings(self, G):
+        rng = random.Random(G.order)
+        relabelings = [relabeled(G, [0] + rng.sample(range(1, G.order), G.order - 1)) for _ in range(2)]
+        for H in [from_mul_table(G.mul, label=G.label), *relabelings]:
+            self.check(H, (H.order,), H.order)
+
+    @pytest.mark.parametrize("m", [2, 64])
+    def test_b64_whose_bound_is_not_trivial(self, m):
+        G = b0_group("B64")
+        assert b0_lower_bound(G, m, 64) == b0_by_restriction_matrices(G, m, 64) == (2, AbelianInvariants((2,)))
 
 
 def test_cocycle_dump_shape():

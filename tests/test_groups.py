@@ -42,15 +42,12 @@ from grouplab.groups import (
 import subgroup_reference
 import table_reference
 from test_nontrivial_b0 import (
-    B64_CYCLES,
     B243_CYCLES,
     B243B_CYCLES,
     B243C_CYCLES,
-    DEGREE,
-    N_CYCLES,
     T243_CYCLES,
+    b0_group,
     group_243,
-    perm,
 )
 
 
@@ -551,11 +548,11 @@ class TestCentralizerDescent:
 
     def test_groups_of_order_64_to_243(self):
         D4xD4 = direct_product(D4, D4)
-        B64 = build_from_permutations([perm(c) for c in B64_CYCLES], cap=64, degree=DEGREE, label="B64")
+        B64 = b0_group("B64")
         larger = [
             direct_product(D4xD4, cyclic(2), label="D4xD4xZ2"),
             B64,
-            build_from_permutations([perm(c) for c in N_CYCLES], cap=64, degree=DEGREE, label="N"),
+            b0_group("N64"),
             direct_product(B64, cyclic(2), label="B64xZ2"),
             group_243(B243_CYCLES, "B243"),
             group_243(B243B_CYCLES, "B243b"),
@@ -798,10 +795,10 @@ class TestValidateTableInArrays:
 
 def groups_for_table_reads():
     """B64, N, D4 x D4 x Z2 and the four order-243 groups of test_nontrivial_b0."""
-    B64 = build_from_permutations([perm(c) for c in B64_CYCLES], cap=64, degree=DEGREE, label="B64")
+    B64 = b0_group("B64")
     return [
         B64,
-        build_from_permutations([perm(c) for c in N_CYCLES], cap=64, degree=DEGREE, label="N"),
+        b0_group("N64"),
         direct_product(direct_product(D4, D4), cyclic(2), label="D4xD4xZ2"),
         group_243(B243_CYCLES, "B243"),
         group_243(B243B_CYCLES, "B243b"),

@@ -821,7 +821,7 @@ def test_quotient_matches_the_dense_run_on_the_combine_cases(rows, m):
 
 @pytest.fixture(scope="module")
 def oracle_inputs():
-    """What b0_lower_bound hands the lattice code on the workload's groups.
+    """What the oracle hands the lattice code on the workload's groups.
 
     "quotient" holds the (sub, sup, m) inputs of quotient_structure, those
     of the spaces of the maximal abelian subgroups and of the quotient
@@ -829,11 +829,13 @@ def oracle_inputs():
     hnf_from_rows, the solvers' included, and "space" each group's
     top-level cocycle space with the generators of its solver.
 
-    b0_lower_bound solves one space per distinct subgroup table, and a twin
-    subgroup, whose table equals one already solved, reuses that space. So
-    each twin is also solved here, on a new Subgroup, and the inputs are
-    those of one space per subgroup. "shared" holds the quotient and hnf
-    inputs that b0_lower_bound took before that.
+    b0_lower_bound solves no subgroup space, so each subgroup's space is
+    solved here through restriction_matrix, which solves one space per
+    distinct subgroup table; a twin subgroup, whose table equals one
+    already solved, reuses that space. So each twin is also solved here, on
+    a new Subgroup, with its solver, and the inputs are those of one space
+    per subgroup. "shared" holds the quotient and hnf inputs taken before
+    that.
     """
     seen = {"quotient": [], "hnf": [], "space": []}
     solver_gens = {}
@@ -861,14 +863,16 @@ def oracle_inputs():
         for G in groups:
             cohomology.b0_lower_bound(G, G.order)
             space = cohomology.cocycle_space(G, G.order)
-            seen["space"].append((space, solver_gens[id(space._solver)]))
+            for A in abelian_subgroups(G):
+                cohomology.restriction_matrix(space, A)
+            seen["space"].append((space, solver_gens[id(space._solver())]))
         seen["shared"] = {key: list(seen[key]) for key in ("quotient", "hnf")}
         for G in groups:
             tables = set()
             for A in abelian_subgroups(G):
                 sub = Subgroup(G, A.members).as_group()[0]
                 if sub.mul in tables:
-                    cohomology.cocycle_space(sub, G.order, G.order)
+                    cohomology.cocycle_space(sub, G.order, G.order)._solver()
                 tables.add(sub.mul)
     return seen
 
@@ -900,7 +904,7 @@ def test_hnf_matches_the_dense_run_on_the_oracle_inputs(oracle_inputs):
             # a solver's [gens | I]: the trailing columns write each row over the generators
             solver_calls += 1
             assert not ((H[:, k:] @ rows[:, :k] - H[:, :k]) % m).any()
-    assert len(calls) == 650 and solver_calls == 97
+    assert len(calls) == 633 and solver_calls == 97
 
 
 def test_twin_subgroups_share_one_space(oracle_inputs):
@@ -908,7 +912,7 @@ def test_twin_subgroups_share_one_space(oracle_inputs):
     # already solved for the same group, and none of them is solved again
     shared = oracle_inputs["shared"]
     solver_calls = sum(rows.shape[1] > k for rows, k, _ in shared["hnf"])
-    assert (len(shared["quotient"]), len(shared["hnf"]), solver_calls) == (66, 362, 49)
+    assert (len(shared["quotient"]), len(shared["hnf"]), solver_calls) == (66, 345, 49)
 
 
 def test_class_coordinates_match_the_insert_only_solver(oracle_inputs):

@@ -1,14 +1,15 @@
 """A group with nontrivial Bogomolov multiplier, and the theorem checked on it.
 
-B64 and N are subgroups of S32 of order 64, typed in as 1-based cycles (the
-notation ``build_from_permutations`` names elements with). They share |Z| = 4,
+B64 and N are subgroups of S32 of order 64. Their one copy is the pair of
+perm specs ``catalog-b0/B64.json`` and ``catalog-b0/N64.json`` (N is named
+N64 there), which the console-script check also runs. They share |Z| = 4,
 |G'| = 8, abelianization (2, 2, 2) and element-order counts, but only B64 has
 B0 = Z/2, so they are not isoclinic. The expected kernels rest on Chu, Hu,
 Kang and Kunyavskii (*Noether's problem and the unramified Brauer group for
 groups of order 64*, IMRN 2010): every group of order 64 has B0 = 0 or Z/2,
 B64 is one of those where it is Z/2 and N one where it is 0. The group data
-that the tests compare against come from the permutation closure below, not
-from grouplab.
+that the tests compare against come from the permutation closure below, of the
+generators read straight off the spec files, not from grouplab.
 
 P = B64 x Z2 is isoclinic to B64 (an abelian direct factor changes neither
 G/Z nor G'), so by the theorem its kernel is Z/2 as well, and a witness in
@@ -28,13 +29,15 @@ built once for the module.
 
 import functools
 import itertools
+import json
 import random
 import tracemalloc
 from math import log, prod
+from pathlib import Path
 
 import pytest
 
-from grouplab.catalog import builtin
+from grouplab.catalog import builtin, group_from_spec_dict
 from grouplab.cohomology import b0_lower_bound, cocycle_space, h2_order
 from grouplab.groups import (
     AbelianInvariants,
@@ -52,18 +55,21 @@ from grouplab.isoclinism import are_isoclinic, build_gamma, verify_witness, well
 from grouplab.wedge import WedgeVariant, check_pairing, compute_wedge
 from word_reference import walked_and_worded, word_fold_hom
 
-DEGREE = 32
+CATALOG_B0 = Path(__file__).resolve().parents[1] / "catalog-b0"
 
-B64_CYCLES = (
-    "(5 6)(7 8)(9 11)(10 12)(17 21)(18 22)(19 23)(20 24)(27 28)(29 31)(30 32)",
-    "(9 10)(25 27)(26 28)(29 30)",
-    "(1 3)(2 4)(25 31 28 30 26 32 27 29)",
-)
-N_CYCLES = (
-    "(1 5)(2 6)(3 7)(4 8)(13 15)(14 16)(17 18)(25 27)(26 28)(29 31)(30 32)",
-    "(1 3)(2 4)(7 8)(11 12)(25 27)(26 28)",
-    "(23 24)(29 32 30 31)",
-)
+
+def b0_spec(name):
+    """The spec document of catalog-b0/<name>.json."""
+    return json.loads((CATALOG_B0 / f"{name}.json").read_text())
+
+
+def b0_group(name):
+    """A new group object from catalog-b0/<name>.json, by the library's spec reader."""
+    return group_from_spec_dict(b0_spec(name), origin=f"catalog-b0/{name}.json")
+
+
+B64_GENS = b0_spec("B64")["data"]["generators"]
+N_GENS = b0_spec("N64")["data"]["generators"]
 B243_CYCLES = (
     "(1 27 11 2 25 12 3 26 10)(4 20 13 5 21 14 6 19 15)(7 23 17 8 24 18 9 22 16)",
     "(1 19 13 3 21 15 2 20 14)(4 23 16 6 22 18 5 24 17)(7 27 11 9 26 10 8 25 12)",
@@ -83,7 +89,7 @@ T243_CYCLES = (
 DEGREE_243 = 27
 
 
-def perm(cycles: str, degree: int = DEGREE) -> tuple[int, ...]:
+def perm(cycles: str, degree: int = DEGREE_243) -> tuple[int, ...]:
     """0-based image tuple of a product of disjoint 1-based cycles."""
     image = list(range(degree))
     for cycle in cycles.strip("()").split(")("):
@@ -114,9 +120,9 @@ def closure(gens):
     return seen
 
 
-def reference_data(cycles, p=2, degree=DEGREE):
+def reference_data(gens, p=2):
     """|G|, |Z|, |G'| and the invariant factors of G/G', by permutations alone; G/G' must have exponent p."""
-    gens = [perm(c, degree) for c in cycles]
+    gens = [tuple(g) for g in gens]
     elements = closure(gens)
     z = [x for x in elements if all(compose(x, g) == compose(g, x) for g in gens)]
     comms = {compose(compose(x, y), compose(inverse(x), inverse(y))) for x in elements for y in elements}
@@ -136,12 +142,12 @@ def grouplab_data(G):
 
 @pytest.fixture(scope="module")
 def b64():
-    return build_from_permutations([perm(c) for c in B64_CYCLES], cap=64, degree=DEGREE, label="B64")
+    return b0_group("B64")
 
 
 @pytest.fixture(scope="module")
 def n64():
-    return build_from_permutations([perm(c) for c in N_CYCLES], cap=64, degree=DEGREE, label="N")
+    return b0_group("N64")
 
 
 @pytest.fixture(scope="module")
@@ -160,7 +166,7 @@ def p128_wedge(p128):
 
 
 def group_243(cycles, label):
-    return build_from_permutations([perm(c, DEGREE_243) for c in cycles], cap=243, degree=DEGREE_243, label=label)
+    return build_from_permutations([perm(c) for c in cycles], cap=243, degree=DEGREE_243, label=label)
 
 
 @pytest.fixture(scope="module")
@@ -182,23 +188,23 @@ def odd_b0_wedges(b243):
 
 class TestGroupData:
     def test_reference_values(self):
-        assert reference_data(B64_CYCLES) == reference_data(N_CYCLES) == (64, 4, 8, (2, 2, 2))
+        assert reference_data(B64_GENS) == reference_data(N_GENS) == (64, 4, 8, (2, 2, 2))
 
     def test_grouplab_agrees_with_the_closure(self, b64, n64):
-        assert grouplab_data(b64) == reference_data(B64_CYCLES)
-        assert grouplab_data(n64) == reference_data(N_CYCLES)
+        assert grouplab_data(b64) == reference_data(B64_GENS)
+        assert grouplab_data(n64) == reference_data(N_GENS)
         assert b64.order_multiset() == n64.order_multiset()
 
 
 class TestOddPrime:
     def test_reference_values(self):
         for cycles in (B243_CYCLES, B243B_CYCLES, B243C_CYCLES, T243_CYCLES):
-            assert reference_data(cycles, 3, DEGREE_243) == (243, 3, 27, (3, 3))
+            assert reference_data([perm(c) for c in cycles], 3) == (243, 3, 27, (3, 3))
 
     def test_grouplab_agrees_with_the_closure(self, odd_b0_wedges, t243):
         for label, cycles in (("B243", B243_CYCLES), ("B243b", B243B_CYCLES), ("B243c", B243C_CYCLES)):
-            assert grouplab_data(odd_b0_wedges[label].base) == reference_data(cycles, 3, DEGREE_243)
-        assert grouplab_data(t243) == reference_data(T243_CYCLES, 3, DEGREE_243)
+            assert grouplab_data(odd_b0_wedges[label].base) == reference_data([perm(c) for c in cycles], 3)
+        assert grouplab_data(t243) == reference_data([perm(c) for c in T243_CYCLES], 3)
 
     def test_b243_kernel_is_z3(self, odd_b0_wedges):
         assert odd_b0_wedges["B243"].kernel_invariants().factors == (3,)
@@ -250,7 +256,7 @@ class TestKernel:
 class TestOracle:
     def test_b64_oracle_bound_at_m2_is_the_curly_kernel(self, b64_wedge):
         # a group of its own, so the cocycle spaces go with it
-        G = build_from_permutations([perm(c) for c in B64_CYCLES], cap=64, degree=DEGREE, label="B64")
+        G = b0_group("B64")
         tracemalloc.start()
         try:
             cocycle_space(G, 2, cap=64)
@@ -266,7 +272,7 @@ class TestOracle:
 
     def test_b64_oracle_bound_at_m64_is_the_curly_kernel(self, b64_wedge):
         # at m = |G| the bound is the whole of B0, so the two routes agree exactly
-        G = build_from_permutations([perm(c) for c in B64_CYCLES], cap=64, degree=DEGREE, label="B64")
+        G = b0_group("B64")
         bound, invariants = b0_lower_bound(G, 64, cap=64)
         assert bound == 2 and invariants == AbelianInvariants((2,))
         assert bound == prod(b64_wedge.kernel_invariants().factors)

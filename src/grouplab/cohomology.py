@@ -52,7 +52,7 @@ m the intersection can be larger than B0(G) (on Q8 at m = 2 it has order
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cache
 from math import prod
 from typing import Callable, Sequence
@@ -128,15 +128,23 @@ class CocycleSpace:
         """Class coordinates of a stack of tables, one row per table, by one block solve.
 
         Raises ValidationError unless every table is an n x n normalized
-        cocycle modulo m.
+        cocycle modulo m. An array must have an integer dtype; anything else
+        is read entry by entry, so that a bool, float or str entry is refused.
         """
         n, m = self.group.order, self.modulus
         try:
-            t = np.asarray(tables, dtype=np.int64) % m
-        except (TypeError, ValueError) as exc:
+            t = tables if isinstance(tables, np.ndarray) else np.array(tables, dtype=object)
+        except ValueError as exc:
             raise ValidationError(f"tables are not integer arrays: {exc}") from exc
         if t.ndim != 3 or t.shape[1:] != (n, n):
             raise ValidationError(f"a table of {self.group.label} is {n} x {n}, got shape {t.shape[1:]}")
+        if t.dtype == object:
+            _check_integers(t.ravel().tolist(), "table entry", lo=None)
+        elif t.dtype.kind in "iu":  # widened, so that t % m is exact
+            t = t.astype(np.uint64 if t.dtype.kind == "u" else np.int64)
+        else:
+            raise ValidationError(f"tables of dtype {t.dtype} are not integer arrays")
+        t = np.asarray(t % m, dtype=np.int64)
         if t[:, 0].any() or t[:, :, 0].any():
             raise ValidationError("table is not normalized (identity row/column nonzero)")
         if self._solver is None:  # n = 1 or m = 1: every normalized table is zero
@@ -252,9 +260,7 @@ def cocycle_space(G: FiniteGroup, m: int, cap: int = DEFAULT_ORACLE_CAP) -> Cocy
 
     Later calls with the same group object reuse the space, which is freed
     together with the group. Equality, hashing and repr of ``G`` ignore it.
-    A new group object starts with none, except that ``restriction_matrix``
-    gives a subgroup's group a copy of the space of an earlier subgroup of
-    the same parent whose table is equal.
+    A new group object starts with none.
     Each lattice on the k = (|G| - 1)^2 table entries is kept as the rows of
     its Hermite form with pivot below m (see lattices): on B64, of order
     64, 60 to 66 rows of k = 3,969.
@@ -312,7 +318,7 @@ def cocycle_space(G: FiniteGroup, m: int, cap: int = DEFAULT_ORACLE_CAP) -> Cocy
         basis_orders=tuple(diag),
         h2_order=order,
         h2_invariants=AbelianInvariants(invariant_factors_from_orders(diag)),
-        # built at the first class lookup, which no report makes; a twin's copy shares this call
+        # built at the first class lookup, which no report makes
         _solver=cache(lambda: LatticeSolver(np.vstack([gens, Hb]), k, m)),
     )
     spaces[m] = space
@@ -347,26 +353,15 @@ def restriction_matrix(space: CocycleSpace, A: Subgroup) -> tuple[CocycleSpace, 
 
     The basis tables' entries on A x A are gathered at once and solved as
     one block against A's space, which is kept on the group that
-    ``A.as_group()`` keeps on ``A``. It is computed once per distinct table
-    and modulus of the space's group: a later subgroup with an equal table,
-    a twin, gets a copy of the first space with its own group, sharing the
-    read-only basis and solver. A is no larger than the space's group, which
-    has already passed the oracle cap, so A's space is admitted under that
-    group's order.
+    ``A.as_group()`` keeps on ``A``. A is no larger than the space's group,
+    which has already passed the oracle cap, so A's space is admitted under
+    that group's order.
     """
     if A.parent.mul != space.group.mul:
         raise ValidationError("subgroup does not belong to the space's group")
     sub, members = A.as_group()
-    m = space.modulus
-    space_A = space  # A = G: reuse G's space
-    if sub.mul != space.group.mul:
-        # keyed on the full table, so a twin's basis is the one its own run would give
-        firsts = _cached(space.group, "_subgroup_spaces", dict)
-        own = _cached(sub, "_cocycle_spaces", dict)
-        if m not in own and (sub.mul, m) in firsts:
-            own[m] = replace(firsts[sub.mul, m], group=sub)
-        space_A = cocycle_space(sub, m, space.group.order)
-        firsts.setdefault((sub.mul, m), space_A)
+    # A = G: reuse G's space
+    space_A = space if sub.mul == space.group.mul else cocycle_space(sub, space.modulus, space.group.order)
     idx = np.array(members)
     return space_A, space_A._coords(space.basis[:, idx[:, None], idx])
 

@@ -391,9 +391,9 @@ class TestRestriction:
                     left = restrict(c1 + c2, A)
                     right = restrict(c1, A) + restrict(c2, A)
                     assert left.coords == right.coords
-        # D4 at m = 4, and one space per distinct table of its three maximal
-        # abelian subgroups: Z4, and the two Klein four-groups share one
-        assert len(subs) == 3 and len(spaces_built) == 1 + 2
+        # D4 at m = 4, and one space for each of its three maximal abelian
+        # subgroups, Z4 and two Klein four-groups, each built on first use
+        assert len(subs) == 3 and len(spaces_built) == 1 + 3
 
     @staticmethod
     def check_against_table_slicing(G, m):
@@ -474,6 +474,29 @@ class TestRestriction:
         with pytest.raises(ValidationError, match="coordinate .* is not an integer"):
             space.representative_table((first, 0, 0))
 
+    @pytest.mark.parametrize(
+        "make",
+        [lambda t: t + 0.4, lambda t: t.astype(str), lambda t: t.astype(bool), lambda t: np.full(t.shape, 0.5)],
+        ids=["plus-0.4", "str", "bool", "all-0.5"],
+    )
+    def test_non_integer_table_entries_are_rejected(self, make):
+        # int64 conversion read the first three as the basis class and the last as zero
+        space = cocycle_space(D4, 8)
+        table = make(space.basis[0])
+        for given in (table, table.tolist()):
+            with pytest.raises(ValidationError, match="table entry .* is not an integer"):
+                space.class_from_table(given)
+        with pytest.raises(ValidationError, match="not integer arrays"):
+            space._coords(table[None])
+
+    def test_integer_tables_of_any_width_are_read_exactly(self):
+        space = cocycle_space(D4, 8)
+        table = space.basis[0]
+        huge = [[x + 8 * 2**70 if x else 0 for x in row] for row in table.tolist()]
+        for given in (table, table.astype(np.uint8), table.astype(np.int8) - 8, huge):
+            assert space.class_from_table(given).coords == (1, 0, 0)
+        assert space._coords(table.astype(np.uint8)[None]).tolist() == [[1, 0, 0]]
+
     @pytest.mark.parametrize("coords", [(1, 0), (1, 0, 0, 0)])
     def test_wrong_coordinate_count_is_rejected(self, coords):
         # representative_table raised a bare numpy ValueError
@@ -528,7 +551,7 @@ TWIN_CASES = [(builtin(family, params), None) for family, params in ORACLE_SMALL
 
 
 class TestTwinSpaces:
-    """A subgroup whose table equals an earlier one's reuses that space, with its own group."""
+    """Subgroups with equal tables, twins, each solve a space of their own, equal to a fresh one."""
 
     @pytest.mark.parametrize("G, m", TWIN_CASES, ids=lambda case: getattr(case, "label", f"m={case}"))
     def test_shared_space_equals_a_fresh_one(self, G, m):
@@ -550,26 +573,21 @@ class TestTwinSpaces:
             idx = np.array(members)
             assert np.array_equal(mat, fresh._coords(space.basis[:, idx[:, None], idx]))
 
-    def test_s4_builds_one_space_per_distinct_table(self, monkeypatch):
+    def test_s4_builds_one_space_per_subgroup_object(self, monkeypatch):
         S4 = builtin("symmetric", (4,))
         tables = counting_edge_systems(monkeypatch)
         space = cocycle_space(S4, 24)
         subs = abelian_subgroups(S4)
         spaces = [cohomology.restriction_matrix(space, A)[0] for A in subs]
-        # 11 maximal abelian subgroups with 4 distinct tables
-        assert len(subs) == 11 and len(tables) == 1 + 4
-        assert len({id(s) for s in spaces}) == 11
-        assert len({id(s._solver) for s in spaces}) == 4
-        # new Subgroup objects of the same parent build no more
-        again = [cohomology.restriction_matrix(space, A)[0] for A in abelian_subgroups(S4)]
-        assert len(tables) == 1 + 4 and not {id(s) for s in again} & {id(s) for s in spaces}
-
-    def test_twins_of_different_parents_are_not_shared(self, monkeypatch):
-        tables = counting_edge_systems(monkeypatch)
-        for _ in range(2):
-            cocycle_dump(from_mul_table(D4.mul), 8)
-        # D4 at m = 8 and each of its two distinct subgroup tables, once per parent object
-        assert tables.count(D4.mul) == 2 and len(tables) == 2 * (1 + 2)
+        # 11 maximal abelian subgroups, each solved once though only 4 tables are distinct
+        assert len(subs) == 11 and len(tables) == 1 + 11
+        assert len({id(s) for s in spaces}) == len({id(s._solver) for s in spaces}) == 11
+        # the same Subgroup objects build none again
+        assert [cohomology.restriction_matrix(space, A)[0] for A in subs] == spaces
+        assert len(tables) == 1 + 11
+        # new Subgroup objects of the same parent build their own
+        again = [cohomology.restriction_matrix(space, Subgroup(S4, A.members))[0] for A in subs]
+        assert len(tables) == 1 + 2 * 11 and not {id(s) for s in again} & {id(s) for s in spaces}
 
 
 class TestLowerBound:

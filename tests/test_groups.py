@@ -41,14 +41,7 @@ from grouplab.groups import (
 )
 import subgroup_reference
 import table_reference
-from test_nontrivial_b0 import (
-    B243_CYCLES,
-    B243B_CYCLES,
-    B243C_CYCLES,
-    T243_CYCLES,
-    b0_group,
-    group_243,
-)
+from test_nontrivial_b0 import b0_group
 
 
 def cyclic(n):
@@ -554,10 +547,10 @@ class TestCentralizerDescent:
             B64,
             b0_group("N64"),
             direct_product(B64, cyclic(2), label="B64xZ2"),
-            group_243(B243_CYCLES, "B243"),
-            group_243(B243B_CYCLES, "B243b"),
-            group_243(B243C_CYCLES, "B243c"),
-            group_243(T243_CYCLES, "T243"),
+            b0_group("B243"),
+            b0_group("B243b"),
+            b0_group("B243c"),
+            b0_group("T243"),
         ]
         for G in larger:
             self.check(G)
@@ -800,10 +793,10 @@ def groups_for_table_reads():
         B64,
         b0_group("N64"),
         direct_product(direct_product(D4, D4), cyclic(2), label="D4xD4xZ2"),
-        group_243(B243_CYCLES, "B243"),
-        group_243(B243B_CYCLES, "B243b"),
-        group_243(B243C_CYCLES, "B243c"),
-        group_243(T243_CYCLES, "T243"),
+        b0_group("B243"),
+        b0_group("B243b"),
+        b0_group("B243c"),
+        b0_group("T243"),
     ]
 
 

@@ -11,7 +11,7 @@ import pytest
 from grouplab import cohomology, lattices
 from grouplab.catalog import builtin
 from grouplab.errors import ValidationError
-from grouplab.groups import Subgroup, abelian_subgroups, invariant_factors_from_orders
+from grouplab.groups import abelian_subgroups, invariant_factors_from_orders
 from grouplab.lattices import (
     LatticeSolver,
     _combine,
@@ -830,12 +830,8 @@ def oracle_inputs():
     top-level cocycle space with the generators of its solver.
 
     b0_lower_bound solves no subgroup space, so each subgroup's space is
-    solved here through restriction_matrix, which solves one space per
-    distinct subgroup table; a twin subgroup, whose table equals one
-    already solved, reuses that space. So each twin is also solved here, on
-    a new Subgroup, with its solver, and the inputs are those of one space
-    per subgroup. "shared" holds the quotient and hnf inputs taken before
-    that.
+    solved here through restriction_matrix, with its solver: the inputs
+    are those of one space per subgroup.
     """
     seen = {"quotient": [], "hnf": [], "space": []}
     solver_gens = {}
@@ -866,14 +862,6 @@ def oracle_inputs():
             for A in abelian_subgroups(G):
                 cohomology.restriction_matrix(space, A)
             seen["space"].append((space, solver_gens[id(space._solver())]))
-        seen["shared"] = {key: list(seen[key]) for key in ("quotient", "hnf")}
-        for G in groups:
-            tables = set()
-            for A in abelian_subgroups(G):
-                sub = Subgroup(G, A.members).as_group()[0]
-                if sub.mul in tables:
-                    cohomology.cocycle_space(sub, G.order, G.order)._solver()
-                tables.add(sub.mul)
     return seen
 
 
@@ -905,14 +893,6 @@ def test_hnf_matches_the_dense_run_on_the_oracle_inputs(oracle_inputs):
             solver_calls += 1
             assert not ((H[:, k:] @ rows[:, :k] - H[:, :k]) % m).any()
     assert len(calls) == 633 and solver_calls == 97
-
-
-def test_twin_subgroups_share_one_space(oracle_inputs):
-    # 48 of the 82 maximal abelian subgroups have a table equal to one
-    # already solved for the same group, and none of them is solved again
-    shared = oracle_inputs["shared"]
-    solver_calls = sum(rows.shape[1] > k for rows, k, _ in shared["hnf"])
-    assert (len(shared["quotient"]), len(shared["hnf"]), solver_calls) == (66, 345, 49)
 
 
 def test_class_coordinates_match_the_insert_only_solver(oracle_inputs):

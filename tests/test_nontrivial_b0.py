@@ -17,14 +17,16 @@ either direction must induce an isomorphism of the kernels. P and its curly
 realization (order 128, so ``group_cap=128``) are built once for the module.
 
 B243, B243b, B243c and their twin T243 are subgroups of S27 of order 243,
-closed from two permutations each. They share |Z| = 3, |G'| = 27 and
-G/G' = (3, 3), again from the permutation closure. The curly kernels of
-the first three are Z/3 and that of T243 is trivial; the values come from
-grouplab alone, so they are cross-checks of the route at an odd prime, not
-hand-made references. The first three are isoclinic, so the theorem is
-checked on each ordered pair of them; none is isoclinic to T243. All
-realizations run with ``group_cap=243``, and those of the first three are
-built once for the module.
+closed from two permutations each, and their one copy is the perm specs
+``catalog-b0/B243.json``, ``B243b.json``, ``B243c.json`` and ``T243.json``,
+which the console-script check also runs. They share |Z| = 3, |G'| = 27 and
+G/G' = (3, 3), again from the permutation closure of the spec generators.
+The curly kernels of the first three are Z/3 and that of T243 is trivial;
+the values come from grouplab alone, so they are cross-checks of the route
+at an odd prime, not hand-made references. The first three are isoclinic,
+so the theorem is checked on each ordered pair of them; none is isoclinic
+to T243. All realizations run with ``group_cap=243``, and those of the
+first three are built once for the module.
 """
 
 import functools
@@ -42,7 +44,6 @@ from grouplab.cohomology import b0_lower_bound, cocycle_space, h2_order
 from grouplab.groups import (
     AbelianInvariants,
     abelian_invariants,
-    build_from_permutations,
     center,
     commutator_table,
     derived_subgroup,
@@ -70,33 +71,7 @@ def b0_group(name):
 
 B64_GENS = b0_spec("B64")["data"]["generators"]
 N_GENS = b0_spec("N64")["data"]["generators"]
-B243_CYCLES = (
-    "(1 27 11 2 25 12 3 26 10)(4 20 13 5 21 14 6 19 15)(7 23 17 8 24 18 9 22 16)",
-    "(1 19 13 3 21 15 2 20 14)(4 23 16 6 22 18 5 24 17)(7 27 11 9 26 10 8 25 12)",
-)
-B243B_CYCLES = (
-    "(1 27 13)(2 25 14)(3 26 15)(4 20 18)(5 21 16)(6 19 17)(7 23 10)(8 24 11)(9 22 12)",
-    "(1 25 18 3 27 17 2 26 16)(4 19 12 6 21 11 5 20 10)(7 23 13 9 22 15 8 24 14)",
-)
-B243C_CYCLES = (
-    "(1 23 18 3 22 17 2 24 16)(4 25 11 6 27 10 5 26 12)(7 19 13 9 21 15 8 20 14)",
-    "(1 25 10 3 27 12 2 26 11)(4 21 15 6 20 14 5 19 13)(7 22 18 9 24 17 8 23 16)",
-)
-T243_CYCLES = (
-    "(1 20 14)(2 21 15)(3 19 13)(4 23 16)(5 24 17)(6 22 18)(7 27 11)(8 25 12)(9 26 10)",
-    "(1 21 16 2 19 17 3 20 18)(4 24 10 5 22 11 6 23 12)(7 25 14 8 26 15 9 27 13)",
-)
-DEGREE_243 = 27
-
-
-def perm(cycles: str, degree: int = DEGREE_243) -> tuple[int, ...]:
-    """0-based image tuple of a product of disjoint 1-based cycles."""
-    image = list(range(degree))
-    for cycle in cycles.strip("()").split(")("):
-        points = [int(p) - 1 for p in cycle.split()]
-        for a, b in zip(points, points[1:] + points[:1]):
-            image[a] = b
-    return tuple(image)
+GENS_243 = {name: b0_spec(name)["data"]["generators"] for name in ("B243", "B243b", "B243c", "T243")}
 
 
 def compose(a, b):
@@ -165,24 +140,20 @@ def p128_wedge(p128):
     return compute_wedge(p128, WedgeVariant.CURLY, group_cap=128)
 
 
-def group_243(cycles, label):
-    return build_from_permutations([perm(c) for c in cycles], cap=243, degree=DEGREE_243, label=label)
-
-
 @pytest.fixture(scope="module")
 def b243():
-    return group_243(B243_CYCLES, "B243")
+    return b0_group("B243")
 
 
 @pytest.fixture(scope="module")
 def t243():
-    return group_243(T243_CYCLES, "T243")
+    return b0_group("T243")
 
 
 @pytest.fixture(scope="module")
 def odd_b0_wedges(b243):
     """The curly realizations of B243, B243b and B243c, by label."""
-    groups = (b243, group_243(B243B_CYCLES, "B243b"), group_243(B243C_CYCLES, "B243c"))
+    groups = (b243, b0_group("B243b"), b0_group("B243c"))
     return {G.label: compute_wedge(G, WedgeVariant.CURLY, group_cap=243) for G in groups}
 
 
@@ -198,13 +169,13 @@ class TestGroupData:
 
 class TestOddPrime:
     def test_reference_values(self):
-        for cycles in (B243_CYCLES, B243B_CYCLES, B243C_CYCLES, T243_CYCLES):
-            assert reference_data([perm(c) for c in cycles], 3) == (243, 3, 27, (3, 3))
+        for gens in GENS_243.values():
+            assert reference_data(gens, 3) == (243, 3, 27, (3, 3))
 
     def test_grouplab_agrees_with_the_closure(self, odd_b0_wedges, t243):
-        for label, cycles in (("B243", B243_CYCLES), ("B243b", B243B_CYCLES), ("B243c", B243C_CYCLES)):
-            assert grouplab_data(odd_b0_wedges[label].base) == reference_data([perm(c) for c in cycles], 3)
-        assert grouplab_data(t243) == reference_data([perm(c) for c in T243_CYCLES], 3)
+        for label in ("B243", "B243b", "B243c"):
+            assert grouplab_data(odd_b0_wedges[label].base) == reference_data(GENS_243[label], 3)
+        assert grouplab_data(t243) == reference_data(GENS_243["T243"], 3)
 
     def test_b243_kernel_is_z3(self, odd_b0_wedges):
         assert odd_b0_wedges["B243"].kernel_invariants().factors == (3,)

@@ -6,7 +6,7 @@ import itertools
 import random
 import re
 import weakref
-from math import gcd
+from math import gcd, prod
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +24,7 @@ from grouplab.cohomology import (
 )
 from grouplab.errors import (
     GroupTooLargeForOracle,
+    InconsistentOrders,
     InternalCheckFailed,
     ModulusMismatch,
     ValidationError,
@@ -238,20 +239,52 @@ class TestCertificatesFire:
         # the edge solutions shrink to zero, so no coboundary but 0 is a cocycle
         monkeypatch.setattr(cohomology, "orth_complement", _zero_lattice)
         with pytest.raises(InternalCheckFailed, match="coboundary failed"):
-            cocycle_space(from_mul_table(S3.mul), 6)
+            h2_order(from_mul_table(S3.mul), 6)
 
-    def test_basis_table_that_is_no_cocycle(self, monkeypatch):
+    def test_table_coboundary_outside_the_table_cocycles(self, monkeypatch):
+        # G's coboundaries on its table entries read as the table with one entry
+        # f(1, 1) = 1, which is no cocycle; the edge solve, run first, has its own
+        G = from_mul_table(S3.mul)
+        h2_order(G, 6)
+        monkeypatch.setattr(cohomology, "_coboundary_rows", lambda mul, members, m: np.eye(1, 25, dtype=np.int64))
+        with pytest.raises(InternalCheckFailed, match="coboundary failed"):
+            cocycle_space(G, 6)
+
+    @staticmethod
+    def corrupt_generators(monkeypatch, columns):
+        """Add 1 to the first entry of the first generator of every quotient on this many columns."""
         original = cohomology.quotient_structure
 
         def corrupted(sub_H, sup_H, m):
             orders, gens = original(sub_H, sup_H, m)
-            gens = gens.copy()
-            gens[0, 0] = (gens[0, 0] + 1) % m
+            if sup_H.shape[1] == columns:
+                gens = gens.copy()
+                gens[0, 0] = (gens[0, 0] + 1) % m
             return orders, gens
 
         monkeypatch.setattr(cohomology, "quotient_structure", corrupted)
+
+    def test_generator_table_that_is_no_cocycle(self, monkeypatch):
+        # the edge solve's quotient, on the 3 * 2 edge unknowns of V4
+        self.corrupt_generators(monkeypatch, 6)
+        with pytest.raises(InternalCheckFailed, match="generator table"):
+            h2_order(from_mul_table(V4.mul), 2)
+
+    def test_basis_table_that_is_no_cocycle(self, monkeypatch):
+        # the table basis's quotient, on the 3 * 3 table entries of V4
+        self.corrupt_generators(monkeypatch, 9)
         with pytest.raises(InternalCheckFailed, match="basis table"):
             cocycle_space(from_mul_table(V4.mul), 2)
+
+    def test_table_basis_that_disagrees_with_the_edge_solve(self, monkeypatch):
+        # without G's coboundaries the table basis reads every cocycle of S3 as a class,
+        # 6^5 of them; its own checks still pass, since 0 is a cocycle and the index
+        # ratio is that order too
+        G = from_mul_table(S3.mul)
+        assert h2_order(G, 6) == (2, AbelianInvariants((2,)))
+        monkeypatch.setattr(cohomology, "_coboundary_rows", lambda mul, members, m: np.zeros((1, 25), dtype=np.int64))
+        with pytest.raises(InconsistentOrders, match=r"table basis 7776 \(6, 6, 6, 6, 6\) disagrees with edge solve 2 \(2,\)"):
+            cocycle_space(G, 6)
 
     def test_coboundary_relations_outside_the_kernel(self, monkeypatch):
         G = from_mul_table(V4.mul)
@@ -349,17 +382,34 @@ class TestMultiplierOracle:
         assert multiplier_order_oracle(V4) == 2
 
 
-def counting_edge_systems(monkeypatch):
-    """The group tables that cohomology._edge_system is called on from now on, one per space built."""
+def counting_table_bases(monkeypatch):
+    """The group tables that a table basis is built on from now on, one per space built.
+
+    Every space reads its cocycle lattice on table entries once, through
+    cohomology._cocycle_lattice, and nothing else does.
+    """
     tables = []
-    original = cohomology._edge_system
+    original = cohomology._cocycle_lattice
 
     def counting(H, m):
         tables.append(H.mul)
         return original(H, m)
 
-    monkeypatch.setattr(cohomology, "_edge_system", counting)
+    monkeypatch.setattr(cohomology, "_cocycle_lattice", counting)
     return tables
+
+
+def counting_solvers(monkeypatch):
+    """The modulus of every LatticeSolver built from now on."""
+    moduli = []
+    original = cohomology.LatticeSolver
+
+    def counting(gens, k, m):
+        moduli.append(m)
+        return original(gens, k, m)
+
+    monkeypatch.setattr(cohomology, "LatticeSolver", counting)
+    return moduli
 
 
 class TestRestriction:
@@ -376,7 +426,7 @@ class TestRestriction:
             assert restrict(c, full).coords == c.coords
 
     def test_additivity(self, monkeypatch):
-        spaces_built = counting_edge_systems(monkeypatch)
+        spaces_built = counting_table_bases(monkeypatch)
         # a new group object, so no earlier test's spaces are kept on it
         G = from_mul_table(D4.mul, label="D4")
         space = cocycle_space(G, 4)
@@ -538,11 +588,21 @@ class TestSpaceLifetime:
         gc.collect()
         assert space() is None
 
-    def test_report_builds_one_full_table_space(self, monkeypatch):
-        G = from_mul_table(V4.mul, label="V4")
-        tables = counting_edge_systems(monkeypatch)
-        compute_report(G, PipelineConfig(oracle=True))
+    @pytest.mark.parametrize("family, params", [("symmetric", (4,)), ("dihedral", (12,))])
+    def test_report_builds_no_table_basis_and_a_dump_builds_it_once(self, monkeypatch, family, params):
+        G = builtin(family, params)
+        tables, solvers = counting_table_bases(monkeypatch), counting_solvers(monkeypatch)
+        report = compute_report(G, PipelineConfig(oracle=True))
+        # the report reads H^2, the multiplier and the bound off the edge solve
+        assert report.oracle["h2_order"] == (4 if family == "symmetric" else 8)
+        assert tables == [] and solvers == []
+        subs = abelian_subgroups(G)
+        for _ in range(2):
+            cocycle_dump(G, G.order)
+        # G's basis once; each dump solves each maximal abelian subgroup's space,
+        # with its solver, on its own Subgroup objects
         assert tables.count(G.mul) == 1
+        assert len(tables) == 1 + 2 * len(subs) and len(solvers) == 2 * len(subs)
 
 
 TWIN_CASES = [(builtin(family, params), None) for family, params in ORACLE_SMALL] + [
@@ -575,7 +635,7 @@ class TestTwinSpaces:
 
     def test_s4_builds_one_space_per_subgroup_object(self, monkeypatch):
         S4 = builtin("symmetric", (4,))
-        tables = counting_edge_systems(monkeypatch)
+        tables = counting_table_bases(monkeypatch)
         space = cocycle_space(S4, 24)
         subs = abelian_subgroups(S4)
         spaces = [cohomology.restriction_matrix(space, A)[0] for A in subs]
@@ -590,6 +650,39 @@ class TestTwinSpaces:
         assert len(tables) == 1 + 2 * 11 and not {id(s) for s in again} & {id(s) for s in spaces}
 
 
+CATALOG_UP_TO_27 = [G for G in load_catalog(Path(__file__).resolve().parent.parent / "catalog") if G.order <= 27]
+
+
+class TestEdgeSolveAgainstTableBasis:
+    """Reports read H^2 off the edge solve; a dump's table basis must read the same group.
+
+    The edge solve's generator tables, in the table basis's coordinates,
+    must also generate H^2, each with an order dividing its summand's.
+    """
+
+    @staticmethod
+    def check(G, m, cap):
+        h2 = h2_order(G, m, cap)
+        orders, tables = cohomology._edge_solve(G, m, cap)[2:]
+        space = cocycle_space(G, m, cap)
+        assert (space.h2_order, space.h2_invariants) == h2 and prod(orders) == h2[0]
+        if not orders:
+            return
+        coords = space._coords(tables)
+        table_orders = np.array(space.basis_orders, dtype=np.int64)
+        assert not (np.array(orders)[:, None] * coords % table_orders).any()
+        assert lattice_index(hnf_from_rows(np.vstack([coords, np.diag(table_orders)]), space.rank, m), m) == 1
+
+    @pytest.mark.parametrize("G", CATALOG_UP_TO_27, ids=lambda G: G.label)
+    def test_catalog(self, G):
+        for m in sorted({2, 3, 4, G.order}):
+            self.check(from_mul_table(G.mul, label=G.label), m, 27)
+
+    @pytest.mark.parametrize("m", [2, 64])
+    def test_b64(self, m):
+        self.check(b0_group("B64"), m, 64)
+
+
 class TestLowerBound:
     def test_abelian_is_trivial(self):
         for G in (Z2, V4, cyclic(8)):
@@ -602,6 +695,28 @@ class TestLowerBound:
     def test_d4(self):
         assert b0_lower_bound(D4, 8)[0] == 1
 
+    def test_one_block_per_conjugacy_class_of_maximal_abelian_subgroups(self, monkeypatch):
+        blocks, original = [], cohomology._coboundary_rows
+        monkeypatch.setattr(
+            cohomology, "_coboundary_rows", lambda mul, members, m: blocks.append(members) or original(mul, members, m)
+        )
+        subgroups = classes = 0
+        for family, params in ORACLE_SMALL:
+            G = builtin(family, params)
+            start = len(blocks)
+            b0_lower_bound(G, G.order)
+            subs = abelian_subgroups(G)
+            conjugates = [
+                frozenset(frozenset(G.mul[G.mul[g][a]][G.inv[g]] for a in A.members) for g in range(G.order))
+                for A in subs
+            ]
+            # one block per class, its first subgroup in (size, members) order
+            firsts = [A.members for A, c in zip(subs, conjugates) if conjugates.index(c) == subs.index(A)]
+            assert [tuple(b.tolist()) for b in blocks[start:]] == firsts
+            subgroups, classes = subgroups + len(subs), classes + len(set(conjugates))
+        assert (subgroups, classes, len(blocks)) == (82, 41, 41)
+        assert sum((len(b) - 1) ** 2 for b in blocks) == 1502
+
 
 class TestLowerBoundAgainstRestrictionMatrices:
     """b0_lower_bound gives the (order, invariants) of the route through every subgroup's space."""
@@ -611,10 +726,7 @@ class TestLowerBoundAgainstRestrictionMatrices:
         for m in moduli:
             assert b0_lower_bound(G, m, cap) == b0_by_restriction_matrices(G, m, cap), (G.label, m)
 
-    @pytest.mark.parametrize(
-        "G", [G for G in load_catalog(Path(__file__).resolve().parent.parent / "catalog") if G.order <= 27],
-        ids=lambda G: G.label,
-    )
+    @pytest.mark.parametrize("G", CATALOG_UP_TO_27, ids=lambda G: G.label)
     def test_catalog(self, G):
         self.check(from_mul_table(G.mul, label=G.label), sorted({2, 3, 4, G.order}), 27)
 

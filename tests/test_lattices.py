@@ -11,7 +11,7 @@ import pytest
 from grouplab import cohomology, lattices
 from grouplab.catalog import builtin
 from grouplab.errors import ValidationError
-from grouplab.groups import abelian_subgroups, invariant_factors_from_orders
+from grouplab.groups import invariant_factors_from_orders
 from grouplab.lattices import (
     LatticeSolver,
     _combine,
@@ -768,7 +768,8 @@ def test_snf_pivot_search_matches_the_loop(monkeypatch):
     # so their kept minima are stale unless the combine marks them
     cases.append((np.array(COMBINE_CASE_96), 8, 96))
     cases.append((np.array(COMBINE_CASE_24), 7, 24))
-    # the relation matrix of each top-level cocycle space of the workload
+    # the relation matrices of each top-level cocycle space of the workload:
+    # its edge solve's and its table basis's
     original = lattices.snf_mod
 
     def recording(block, rows, cols, unit, k, m):
@@ -782,7 +783,7 @@ def test_snf_pivot_search_matches_the_loop(monkeypatch):
     for family, params in ORACLE_SMALL:
         G = builtin(family, params)
         cohomology.cocycle_space(G, G.order)
-    assert len(cases) == 302 + len(ORACLE_SMALL)
+    assert len(cases) == 302 + 2 * len(ORACLE_SMALL)
     monkeypatch.undo()
     for rows, k, m in cases:
         diag, W = dense_snf(rows, k, m)
@@ -823,15 +824,13 @@ def test_quotient_matches_the_dense_run_on_the_combine_cases(rows, m):
 def oracle_inputs():
     """What the oracle hands the lattice code on the workload's groups.
 
-    "quotient" holds the (sub, sup, m) inputs of quotient_structure, those
-    of the spaces of the maximal abelian subgroups and of the quotient
-    b0_lower_bound itself takes. "hnf" holds the (rows, k, m) inputs of
-    hnf_from_rows, the solvers' included, and "space" each group's
-    top-level cocycle space with the generators of its solver.
-
-    b0_lower_bound solves no subgroup space, so each subgroup's space is
-    solved here through restriction_matrix, with its solver: the inputs
-    are those of one space per subgroup.
+    "quotient" holds the (sub, sup, m) inputs of quotient_structure and
+    "hnf" the (rows, k, m) inputs of hnf_from_rows, the solvers' included.
+    Both hold the edge inputs of what a report runs, b0_lower_bound on the
+    edge solve, and the table-coordinate inputs of cocycle_dump: the table
+    basis of each group and of each maximal abelian subgroup, with its
+    solver. "space" holds each group's top-level cocycle space with the
+    generators of its solver, built here for the purpose.
     """
     seen = {"quotient": [], "hnf": [], "space": []}
     solver_gens = {}
@@ -858,9 +857,8 @@ def oracle_inputs():
         groups = [builtin(family, params) for family, params in ORACLE_SMALL]
         for G in groups:
             cohomology.b0_lower_bound(G, G.order)
+            cohomology.cocycle_dump(G, G.order)
             space = cohomology.cocycle_space(G, G.order)
-            for A in abelian_subgroups(G):
-                cohomology.restriction_matrix(space, A)
             seen["space"].append((space, solver_gens[id(space._solver())]))
     return seen
 
@@ -877,9 +875,9 @@ def test_quotient_matches_the_dense_run_on_the_oracle_inputs(oracle_inputs):
         short_diag, short_gens = block_only_quotient(sub_D, sup_D, m)
         shortcut_misses += short_diag != ref_diag or not np.array_equal(short_gens, ref_gens)
     # a Smith form of the non-unit rows alone, without the row swaps that
-    # pivots on unit rows make, gets 36 of the 114 wrong
-    assert len(oracle_inputs["quotient"]) == 114
-    assert shortcut_misses >= 30
+    # pivots on unit rows make, gets 75 of the 211 wrong
+    assert len(oracle_inputs["quotient"]) == 211
+    assert shortcut_misses >= 60
 
 
 def test_hnf_matches_the_dense_run_on_the_oracle_inputs(oracle_inputs):
@@ -892,7 +890,9 @@ def test_hnf_matches_the_dense_run_on_the_oracle_inputs(oracle_inputs):
             # a solver's [gens | I]: the trailing columns write each row over the generators
             solver_calls += 1
             assert not ((H[:, k:] @ rows[:, :k] - H[:, :k]) % m).any()
-    assert len(calls) == 633 and solver_calls == 97
+    # each of the 97 spaces: 4 calls for its edge solve, 3 for its table basis
+    # and 1 for its solver; b0_lower_bound makes 3 more on each of the 17 groups
+    assert len(calls) == 827 and solver_calls == 97
 
 
 def test_class_coordinates_match_the_insert_only_solver(oracle_inputs):
@@ -916,7 +916,7 @@ def test_quotient_structure_stays_off_the_dense_form(monkeypatch):
     original = cohomology.quotient_structure
     monkeypatch.setattr(cohomology, "quotient_structure", lambda *args: seen.append(args) or original(*args))
     cohomology.cocycle_space(builtin("symmetric", (4,)), 24)
-    sub_H, sup_H, m = seen[0]
+    sub_H, sup_H, m = seen[-1]  # the table basis's; the edge solve's comes first
     assert sup_H.shape == (24, 529) and sub_H.shape == (23, 529) and m == 24
     sub_D, sup_D = densify(sub_H, 529, m), densify(sup_H, 529, m)
     assert np.count_nonzero(np.diagonal(sup_D) < m) == 24 and np.count_nonzero(np.diagonal(sub_D) < m) == 23

@@ -35,10 +35,11 @@ The quotient is computed through the mod-m lattice calculus on N columns:
 the edge solutions over the coboundaries of the [. = h], h != 1, which read
 [x=h] + [g_i=h] - [x*g_i=h] at the edge (x, g_i). Its invariants and its
 generators' tables, which b0_lower_bound gathers on the maximal abelian
-subgroups, are all that reports read. Only cocycle_space builds a basis on
-the k = (|G|-1)^2 table entries, one array of tables that must give the
-same invariants; restriction to a subgroup gathers every basis table's
-entries on it and solves them against the subgroup's space.
+subgroups, are all that reports read: cocycle_space hands out the order
+and invariants at once, and builds its basis on the k = (|G|-1)^2 table
+entries, one array of tables that must give the same invariants, only at
+the basis's first read. Restriction to a subgroup gathers every basis
+table's entries on it and solves them against the subgroup's space.
 
 Since the rationals-mod-integers coefficients of the classical restriction
 intersection are not finitely representable, this oracle fixes coefficients
@@ -92,19 +93,32 @@ DEFAULT_ORACLE_CAP = 24
 
 @dataclass(frozen=True, eq=False)
 class CocycleSpace:
-    """Basis data for H^2(G, Z/m) on normalized cocycle tables.
+    """H^2(G, Z/m) and its basis data on normalized cocycle tables.
 
-    ``basis`` is a read-only int64 array of shape (rank, n, n); basis[i] is
-    the table of the i-th generator, of order basis_orders[i].
+    h2_order and h2_invariants are read off G's edge solve. The table basis
+    is built at the first read of ``basis`` or ``basis_orders``, which no
+    report makes: ``basis`` is a read-only int64 array of shape (rank, n, n);
+    basis[i] is the table of the i-th generator, of order basis_orders[i].
     """
 
     group: FiniteGroup
     modulus: int
-    basis: np.ndarray
-    basis_orders: tuple[int, ...]
     h2_order: int
     h2_invariants: AbelianInvariants
-    _solver: Callable[[], LatticeSolver] | None = field(repr=False, default=None)
+    # built once: (basis, basis_orders, the solver's factory, None for n = 1 or m = 1)
+    _table_basis: Callable[[], tuple[np.ndarray, tuple[int, ...], Callable[[], LatticeSolver] | None]] = field(repr=False)
+
+    @property
+    def basis(self) -> np.ndarray:
+        return self._table_basis()[0]
+
+    @property
+    def basis_orders(self) -> tuple[int, ...]:
+        return self._table_basis()[1]
+
+    @property
+    def _solver(self) -> Callable[[], LatticeSolver] | None:
+        return self._table_basis()[2]
 
     @property
     def rank(self) -> int:
@@ -290,31 +304,15 @@ def _cocycle_lattice(G: FiniteGroup, m: int) -> np.ndarray:
     return hnf_from_rows(tables[:, 1:, 1:].reshape(-1, k), k, m)
 
 
-def cocycle_space(G: FiniteGroup, m: int, cap: int = DEFAULT_ORACLE_CAP) -> CocycleSpace:
-    """Compute the H^2(G, Z/m) basis data, kept on ``G`` and keyed by ``m``.
+def _table_basis(G: FiniteGroup, m: int, edge: tuple[int, AbelianInvariants]) -> tuple:
+    """CocycleSpace._table_basis: the basis on the k = (|G| - 1)^2 table entries, from G's edge solve.
 
-    Later calls with the same group object reuse the space, which is freed
-    together with the group. Equality, hashing and repr of ``G`` ignore it.
-    A new group object starts with none.
-    The basis comes from G's edge solve, which reports read alone, by a
-    quotient on the k = (|G| - 1)^2 table entries, which must read the edge
-    solve's order and invariants, or InconsistentOrders is raised.
-
-    The arithmetic is exact in int64 while m^2 * max(2, k) < 2^63, with
-    k = (|G| - 1)^2, and a larger m is rejected. Entries stay below m, so a
-    product of two is below m^2. _reduce and hnf_canonical add one such
-    product to an entry, _combine and snf_mod's W update add two, and the
-    matrix products Hs @ E, gens @ sup_H and representative_table sum at
-    most k of them.
+    Its quotient must read the edge solve's order and invariants ``edge``,
+    or InconsistentOrders is raised.
     """
-    m, _, _, tables = _edge_solve(G, m, cap)
-    spaces = _cached(G, "_cocycle_spaces", dict)
-    if m in spaces:
-        return spaces[m]
     n = G.order
-    if n == 1 or m == 1:  # every normalized table is zero; tables is an empty read-only stack
-        spaces[m] = CocycleSpace(G, m, tables, (), 1, AbelianInvariants(()))
-        return spaces[m]
+    if n == 1 or m == 1:  # every normalized table is zero; the edge solve's tables are an empty read-only stack
+        return _edge_solve(G, m, n)[3], (), None
     k = (n - 1) * (n - 1)
     Hz = _cocycle_lattice(G, m)
 
@@ -325,7 +323,6 @@ def cocycle_space(G: FiniteGroup, m: int, cap: int = DEFAULT_ORACLE_CAP) -> Cocy
 
     diag, gens = quotient_structure(Hb, Hz, m)
     order, invariants = prod(diag), AbelianInvariants(invariant_factors_from_orders(diag))
-    edge = h2_order(G, m, cap)  # certified by its index ratio
     if (order, invariants) != edge:
         raise InconsistentOrders(f"table basis {order} {invariants.factors} disagrees with edge solve {edge[0]} {edge[1].factors}")
     basis = np.zeros((len(diag), n, n), dtype=np.int64)
@@ -333,24 +330,40 @@ def cocycle_space(G: FiniteGroup, m: int, cap: int = DEFAULT_ORACLE_CAP) -> Cocy
     if not _check_cocycle(G, m, basis):
         raise InternalCheckFailed("computed basis table is not a normalized cocycle")
     basis.flags.writeable = False
-    space = CocycleSpace(
-        group=G,
-        modulus=m,
-        basis=basis,
-        basis_orders=tuple(diag),
-        h2_order=order,
-        h2_invariants=invariants,
-        # built at the first class lookup, which no report makes
-        _solver=cache(lambda: LatticeSolver(np.vstack([gens, Hb]), k, m)),
-    )
-    spaces[m] = space
-    return space
+    # built at the first class lookup
+    return basis, tuple(diag), cache(lambda: LatticeSolver(np.vstack([gens, Hb]), k, m))
+
+
+def cocycle_space(G: FiniteGroup, m: int, cap: int = DEFAULT_ORACLE_CAP) -> CocycleSpace:
+    """H^2(G, Z/m) with its basis data, kept on ``G`` and keyed by ``m``.
+
+    Later calls with the same group object reuse the space, which is freed
+    together with the group. Equality, hashing and repr of ``G`` ignore it.
+    A new group object starts with none.
+    The order and invariants are read off G's edge solve, and are all that
+    reports read. The table basis is built at its first read, by a quotient
+    on the k = (|G| - 1)^2 table entries, which must read the edge solve's
+    order and invariants, or InconsistentOrders is raised.
+
+    The arithmetic is exact in int64 while m^2 * max(2, k) < 2^63, with
+    k = (|G| - 1)^2, and a larger m is rejected. Entries stay below m, so a
+    product of two is below m^2. _reduce and hnf_canonical add one such
+    product to an entry, _combine and snf_mod's W update add two, and the
+    matrix products Hs @ E, gens @ sup_H and representative_table sum at
+    most k of them.
+    """
+    m, _, orders, _ = _edge_solve(G, m, cap)
+    spaces = _cached(G, "_cocycle_spaces", dict)
+    if m not in spaces:
+        edge = prod(orders), AbelianInvariants(invariant_factors_from_orders(orders))
+        spaces[m] = CocycleSpace(G, m, *edge, cache(lambda: _table_basis(G, m, edge)))
+    return spaces[m]
 
 
 def h2_order(G: FiniteGroup, m: int, cap: int = DEFAULT_ORACLE_CAP) -> tuple[int, AbelianInvariants]:
-    """Order and invariants of H^2(G, Z/m), read off the edge solve."""
-    orders = _edge_solve(G, m, cap)[2]
-    return prod(orders), AbelianInvariants(invariant_factors_from_orders(orders))
+    """Order and invariants of H^2(G, Z/m), read off the edge solve; no table basis is built."""
+    space = cocycle_space(G, m, cap)
+    return space.h2_order, space.h2_invariants
 
 
 def multiplier_order_oracle(G: FiniteGroup, cap: int = DEFAULT_ORACLE_CAP) -> int:
@@ -359,12 +372,12 @@ def multiplier_order_oracle(G: FiniteGroup, cap: int = DEFAULT_ORACLE_CAP) -> in
     With m = |G| the count of H^2 splits as the abelianisation order times
     the multiplier order, so the division must be exact.
     """
-    h2 = h2_order(G, G.order, cap)[0]
+    space = cocycle_space(G, G.order, cap)
     ab_order = G.order // len(derived_subgroup(G))
-    q, r = divmod(h2, ab_order)
+    q, r = divmod(space.h2_order, ab_order)
     if r:
         raise InconsistentOrders(
-            f"|H^2({G.label}, Z/{G.order})| = {h2} is not divisible "
+            f"|H^2({G.label}, Z/{G.order})| = {space.h2_order} is not divisible "
             f"by |G^ab| = {ab_order}"
         )
     return q

@@ -248,7 +248,7 @@ class TestCertificatesFire:
         h2_order(G, 6)
         monkeypatch.setattr(cohomology, "_coboundary_rows", lambda mul, members, m: np.eye(1, 25, dtype=np.int64))
         with pytest.raises(InternalCheckFailed, match="coboundary failed"):
-            cocycle_space(G, 6)
+            cocycle_space(G, 6).basis  # the table basis is built at its first read
 
     @staticmethod
     def corrupt_generators(monkeypatch, columns):
@@ -274,7 +274,7 @@ class TestCertificatesFire:
         # the table basis's quotient, on the 3 * 3 table entries of V4
         self.corrupt_generators(monkeypatch, 9)
         with pytest.raises(InternalCheckFailed, match="basis table"):
-            cocycle_space(from_mul_table(V4.mul), 2)
+            cocycle_space(from_mul_table(V4.mul), 2).basis
 
     def test_table_basis_that_disagrees_with_the_edge_solve(self, monkeypatch):
         # without G's coboundaries the table basis reads every cocycle of S3 as a class,
@@ -284,7 +284,7 @@ class TestCertificatesFire:
         assert h2_order(G, 6) == (2, AbelianInvariants((2,)))
         monkeypatch.setattr(cohomology, "_coboundary_rows", lambda mul, members, m: np.zeros((1, 25), dtype=np.int64))
         with pytest.raises(InconsistentOrders, match=r"table basis 7776 \(6, 6, 6, 6, 6\) disagrees with edge solve 2 \(2,\)"):
-            cocycle_space(G, 6)
+            cocycle_space(G, 6).basis_orders
 
     def test_coboundary_relations_outside_the_kernel(self, monkeypatch):
         G = from_mul_table(V4.mul)
@@ -595,6 +595,10 @@ class TestSpaceLifetime:
         report = compute_report(G, PipelineConfig(oracle=True))
         # the report reads H^2, the multiplier and the bound off the edge solve
         assert report.oracle["h2_order"] == (4 if family == "symmetric" else 8)
+        assert tables == [] and solvers == []
+        # G's space is the report's, and hands out H^2 without a table basis
+        space = cocycle_space(G, G.order)
+        assert (space.h2_order, space.h2_invariants) == h2_order(G, G.order)
         assert tables == [] and solvers == []
         subs = abelian_subgroups(G)
         for _ in range(2):

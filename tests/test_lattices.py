@@ -769,7 +769,7 @@ def test_snf_pivot_search_matches_the_loop(monkeypatch):
     cases.append((np.array(COMBINE_CASE_96), 8, 96))
     cases.append((np.array(COMBINE_CASE_24), 7, 24))
     # the relation matrices of each top-level cocycle space of the workload:
-    # its edge solve's and its table basis's
+    # its edge solve's and its table basis's, which is built at its first read
     original = lattices.snf_mod
 
     def recording(block, rows, cols, unit, k, m):
@@ -782,7 +782,7 @@ def test_snf_pivot_search_matches_the_loop(monkeypatch):
     monkeypatch.setattr(lattices, "snf_mod", recording)
     for family, params in ORACLE_SMALL:
         G = builtin(family, params)
-        cohomology.cocycle_space(G, G.order)
+        cohomology.cocycle_space(G, G.order).basis
     assert len(cases) == 302 + 2 * len(ORACLE_SMALL)
     monkeypatch.undo()
     for rows, k, m in cases:
@@ -915,7 +915,7 @@ def test_quotient_structure_stays_off_the_dense_form(monkeypatch):
     seen = []
     original = cohomology.quotient_structure
     monkeypatch.setattr(cohomology, "quotient_structure", lambda *args: seen.append(args) or original(*args))
-    cohomology.cocycle_space(builtin("symmetric", (4,)), 24)
+    cohomology.cocycle_space(builtin("symmetric", (4,)), 24).basis
     sub_H, sup_H, m = seen[-1]  # the table basis's; the edge solve's comes first
     assert sup_H.shape == (24, 529) and sub_H.shape == (23, 529) and m == 24
     sub_D, sup_D = densify(sub_H, 529, m), densify(sup_H, 529, m)
